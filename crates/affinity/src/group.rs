@@ -14,14 +14,13 @@
 //! sound affinity bounds (Lemma 1); a property test asserts it.
 
 use greca_dataset::UserId;
-use serde::{Deserialize, Serialize};
 
 /// How pairwise affinity is assembled from its components.
 ///
 /// `None` and `StaticOnly` are the ablations evaluated in Figure 1 B
 /// ("affinity-agnostic") and C ("time-agnostic"); `Discrete` and
 /// `Continuous` are the paper's two dynamic models (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AffinityMode {
     /// Affinity-agnostic: every pairwise affinity is 0, so relative
     /// preference vanishes and only `apref` matters.
@@ -60,7 +59,7 @@ impl AffinityMode {
 }
 
 /// Materialized affinity components for one group at one query period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupAffinity {
     members: Vec<UserId>,
     mode: AffinityMode,

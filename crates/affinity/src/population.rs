@@ -13,10 +13,9 @@
 use crate::group::{AffinityMode, GroupAffinity};
 use crate::source::AffinitySource;
 use greca_dataset::{Group, Period, Timeline, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Per-period slice of the index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodAffinityData {
     /// The period this slice covers.
     pub period: Period,
@@ -55,7 +54,7 @@ impl PeriodAffinityData {
 }
 
 /// The population affinity index (see module docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationAffinity {
     universe: Vec<UserId>,
     /// `universe[i]` ↔ dense index `i`; inverse map for queries.

@@ -78,8 +78,8 @@ struct Row {
 }
 
 impl Row {
-    /// The row as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The row as a JSON object (hand-formatted; the workspace
+    /// has no serialization crate).
     fn to_json(&self) -> String {
         format!(
             concat!(

@@ -18,13 +18,10 @@
 //!    JSON is the AND over all of them.
 //! 3. **Survival** — a fresh server warms a pool of overlapping
 //!    groups, then one ingest publishes an epoch swap whose dirty set
-//!    is *disjoint* from every warm footprint. Re-querying measures
-//!    the post-swap hit rate twice: once under the default selective
-//!    invalidation (disjoint entries survive, re-stamped to the new
-//!    epoch) and once against a wholesale-invalidation baseline
-//!    (`selective_invalidation: false`, everything dropped). Every
-//!    surviving answer is bit-compared against a direct engine run at
-//!    the new epoch.
+//!    is *disjoint* from every warm footprint. Every warm entry must
+//!    survive (re-stamped to the new epoch), so every re-query must be
+//!    a cache hit, and every surviving answer is bit-compared against
+//!    a direct engine run at the new epoch.
 //! 4. **Subscriptions** — a client `subscribe`s a continuous group
 //!    query, then streams rating ingests that touch the group. The
 //!    pushed delta frames must carry strictly increasing epochs (zero
@@ -39,8 +36,8 @@
 //!
 //! Gates asserted by the binary (always, including `--quick` — the CI
 //! smoke): `identical == true`, zero protocol errors, survivor
-//! identity (`survivors_identical == true`), post-swap hit rate ≥ 2×
-//! the wholesale baseline, zero stale pushes and a convergent push
+//! identity (`survivors_identical == true`), every post-swap re-query
+//! of a surviving group a hit, zero stale pushes and a convergent push
 //! stream. The full run additionally gates cache-hit p50 ≥ 10× faster
 //! than cache-miss p50 and a shedding, bounded-p99 overload phase.
 //!
@@ -273,8 +270,7 @@ fn chained_groups(users: &[UserId], n: usize, size: usize, overlap: f64, seed: u
     groups
 }
 
-/// What one survival-phase run (one server, one invalidation policy)
-/// measured.
+/// What the survival phase measured.
 struct SurvivalOutcome {
     /// Post-swap re-queries answered from cache.
     hits: usize,
@@ -289,22 +285,11 @@ struct SurvivalOutcome {
     identical: bool,
 }
 
-impl SurvivalOutcome {
-    fn hit_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-}
-
-/// Phase 3 (one policy): warm `groups` into a fresh server's cache,
-/// publish one epoch swap whose dirty set is disjoint from every warm
-/// footprint, and re-query. Under selective invalidation the warm
-/// entries survive the swap as hits at the new epoch; the wholesale
-/// baseline drops everything. Every post-swap answer is bit-compared
-/// against direct engine execution at the new epoch.
+/// Phase 3: warm `groups` into a fresh server's cache, publish one
+/// epoch swap whose dirty set is disjoint from every warm footprint,
+/// and re-query. The warm entries survive the swap as hits at the new
+/// epoch. Every post-swap answer is bit-compared against direct engine
+/// execution at the new epoch.
 fn survival_phase(
     live: &LiveEngine,
     groups: &[Group],
@@ -312,12 +297,10 @@ fn survival_phase(
     item: ItemId,
     k: usize,
     world_label: &str,
-    selective: bool,
 ) -> SurvivalOutcome {
     let server = GrecaServer::bind(
         live,
         ServeConfig {
-            selective_invalidation: selective,
             world_label: world_label.to_string(),
             ..ServeConfig::default()
         },
@@ -676,7 +659,7 @@ fn main() {
     print_row("protocol errors", protocol_errors);
 
     // ── Phase 3: cache survival across a disjoint epoch swap ────────
-    banner("survival: selective invalidation vs wholesale baseline");
+    banner("survival: cache entries across a disjoint epoch swap");
     let survival_groups = world.groups(
         8,
         settings.group_size,
@@ -692,40 +675,27 @@ fn main() {
         .copied()
         .find(|u| !member_union.contains(u))
         .expect("a user outside every survival group");
-    let surv_selective = survival_phase(
+    let survival = survival_phase(
         &live,
         &survival_groups,
         disjoint_user,
         items[0],
         k,
         &world_label,
-        true,
-    );
-    let surv_wholesale = survival_phase(
-        &live,
-        &survival_groups,
-        disjoint_user,
-        items[0],
-        k,
-        &world_label,
-        false,
     );
     print_row(
-        "post-swap hits (selective vs wholesale)",
-        format!(
-            "{}/{} vs {}/{}",
-            surv_selective.hits, surv_selective.total, surv_wholesale.hits, surv_wholesale.total
-        ),
+        "post-swap hits",
+        format!("{}/{}", survival.hits, survival.total),
     );
     print_row(
         "survivors / survival rate",
         format!(
             "{} / {:.1}%",
-            surv_selective.survivors,
-            surv_selective.survival_rate * 100.0
+            survival.survivors,
+            survival.survival_rate * 100.0
         ),
     );
-    print_row("survivors identical", surv_selective.identical);
+    print_row("survivors identical", survival.identical);
 
     // ── Phase 4: continuous queries over the push stream ────────────
     banner("subscriptions: push stream under streaming ingests");
@@ -825,7 +795,7 @@ fn main() {
             "    \"ingest\": {{\"requests\": {inn}, \"p50_ms\": {ip50:.4}, \"p99_ms\": {ip99:.4}}}\n",
             "  }},\n",
             "  \"cache\": {{\"hit_rate\": {hit_rate:.4}, \"hit_p50_ms\": {hp50:.4}, \"miss_p50_ms\": {mp50:.4}, \"hit_speedup\": {speedup:.1}}},\n",
-            "  \"survival\": {{\"groups\": {sgroups}, \"selective_hit_rate\": {srate:.4}, \"wholesale_hit_rate\": {wrate:.4}, \"survivors\": {survivors}, \"survival_rate\": {survrate:.4}, \"survivors_identical\": {sident}}},\n",
+            "  \"survival\": {{\"groups\": {sgroups}, \"hits\": {shits}, \"survivors\": {survivors}, \"survival_rate\": {survrate:.4}, \"survivors_identical\": {sident}}},\n",
             "  \"subscriptions\": {{\"pushes\": {pushes}, \"stale_pushes\": {stale}, \"convergent\": {convergent}}},\n",
             "  \"epoch_publishes\": {publishes},\n",
             "  \"substrate_total_bytes\": {memory},\n",
@@ -848,12 +818,11 @@ fn main() {
         hp50 = hit_p50,
         mp50 = miss_p50,
         speedup = hit_speedup,
-        sgroups = surv_selective.total,
-        srate = surv_selective.hit_rate(),
-        wrate = surv_wholesale.hit_rate(),
-        survivors = surv_selective.survivors,
-        survrate = surv_selective.survival_rate,
-        sident = surv_selective.identical,
+        sgroups = survival.total,
+        shits = survival.hits,
+        survivors = survival.survivors,
+        survrate = survival.survival_rate,
+        sident = survival.identical,
         pushes = subs.pushes,
         stale = subs.stale,
         convergent = subs.convergent,
@@ -889,14 +858,14 @@ fn main() {
         "no protocol errors under the mixed workload"
     );
     assert!(
-        surv_selective.identical && surv_wholesale.identical,
+        survival.identical,
         "post-swap answers (survivors included) must equal direct execution at the new epoch"
     );
     assert!(
-        surv_selective.hits >= 1 && surv_selective.hits >= 2 * surv_wholesale.hits,
-        "selective post-swap hit rate ({:.2}) must be at least 2x the wholesale baseline ({:.2})",
-        surv_selective.hit_rate(),
-        surv_wholesale.hit_rate()
+        survival.total > 0 && survival.hits == survival.total,
+        "every post-swap re-query of a surviving group must hit ({}/{})",
+        survival.hits,
+        survival.total
     );
     assert_eq!(subs.stale, 0, "push epochs must strictly increase");
     assert!(

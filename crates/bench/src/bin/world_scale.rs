@@ -12,8 +12,8 @@
 //!   (`build_ms_dense`) — it orders identically and serves as the
 //!   bit-identity reference;
 //! * **bytes/user** — the dense `f64` representation vs the quantized
-//!   `u16`-code representation, with the saving percentage and the
-//!   dequantization error bound;
+//!   `u16`-code representation, with the saving percentage and whether
+//!   quantized serving is bit-identical to dense;
 //! * **warm query p50** — µs per query over an overlapping-membership
 //!   group workload against the quantized substrate;
 //! * **ingest-to-visibility** — wall time for a post-horizon rating
@@ -27,8 +27,8 @@
 //!
 //! Gates asserted by the binary:
 //!
-//! * quantized serving is **bit-identical** to dense at the study tier
-//!   (exact-dictionary quantization, error bound 0);
+//! * quantized serving is **bit-identical** to dense at every tier
+//!   (quantization is exact or leaves the column dense);
 //! * quantized storage is **≥ 40 % smaller** per user at every tier;
 //! * the sharded (shipping-configuration) build is **≥ 2× faster** than
 //!   the baseline path at the 100k tier (when that tier runs, i.e. not
@@ -72,7 +72,6 @@ struct Row {
     bytes_per_user_quant: f64,
     quant_saving_pct: f64,
     quant_identical: bool,
-    quant_error_bound: f64,
     warm_p50_us: f64,
     warm_queries: usize,
     ingest_to_visible_ms: f64,
@@ -83,8 +82,8 @@ struct Row {
 }
 
 impl Row {
-    /// The row as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The row as a JSON object (hand-formatted; the workspace
+    /// has no serialization crate).
     fn to_json(&self) -> String {
         format!(
             concat!(
@@ -95,7 +94,6 @@ impl Row {
                 "\"build_ms_dense\":{:.2},\"build_speedup\":{:.2},",
                 "\"bytes_per_user_f64\":{:.1},\"bytes_per_user_quant\":{:.1},",
                 "\"quant_saving_pct\":{:.1},\"quant_identical\":{},",
-                "\"quant_error_bound\":{:e},",
                 "\"warm_p50_us\":{:.1},\"warm_queries\":{},",
                 "\"ingest_to_visible_ms\":{:.2},",
                 "\"lazy_materializations\":{},\"lazy_evictions\":{},",
@@ -117,7 +115,6 @@ impl Row {
             self.bytes_per_user_quant,
             self.quant_saving_pct,
             self.quant_identical,
-            self.quant_error_bound,
             self.warm_p50_us,
             self.warm_queries,
             self.ingest_to_visible_ms,
@@ -239,10 +236,9 @@ fn measure(tier: Tier) -> Row {
                 .zip(hq.scores())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
     }
-    let quant_error_bound = quant.quant_error_bound();
     print_row(
-        "quant identical / bound",
-        format!("{quant_identical} (over {sweep} users) / {quant_error_bound:e}"),
+        "quant identical",
+        format!("{quant_identical} (over {sweep} users)"),
     );
 
     // ── Warm query p50 over the quantized substrate ──────────────────
@@ -332,7 +328,6 @@ fn measure(tier: Tier) -> Row {
         bytes_per_user_quant,
         quant_saving_pct,
         quant_identical,
-        quant_error_bound,
         warm_p50_us,
         warm_queries: lat_us.len(),
         ingest_to_visible_ms,
@@ -375,12 +370,11 @@ fn main() {
             row.tier,
             row.quant_saving_pct
         );
-        if row.tier == Tier::Study {
-            assert!(
-                row.quant_identical && row.quant_error_bound == 0.0,
-                "study tier must serve quantized results bit-identical to f64"
-            );
-        }
+        assert!(
+            row.quant_identical,
+            "tier {}: quantized results must be bit-identical to f64",
+            row.tier
+        );
         if row.tier == Tier::Users100k {
             assert!(
                 row.build_speedup >= 2.0,

@@ -289,8 +289,8 @@ pub struct PrepareSplit {
 }
 
 impl PrepareSplit {
-    /// The split as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The split as a JSON object (hand-formatted; the workspace
+    /// has no serialization crate).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"substrate_build_ms\":{:.4},\"build_ms_single\":{:.4},\"build_ms_parallel\":{:.4},\"build_threads\":{},\"cold_prepare_ms\":{:.4},\"warm_prepare_ms\":{:.4},\"speedup\":{:.2},\"identical\":{}}}",
@@ -413,8 +413,8 @@ pub struct BaselineRow {
 }
 
 impl BaselineRow {
-    /// The row as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The row as a JSON object (hand-formatted; the workspace
+    /// has no serialization crate).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"algorithm\":\"{}\",\"mean_latency_ms\":{:.4},\"sa_percent_mean\":{:.4},\"sa_percent_stderr\":{:.4},\"groups\":{},\"random_accesses\":{}}}",

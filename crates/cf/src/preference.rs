@@ -13,7 +13,6 @@
 use crate::item_cf::ItemCfModel;
 use crate::user_cf::UserCfModel;
 use greca_dataset::{Group, ItemId, RatingMatrix, UserId};
-use serde::{Deserialize, Serialize};
 
 /// A non-finite preference score caught at ingestion.
 ///
@@ -180,7 +179,7 @@ impl PreferenceProvider for RawRatings<'_> {
 }
 
 /// One user's absolute-preference list, sorted by decreasing score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreferenceList {
     /// The list's owner.
     pub user: UserId,

@@ -9,10 +9,9 @@
 //! item-sorted rating rows.
 
 use greca_dataset::{RatingMatrix, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Supported similarity measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Similarity {
     /// Cosine over raw rating vectors — the paper's measure.
     #[default]

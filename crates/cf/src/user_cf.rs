@@ -8,10 +8,9 @@
 
 use crate::similarity::{user_similarity, Similarity};
 use greca_dataset::{ItemId, RatingMatrix, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the user-based CF model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfConfig {
     /// Similarity measure (paper: cosine).
     pub similarity: Similarity,

@@ -13,10 +13,8 @@
 //! w2·(1−dis)` follows the paper verbatim; `dis` is not rescaled (the
 //! paper's running example also "ignores normalization").
 
-use serde::{Deserialize, Serialize};
-
 /// The group-preference aggregation (first consensus aspect, §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupPreferenceKind {
     /// `gpref = (1/|G|)·Σ pref(u,i,G,p)`.
     Average,
@@ -25,7 +23,7 @@ pub enum GroupPreferenceKind {
 }
 
 /// The disagreement measure (second consensus aspect, §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DisagreementKind {
     /// No disagreement term (`dis = 0`, so `F = w1·gpref + w2`).
     NoDisagreement,
@@ -36,7 +34,7 @@ pub enum DisagreementKind {
 }
 
 /// A fully-specified consensus function `F(G, i, p)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsensusFunction {
     /// Group-preference aggregation.
     pub preference: GroupPreferenceKind,

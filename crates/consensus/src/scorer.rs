@@ -8,12 +8,11 @@
 
 use greca_affinity::GroupAffinity;
 use greca_dataset::UserId;
-use serde::{Deserialize, Serialize};
 
 pub use crate::function::ConsensusFunction;
 
 /// Exact scorer for one group at one query period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupScorer {
     affinity: GroupAffinity,
     consensus: ConsensusFunction,

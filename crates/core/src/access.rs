@@ -6,10 +6,8 @@
 //! (§4.2). `AccessStats` tracks both access kinds so the TA baseline's RA
 //! cost is visible too.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one algorithm run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Sequential accesses performed (sorted-list entry reads).
     pub sa: u64,
@@ -64,7 +62,7 @@ impl AccessStats {
 
 /// Mean/stderr aggregation of a metric over several runs — the figures
 /// report averages over 20 random groups "with standard error bars".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Aggregate {
     /// Number of samples.
     pub n: usize,

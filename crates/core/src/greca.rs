@@ -39,10 +39,9 @@ use crate::lists::{GrecaInputs, ListKind};
 use crate::score::BoundScorer;
 use greca_consensus::ConsensusFunction;
 use greca_dataset::ItemId;
-use serde::{Deserialize, Serialize};
 
 /// Early-termination policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StoppingRule {
     /// Full GRECA: buffer condition with inter-item pruning, plus the
     /// (cheap) threshold verification. The default.
@@ -58,7 +57,7 @@ pub enum StoppingRule {
 }
 
 /// Why a run terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The buffer condition fired (k'−k items pruned away).
     Buffer,
@@ -69,7 +68,7 @@ pub enum StopReason {
 }
 
 /// How often the (O(|buffer|)) bound-refresh and stopping checks run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckInterval {
     /// After every full round-robin sweep (most faithful to Algorithm 1).
     EverySweep,
@@ -82,7 +81,7 @@ pub enum CheckInterval {
 }
 
 /// GRECA run configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrecaConfig {
     /// Result size `k`.
     pub k: usize,
@@ -123,7 +122,7 @@ impl GrecaConfig {
 }
 
 /// One returned item with its score envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopKItem {
     /// The recommended item.
     pub item: ItemId,
@@ -141,7 +140,7 @@ impl TopKItem {
 }
 
 /// Result of a top-k run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopKResult {
     /// The top-k itemset, ordered by decreasing lower bound (a partial
     /// order: ties/overlapping envelopes are not further distinguished).

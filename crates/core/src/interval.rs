@@ -8,11 +8,10 @@
 //! collapses to the exact scalar result, which a property test in
 //! `greca-core` pins against the scalar scorer.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// A closed interval `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Lower endpoint.
     pub lo: f64,

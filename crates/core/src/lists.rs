@@ -22,9 +22,10 @@
 //! borrowed, columnar `(ids, scores)` slices with no lifecycle of their
 //! own. Two storage shapes produce those views:
 //!
-//! * [`SortedList`] / [`MaterializedInputs`] — per-query owned columnar
-//!   buffers, built by sorting (the cold path, and the hand-built-table
-//!   path of the running example);
+//! * [`SortedList`] — owned columnar buffers, built by sorting (the
+//!   cold path, and the hand-built-table path of the running example);
+//!   [`MaterializedInputs`] bundles one query's worth of them as the
+//!   independent reference the tests check prepared queries against;
 //! * [`crate::substrate::Substrate`] — engine-lifetime shared buffers,
 //!   precomputed once and sliced zero-copy per query (the warm path).
 //!
@@ -35,10 +36,9 @@
 
 use greca_affinity::GroupAffinity;
 use greca_cf::PreferenceList;
-use serde::{Deserialize, Serialize};
 
 /// What a list contains (and thus what its entry ids mean).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ListKind {
     /// `PL_u` of the member at this index; entry ids are item ids.
     Preference {
@@ -147,7 +147,7 @@ impl<'a> ListView<'a> {
 
 /// One sorted, sequentially-accessed input list — the *owned* columnar
 /// storage behind a [`ListView`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortedList {
     /// What the entries mean.
     pub kind: ListKind,
@@ -227,7 +227,7 @@ impl SortedList {
 }
 
 /// A read cursor over one list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cursor {
     /// Next entry index to read.
     pub pos: usize,
@@ -239,7 +239,7 @@ pub struct Cursor {
 
 /// How affinity lists are laid out (§3.1 discusses both; the decomposed
 /// layout "allows us to design efficient algorithms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ListLayout {
     /// `n−1` lists per affinity kind, the i-th holding user u_i's pairs.
     #[default]
@@ -256,8 +256,8 @@ const NO_LIST: u32 = u32::MAX;
 ///
 /// This is what [`crate::greca::greca_topk`], [`crate::ta::ta_topk`] and
 /// [`crate::naive::naive_topk`] consume. It borrows from whichever
-/// storage backs the query — per-query [`MaterializedInputs`] or the
-/// engine's shared [`crate::substrate::Substrate`] — and costs only the
+/// storage backs the query — owned [`SortedList`]s or the engine's
+/// shared [`crate::substrate::Substrate`] — and costs only the
 /// view vectors (plus two tiny pair-membership tables) to assemble.
 ///
 /// Construct via [`GrecaInputs::assemble`], which derives the
@@ -380,13 +380,15 @@ impl<'a> GrecaInputs<'a> {
     }
 }
 
-/// Per-query owned list storage (the *cold* path): every list sorted
-/// and buffered for this query alone.
+/// Per-query owned list storage: every list sorted and buffered for
+/// this query alone.
 ///
 /// [`MaterializedInputs::views`] hands the algorithms their
-/// [`GrecaInputs`]. The warm path never builds this type — see
-/// [`crate::substrate::Substrate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`GrecaInputs`]. Prepared queries never build this type (their cold
+/// path shares member lists through a
+/// [`SharedMemberState`](crate::plan::SharedMemberState)); it is the
+/// straightforward reference the identity tests compare them against.
+#[derive(Debug, Clone)]
 pub struct MaterializedInputs {
     /// Preference lists, one per member (member order = group order).
     pub pref_lists: Vec<SortedList>,
@@ -465,7 +467,7 @@ impl MaterializedInputs {
 
 /// Both affinity list sets (static + per-period) for one group view —
 /// the mode-gated assembly shared by [`MaterializedInputs::build`] and
-/// the cross-query shared-state preparation path in `crate::query`.
+/// the cold preparation path in `crate::query`.
 pub(crate) fn group_affinity_list_sets(
     affinity: &GroupAffinity,
     layout: ListLayout,

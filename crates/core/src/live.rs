@@ -214,10 +214,6 @@ pub struct IngestReport {
     pub full_rebuild: bool,
 }
 
-/// A hook invoked after every epoch swap — see
-/// [`LiveEngine::on_publish`].
-type EpochHook = Arc<dyn Fn(u64) + Send + Sync>;
-
 /// A hook invoked after every epoch swap with the full publish delta —
 /// see [`LiveEngine::on_publish_delta`].
 type DeltaHook = Arc<dyn Fn(&PublishDelta) + Send + Sync>;
@@ -470,8 +466,6 @@ pub struct LiveEngine<'a> {
     /// Engine-relative ms when the open degraded window began (0 =
     /// none open).
     stall_began_ms: AtomicU64,
-    /// Epoch-swap observers (see [`LiveEngine::on_publish`]).
-    epoch_hooks: Mutex<Vec<EpochHook>>,
     /// Epoch-swap observers that want the full publish delta (see
     /// [`LiveEngine::on_publish_delta`]).
     delta_hooks: Mutex<Vec<DeltaHook>>,
@@ -574,7 +568,6 @@ impl<'a> LiveEngine<'a> {
             degraded_windows: AtomicU64::new(0),
             degraded_ms_total: AtomicU64::new(0),
             stall_began_ms: AtomicU64::new(0),
-            epoch_hooks: Mutex::new(Vec::new()),
             delta_hooks: Mutex::new(Vec::new()),
             build_options,
         })
@@ -678,43 +671,27 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Register a hook invoked after every successful epoch swap with
-    /// the epoch number just published.
+    /// the full [`PublishDelta`] — epoch, dirty set, invalidated periods,
+    /// and the full-rebuild flag.
     ///
-    /// This is the invalidation signal serving layers build on: a
-    /// result cache keyed beside epoch `e` registers a hook and clears
-    /// itself wholesale the moment `e + 1` goes live, instead of
-    /// checking the epoch on every read. Hooks run on the *publishing*
+    /// This is the invalidation signal serving layers build on: a result
+    /// cache keyed beside epoch `e` drops only the entries whose
+    /// [`QueryFootprint`](crate::query::QueryFootprint) intersects the
+    /// dirty set the moment `e + 1` goes live, and keeps everything else
+    /// (see [`PublishDelta::affects`]). Hooks run on the *publishing*
     /// thread, after the new epoch is pinnable and after the staging
     /// store is released — any pin taken from here on observes the
     /// published epoch. Keep hooks cheap (they sit on the ingestion
     /// path); empty publishes (no staged deltas) notify nobody.
-    pub fn on_publish(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
-        lock_unpoisoned(&self.epoch_hooks).push(Arc::new(hook));
-    }
-
-    /// Like [`LiveEngine::on_publish`], but the hook receives the full
-    /// [`PublishDelta`] — epoch, dirty set, invalidated periods, and the
-    /// full-rebuild flag — so serving layers can invalidate
-    /// *selectively*: drop only cached state whose
-    /// [`QueryFootprint`](crate::query::QueryFootprint) intersects the
-    /// dirty set, keep everything else (see [`PublishDelta::affects`]).
-    /// Same timing and cheapness contract as [`LiveEngine::on_publish`];
-    /// plain-epoch hooks and delta hooks both run on every publish,
-    /// plain ones first.
     pub fn on_publish_delta(&self, hook: impl Fn(&PublishDelta) + Send + Sync + 'static) {
         lock_unpoisoned(&self.delta_hooks).push(Arc::new(hook));
     }
 
-    /// Run every registered epoch hook for the published delta. The
-    /// hook lists are snapshotted out of their locks first, so a hook
-    /// that stages and publishes (or registers another hook) re-enters
-    /// the engine without deadlocking on the non-reentrant hooks
-    /// mutexes.
+    /// Run every registered publish hook for the published delta. The
+    /// hook list is snapshotted out of its lock first, so a hook that
+    /// stages and publishes (or registers another hook) re-enters the
+    /// engine without deadlocking on the non-reentrant hooks mutex.
     fn notify_epoch(&self, delta: &PublishDelta) {
-        let hooks: Vec<EpochHook> = lock_unpoisoned(&self.epoch_hooks).clone();
-        for hook in &hooks {
-            hook(delta.epoch);
-        }
         let hooks: Vec<DeltaHook> = lock_unpoisoned(&self.delta_hooks).clone();
         for hook in &hooks {
             hook(delta);
@@ -1500,7 +1477,7 @@ mod tests {
         let live = LiveEngine::new(&pop, LiveModel::Raw, &matrix, &items).unwrap();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        live.on_publish(move |e| sink.lock().unwrap().push(e));
+        live.on_publish_delta(move |d| sink.lock().unwrap().push(d.epoch));
         // Empty publishes swap nothing and notify nobody.
         live.publish().unwrap();
         assert!(seen.lock().unwrap().is_empty());
@@ -1510,7 +1487,7 @@ mod tests {
         // Multiple hooks all fire.
         let also = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&also);
-        live.on_publish(move |e| sink.lock().unwrap().push(e));
+        live.on_publish_delta(move |d| sink.lock().unwrap().push(d.epoch));
         live.ingest(&[rating(0, 1, 2.0, 12)]).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
         assert_eq!(*also.lock().unwrap(), vec![3]);

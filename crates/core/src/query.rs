@@ -38,14 +38,14 @@ use crate::greca::{
 };
 use crate::lists::{
     build_affinity_lists, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout,
-    MaterializedInputs, NonFiniteEntry, SortedList,
+    NonFiniteEntry, SortedList,
 };
 use crate::naive::{naive_scores, naive_topk};
 use crate::plan::SharedMemberState;
 use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
 use crate::ta::{ta_topk, TaConfig};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
-use greca_cf::{group_preference_lists, PreferenceList, PreferenceProvider};
+use greca_cf::{PreferenceList, PreferenceProvider};
 use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind};
 use greca_dataset::{Group, ItemId, UserId};
 use std::collections::HashMap;
@@ -869,31 +869,25 @@ impl<'q> GroupQuery<'q> {
     /// On a warm engine this selects substrate views (no per-user sort,
     /// no preference-entry clone); on a cold engine — or for a query the
     /// substrate cannot serve (unknown user, foreign or duplicated
-    /// items) — it materializes owned lists exactly as before. Both
-    /// paths are bit-identical.
+    /// items) — it sorts each member's preference list. Both paths are
+    /// bit-identical. This is [`prepare_shared`](Self::prepare_shared)
+    /// over a fresh, per-call [`SharedMemberState`].
     pub fn prepare(&self) -> Result<PreparedQuery, QueryError> {
-        self.prepare_impl(None)
+        self.prepare_shared(&SharedMemberState::new())
     }
 
     /// Like [`prepare`](Self::prepare), but resolving per-member sorted
-    /// lists through a [`SharedMemberState`] arena so queries whose
-    /// groups overlap share the resolution work. Every shared value is a
-    /// deterministic function of the engine state and the `(member,
-    /// itemset)` key, so the preparation — and any execution over it —
-    /// is bit-identical to [`prepare`](Self::prepare)'s.
+    /// lists through a caller-scoped [`SharedMemberState`] arena so
+    /// queries whose groups overlap share the resolution work. Every
+    /// shared value is a deterministic function of the engine state and
+    /// the `(member, itemset)` key, so the preparation — and any
+    /// execution over it — is bit-identical to a fresh arena's.
     ///
     /// **Scope contract:** `shared` must be used against exactly one
     /// engine state (the planner builds one arena per engine partition;
     /// `greca-serve` scopes one per published epoch). Crossing engines
     /// or epochs would serve stale lists.
     pub fn prepare_shared(&self, shared: &SharedMemberState) -> Result<PreparedQuery, QueryError> {
-        self.prepare_impl(Some(shared))
-    }
-
-    fn prepare_impl(
-        &self,
-        shared: Option<&SharedMemberState>,
-    ) -> Result<PreparedQuery, QueryError> {
         let _prepare = crate::obs::phase(crate::obs::Phase::Prepare);
         self.validate()?;
         let resolved: Vec<ItemId>;
@@ -914,40 +908,33 @@ impl<'q> GroupQuery<'q> {
         // itemsets; the fingerprint is computed over the *resolved*
         // itemset so a defaulted (empty) itemset keys by what it
         // actually resolved to.
-        let shared = shared.map(|s| (s, itemset_fingerprint(items)));
+        let items_fp = itemset_fingerprint(items);
         let period = self.effective_period();
         let affinity = self.engine.cached_affinity(self.group, period, self.mode);
 
-        let storage = match self.engine.substrate {
-            Some(ref substrate) => {
-                match build_warm(
-                    self.engine.provider,
-                    substrate,
-                    &affinity,
-                    self.group,
-                    items,
-                    self.layout,
-                    shared,
-                )? {
-                    Some(warm) => PreparedStorage::Warm(warm),
-                    None => cold_storage(
-                        self.engine.provider,
-                        &affinity,
-                        self.group,
-                        items,
-                        self.layout,
-                        shared,
-                    )?,
-                }
-            }
-            None => cold_storage(
+        let warm = match self.engine.substrate {
+            Some(ref substrate) => build_warm(
                 self.engine.provider,
+                substrate,
                 &affinity,
                 self.group,
                 items,
                 self.layout,
-                shared,
+                (shared, items_fp),
             )?,
+            None => None,
+        };
+        let storage = match warm {
+            Some(warm) => PreparedStorage::Warm(warm),
+            None => PreparedStorage::SharedCold(shared_cold_inputs(
+                self.engine.provider,
+                &affinity,
+                self.group,
+                items,
+                items_fp,
+                self.layout,
+                shared,
+            )?),
         };
         Ok(PreparedQuery {
             affinity,
@@ -961,19 +948,17 @@ impl<'q> GroupQuery<'q> {
     }
 
     /// Prepare and execute in one call, recycling a kernel workspace
-    /// from the engine's shared pool — the allocation-free serving path
-    /// (identical results to [`PreparedQuery::run`] on a fresh scratch).
+    /// from the engine's shared pool (identical results to
+    /// [`PreparedQuery::run`] on a fresh scratch). This is
+    /// [`run_shared`](Self::run_shared) over a fresh, per-call
+    /// [`SharedMemberState`].
     pub fn run(&self) -> Result<TopKResult, QueryError> {
-        let prepared = self.prepare()?;
-        let mut scratch = self.engine.checkout_scratch();
-        let result = prepared.run_with_scratch(&mut scratch);
-        self.engine.restore_scratch(scratch);
-        Ok(result)
+        self.run_shared(&SharedMemberState::new())
     }
 
-    /// [`run`](Self::run) through a [`SharedMemberState`] arena — the
-    /// batch planner's and serving layer's execution path for
-    /// overlapping waves. Bit-identical to [`run`](Self::run).
+    /// [`run`](Self::run) through a caller-scoped [`SharedMemberState`]
+    /// arena — the batch planner's and serving layer's execution path
+    /// for overlapping waves. Bit-identical to [`run`](Self::run).
     pub fn run_shared(&self, shared: &SharedMemberState) -> Result<TopKResult, QueryError> {
         let prepared = self.prepare_shared(shared)?;
         let mut scratch = self.engine.checkout_scratch();
@@ -997,47 +982,14 @@ impl<'q> GroupQuery<'q> {
     }
 }
 
-/// Cold-path list materialization: provider calls + sorts, per query.
-fn cold_inputs(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
-    group: &Group,
-    items: &[ItemId],
-    layout: ListLayout,
-) -> Result<MaterializedInputs, QueryError> {
-    let pref_lists = group_preference_lists(provider, group, items)?;
-    Ok(MaterializedInputs::build(&pref_lists, affinity, layout)?)
-}
-
-/// Cold-path storage selection: per-query owned lists, or — through a
-/// [`SharedMemberState`] — per-member lists resolved once per wave and
-/// shared across the queries that need them.
-fn cold_storage(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
-    group: &Group,
-    items: &[ItemId],
-    layout: ListLayout,
-    shared: Option<(&SharedMemberState, u128)>,
-) -> Result<PreparedStorage, QueryError> {
-    match shared {
-        Some((state, items_fp)) => Ok(PreparedStorage::SharedCold(shared_cold_inputs(
-            provider, affinity, group, items, items_fp, layout, state,
-        )?)),
-        None => Ok(PreparedStorage::Cold(cold_inputs(
-            provider, affinity, group, items, layout,
-        )?)),
-    }
-}
-
-/// [`cold_inputs`] with every per-member preference list resolved
-/// through the shared arena: one provider scan + sort per `(member,
-/// itemset)` key per wave, no matter how many groups the member appears
-/// in. Lists are stored member-agnostic (kind `member: 0`) — sorting is
-/// deterministic (descending, ties by id), so the columns are identical
-/// for every group — and re-kinded to the group-local member index at
-/// view assembly. The per-group affinity lists are tiny (≤ n−1 entries
-/// each) and stay per-query.
+/// Cold-path list materialization: every per-member preference list is
+/// resolved through the shared arena — one provider scan + sort per
+/// `(member, itemset)` key per arena, no matter how many groups the
+/// member appears in. Lists are stored member-agnostic (kind
+/// `member: 0`) — sorting is deterministic (descending, ties by id), so
+/// the columns are identical for every group — and re-kinded to the
+/// group-local member index at view assembly. The per-group affinity
+/// lists are tiny (≤ n−1 entries each) and stay per-query.
 fn shared_cold_inputs(
     provider: &(dyn PreferenceProvider + Sync + '_),
     affinity: &GroupAffinity,
@@ -1052,28 +1004,17 @@ fn shared_cold_inputs(
         .iter()
         .map(|&u| {
             shared.resolve_list(u, items.len(), items_fp, || {
-                let pl = provider.preference_list(u, items)?;
-                let entries: Vec<(u32, f64)> = pl.entries.iter().map(|&(i, s)| (i.0, s)).collect();
-                Ok(Arc::new(SortedList::new(
-                    ListKind::Preference { member: 0 },
-                    entries,
-                )?))
+                Ok(Arc::new(member_list(&provider.preference_list(u, items)?)?))
             })
         })
         .collect::<Result<_, _>>()?;
-    let num_items = pref_lists.first().map_or(0, |l| l.len());
-    for l in &pref_lists {
-        assert_eq!(l.len(), num_items, "preference lists must align");
-    }
-    let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
-    Ok(SharedColdInputs {
-        pref_lists,
-        static_lists,
-        period_lists,
-        num_members: group.members().len(),
-        num_pairs: affinity.num_pairs(),
-        num_items,
-    })
+    SharedColdInputs::build(pref_lists, affinity, layout)
+}
+
+/// One member's preference list, sorted and stored member-agnostic.
+fn member_list(list: &PreferenceList) -> Result<SortedList, NonFiniteEntry> {
+    let entries = list.entries.iter().map(|&(i, s)| (i.0, s)).collect();
+    SortedList::new(ListKind::Preference { member: 0 }, entries)
 }
 
 /// Warm-path selection from the substrate. Returns `Ok(None)` when the
@@ -1086,7 +1027,7 @@ fn build_warm(
     group: &Group,
     items: &[ItemId],
     layout: ListLayout,
-    shared: Option<(&SharedMemberState, u128)>,
+    (shared, items_fp): (&SharedMemberState, u128),
 ) -> Result<Option<WarmInputs>, QueryError> {
     let Some(coverage) = substrate.item_coverage(items) else {
         return Ok(None);
@@ -1095,16 +1036,13 @@ fn build_warm(
     // clone; quantized or lazy segments may materialize (and cache)
     // their dense columns here, so the views below stay borrowable.
     // Through the shared arena, that (potentially expensive) handle
-    // resolution happens once per member per wave.
+    // resolution happens once per member per arena.
     let mut handles: Vec<SegmentHandle> = Vec::with_capacity(group.members().len());
     for &u in group.members() {
         match substrate.user_index(u) {
-            Some(i) => handles.push(match shared {
-                Some((state, _)) => {
-                    state.resolve_handle(u, || substrate.segment_handle(provider, i))?
-                }
-                None => substrate.segment_handle(provider, i)?,
-            }),
+            Some(i) => {
+                handles.push(shared.resolve_handle(u, || substrate.segment_handle(provider, i))?)
+            }
             None => return Ok(None),
         }
     }
@@ -1131,23 +1069,17 @@ fn build_warm(
             // Filtered columns are stored member-agnostic and re-kinded
             // to the group-local member index at view assembly, so one
             // filter pass per (member, itemset) serves every group the
-            // member belongs to when resolved through the shared arena.
-            let lists: Vec<Arc<SortedList>> = match shared {
-                Some((state, items_fp)) => group
-                    .members()
-                    .iter()
-                    .zip(&handles)
-                    .map(|(&u, h)| {
-                        state.resolve_list(u, items.len(), items_fp, || {
-                            Ok(Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
-                        })
+            // member belongs to that resolves through the same arena.
+            let lists: Vec<Arc<SortedList>> = group
+                .members()
+                .iter()
+                .zip(&handles)
+                .map(|(&u, h)| {
+                    shared.resolve_list(u, items.len(), items_fp, || {
+                        Ok(Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
                     })
-                    .collect::<Result<_, _>>()?,
-                None => handles
-                    .iter()
-                    .map(|h| Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
-                    .collect(),
-            };
+                })
+                .collect::<Result<_, _>>()?;
             (Some(lists), items.len())
         }
     };
@@ -1263,12 +1195,13 @@ impl WarmInputs {
     }
 }
 
-/// Cold-path prepared state whose per-member preference lists live in a
-/// wave's [`SharedMemberState`] arena instead of per-query owned
-/// storage. Lists are member-agnostic `Arc`s (see
+/// Cold-path prepared state: per-member preference lists (held in a
+/// [`SharedMemberState`] arena, or built by
+/// [`PreparedQuery::from_parts`]) plus the per-query tiny affinity
+/// lists. Lists are member-agnostic `Arc`s (see
 /// [`shared_cold_inputs`]); views re-kind them to the group-local
 /// member index, producing view bundles identical to
-/// [`MaterializedInputs::views`]'s.
+/// [`MaterializedInputs::views`](crate::lists::MaterializedInputs::views)'s.
 #[derive(Debug, Clone)]
 struct SharedColdInputs {
     pref_lists: Vec<Arc<SortedList>>,
@@ -1280,6 +1213,34 @@ struct SharedColdInputs {
 }
 
 impl SharedColdInputs {
+    /// Attach the group's affinity lists to its members' sorted
+    /// preference lists, which must all rank the same itemset.
+    fn build(
+        pref_lists: Vec<Arc<SortedList>>,
+        affinity: &GroupAffinity,
+        layout: ListLayout,
+    ) -> Result<Self, QueryError> {
+        let num_members = affinity.members().len();
+        assert_eq!(
+            pref_lists.len(),
+            num_members,
+            "one preference list per group member"
+        );
+        let num_items = pref_lists.first().map_or(0, |l| l.len());
+        for l in &pref_lists {
+            assert_eq!(l.len(), num_items, "preference lists must align");
+        }
+        let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
+        Ok(SharedColdInputs {
+            pref_lists,
+            static_lists,
+            period_lists,
+            num_members,
+            num_pairs: affinity.num_pairs(),
+            num_items,
+        })
+    }
+
     fn views(&self) -> GrecaInputs<'_> {
         GrecaInputs::assemble(
             self.pref_lists
@@ -1302,18 +1263,15 @@ impl SharedColdInputs {
 /// Which storage backs a [`PreparedQuery`].
 #[derive(Debug, Clone)]
 enum PreparedStorage {
-    /// Per-query owned lists (the legacy materialization path).
-    Cold(MaterializedInputs),
     /// Substrate views (the warm path).
     Warm(WarmInputs),
-    /// Cold lists resolved through a wave's shared member arena.
+    /// Sorted per-member lists (the cold path).
     SharedCold(SharedColdInputs),
 }
 
 impl PreparedStorage {
     fn views(&self) -> GrecaInputs<'_> {
         match self {
-            PreparedStorage::Cold(m) => m.views(),
             PreparedStorage::Warm(w) => w.views(),
             PreparedStorage::SharedCold(s) => s.views(),
         }
@@ -1354,10 +1312,14 @@ impl PreparedQuery {
         layout: ListLayout,
         normalize_rpref: bool,
     ) -> Result<Self, QueryError> {
-        let inputs = MaterializedInputs::build(pref_lists, &affinity, layout)?;
+        let lists = pref_lists
+            .iter()
+            .map(|l| member_list(l).map(Arc::new))
+            .collect::<Result<_, NonFiniteEntry>>()?;
+        let inputs = SharedColdInputs::build(lists, &affinity, layout)?;
         Ok(PreparedQuery {
             affinity: Arc::new(affinity),
-            storage: PreparedStorage::Cold(inputs),
+            storage: PreparedStorage::SharedCold(inputs),
             normalize_rpref,
             consensus: ConsensusFunction::average_preference(),
             k: PAPER_DEFAULT_K,
@@ -1411,7 +1373,7 @@ impl PreparedQuery {
     }
 
     /// Whether this preparation is served from substrate views (as
-    /// opposed to per-query owned lists).
+    /// opposed to sorted per-member lists, the cold path).
     pub fn is_warm(&self) -> bool {
         matches!(self.storage, PreparedStorage::Warm(_))
     }

@@ -36,14 +36,11 @@
 //!   sorted, the zero tail is emitted in id order without comparisons —
 //!   the order a full sort would produce anyway.
 //! * **Quantized scores** ([`ScoreCompression::Quantized`]) — a segment
-//!   stores `u16` codes plus a per-list dequantization table instead of
-//!   one `f64` per item. Lists with ≤ 65 536 distinct score values (every
-//!   list whose itemset is ≤ 65 536 items, so all study-scale worlds) use
-//!   an exact dictionary of the original `f64` bit patterns: dequantized
-//!   views are **bit-identical** to the uncompressed path. Longer lists
-//!   with more distinct values fall back to a linear `hi − code·step`
-//!   table whose absolute error is bounded by `step / 2` (see
-//!   [`Substrate::quant_error_bound`]).
+//!   stores `u16` codes plus a per-list dictionary of the original `f64`
+//!   bit patterns instead of one `f64` per item, so dequantized views
+//!   are **bit-identical** to the uncompressed path. A list with more
+//!   than 65 536 distinct score values has no exact `u16` coding and
+//!   stays dense.
 //! * **Lazy residency** — users listed as *lazy* in
 //!   [`Substrate::build_with`] get no segment at build time; their
 //!   columns are derived from the provider on first access and cached in
@@ -89,11 +86,11 @@ pub enum ScoreCompression {
     /// views borrow the stored scores directly.
     #[default]
     F64,
-    /// `u16` codes plus a per-list dequantization table (6 bytes/item
-    /// with the id column, amortizing the table). Views are served from
-    /// a cached dequantized buffer; exact (bit-identical) whenever a
-    /// list has ≤ [`QUANT_LEVELS`] distinct values, bounded-error
-    /// otherwise.
+    /// `u16` codes plus a per-list exact dictionary (6 bytes/item with
+    /// the id column, amortizing the dictionary). Views are served from
+    /// a cached dequantized buffer, bit-identical to
+    /// [`F64`](Self::F64). A list with more than [`QUANT_LEVELS`]
+    /// distinct values stays dense.
     Quantized,
 }
 
@@ -170,7 +167,7 @@ pub struct MemoryFootprint {
     /// Per-user **resident** preference segments. For
     /// [`ScoreCompression::F64`] this is `ids (u32) + scores (f64)`;
     /// for [`ScoreCompression::Quantized`] it is `ids (u32) + codes
-    /// (u16) + dequant table` — the compact form, not the transient
+    /// (u16) + score dictionary` — the compact form, not the transient
     /// dequantized buffers (those live in `lazy_bytes`). Lazy slots
     /// contribute nothing here.
     pub pref_bytes: usize,
@@ -191,8 +188,8 @@ impl MemoryFootprint {
         self.universe_bytes + self.pref_bytes + self.affinity_bytes + self.lazy_bytes
     }
 
-    /// The footprint as a JSON object (hand-formatted; serde is stubbed
-    /// offline — see `vendor/README.md`).
+    /// The footprint as a JSON object (hand-formatted; the workspace
+    /// has no serialization crate).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"universe_bytes\":{},\"pref_bytes\":{},\"affinity_bytes\":{},\"lazy_bytes\":{},\"total_bytes\":{}}}",
@@ -237,48 +234,13 @@ pub enum ItemCoverage {
 /// Sentinel for "item id not in the universe" in the dense-index map.
 const NOT_AN_ITEM: u32 = u32::MAX;
 
-/// Per-list dequantization table of a quantized segment.
-#[derive(Debug)]
-enum Dequant {
-    /// Exact: the distinct score values (by bit pattern, in list
-    /// order), indexed by code. Dequantization reproduces the original
-    /// `f64` bits.
-    Dict(Vec<f64>),
-    /// Lossy linear levels: `value(code) = hi − code · step`. Used only
-    /// when a list carries more than [`QUANT_LEVELS`] distinct values;
-    /// absolute error ≤ `step / 2`.
-    Linear { hi: f64, step: f64 },
-}
-
-impl Dequant {
-    #[inline]
-    fn value(&self, code: u16) -> f64 {
-        match self {
-            Dequant::Dict(dict) => dict[code as usize],
-            Dequant::Linear { hi, step } => hi - code as f64 * step,
-        }
-    }
-
-    fn error_bound(&self) -> f64 {
-        match self {
-            Dequant::Dict(_) => 0.0,
-            Dequant::Linear { step, .. } => step * 0.5,
-        }
-    }
-
-    fn data_bytes(&self) -> usize {
-        match self {
-            Dequant::Dict(d) => std::mem::size_of_val(d.as_slice()),
-            Dequant::Linear { .. } => 2 * std::mem::size_of::<f64>(),
-        }
-    }
-}
-
-/// Score column of one segment: dense floats or quantized codes.
+/// Score column of one segment: dense floats, or `u16` codes into an
+/// exact dictionary of the column's distinct values (by bit pattern, in
+/// list order), so dequantization reproduces the original `f64` bits.
 #[derive(Debug)]
 enum ScoreStore {
     Dense(Vec<f64>),
-    Quantized { codes: Vec<u16>, dequant: Dequant },
+    Quantized { codes: Vec<u16>, dict: Vec<f64> },
 }
 
 impl ScoreStore {
@@ -286,67 +248,45 @@ impl ScoreStore {
     fn from_scores(scores: Vec<f64>, compression: ScoreCompression) -> Self {
         match compression {
             ScoreCompression::F64 => ScoreStore::Dense(scores),
-            ScoreCompression::Quantized => quantize(&scores),
+            ScoreCompression::Quantized => quantize(scores),
         }
     }
 
     fn data_bytes(&self) -> usize {
         match self {
             ScoreStore::Dense(s) => std::mem::size_of_val(s.as_slice()),
-            ScoreStore::Quantized { codes, dequant } => {
-                std::mem::size_of_val(codes.as_slice()) + dequant.data_bytes()
+            ScoreStore::Quantized { codes, dict } => {
+                std::mem::size_of_val(codes.as_slice()) + std::mem::size_of_val(dict.as_slice())
             }
-        }
-    }
-
-    fn error_bound(&self) -> f64 {
-        match self {
-            ScoreStore::Dense(_) => 0.0,
-            ScoreStore::Quantized { dequant, .. } => dequant.error_bound(),
         }
     }
 }
 
-/// Quantize a score-descending column into `u16` codes + a dequant
-/// table. Distinct values are runs of equal *bit patterns* (`±0.0` are
-/// distinct runs, so exact dequantization preserves the sign of zero).
-fn quantize(scores: &[f64]) -> ScoreStore {
+/// Quantize a score-descending column into `u16` codes + an exact
+/// dictionary. Distinct values are runs of equal *bit patterns* (`±0.0`
+/// are distinct runs, so dequantization preserves the sign of zero). A
+/// column with more than [`QUANT_LEVELS`] distinct values has no exact
+/// `u16` coding and stays dense.
+fn quantize(scores: Vec<f64>) -> ScoreStore {
     let mut dict: Vec<f64> = Vec::new();
-    for &s in scores {
+    for &s in &scores {
         if dict.last().is_none_or(|l| l.to_bits() != s.to_bits()) {
+            if dict.len() == QUANT_LEVELS {
+                return ScoreStore::Dense(scores);
+            }
             dict.push(s);
         }
     }
-    if dict.len() <= QUANT_LEVELS {
-        let mut codes = Vec::with_capacity(scores.len());
-        let mut k = 0usize;
-        for &s in scores {
-            if dict[k].to_bits() != s.to_bits() {
-                k += 1;
-            }
-            codes.push(k as u16);
+    let mut codes = Vec::with_capacity(scores.len());
+    let mut k = 0usize;
+    for &s in &scores {
+        if dict[k].to_bits() != s.to_bits() {
+            k += 1;
         }
-        dict.shrink_to_fit();
-        ScoreStore::Quantized {
-            codes,
-            dequant: Dequant::Dict(dict),
-        }
-    } else {
-        // More distinct values than codes: linear levels over the
-        // list's range. `hi > lo` strictly (otherwise there would be a
-        // single distinct value), so `step` is finite and positive.
-        let hi = scores[0];
-        let lo = *scores.last().expect("non-empty");
-        let step = (hi - lo) / (QUANT_LEVELS - 1) as f64;
-        let codes = scores
-            .iter()
-            .map(|&s| (((hi - s) / step).round() as i64).clamp(0, QUANT_LEVELS as i64 - 1) as u16)
-            .collect();
-        ScoreStore::Quantized {
-            codes,
-            dequant: Dequant::Linear { hi, step },
-        }
+        codes.push(k as u16);
     }
+    dict.shrink_to_fit();
+    ScoreStore::Quantized { codes, dict }
 }
 
 /// One user's precomputed preference columns: the score-descending
@@ -827,21 +767,6 @@ impl Substrate {
         self.lazy.stats()
     }
 
-    /// Worst-case absolute error of any dequantized score served by a
-    /// *resident* segment: `0` for dense and exact-dictionary segments,
-    /// `step/2` for linear-table segments (lists with more than
-    /// [`QUANT_LEVELS`] distinct values). Lazily materialized columns
-    /// are stored dense and are always exact.
-    pub fn quant_error_bound(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                SegmentSlot::Resident(seg) => seg.store.error_bound(),
-                SegmentSlot::Lazy => 0.0,
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Approximate resident size of the preference buffers, in bytes
     /// (counts each shared segment once per substrate that references
     /// it; lazy slots count nothing — their cached columns are reported
@@ -869,7 +794,7 @@ impl Substrate {
     /// * `pref_bytes` — the **resident** preference segments in their
     ///   stored representation: `u32` id + `f64` score columns for
     ///   [`ScoreCompression::F64`] (12 B/item), `u32` id + `u16` code
-    ///   columns plus the per-list dequant table for
+    ///   columns plus the per-list score dictionary for
     ///   [`ScoreCompression::Quantized`] (6 B/item + table). Lazy slots
     ///   contribute 0 until materialized.
     /// * `affinity_bytes` — the population pair arrays (static +
@@ -1012,11 +937,11 @@ impl Substrate {
                     seg: Arc::clone(seg),
                     dequant: None,
                 }),
-                ScoreStore::Quantized { codes, dequant } => {
+                ScoreStore::Quantized { codes, dict } => {
                     if let Some(h) = self.lazy.get(user_idx) {
                         return Ok(h);
                     }
-                    let buf: Vec<f64> = codes.iter().map(|&c| dequant.value(c)).collect();
+                    let buf: Vec<f64> = codes.iter().map(|&c| dict[c as usize]).collect();
                     let bytes = std::mem::size_of_val(buf.as_slice());
                     let handle = SegmentHandle {
                         seg: Arc::clone(seg),
@@ -1516,7 +1441,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(quant.compression(), ScoreCompression::Quantized);
-        assert_eq!(quant.quant_error_bound(), 0.0, "dict mode is exact");
         for u in 0..3 {
             let d = dense.pref_view(u, 0);
             let h = quant.segment_handle(&raw, u).unwrap();
@@ -1540,28 +1464,22 @@ mod tests {
     }
 
     #[test]
-    fn linear_quantization_error_is_bounded() {
-        // A synthetic column with > QUANT_LEVELS distinct values forces
-        // the lossy linear table.
+    fn columns_with_too_many_distinct_values_stay_dense() {
+        // More distinct values than `u16` codes: no exact coding exists,
+        // so the column is stored dense, bit for bit.
         let n = QUANT_LEVELS + 10;
         let scores: Vec<f64> = (0..n).map(|i| (n - i) as f64 * 0.001).collect();
-        let store = quantize(&scores);
-        let bound = store.error_bound();
-        assert!(bound > 0.0, "linear mode has a nonzero bound");
-        let ScoreStore::Quantized { codes, dequant } = &store else {
-            panic!("expected quantized store");
+        let ScoreStore::Dense(stored) = quantize(scores.clone()) else {
+            panic!("expected a dense store");
         };
-        let mut prev = f64::INFINITY;
-        for (i, &c) in codes.iter().enumerate() {
-            let v = dequant.value(c);
-            assert!(
-                (v - scores[i]).abs() <= bound * 1.000001,
-                "error {} exceeds bound {bound}",
-                (v - scores[i]).abs()
-            );
-            assert!(v <= prev, "dequantized column stays descending");
-            prev = v;
-        }
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&stored), bits(&scores));
+        // Exactly QUANT_LEVELS distinct values still quantize.
+        let at_cap: Vec<f64> = scores[..QUANT_LEVELS].to_vec();
+        assert!(matches!(
+            quantize(at_cap),
+            ScoreStore::Quantized { ref dict, .. } if dict.len() == QUANT_LEVELS
+        ));
     }
 
     #[test]

@@ -22,11 +22,10 @@ use crate::score::BoundScorer;
 use greca_affinity::GroupAffinity;
 use greca_consensus::{ConsensusFunction, GroupScorer};
 use greca_dataset::ItemId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// TA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaConfig {
     /// Result size.
     pub k: usize,

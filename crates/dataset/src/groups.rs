@@ -18,10 +18,9 @@ use crate::error::DatasetError;
 use crate::ratings::UserId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An ad-hoc user group `G ⊆ U`: distinct members, sorted by id.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Group {
     members: Vec<UserId>,
 }
@@ -75,7 +74,7 @@ impl Group {
 }
 
 /// Cohesiveness axis of §4.1.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cohesion {
     /// Maximize summed pairwise rating similarity.
     Similar,
@@ -87,7 +86,7 @@ pub enum Cohesion {
 
 /// Affinity-strength axis of §4.1.3. The paper calls a group high-affinity
 /// "if each pair-wise affinity in a group is equal to 0.4 or higher".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AffinityLevel {
     /// Every pairwise affinity ≥ threshold (default 0.4).
     High,
@@ -98,7 +97,7 @@ pub enum AffinityLevel {
 }
 
 /// A full group specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupSpec {
     /// Desired group size.
     pub size: usize,

@@ -22,10 +22,9 @@ use crate::ratings::{ItemId, Rating, RatingMatrix, RatingMatrixBuilder, UserId};
 use crate::time::{Timestamp, YEAR};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic MovieLens generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MovieLensConfig {
     /// Number of users (paper: 6,040).
     pub num_users: usize,
@@ -174,7 +173,7 @@ impl MovieLens {
 }
 
 /// Summary statistics (Table 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovieLensStats {
     /// `# users`.
     pub num_users: usize,

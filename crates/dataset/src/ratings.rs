@@ -7,16 +7,15 @@
 //! (crate `greca-cf`) needs for cosine similarity and prediction.
 
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a user `u ∈ U`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 /// Identifier of an item `i ∈ I`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u32);
 
 impl fmt::Display for UserId {
@@ -48,7 +47,7 @@ impl ItemId {
 }
 
 /// One observed rating event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// The rating user.
     pub user: UserId,
@@ -70,7 +69,7 @@ pub struct Rating {
 /// importantly, deriving the next live-serving epoch via
 /// [`RatingMatrix::apply_deltas`] — copies pointers and rewrites only the
 /// touched rows/columns (copy-on-write), never the whole rating log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RatingMatrix {
     num_users: usize,
     num_items: usize,

@@ -24,10 +24,9 @@ use crate::ratings::UserId;
 use crate::time::{Period, Timestamp, YEAR};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One page-like event: `user` liked a page of `category` at time `ts`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LikeEvent {
     /// The liking user.
     pub user: UserId,
@@ -39,7 +38,7 @@ pub struct LikeEvent {
 }
 
 /// Configuration for the social simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SocialConfig {
     /// Number of seed users (paper: 13).
     pub num_seeds: usize,

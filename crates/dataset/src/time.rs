@@ -11,7 +11,6 @@
 //! double-counting while preserving the paper's semantics.
 
 use crate::error::DatasetError;
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in seconds since the simulation epoch.
 pub type Timestamp = i64;
@@ -24,7 +23,7 @@ pub const YEAR: i64 = 365 * DAY;
 /// A half-open time interval `[start, end)`.
 ///
 /// Corresponds to the paper's period `p = [s, f]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Period {
     /// Inclusive start timestamp (`s` in the paper).
     pub start: Timestamp,
@@ -66,7 +65,7 @@ impl Period {
 }
 
 /// Discretization granularities used in §4.2.1 (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// 7-day periods (53 per year).
     Week,
@@ -125,7 +124,7 @@ impl Granularity {
 /// periods included in the interval `[s0, f]`"; `Timeline` is the canonical
 /// owner of that period sequence. Periods are consecutive but may have
 /// different lengths (§2.1 allows varying lengths).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     origin: Timestamp,
     periods: Vec<Period>,

@@ -31,10 +31,9 @@ use crate::world::StudyWorld;
 use greca_dataset::{Group, ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Oracle parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
     /// Weight of the company term relative to own taste.
     pub company_weight: f64,

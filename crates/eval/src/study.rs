@@ -15,10 +15,9 @@ use greca_affinity::AffinityMode;
 use greca_cf::{candidate_items, user_similarity, Similarity, UserCfModel};
 use greca_core::GrecaEngine;
 use greca_dataset::{AffinityLevel, Cohesion, Group, GroupBuilder, GroupSpec, ItemId, UserId};
-use serde::{Deserialize, Serialize};
 
 /// The group-characteristic buckets on the figures' x-axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupCharacteristic {
     /// Similar rating tastes.
     Sim,
@@ -61,7 +60,7 @@ impl GroupCharacteristic {
 }
 
 /// One formed study group with its labels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudyGroup {
     /// The group.
     pub group: Group,
@@ -97,7 +96,7 @@ impl StudyGroup {
 }
 
 /// Study parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Small group size (paper: 3).
     pub small_size: usize,
@@ -131,7 +130,7 @@ impl Default for StudyConfig {
 }
 
 /// Per-characteristic percentages of one protocol run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndependentOutcome {
     /// The evaluated variant.
     pub variant: RecVariant,
@@ -140,7 +139,7 @@ pub struct IndependentOutcome {
 }
 
 /// Per-characteristic preference of list 1 over list 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparativeOutcome {
     /// The preferred-variant candidate (`l1`).
     pub variant_a: RecVariant,

@@ -12,10 +12,9 @@
 
 use greca_affinity::AffinityMode;
 use greca_consensus::ConsensusFunction;
-use serde::{Deserialize, Serialize};
 
 /// A recommendation variant: an affinity mode plus a consensus function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecVariant {
     /// Chart A: discrete temporal affinity, AP.
     Default,

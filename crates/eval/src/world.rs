@@ -15,10 +15,9 @@ use greca_cf::{CfConfig, UserCfModel};
 use greca_dataset::{
     Granularity, MovieLens, MovieLensConfig, SocialConfig, SocialNetwork, Timeline, UserId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration for building a [`StudyWorld`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Rating world configuration.
     pub movielens: MovieLensConfig,

@@ -242,13 +242,11 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Advance to `epoch`, clearing every resident entry — the
-    /// *wholesale* invalidation path (the
-    /// [`LiveEngine::on_publish`](greca_core::LiveEngine::on_publish)
-    /// hook target, and the baseline [`apply_publish`](Self::apply_publish)
-    /// falls back to under a full rebuild). Regressing or same-epoch
-    /// calls are no-ops (epochs are monotonic; a late hook delivery
-    /// must not clear a newer cache).
+    /// Advance to `epoch`, clearing every resident entry — how a
+    /// server starts the cache at the engine's epoch when it binds
+    /// (publishes after that go through
+    /// [`apply_publish`](Self::apply_publish)). Regressing or
+    /// same-epoch calls are no-ops (epochs are monotonic).
     pub fn invalidate_to(&self, epoch: u64) {
         let mut state = lock_state(&self.state);
         if epoch > state.epoch {

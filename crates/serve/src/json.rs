@@ -1,8 +1,7 @@
 //! A minimal JSON value, parser and writer over `std` only.
 //!
-//! The workspace's vendored `serde` is a marker-trait stub (see
-//! `vendor/README.md`), so the wire layer carries its own ~200-line
-//! JSON implementation. Scope is exactly what the line protocol needs:
+//! The workspace builds offline with no serialization crate, so the
+//! wire layer carries its own ~200-line JSON implementation. Scope is exactly what the line protocol needs:
 //!
 //! * every value nests `Null | Bool | Num(f64) | Str | Arr | Obj`;
 //! * objects preserve insertion order (`Vec` of pairs, not a map) so

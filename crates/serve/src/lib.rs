@@ -9,8 +9,7 @@
 //! * **a network surface** ([`server`]) — `query` / `subscribe` /
 //!   `unsubscribe` / `ingest` / `stats` / `health` verbs over
 //!   `std::net::TcpListener`, one JSON value per line ([`protocol`],
-//!   with its own `std`-only JSON in [`json`]: the vendored serde is a
-//!   stub);
+//!   with its own `std`-only JSON in [`json`]);
 //! * **result reuse** ([`cache`]) — an epoch-aware cache keyed by the
 //!   engine's canonical [`QueryKey`](greca_core::QueryKey), guarded
 //!   per-lookup by the pinned epoch, with single-flight stampede
@@ -108,13 +107,6 @@ pub struct ServeConfig {
     /// verb so operators can tell capacity numbers from different tiers
     /// apart; purely informational.
     pub world_label: String,
-    /// Whether publishes invalidate the result cache selectively —
-    /// keeping entries whose footprint is disjoint from the publish's
-    /// dirty set — or wholesale (`false`, the pre-dirty-set behavior,
-    /// kept as a benchmark baseline). Selective survival is
-    /// bit-identical to recomputing: a surviving entry's result cannot
-    /// depend on anything the publish changed.
-    pub selective_invalidation: bool,
     /// Deterministic fault-injection plan consulted before every
     /// socket read/write and queued-work execution (the engine's WAL
     /// consults its own copy). `None` — the default in production —
@@ -146,7 +138,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_millis(25),
             max_line_bytes: 8 << 20,
             world_label: "unlabeled".to_string(),
-            selective_invalidation: true,
             fault_plan: FaultPlan::from_env().map(Arc::new),
             slow_query_ms: 250,
         }

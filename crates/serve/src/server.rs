@@ -106,10 +106,6 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: ResultCache,
-    /// Whether publishes invalidate the cache selectively (footprint
-    /// survival) or wholesale (the pre-dirty-set behavior, kept as a
-    /// benchmark baseline) — [`ServeConfig::selective_invalidation`].
-    selective: bool,
     /// The batch planner's member-state arena for the current epoch:
     /// concurrent cache-miss queries resolve each member's preference
     /// list once per epoch instead of once per query. Swapped (not
@@ -197,7 +193,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             shutdown: AtomicBool::new(false),
             metrics: Metrics::default(),
             cache: ResultCache::new(config.cache_capacity),
-            selective: config.selective_invalidation,
             plan_state: Mutex::new((live.epoch(), Arc::new(SharedMemberState::new()))),
             subs: Mutex::new(HashMap::new()),
             next_sub: AtomicU64::new(1),
@@ -216,8 +211,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         obs::recorder().set_slow_threshold(Duration::from_millis(config.slow_query_ms));
         // The epoch-handoff integration: one hook, registered once,
         // applies the publish's dirty set to the cache (selective
-        // survival — or wholesale when configured as the baseline) and
-        // queues the delta for the subscription pump. The hook holds
+        // survival) and queues the delta for the subscription pump. The hook holds
         // only the shared state, so it stays valid (and harmless) after
         // the server itself is gone.
         shared.cache.invalidate_to(live.epoch());
@@ -230,11 +224,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             let survival = obs::phase(Phase::Survival);
             let kept_before = hook_shared.cache.stats.survivors.load(Ordering::Relaxed);
             let dropped_before = hook_shared.cache.stats.dropped.load(Ordering::Relaxed);
-            if hook_shared.selective {
-                hook_shared.cache.apply_publish(delta);
-            } else {
-                hook_shared.cache.invalidate_to(delta.epoch);
-            }
+            hook_shared.cache.apply_publish(delta);
             let kept = hook_shared.cache.stats.survivors.load(Ordering::Relaxed) - kept_before;
             let dropped = hook_shared.cache.stats.dropped.load(Ordering::Relaxed) - dropped_before;
             drop(survival);
@@ -1337,10 +1327,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 "substrate",
                 Json::obj(vec![
                     ("compression", Json::str(substrate.compression().label())),
-                    (
-                        "quant_error_bound",
-                        Json::num(substrate.quant_error_bound()),
-                    ),
                     (
                         "has_lazy_segments",
                         Json::Bool(substrate.has_lazy_segments()),

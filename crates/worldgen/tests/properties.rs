@@ -193,7 +193,6 @@ fn quantized_substrate_is_bit_identical_at_study_shape() {
         },
     )
     .unwrap();
-    assert_eq!(quant.quant_error_bound(), 0.0);
     for idx in 0..dense.users().len() {
         let hd = dense.segment_handle(&provider, idx).unwrap();
         let hq = quant.segment_handle(&provider, idx).unwrap();

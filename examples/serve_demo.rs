@@ -7,9 +7,10 @@
 //!
 //! * the **cache dispositions** — the first ask for a group is a
 //!   `miss` (one kernel run), repeats are `hit`s served inline off the
-//!   connection thread, and an `ingest` (epoch swap) flips the next
-//!   ask back to `miss`: the cache is epoch-scoped and invalidated
-//!   through `LiveEngine::on_publish`;
+//!   connection thread, and an `ingest` (epoch swap) that touches a
+//!   group member flips that group's next ask back to `miss`: the
+//!   cache is epoch-scoped and invalidated selectively through
+//!   `LiveEngine::on_publish_delta`;
 //! * the **identity check** — a served payload is compared bit-for-bit
 //!   against a direct `PinnedEpoch::engine()` run;
 //! * the **stats verb** — per-verb latency histograms, cache hit rate,

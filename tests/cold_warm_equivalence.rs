@@ -8,7 +8,8 @@
 //! consensus functions and list layouts, for full-universe, subset,
 //! shuffled and defaulted itemsets, solo or batched.
 
-use greca::core::Substrate;
+use greca::cf::group_preference_lists;
+use greca::core::{greca_topk_with, MaterializedInputs, Substrate};
 use greca::prelude::*;
 
 struct World {
@@ -49,6 +50,33 @@ fn assert_identical(cold: &PreparedQuery, warm: &PreparedQuery, ctx: &str) {
         warm.exact_scores(),
         "exact-score mismatch: {ctx}"
     );
+}
+
+/// The arena-independent cold reference for a default-shaped query
+/// (discrete affinity at the last period, decomposed lists, AP
+/// consensus, normalized rpref, GRECA): each member's list sorted by
+/// [`MaterializedInputs::build`] and run by the kernel directly, so it
+/// shares no preparation code with `GroupQuery`.
+fn materialized_reference(
+    provider: &dyn PreferenceProvider,
+    pop: &PopulationAffinity,
+    group: &Group,
+    items: &[ItemId],
+    k: usize,
+) -> TopKResult {
+    let period = pop.num_periods() - 1;
+    let affinity = pop.group_view(group, period, AffinityMode::Discrete);
+    let lists = group_preference_lists(provider, group, items).expect("finite scores");
+    let inputs =
+        MaterializedInputs::build(&lists, &affinity, ListLayout::Decomposed).expect("finite");
+    greca_topk_with(
+        &inputs.views(),
+        &affinity,
+        ConsensusFunction::average_preference(),
+        true,
+        GrecaConfig::top(k),
+        &mut GrecaScratch::default(),
+    )
 }
 
 #[test]
@@ -162,6 +190,11 @@ fn itemset_shape_never_changes_results() {
             .unwrap();
         assert!(!fallback.is_warm(), "foreign items must fall back cold");
         assert_identical(&cold, &fallback, "foreign fallback");
+        assert_eq!(
+            fallback.run(),
+            materialized_reference(&cf, &pop, &group, &foreign, 5),
+            "foreign fallback vs materialized reference"
+        );
     }
 }
 
@@ -181,6 +214,12 @@ fn defaulted_itemset_matches_cold_default() {
     let warm = warm_engine.query(&group).top(5).prepare().unwrap();
     assert!(warm.is_warm());
     assert_identical(&cold, &warm, "defaulted itemset");
+    let candidates = cf.candidate_items(&group).expect("the model has a catalog");
+    assert_eq!(
+        warm.run(),
+        materialized_reference(&cf, &pop, &group, &candidates, 5),
+        "defaulted itemset vs materialized reference"
+    );
 }
 
 #[test]
