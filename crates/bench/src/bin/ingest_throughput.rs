@@ -38,7 +38,7 @@
 use greca_bench::harness::{banner, print_row};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_cf::{PreferenceProvider, RawRatings, UserCfModel};
-use greca_core::{GrecaEngine, LiveEngine, LiveModel};
+use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel};
 use greca_dataset::{Group, ItemId, Rating, UserId};
 use std::io::Write;
 use std::time::Instant;
@@ -202,6 +202,12 @@ fn main() {
     print_row("universe users", world.population.universe().len());
     print_row("items", settings.num_items);
     print_row("single-rating batches", batches);
+    // What the engines' substrate builds actually ran with: `LiveEngine`
+    // builds with the default options, sharded over the universe.
+    let nproc = BuildOptions::default().resolved_threads();
+    let build_workers = BuildOptions::default().workers_for(world.population.universe().len());
+    print_row("nproc", nproc);
+    print_row("build workers", build_workers);
 
     let models = [
         ("raw", LiveModel::Raw, batches),
@@ -239,8 +245,11 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"world\": \"{}\",\n  \"universe_users\": {},\n  \"num_items\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"world\": \"{}\",\n  \"mode\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"universe_users\": {},\n  \"num_items\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         world_label,
+        if quick { "quick" } else { "full" },
+        nproc,
+        build_workers,
         world.population.universe().len(),
         settings.num_items,
         rows.iter()

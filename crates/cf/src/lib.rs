@@ -9,8 +9,9 @@
 //!
 //! * sparse similarity measures (cosine — the paper's choice — plus
 //!   Pearson and Jaccard),
-//! * a user-based neighbourhood model with efficient inverted-index
-//!   neighbour discovery,
+//! * a user-based neighbourhood model whose fit scores every co-rater
+//!   in one pass over the item postings and whose batched prediction
+//!   scatters neighbour rows, both bit-identical to the pairwise path,
 //! * an item-based model (an extension, useful for ablations),
 //! * per-user **preference lists**: items sorted by decreasing predicted
 //!   preference, the `PL_u` inputs of GRECA (§3.1),

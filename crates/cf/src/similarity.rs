@@ -5,10 +5,16 @@
 //! vector. Pearson correlation and Jaccard overlap are provided as
 //! alternatives (common in the CF literature and useful for ablations).
 //!
-//! All measures run in `O(nnz_u + nnz_u')` via a merge-join over the
-//! item-sorted rating rows.
+//! Each measure is split into the co-rating state it needs (a dot
+//! product, a co-rated count, or the co-rated pairs, all in ascending
+//! item order) and one finishing function that turns that state into a
+//! score. [`user_similarity`] gathers the state with a merge-join over
+//! the two item-sorted rows, in `O(nnz_u + nnz_u')`; the user-CF fit
+//! gathers the same state for all of a user's co-raters in one pass over
+//! the item postings and finishes through the same functions, so both
+//! paths produce the same bits.
 
-use greca_dataset::{RatingMatrix, UserId};
+use greca_dataset::{ItemId, RatingMatrix, UserId};
 
 /// Supported similarity measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -33,42 +39,61 @@ pub fn user_similarity(matrix: &RatingMatrix, a: UserId, b: UserId, measure: Sim
         return 0.0;
     }
     match measure {
-        Similarity::Cosine => cosine(ra, rb),
-        Similarity::Pearson => pearson(ra, rb),
-        Similarity::Jaccard => jaccard(ra, rb),
+        Similarity::Cosine => {
+            let mut dot = 0.0f64;
+            co_rated(ra, rb, |x, y| dot += x as f64 * y as f64);
+            cosine(dot, row_norm(ra), row_norm(rb))
+        }
+        Similarity::Pearson => {
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            co_rated(ra, rb, |x, y| {
+                xs.push(x as f64);
+                ys.push(y as f64);
+            });
+            pearson(&xs, &ys)
+        }
+        Similarity::Jaccard => {
+            let mut inter = 0usize;
+            co_rated(ra, rb, |_, _| inter += 1);
+            jaccard(inter, ra.len(), rb.len())
+        }
     }
 }
 
-type Row = [(greca_dataset::ItemId, f32)];
+type Row = [(ItemId, f32)];
 
-fn cosine(a: &Row, b: &Row) -> f64 {
-    let mut dot = 0.0f64;
+/// Merge-join two item-sorted rows, calling `f(a_value, b_value)` for
+/// every co-rated item in ascending item order.
+fn co_rated(a: &Row, b: &Row, mut f: impl FnMut(f32, f32)) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].0.cmp(&b[j].0) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                dot += a[i].1 as f64 * b[j].1 as f64;
+                f(a[i].1, b[j].1);
                 i += 1;
                 j += 1;
             }
         }
     }
+}
+
+/// Euclidean norm `‖u‖₂` of a rating row.
+pub(crate) fn row_norm(row: &Row) -> f64 {
+    row.iter()
+        .map(|&(_, v)| (v as f64).powi(2))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// Cosine from the co-rated dot product (summed in ascending item order)
+/// and the two row norms.
+pub(crate) fn cosine(dot: f64, norm_a: f64, norm_b: f64) -> f64 {
     if dot == 0.0 {
         return 0.0;
     }
-    let na: f64 = a
-        .iter()
-        .map(|&(_, v)| (v as f64).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    let nb: f64 = b
-        .iter()
-        .map(|&(_, v)| (v as f64).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    let denom = na * nb;
+    let denom = norm_a * norm_b;
     if denom <= 0.0 {
         0.0
     } else {
@@ -76,23 +101,9 @@ fn cosine(a: &Row, b: &Row) -> f64 {
     }
 }
 
-fn pearson(a: &Row, b: &Row) -> f64 {
-    // Gather co-rated values first; Pearson is defined over the overlap.
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                xs.push(a[i].1 as f64);
-                ys.push(b[j].1 as f64);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+/// Pearson correlation over the co-rated values `xs[k]`, `ys[k]` (in
+/// ascending item order).
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -102,7 +113,7 @@ fn pearson(a: &Row, b: &Row) -> f64 {
     let mut cov = 0.0;
     let mut vx = 0.0;
     let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(&ys) {
+    for (x, y) in xs.iter().zip(ys) {
         cov += (x - mx) * (y - my);
         vx += (x - mx).powi(2);
         vy += (y - my).powi(2);
@@ -115,21 +126,9 @@ fn pearson(a: &Row, b: &Row) -> f64 {
     }
 }
 
-fn jaccard(a: &Row, b: &Row) -> f64 {
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - inter;
+/// Jaccard overlap from the co-rated count and the two row lengths.
+pub(crate) fn jaccard(inter: usize, len_a: usize, len_b: usize) -> f64 {
+    let union = len_a + len_b - inter;
     if union == 0 {
         0.0
     } else {

@@ -1,12 +1,33 @@
 //! User-based collaborative filtering: the paper's `apref(u, i)` source.
 //!
 //! Fits a k-nearest-neighbour model: for every user, the `top_n` most
-//! similar other users are found through an inverted index over co-rated
-//! items (only users sharing at least one item can have non-zero cosine
-//! similarity, so the index avoids the dense all-pairs sweep). Prediction
-//! uses mean-centred weighted aggregation with graceful fallbacks.
+//! similar other users. Prediction uses mean-centred weighted aggregation
+//! with graceful fallbacks. Both hot loops make one pass over the sparse
+//! structure they walk:
+//!
+//! * **Gather fit.** Only users sharing at least one item can have a
+//!   non-zero similarity, so a user's candidates are found by walking
+//!   their row in ascending item order and each item's raters (the item
+//!   postings). The same walk accumulates each candidate's co-rating
+//!   state — the cosine dot product, the Jaccard co-rated count, or the
+//!   Pearson co-rated pairs — into scratch indexed by user id and
+//!   re-armed on discovery. Row norms are computed once per fit. Each
+//!   candidate is then scored by the same finishing function
+//!   [`user_similarity`](crate::user_similarity)'s merge-join uses, with
+//!   contributions summed in the same item order, so the scores are
+//!   bit-identical to the pairwise path.
+//! * **Scatter fill.** [`PreferenceProvider::fill_aprefs`] walks each
+//!   neighbour's rating row once, in neighbour-list order, and scatters
+//!   its weighted deviation into per-position sums; every position is
+//!   then finished by the helper [`UserCfModel::predict`] uses. Each
+//!   position receives its terms in the order `predict` adds them, so the
+//!   filled column equals per-item `predict` bit for bit. A rated item's
+//!   position comes from a catalog-indexed table when the neighbours'
+//!   ratings outnumber the catalog, and from a binary search otherwise.
+//!
+//! [`PreferenceProvider::fill_aprefs`]: crate::PreferenceProvider::fill_aprefs
 
-use crate::similarity::{user_similarity, Similarity};
+use crate::similarity::{self, Similarity};
 use greca_dataset::{ItemId, RatingMatrix, UserId};
 
 /// Configuration of the user-based CF model.
@@ -72,28 +93,13 @@ impl<'a> UserCfModel<'a> {
             .collect();
 
         let mut neighbors = vec![Vec::new(); n];
-        // Scratch: candidate marks to avoid re-scoring within one user.
-        let mut seen_epoch = vec![u32::MAX; n];
+        let mut gather = Gather::new(matrix, cfg.similarity);
         for &user in users {
-            let u = user.idx();
-            let mut cands: Vec<UserId> = Vec::new();
-            for &(item, _) in matrix.user_ratings(user) {
-                for &(v, _) in matrix.item_ratings(item) {
-                    let vi = v.idx();
-                    if vi != u && seen_epoch[vi] != u as u32 {
-                        seen_epoch[vi] = u as u32;
-                        cands.push(v);
-                    }
-                }
-            }
-            let mut scored: Vec<(UserId, f64)> = cands
-                .into_iter()
-                .map(|v| (v, user_similarity(matrix, user, v, cfg.similarity)))
-                .filter(|&(_, s)| s > cfg.min_similarity)
-                .collect();
+            let mut scored = gather.score(matrix, user);
+            scored.retain(|&(_, s)| s > cfg.min_similarity);
             scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("similarities are finite"));
             scored.truncate(cfg.top_n);
-            neighbors[u] = scored;
+            neighbors[user.idx()] = scored;
         }
         UserCfModel {
             matrix,
@@ -129,7 +135,7 @@ impl<'a> UserCfModel<'a> {
     /// lower-bound computation, which substitutes 0 for unseen entries).
     pub fn predict(&self, u: UserId, i: ItemId) -> f64 {
         if let Some(v) = self.matrix.get(u, i) {
-            return (v as f64).clamp(self.cfg.min_score, self.cfg.max_score);
+            return self.observed(v);
         }
         let mut num = 0.0f64;
         let mut den = 0.0f64;
@@ -139,6 +145,72 @@ impl<'a> UserCfModel<'a> {
                 den += sim.abs();
             }
         }
+        self.blend(u, num, den)
+    }
+
+    /// Fill `out[d] = predict(u, items[d])` for a strictly ascending
+    /// itemset by neighbour-row scatter: each neighbour's row is walked
+    /// once, in neighbour-list order, adding `sim * (r - mean_v)` and
+    /// `|sim|` at the positions it rated. Every position thus receives
+    /// `predict`'s terms in `predict`'s order and is finished by the same
+    /// [`blend`](Self::blend), so the column is bit-identical to per-item
+    /// `predict`.
+    pub(crate) fn scatter_predictions(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
+        // `out` accumulates the numerators.
+        out.fill(0.0);
+        let mut den = vec![0.0f64; items.len()];
+        let neighbors = &self.neighbors[u.idx()];
+        // Locate a rated item's position with a catalog-indexed table
+        // when the neighbours' ratings outnumber the catalog (building it
+        // is then cheaper than searching for each), else binary search.
+        let catalog = self.matrix.num_items();
+        let volume: usize = neighbors
+            .iter()
+            .map(|&(v, _)| self.matrix.user_ratings(v).len())
+            .sum();
+        let mut table = Vec::new();
+        if volume >= catalog {
+            table = vec![u32::MAX; catalog];
+            for (d, item) in items.iter().enumerate() {
+                if item.idx() < catalog {
+                    table[item.idx()] = d as u32;
+                }
+            }
+        }
+        let position = |item: ItemId| match table.get(item.idx()) {
+            Some(&d) => (d != u32::MAX).then_some(d as usize),
+            None => items.binary_search(&item).ok(),
+        };
+        for &(v, sim) in neighbors {
+            let mean_v = self.user_means[v.idx()];
+            for &(item, r) in self.matrix.user_ratings(v) {
+                if let Some(d) = position(item) {
+                    out[d] += sim * (r as f64 - mean_v);
+                    den[d] += sim.abs();
+                }
+            }
+        }
+        for (num, &den) in out.iter_mut().zip(&den) {
+            *num = self.blend(u, *num, den);
+        }
+        for &(item, r) in self.matrix.user_ratings(u) {
+            if let Some(d) = position(item) {
+                out[d] = self.observed(r);
+            }
+        }
+    }
+
+    /// The preference for an item `u` rated: the observed rating, clamped.
+    fn observed(&self, r: f32) -> f64 {
+        (r as f64).clamp(self.cfg.min_score, self.cfg.max_score)
+    }
+
+    /// The preference for an item `u` has not rated, from its neighbour
+    /// sums: `u`'s mean plus the weighted mean deviation (the mean alone
+    /// when no neighbour rated the item), the global mean if that is not
+    /// finite, clamped to the score range.
+    fn blend(&self, u: UserId, num: f64, den: f64) -> f64 {
         let base = self.user_means[u.idx()];
         let raw = if den > 0.0 { base + num / den } else { base };
         let raw = if raw.is_finite() {
@@ -152,6 +224,138 @@ impl<'a> UserCfModel<'a> {
     /// Mean rating the model uses for `u`.
     pub fn user_mean(&self, u: UserId) -> f64 {
         self.user_means[u.idx()]
+    }
+}
+
+/// Scratch of the gather fit: the co-rating state of one user's
+/// candidates, indexed by candidate id and re-armed when a candidate is
+/// first discovered for that user.
+struct Gather {
+    measure: Similarity,
+    /// `mark[v] == u` once `v` has been discovered as a candidate of `u`.
+    mark: Vec<u32>,
+    /// The current user's candidates, in discovery order.
+    cands: Vec<UserId>,
+    /// Cosine: the co-rated dot product per candidate.
+    dot: Vec<f64>,
+    /// Cosine: every row's norm, computed once per fit.
+    norms: Vec<f64>,
+    /// Jaccard and Pearson: the co-rated count per candidate. Pearson
+    /// then reuses it as the candidate's bucket cursor.
+    count: Vec<u32>,
+    /// Pearson: `(candidate, r_u, r_v)` in walk order, then bucketed by
+    /// candidate into `xs`/`ys` with each bucket in item order.
+    pairs: Vec<(u32, f32, f32)>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+impl Gather {
+    fn new(matrix: &RatingMatrix, measure: Similarity) -> Self {
+        let n = matrix.num_users();
+        let cosine = measure == Similarity::Cosine;
+        let norms = if cosine {
+            matrix
+                .users()
+                .map(|v| similarity::row_norm(matrix.user_ratings(v)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Gather {
+            measure,
+            mark: vec![u32::MAX; n],
+            cands: Vec::new(),
+            dot: vec![0.0; if cosine { n } else { 0 }],
+            norms,
+            count: vec![0; if cosine { 0 } else { n }],
+            pairs: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+        }
+    }
+
+    /// Every co-rater of `user` with its similarity, in discovery order:
+    /// `user`'s items ascending, each item's raters by id.
+    fn score(&mut self, matrix: &RatingMatrix, user: UserId) -> Vec<(UserId, f64)> {
+        let row = matrix.user_ratings(user);
+        self.cands.clear();
+        self.pairs.clear();
+        for &(item, r_u) in row {
+            for &(v, r_v) in matrix.item_ratings(item) {
+                if v == user {
+                    continue;
+                }
+                let vi = v.idx();
+                if self.mark[vi] != user.0 {
+                    self.mark[vi] = user.0;
+                    self.cands.push(v);
+                    match self.measure {
+                        Similarity::Cosine => self.dot[vi] = 0.0,
+                        Similarity::Pearson | Similarity::Jaccard => self.count[vi] = 0,
+                    }
+                }
+                match self.measure {
+                    Similarity::Cosine => self.dot[vi] += r_u as f64 * r_v as f64,
+                    Similarity::Jaccard => self.count[vi] += 1,
+                    Similarity::Pearson => {
+                        self.count[vi] += 1;
+                        self.pairs.push((v.0, r_u, r_v));
+                    }
+                }
+            }
+        }
+        match self.measure {
+            Similarity::Cosine => {
+                let norm_u = self.norms[user.idx()];
+                self.cands
+                    .iter()
+                    .map(|&v| {
+                        let s = similarity::cosine(self.dot[v.idx()], norm_u, self.norms[v.idx()]);
+                        (v, s)
+                    })
+                    .collect()
+            }
+            Similarity::Jaccard => self
+                .cands
+                .iter()
+                .map(|&v| {
+                    let inter = self.count[v.idx()] as usize;
+                    let s = similarity::jaccard(inter, row.len(), matrix.user_ratings(v).len());
+                    (v, s)
+                })
+                .collect(),
+            Similarity::Pearson => {
+                // Counting sort: turn each count into its bucket's start,
+                // scatter the pairs (a stable pass, so every bucket stays
+                // in item order), and read each bucket back up to where
+                // its cursor stopped.
+                let mut next = 0u32;
+                for &v in &self.cands {
+                    let c = self.count[v.idx()];
+                    self.count[v.idx()] = next;
+                    next += c;
+                }
+                self.xs.resize(next as usize, 0.0);
+                self.ys.resize(next as usize, 0.0);
+                for &(v, x, y) in &self.pairs {
+                    let at = &mut self.count[v as usize];
+                    self.xs[*at as usize] = x as f64;
+                    self.ys[*at as usize] = y as f64;
+                    *at += 1;
+                }
+                let mut start = 0usize;
+                self.cands
+                    .iter()
+                    .map(|&v| {
+                        let end = self.count[v.idx()] as usize;
+                        let s = similarity::pearson(&self.xs[start..end], &self.ys[start..end]);
+                        start = end;
+                        (v, s)
+                    })
+                    .collect()
+            }
+        }
     }
 }
 

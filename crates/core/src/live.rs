@@ -74,8 +74,8 @@ use crate::substrate::{BuildOptions, Substrate};
 use crate::wal::{RecoverySummary, Wal, WalOptions, WalRecord};
 use greca_affinity::PopulationAffinity;
 use greca_cf::{
-    candidate_items, CfConfig, DirtySet, InvalidationScope, NonFiniteScore, PreferenceList,
-    PreferenceProvider, RatingStore, RawRatings, UserCfModel,
+    candidate_items, CfConfig, DirtySet, InvalidationScope, NonFiniteScore, PreferenceProvider,
+    RatingStore, RawRatings, UserCfModel,
 };
 use greca_dataset::{Group, ItemId, Rating, RatingMatrix, UserId};
 use std::collections::{HashMap, VecDeque};
@@ -149,15 +149,14 @@ impl PreferenceProvider for EpochProvider {
         }
     }
 
-    fn preference_list(
-        &self,
-        u: UserId,
-        items: &[ItemId],
-    ) -> Result<PreferenceList, NonFiniteScore> {
+    /// Fits `u`'s neighbourhood once for the whole itemset (per-item
+    /// [`apref`](PreferenceProvider::apref) would refit it per item) and
+    /// takes the model's batched fill; list builds come through here too.
+    fn fill_aprefs(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
         match self.model {
-            LiveModel::Raw => RawRatings(&self.matrix).preference_list(u, items),
+            LiveModel::Raw => RawRatings(&self.matrix).fill_aprefs(u, items, out),
             LiveModel::UserCf(cfg) => {
-                UserCfModel::fit_for(&self.matrix, cfg, &[u]).preference_list(u, items)
+                UserCfModel::fit_for(&self.matrix, cfg, &[u]).fill_aprefs(u, items, out)
             }
         }
     }
@@ -1679,5 +1678,39 @@ mod tests {
             .top(2)
             .run()
             .is_ok());
+    }
+
+    #[test]
+    fn epoch_provider_batched_paths_equal_per_item_apref() {
+        let (matrix, _, _) = world();
+        let orders: [Vec<ItemId>; 2] = [
+            (0..7).map(ItemId).collect(),
+            [4, 0, 2, 2, 6].into_iter().map(ItemId).collect(),
+        ];
+        for model in [LiveModel::Raw, LiveModel::UserCf(CfConfig::default())] {
+            let provider = EpochProvider {
+                matrix: Arc::new(matrix.clone()),
+                model,
+            };
+            for u in matrix.users() {
+                for items in &orders {
+                    let want: Vec<u64> = items
+                        .iter()
+                        .map(|&i| provider.apref(u, i).to_bits())
+                        .collect();
+                    let mut out = vec![f64::NAN; items.len()];
+                    provider.fill_aprefs(u, items, &mut out);
+                    let got: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(got, want, "{model:?} {u} {items:?}");
+                    let list = provider.preference_list(u, items).unwrap();
+                    let entries: Vec<(ItemId, f64)> =
+                        items.iter().map(|&i| (i, provider.apref(u, i))).collect();
+                    assert_eq!(
+                        list,
+                        greca_cf::PreferenceList::from_entries(u, entries).unwrap()
+                    );
+                }
+            }
+        }
     }
 }
