@@ -5,13 +5,17 @@
 //! * **affinity list layout** — the paper's decomposed `n−1` lists vs a
 //!   single combined list (§3.1);
 //! * **incremental index** — appending one period vs rebuilding the
-//!   whole population index (§1's maintenance claim);
-//! * **check cadence** — every-sweep (Algorithm 1 verbatim) vs adaptive.
+//!   whole population index (§1's maintenance claim).
+//!
+//! The stopping-check cadence is not ablated: the kernel runs one
+//! cadence, every sweep below 256 live items and up to every 32nd sweep
+//! above (`greca_core::greca` module docs). `greca_kernel` reports its
+//! latency and SA% per stopping rule.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use greca_affinity::{PopulationAffinity, SocialAffinitySource};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{Algorithm, CheckInterval, GrecaConfig, GrecaEngine, ListLayout, StoppingRule};
+use greca_core::{Algorithm, GrecaConfig, GrecaEngine, ListLayout, StoppingRule};
 use greca_dataset::UserId;
 use std::hint::black_box;
 
@@ -34,11 +38,7 @@ fn bench_stopping_rules(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    prepared.run_algorithm(Algorithm::Greca(
-                        GrecaConfig::top(10)
-                            .stopping(rule)
-                            .check_interval(CheckInterval::Adaptive),
-                    )),
+                    prepared.run_algorithm(Algorithm::Greca(GrecaConfig::top(10).stopping(rule))),
                 )
             })
         });
@@ -68,9 +68,7 @@ fn bench_list_layout(c: &mut Criterion) {
             .affinity(settings.mode)
             .layout(layout)
             .normalize_rpref(false)
-            .algorithm(Algorithm::Greca(
-                GrecaConfig::top(10).check_interval(CheckInterval::Adaptive),
-            ))
+            .algorithm(Algorithm::Greca(GrecaConfig::top(10)))
             .prepare()
             .expect("valid layout-ablation query");
         g.bench_function(name, |b| b.iter(|| black_box(prepared.run())));
@@ -109,38 +107,10 @@ fn bench_incremental_index(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_check_interval(c: &mut Criterion) {
-    let pw = PerfWorld::build_small();
-    let cf = pw.cf();
-    let settings = PerfSettings {
-        num_items: 500,
-        ..PerfSettings::default()
-    };
-    let group = pw.random_groups(1, 6, 17)[0].clone();
-    let prepared = pw.prepare_group(&cf, &group, &settings);
-
-    let mut g = c.benchmark_group("ablation_check_interval");
-    for (name, ci) in [
-        ("every_sweep", CheckInterval::EverySweep),
-        ("adaptive", CheckInterval::Adaptive),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    prepared
-                        .run_algorithm(Algorithm::Greca(GrecaConfig::top(10).check_interval(ci))),
-                )
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_stopping_rules,
     bench_list_layout,
-    bench_incremental_index,
-    bench_check_interval
+    bench_incremental_index
 );
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{Algorithm, CheckInterval, GrecaConfig, TaConfig};
+use greca_core::{Algorithm, GrecaConfig, TaConfig};
 use std::hint::black_box;
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -21,11 +21,7 @@ fn bench_algorithms(c: &mut Criterion) {
     for k in [5usize, 10] {
         let prepared = prepared.clone().top(k);
         g.bench_with_input(BenchmarkId::new("greca", k), &k, |b, &k| {
-            b.iter(|| {
-                black_box(prepared.run_algorithm(Algorithm::Greca(
-                    GrecaConfig::top(k).check_interval(CheckInterval::Adaptive),
-                )))
-            })
+            b.iter(|| black_box(prepared.run_algorithm(Algorithm::Greca(GrecaConfig::top(k)))))
         });
         g.bench_with_input(BenchmarkId::new("ta", k), &k, |b, &k| {
             b.iter(|| black_box(prepared.run_algorithm(Algorithm::Ta(TaConfig::top(k)))))

@@ -1,17 +1,17 @@
-//! GRECA kernel microbenchmark: per-`StoppingRule × CheckInterval`
-//! latency of the allocation-free execution core, with the identity
-//! gates CI relies on.
+//! GRECA kernel microbenchmark: per-`StoppingRule` latency of the
+//! allocation-free execution core, with the identity gates CI relies
+//! on.
 //!
 //! Measures mean per-query kernel latency (preparation excluded — the
-//! queries are prepared once) over the §4.2 random groups for a grid of
-//! stopping rules and check cadences, reusing one [`GrecaScratch`]
+//! queries are prepared once) over the §4.2 random groups for each
+//! stopping rule, reusing one [`GrecaScratch`]
 //! across every run the way a serving worker does. Before timing, it
 //! verifies:
 //!
-//! * **scratch identity** — every combo's result through a recycled
+//! * **scratch identity** — every rule's result through a recycled
 //!   scratch equals a fresh-scratch run bit-for-bit (workspace reuse
 //!   cannot leak state);
-//! * **truth identity** — every combo's returned itemset carries exact
+//! * **truth identity** — every rule's returned itemset carries exact
 //!   scores matching the `StoppingRule::Exhaustive` oracle's top-k.
 //!
 //! Emits `BENCH_greca_kernel.json` with an `identical` flag CI asserts,
@@ -23,59 +23,24 @@
 
 use greca_bench::harness::{banner, print_row};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{
-    Algorithm, CheckInterval, GrecaConfig, GrecaScratch, PreparedQuery, StoppingRule,
-};
+use greca_core::{Algorithm, GrecaConfig, GrecaScratch, PreparedQuery, StoppingRule};
 use std::io::Write;
 use std::time::Instant;
 
-/// Latency budget (ms/query) for the default GRECA configuration in
+/// Latency budget (ms/query) for the served GRECA configuration in
 /// `--quick` mode — several times the current measurement, so only a
 /// real kernel regression trips it.
 const QUICK_BUDGET_MS: f64 = 60.0;
 
-const COMBOS: [(StoppingRule, &str, CheckInterval, &str); 6] = [
-    (
-        StoppingRule::Greca,
-        "greca",
-        CheckInterval::EverySweep,
-        "every_sweep",
-    ),
-    (
-        StoppingRule::Greca,
-        "greca",
-        CheckInterval::Sweeps(4),
-        "sweeps_4",
-    ),
-    (
-        StoppingRule::Greca,
-        "greca",
-        CheckInterval::Adaptive,
-        "adaptive",
-    ),
-    (
-        StoppingRule::ThresholdOnly,
-        "threshold_only",
-        CheckInterval::Adaptive,
-        "adaptive",
-    ),
-    (
-        StoppingRule::Exhaustive,
-        "exhaustive",
-        CheckInterval::EverySweep,
-        "every_sweep",
-    ),
-    (
-        StoppingRule::Greca,
-        "greca",
-        CheckInterval::Sweeps(1),
-        "sweeps_1",
-    ),
+/// One row per stopping rule; each runs the kernel's one check cadence.
+const RULES: [(StoppingRule, &str); 3] = [
+    (StoppingRule::Greca, "greca"),
+    (StoppingRule::ThresholdOnly, "threshold_only"),
+    (StoppingRule::Exhaustive, "exhaustive"),
 ];
 
 struct KernelRow {
     stopping: &'static str,
-    check_interval: &'static str,
     mean_latency_ms: f64,
     sa_percent_mean: f64,
 }
@@ -83,8 +48,8 @@ struct KernelRow {
 impl KernelRow {
     fn to_json(&self) -> String {
         format!(
-            "{{\"stopping\":\"{}\",\"check_interval\":\"{}\",\"mean_latency_ms\":{:.4},\"sa_percent_mean\":{:.4}}}",
-            self.stopping, self.check_interval, self.mean_latency_ms, self.sa_percent_mean,
+            "{{\"stopping\":\"{}\",\"mean_latency_ms\":{:.4},\"sa_percent_mean\":{:.4}}}",
+            self.stopping, self.mean_latency_ms, self.sa_percent_mean,
         )
     }
 }
@@ -142,22 +107,16 @@ fn main() {
         .iter()
         .map(|g| pw.prepare_group(&cf, g, &settings))
         .collect();
-    let config_of = |stopping, check| {
-        Algorithm::Greca(
-            GrecaConfig::top(settings.k)
-                .stopping(stopping)
-                .check_interval(check),
-        )
-    };
+    let config_of = |stopping| Algorithm::Greca(GrecaConfig::top(settings.k).stopping(stopping));
 
     // Identity gates first (untimed): scratch reuse is bit-identical to
-    // fresh scratches, and every combo's itemset matches the exhaustive
+    // fresh scratches, and every rule's itemset matches the exhaustive
     // truth.
     let mut scratch = GrecaScratch::new();
     let mut identical = true;
     for p in &prepared {
-        for (stopping, _, check, _) in COMBOS {
-            let alg = config_of(stopping, check);
+        for (stopping, _) in RULES {
+            let alg = config_of(stopping);
             let fresh = p.run_algorithm(alg);
             let reused = p.run_algorithm_with(alg, &mut scratch);
             identical &= fresh == reused;
@@ -166,11 +125,11 @@ fn main() {
     }
     print_row("identical", identical);
 
-    // Latency rows: each combo over all groups × rounds, one recycled
+    // Latency rows: each rule over all groups × rounds, one recycled
     // scratch (the serving shape).
     let mut rows = Vec::new();
-    for (stopping, s_label, check, c_label) in COMBOS {
-        let alg = config_of(stopping, check);
+    for (stopping, label) in RULES {
+        let alg = config_of(stopping);
         let mut sa_sum = 0.0;
         let start = Instant::now();
         for _ in 0..rounds {
@@ -182,14 +141,13 @@ fn main() {
         let mean_latency_ms =
             start.elapsed().as_secs_f64() * 1e3 / (rounds * prepared.len()) as f64;
         let row = KernelRow {
-            stopping: s_label,
-            check_interval: c_label,
+            stopping: label,
             mean_latency_ms,
             sa_percent_mean: sa_sum / (rounds * prepared.len()) as f64,
         };
         println!(
-            "  {:<16} {:<12} latency = {:9.3} ms/query   %SA = {:6.2}",
-            row.stopping, row.check_interval, row.mean_latency_ms, row.sa_percent_mean,
+            "  {:<16} latency = {:9.3} ms/query   %SA = {:6.2}",
+            row.stopping, row.mean_latency_ms, row.sa_percent_mean,
         );
         rows.push(row);
     }
@@ -199,12 +157,13 @@ fn main() {
         "kernel outputs must be bit-identical across scratch reuse and match the exhaustive truth"
     );
     if quick {
-        // The serving default, looked up by label so reordering or
-        // extending COMBOS cannot silently gate the wrong combo.
+        // The served configuration (`GrecaConfig::top`), looked up by
+        // label so reordering or extending RULES cannot silently gate the
+        // wrong row.
         let default_row = rows
             .iter()
-            .find(|r| r.stopping == "greca" && r.check_interval == "adaptive")
-            .expect("the serving-default combo is benchmarked");
+            .find(|r| r.stopping == "greca")
+            .expect("the served rule is benchmarked");
         assert!(
             default_row.mean_latency_ms <= QUICK_BUDGET_MS,
             "GRECA kernel regression: {:.3} ms/query exceeds the {} ms sanity budget",

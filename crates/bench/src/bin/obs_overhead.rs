@@ -35,27 +35,13 @@
 //! (pass `--quick` for the small study world and shorter blocks, or
 //! `--seed <u64>` to re-key the group draws).
 
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, percentile, print_row, sorted_ms};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_core::{obs, LiveEngine, LiveModel};
 use greca_dataset::Group;
 use greca_serve::{Client, GrecaServer, Json, ServeConfig};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
-
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn sorted_ms(samples: &[Duration]) -> Vec<f64> {
-    let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-    ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    ms
-}
 
 fn member_ids(group: &Group) -> Vec<u32> {
     group.members().iter().map(|u| u.0).collect()
@@ -256,10 +242,10 @@ fn main() {
     });
     let (off, on, warm_hit_rate, identical, roundtrip) = outcome;
 
-    let off_ms = sorted_ms(&off);
-    let on_ms = sorted_ms(&on);
-    let off_p50 = percentile_ms(&off_ms, 0.5);
-    let on_p50 = percentile_ms(&on_ms, 0.5);
+    let off_ms = sorted_ms(off);
+    let on_ms = sorted_ms(on);
+    let off_p50 = percentile(&off_ms, 0.5);
+    let on_p50 = percentile(&on_ms, 0.5);
     let delta_ms = on_p50 - off_p50;
     let overhead_pct = if off_p50 > 0.0 {
         delta_ms / off_p50 * 100.0
@@ -283,8 +269,8 @@ fn main() {
         "warm p99 off / on",
         format!(
             "{:8.4} ms / {:8.4} ms",
-            percentile_ms(&off_ms, 0.99),
-            percentile_ms(&on_ms, 0.99)
+            percentile(&off_ms, 0.99),
+            percentile(&on_ms, 0.99)
         ),
     );
     print_row(
@@ -327,8 +313,8 @@ fn main() {
         n = off_ms.len(),
         offp50 = off_p50,
         onp50 = on_p50,
-        offp99 = percentile_ms(&off_ms, 0.99),
-        onp99 = percentile_ms(&on_ms, 0.99),
+        offp99 = percentile(&off_ms, 0.99),
+        onp99 = percentile(&on_ms, 0.99),
         hitrate = warm_hit_rate,
         pct = overhead_pct,
         delta = delta_ms * 1e3,

@@ -53,7 +53,7 @@
 //! reproducible-but-different CI smoke.
 
 use greca_affinity::PopulationAffinity;
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, percentile, print_row, sorted_ms};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_core::{LiveEngine, LiveModel};
 use greca_dataset::{Group, ItemId, RatingMatrix, UserId};
@@ -73,20 +73,6 @@ struct Sample {
     latency: Duration,
     ok: bool,
     shed: bool,
-}
-
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn sorted_ms(samples: impl Iterator<Item = Duration>) -> Vec<f64> {
-    let mut ms: Vec<f64> = samples.map(|d| d.as_secs_f64() * 1e3).collect();
-    ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    ms
 }
 
 /// A query line over the provider's default candidate itemset — the
@@ -604,8 +590,8 @@ fn main() {
             .filter(|s| s.disposition == "miss")
             .map(|s| s.latency),
     );
-    let hit_p50 = percentile_ms(&hit_ms, 0.5);
-    let miss_p50 = percentile_ms(&miss_ms, 0.5);
+    let hit_p50 = percentile(&hit_ms, 0.5);
+    let miss_p50 = percentile(&miss_ms, 0.5);
     let hit_speedup = if hit_p50 > 0.0 {
         miss_p50 / hit_p50
     } else {
@@ -631,8 +617,8 @@ fn main() {
         "query p50 / p99",
         format!(
             "{:8.3} ms / {:8.3} ms  (n={})",
-            percentile_ms(&query_ms, 0.5),
-            percentile_ms(&query_ms, 0.99),
+            percentile(&query_ms, 0.5),
+            percentile(&query_ms, 0.99),
             query_ms.len()
         ),
     );
@@ -640,8 +626,8 @@ fn main() {
         "ingest p50 / p99",
         format!(
             "{:8.3} ms / {:8.3} ms  (n={})",
-            percentile_ms(&ingest_ms, 0.5),
-            percentile_ms(&ingest_ms, 0.99),
+            percentile(&ingest_ms, 0.5),
+            percentile(&ingest_ms, 0.99),
             ingest_ms.len()
         ),
     );
@@ -761,8 +747,8 @@ fn main() {
             .map(|s| s.latency),
     );
     let shed: usize = over_samples.iter().filter(|s| s.shed).count();
-    let over_p50 = percentile_ms(&accepted_ms, 0.5);
-    let over_p99 = percentile_ms(&accepted_ms, 0.99);
+    let over_p50 = percentile(&accepted_ms, 0.5);
+    let over_p99 = percentile(&accepted_ms, 0.99);
     // Bounded-p99 criterion: an accepted request can wait behind at
     // most (queue + workers) kernel runs, so p99 must track queue
     // depth × service time, not offered load. 8× headroom over that
@@ -809,11 +795,11 @@ fn main() {
         clients = clients,
         requests = requests,
         qn = query_ms.len(),
-        qp50 = percentile_ms(&query_ms, 0.5),
-        qp99 = percentile_ms(&query_ms, 0.99),
+        qp50 = percentile(&query_ms, 0.5),
+        qp99 = percentile(&query_ms, 0.99),
         inn = ingest_ms.len(),
-        ip50 = percentile_ms(&ingest_ms, 0.5),
-        ip99 = percentile_ms(&ingest_ms, 0.99),
+        ip50 = percentile(&ingest_ms, 0.5),
+        ip99 = percentile(&ingest_ms, 0.99),
         hit_rate = hit_rate,
         hp50 = hit_p50,
         mp50 = miss_p50,

@@ -36,7 +36,7 @@
 //!
 //! Run with: `cargo run -p greca-bench --release --bin world_scale`
 
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, percentile, print_row};
 use greca_cf::PreferenceProvider;
 use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, ScoreCompression, Substrate};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
@@ -128,15 +128,6 @@ impl Row {
 
 fn elapsed_ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Rank-based percentile over sorted samples.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn measure(tier: Tier) -> Row {

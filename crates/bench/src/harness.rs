@@ -16,12 +16,12 @@ use greca_affinity::AffinityMode;
 use greca_cf::{PreferenceProvider, UserCfModel};
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    Aggregate, Algorithm, BatchResult, BuildOptions, CheckInterval, GrecaConfig, GrecaEngine,
-    GrecaScratch, PreparedQuery, StoppingRule, Substrate, TaConfig,
+    Aggregate, Algorithm, BatchResult, BuildOptions, GrecaConfig, GrecaEngine, GrecaScratch,
+    PreparedQuery, Substrate, TaConfig,
 };
 use greca_dataset::{Group, GroupBuilder, ItemId, UserId};
 use greca_eval::{StudyWorld, WorldConfig};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default experiment settings (§4.2 "Experiment Settings").
 #[derive(Debug, Clone, Copy)]
@@ -57,14 +57,10 @@ impl Default for PerfSettings {
 }
 
 impl PerfSettings {
-    /// GRECA as the experiments run it: the buffer stopping rule with
-    /// the adaptive check cadence.
+    /// GRECA as the experiments run it: the buffer stopping rule
+    /// (`GrecaConfig::top`'s default) at the settings' `k`.
     pub fn greca_algorithm(&self) -> Algorithm {
-        Algorithm::Greca(
-            GrecaConfig::top(self.k)
-                .stopping(StoppingRule::Greca)
-                .check_interval(CheckInterval::Adaptive),
-        )
+        Algorithm::Greca(GrecaConfig::top(self.k))
     }
 }
 
@@ -439,6 +435,23 @@ pub fn banner(title: &str) {
     println!("=== {title} ===");
 }
 
+/// Rank-based percentile over ascending-sorted samples: the sample at
+/// rank `ceil(q · n)` (at least the first), or 0 when there are none.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Latency samples in milliseconds, sorted ascending for [`percentile`].
+pub fn sorted_ms(samples: impl IntoIterator<Item = Duration>) -> Vec<f64> {
+    let mut ms: Vec<f64> = samples.into_iter().map(|d| d.as_secs_f64() * 1e3).collect();
+    ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    ms
+}
+
 /// Format an aggregate as `mean ± stderr`.
 pub fn fmt_aggregate(a: &Aggregate) -> String {
     format!("{:6.2}% ± {:.2} (n={})", a.mean, a.std_err, a.n)
@@ -447,6 +460,17 @@ pub fn fmt_aggregate(a: &Aggregate) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_rank_based() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.5), 2.0);
+        assert_eq!(percentile(&sorted, 1.0), 4.0);
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        let ms = sorted_ms([Duration::from_millis(3), Duration::from_micros(500)]);
+        assert_eq!(ms, vec![0.5, 3.0]);
+    }
 
     #[test]
     fn default_settings_match_paper() {

@@ -16,6 +16,23 @@
 //! Returned is the top-`k` **itemset** — the ranking inside it may be a
 //! partial order, exactly as §3.1 describes.
 //!
+//! ## The stopping cadence
+//!
+//! Algorithm 1 tests its stopping conditions after every round-robin
+//! sweep. Each test refreshes the bound of every buffered item, so on a
+//! large buffer the test costs more than the sweep it follows. The
+//! kernel therefore checks once every `(live / 128).clamp(1, 32)` sweeps,
+//! where `live` is the number of buffered, unpruned items: every sweep,
+//! as in Algorithm 1, while fewer than 256 items are live, and at most
+//! every 32 sweeps on a large buffer. This is the one place the
+//! implementation departs from the paper's control flow. A condition is
+//! noticed at most 31 sweeps late, and late is still correct: bounds
+//! only tighten as lists are read, so an item that could be pruned at
+//! the missed check can still be pruned at the next one, and the
+//! returned itemset is still an exact top-k. The price is at most 31
+//! extra sweeps of sequential accesses; the access counts (SA%) of a
+//! query whose buffer stays below 256 items are Algorithm 1's exactly.
+//!
 //! ## The allocation-free kernel
 //!
 //! The execution core is engineered like a classic NRA/TA inner loop:
@@ -40,7 +57,9 @@ use crate::score::BoundScorer;
 use greca_consensus::ConsensusFunction;
 use greca_dataset::ItemId;
 
-/// Early-termination policy.
+/// Early-termination policy. `Greca` and `ThresholdOnly` test their
+/// condition between sweeps, on the cadence the module docs describe
+/// ("The stopping cadence"); `Exhaustive` never tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StoppingRule {
     /// Full GRECA: buffer condition with inter-item pruning, plus the
@@ -67,28 +86,14 @@ pub enum StopReason {
     Exhausted,
 }
 
-/// How often the (O(|buffer|)) bound-refresh and stopping checks run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CheckInterval {
-    /// After every full round-robin sweep (most faithful to Algorithm 1).
-    EverySweep,
-    /// After every `n` sweeps.
-    Sweeps(u32),
-    /// Adaptive: stretches the interval as the buffer grows (bounded
-    /// staleness, much faster on large inputs). Never affects
-    /// correctness, only how promptly a stopping condition is noticed.
-    Adaptive,
-}
-
-/// GRECA run configuration.
+/// GRECA run configuration. The stopping-check cadence is not
+/// configurable: see the module docs ("The stopping cadence").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrecaConfig {
     /// Result size `k`.
     pub k: usize,
     /// Early-termination policy.
     pub stopping: StoppingRule,
-    /// Stopping-check cadence.
-    pub check_interval: CheckInterval,
 }
 
 impl Default for GrecaConfig {
@@ -104,19 +109,12 @@ impl GrecaConfig {
         GrecaConfig {
             k,
             stopping: StoppingRule::Greca,
-            check_interval: CheckInterval::EverySweep,
         }
     }
 
     /// Use the given stopping rule.
     pub fn stopping(mut self, rule: StoppingRule) -> Self {
         self.stopping = rule;
-        self
-    }
-
-    /// Use the given check cadence.
-    pub fn check_interval(mut self, ci: CheckInterval) -> Self {
-        self.check_interval = ci;
         self
     }
 }
@@ -928,14 +926,9 @@ pub fn greca_topk_with(
         }
         sweeps += 1;
         since_check += 1;
-        let check_now = match config.check_interval {
-            CheckInterval::EverySweep => true,
-            CheckInterval::Sweeps(n) => since_check >= n as u64,
-            CheckInterval::Adaptive => {
-                let target = (kernel.live_count as u64 / 128).clamp(1, 32);
-                since_check >= target
-            }
-        };
+        // The stopping cadence (module docs): every sweep below 256 live
+        // items, stretching to every 32nd sweep on a large buffer.
+        let check_now = since_check >= (kernel.live_count as u64 / 128).clamp(1, 32);
         if !check_now || matches!(config.stopping, StoppingRule::Exhaustive) {
             continue;
         }

@@ -77,8 +77,8 @@ pub mod wal;
 pub use access::{AccessStats, Aggregate};
 pub use fault::{FaultCtx, FaultPlan, InjectedFault, IoFault};
 pub use greca::{
-    greca_topk, greca_topk_with, CheckInterval, GrecaConfig, GrecaScratch, StopReason,
-    StoppingRule, TopKItem, TopKResult,
+    greca_topk, greca_topk_with, GrecaConfig, GrecaScratch, StopReason, StoppingRule, TopKItem,
+    TopKResult,
 };
 pub use interval::Interval;
 pub use lists::{

@@ -33,9 +33,7 @@
 //! per data point).
 
 use crate::access::{AccessStats, Aggregate};
-use crate::greca::{
-    greca_topk_with, CheckInterval, GrecaConfig, GrecaScratch, StoppingRule, TopKResult,
-};
+use crate::greca::{greca_topk_with, GrecaConfig, GrecaScratch, StoppingRule, TopKResult};
 use crate::lists::{
     build_affinity_lists, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout,
     NonFiniteEntry, SortedList,
@@ -281,7 +279,7 @@ impl From<ConsensusFunction> for ConsensusKey {
 /// results and must not split the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AlgorithmKey {
-    Greca(StoppingRule, CheckInterval),
+    Greca(StoppingRule),
     Ta { cache_affinity: bool },
     Naive,
 }
@@ -289,7 +287,7 @@ enum AlgorithmKey {
 impl From<Algorithm> for AlgorithmKey {
     fn from(a: Algorithm) -> Self {
         match a {
-            Algorithm::Greca(c) => AlgorithmKey::Greca(c.stopping, c.check_interval),
+            Algorithm::Greca(c) => AlgorithmKey::Greca(c.stopping),
             Algorithm::Ta(c) => AlgorithmKey::Ta {
                 cache_affinity: c.cache_affinity,
             },
@@ -1653,7 +1651,7 @@ mod tests {
             base().algorithm(Algorithm::Naive).cache_key(),
             base()
                 .algorithm(Algorithm::Greca(
-                    GrecaConfig::top(10).check_interval(CheckInterval::Adaptive),
+                    GrecaConfig::top(10).stopping(StoppingRule::ThresholdOnly),
                 ))
                 .cache_key(),
             engine.query(&g01).cache_key(), // default (empty) itemset

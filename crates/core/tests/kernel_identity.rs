@@ -4,48 +4,67 @@
 //! bounded top-k heap, reusable scratch) must change *nothing*
 //! observable: itemsets, `[LB, UB]` envelopes, sequential-access counts,
 //! sweep counts and stop reasons all stay bit-identical to the
-//! pre-refactor semantics, for every `StoppingRule × CheckInterval`
-//! combination.
+//! pre-refactor semantics, for every `StoppingRule`.
 //!
-//! Two oracles pin this down:
+//! Three oracles pin this down:
 //!
 //! * [`reference`] — the pre-refactor `greca_topk` implementation,
 //!   kept here **verbatim** (HashMap item buffer, full bound recompute
-//!   per check, full LB sort). Every kernel output is compared against
-//!   it with full `TopKResult` equality, which is as
-//!   mutation-resistant as it gets: any behavioral drift in the new
-//!   kernel shows up as a concrete field diff.
+//!   per check, full LB sort). It keeps the stopping-check cadences the
+//!   crate once offered as a test-local [`reference::CheckInterval`]:
+//!   the kernel runs one cadence, which the reference runs as
+//!   `Adaptive`. Every kernel output is compared against that run with
+//!   full `TopKResult` equality, which is as mutation-resistant as it
+//!   gets: any behavioral drift in the kernel shows up as a concrete
+//!   field diff.
+//! * The reference's `EverySweep` cadence — Algorithm 1's per-sweep
+//!   check: the kernel may notice a stopping condition later, but never
+//!   earlier and never more than 31 sweeps later.
 //! * `StoppingRule::Exhaustive` — the in-tree truth: the returned
 //!   itemset's exact scores must match the exhaustive run's top-k.
 //!
 //! Coverage: random instances over AffinityMode × ConsensusFunction ×
-//! ListLayout with k ∈ {1, paper default, |items|}, plus the degenerate
+//! ListLayout with k ∈ {1, paper default, |items|}; the degenerate
 //! shapes (singleton member, empty itemset, all-tied scores) as
-//! deterministic cases.
+//! deterministic cases; and large itemsets (m ≈ 600 and 1,500) on which
+//! the cadence stretches past one sweep, which the small random
+//! instances never reach.
 
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity, TableAffinitySource};
 use greca_cf::PreferenceList;
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    greca_topk_with, CheckInterval, GrecaConfig, GrecaScratch, ListLayout, MaterializedInputs,
-    StoppingRule,
+    greca_topk_with, GrecaConfig, GrecaScratch, ListLayout, MaterializedInputs, StoppingRule,
+    TopKResult,
 };
 use greca_dataset::{Granularity, Group, ItemId, Timeline, UserId};
 use proptest::prelude::*;
+use reference::CheckInterval;
 
 /// The pre-refactor GRECA implementation, verbatim (modulo the
-/// `list_contains_pair` helper being inlined below it and imports going
-/// through the public API). Do not "improve" this code: its whole value
-/// is being the behavioral snapshot the kernel is measured against.
+/// `list_contains_pair` helper being inlined below it, imports going
+/// through the public API, the cadence being a test-local parameter and
+/// the run reporting the largest cadence stretch it reached). Do not
+/// "improve" this code: its whole value is being the behavioral
+/// snapshot the kernel is measured against.
 mod reference {
     use greca_consensus::ConsensusFunction;
-    use greca_core::CheckInterval;
     use greca_core::{
         AccessStats, BoundScorer, GrecaConfig, GrecaInputs, Interval, ListKind, ListView,
         StopReason, StoppingRule, TopKItem, TopKResult,
     };
     use greca_dataset::ItemId;
     use std::collections::HashMap;
+
+    /// How often the bound refresh and stopping checks run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum CheckInterval {
+        /// After every full round-robin sweep (Algorithm 1 verbatim).
+        EverySweep,
+        /// Every `(buffered items / 128).clamp(1, 32)` sweeps: the
+        /// kernel's one cadence.
+        Adaptive,
+    }
 
     #[derive(Debug, Clone)]
     struct ItemState {
@@ -223,13 +242,17 @@ mod reference {
         list.contains_id(pair as u32)
     }
 
+    /// Run GRECA on the given cadence. Also returns the largest number
+    /// of sweeps the cadence waited between two checks (1 under
+    /// `EverySweep`).
     pub fn greca_topk(
         inputs: &GrecaInputs<'_>,
         affinity: &greca_affinity::GroupAffinity,
         consensus: ConsensusFunction,
         normalize_rpref: bool,
         config: GrecaConfig,
-    ) -> TopKResult {
+        check_interval: CheckInterval,
+    ) -> (TopKResult, u64) {
         assert!(config.k > 0, "k must be positive");
         assert_eq!(
             affinity.num_pairs(),
@@ -241,6 +264,7 @@ mod reference {
         let k = config.k.min(inputs.num_items.max(1));
         let mut sweeps: u64 = 0;
         let mut since_check: u64 = 0;
+        let mut max_stretch: u64 = 1;
         let mut stop_reason = StopReason::Exhausted;
 
         loop {
@@ -250,9 +274,8 @@ mod reference {
             }
             sweeps += 1;
             since_check += 1;
-            let check_now = match config.check_interval {
+            let check_now = match check_interval {
                 CheckInterval::EverySweep => true,
-                CheckInterval::Sweeps(n) => since_check >= n as u64,
                 CheckInterval::Adaptive => {
                     let target = (state.items.len() as u64 / 128).clamp(1, 32);
                     since_check >= target
@@ -261,6 +284,7 @@ mod reference {
             if !check_now || matches!(config.stopping, StoppingRule::Exhaustive) {
                 continue;
             }
+            max_stretch = max_stretch.max(since_check);
             since_check = 0;
             state.refresh_bounds();
             if state.items.len() < k {
@@ -330,7 +354,7 @@ mod reference {
                 .then_with(|| a.0.cmp(&b.0))
         });
         ranked.truncate(k);
-        TopKResult {
+        let result = TopKResult {
             items: ranked
                 .into_iter()
                 .map(|(id, iv)| TopKItem {
@@ -342,7 +366,8 @@ mod reference {
             stats: state.stats,
             sweeps,
             stop_reason,
-        }
+        };
+        (result, max_stretch)
     }
 }
 
@@ -442,63 +467,59 @@ const ALL_STOPPING: [StoppingRule; 3] = [
     StoppingRule::Exhaustive,
 ];
 
-const ALL_INTERVALS: [CheckInterval; 4] = [
-    CheckInterval::EverySweep,
-    CheckInterval::Sweeps(1),
-    CheckInterval::Sweeps(3),
-    CheckInterval::Adaptive,
-];
-
-/// Assert full-result identity between the new kernel (with the given
-/// shared, recycled scratch) and the reference implementation, for every
-/// StoppingRule × CheckInterval at the given `k`; also sanity-check the
-/// returned itemset against the Exhaustive truth.
+/// Assert full-result identity between the kernel (with the given
+/// shared, recycled scratch) and the reference on the kernel's cadence,
+/// for every StoppingRule at the given `k`; also sanity-check the
+/// returned itemset against the Exhaustive truth. Returns the kernel's
+/// `Greca`-rule result and the largest cadence stretch that run reached.
 fn assert_identical(
     w: &World,
     consensus: ConsensusFunction,
     normalize: bool,
     k: usize,
     scratch: &mut GrecaScratch,
-) {
+) -> (TopKResult, u64) {
     let views = w.inputs.views();
-    let truth = {
-        let config = GrecaConfig::top(k).stopping(StoppingRule::Exhaustive);
-        reference::greca_topk(&views, &w.affinity, consensus, normalize, config)
+    let reference = |stopping, interval| {
+        let config = GrecaConfig::top(k).stopping(stopping);
+        reference::greca_topk(&views, &w.affinity, consensus, normalize, config, interval)
     };
+    let (truth, _) = reference(StoppingRule::Exhaustive, CheckInterval::EverySweep);
+    let mut greca_run = None;
     for stopping in ALL_STOPPING {
-        for interval in ALL_INTERVALS {
-            let config = GrecaConfig::top(k)
-                .stopping(stopping)
-                .check_interval(interval);
-            let want = reference::greca_topk(&views, &w.affinity, consensus, normalize, config);
-            let got = greca_topk_with(&views, &w.affinity, consensus, normalize, config, scratch);
-            assert_eq!(
-                got,
-                want,
-                "kernel drifted from reference at {stopping:?}/{interval:?} k={k} \
-                 consensus={} normalize={normalize}",
-                consensus.label()
-            );
-            // Early stopping returns the same itemset the exhaustive
-            // truth does (score ties may reorder; the exact LB multiset
-            // of the exhaustive run is the cleanest itemset identity).
-            let mut got_ids: Vec<u32> = got.items.iter().map(|t| t.item.0).collect();
-            got_ids.sort_unstable();
-            let mut truth_scores: Vec<f64> = truth.items.iter().map(|t| t.lb).collect();
-            truth_scores.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let exact_of = |id: u32| truth.items.iter().find(|t| t.item.0 == id).map(|t| t.lb);
-            // Every returned item that the exhaustive top-k also ranked
-            // must carry a score matching the truth multiset.
-            for (gi, &id) in got_ids.iter().enumerate() {
-                if let Some(s) = exact_of(id) {
-                    assert!(
-                        truth_scores.iter().any(|&t| (t - s).abs() < 1e-9),
-                        "item {id} (rank {gi}) score {s} not in exhaustive top-k"
-                    );
-                }
+        let config = GrecaConfig::top(k).stopping(stopping);
+        let (want, stretch) = reference(stopping, CheckInterval::Adaptive);
+        let got = greca_topk_with(&views, &w.affinity, consensus, normalize, config, scratch);
+        assert_eq!(
+            got,
+            want,
+            "kernel drifted from reference at {stopping:?} k={k} \
+             consensus={} normalize={normalize}",
+            consensus.label()
+        );
+        // Early stopping returns the same itemset the exhaustive
+        // truth does (score ties may reorder; the exact LB multiset
+        // of the exhaustive run is the cleanest itemset identity).
+        let mut got_ids: Vec<u32> = got.items.iter().map(|t| t.item.0).collect();
+        got_ids.sort_unstable();
+        let mut truth_scores: Vec<f64> = truth.items.iter().map(|t| t.lb).collect();
+        truth_scores.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let exact_of = |id: u32| truth.items.iter().find(|t| t.item.0 == id).map(|t| t.lb);
+        // Every returned item that the exhaustive top-k also ranked
+        // must carry a score matching the truth multiset.
+        for (gi, &id) in got_ids.iter().enumerate() {
+            if let Some(s) = exact_of(id) {
+                assert!(
+                    truth_scores.iter().any(|&t| (t - s).abs() < 1e-9),
+                    "item {id} (rank {gi}) score {s} not in exhaustive top-k"
+                );
             }
         }
+        if stopping == StoppingRule::Greca {
+            greca_run = Some((got, stretch));
+        }
     }
+    greca_run.expect("the Greca rule ran")
 }
 
 #[derive(Debug, Clone)]
@@ -603,7 +624,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(72))]
 
     /// The headline contract: full-result identity to the pre-refactor
-    /// implementation, every StoppingRule × CheckInterval, with one
+    /// implementation, every StoppingRule, with one
     /// scratch recycled across every run of every case (so cross-query
     /// state leakage would surface as a diff too). k sweeps the
     /// degenerate 1, the paper's 10 and the full itemset.
@@ -676,6 +697,85 @@ fn degenerate_shapes_are_bit_identical() {
     }
 }
 
+/// A deterministic splitmix64 stream of floats in `[0, hi)`.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self, hi: f64) -> f64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64 * hi
+    }
+}
+
+/// Itemsets large enough that the cadence stretches past one sweep
+/// (about 4 sweeps at m = 600, about 11 at m = 1,500), which the random
+/// instances (m ≤ 16) never reach. Each case must actually stretch, and
+/// the `Greca` rule must stop no earlier and at most 31 sweeps later
+/// than Algorithm 1's per-sweep check. On these instances, at k = 10
+/// the buffer has shrunk below 256 live items by the time GRECA stops,
+/// so it stops on the per-sweep check's sweep; at k = m / 2 it has not,
+/// so most cases stop a few sweeps late and the cadence itself shows in
+/// the result.
+#[test]
+fn large_itemsets_stretch_the_cadence_and_stay_bit_identical() {
+    // (n, m, mode_sel, consensus_sel)
+    const CASES: [(usize, usize, u8, u8); 4] = [
+        (3, 600, 2, 0),
+        (6, 600, 3, 1),
+        (3, 600, 1, 4),
+        (3, 1_500, 3, 2),
+    ];
+    let mut scratch = GrecaScratch::new();
+    for (seed, (n, m, mode_sel, consensus_sel)) in CASES.into_iter().enumerate() {
+        let periods = 2;
+        let mut rng = Stream(seed as u64 + 1);
+        let mut draw = |len: usize, hi: f64| (0..len).map(|_| rng.next(hi)).collect::<Vec<_>>();
+        let aprefs: Vec<Vec<f64>> = (0..n).map(|_| draw(m, 5.0)).collect();
+        let static_raw = draw(num_pairs(n), 3.0);
+        let periodic_raw: Vec<Vec<f64>> = (0..periods).map(|_| draw(num_pairs(n), 4.0)).collect();
+        let w = world(
+            n,
+            m,
+            periods,
+            &aprefs,
+            &static_raw,
+            &periodic_raw,
+            mode_of(mode_sel),
+            ListLayout::Decomposed,
+        );
+        let consensus = consensus_of(consensus_sel);
+        for k in [10, m / 2] {
+            let label = format!(
+                "n={n} m={m} mode={mode_sel} consensus={} k={k}",
+                consensus.label()
+            );
+            let (got, stretch) = assert_identical(&w, consensus, true, k, &mut scratch);
+            assert!(
+                stretch > 1,
+                "{label}: the Greca rule never stretched the cadence past one sweep"
+            );
+            let (per_sweep, _) = reference::greca_topk(
+                &w.inputs.views(),
+                &w.affinity,
+                consensus,
+                true,
+                GrecaConfig::top(k),
+                CheckInterval::EverySweep,
+            );
+            assert!(
+                per_sweep.sweeps <= got.sweeps && got.sweeps <= per_sweep.sweeps + 31,
+                "{label}: the kernel stopped after {} sweeps, the per-sweep check after {}",
+                got.sweeps,
+                per_sweep.sweeps
+            );
+        }
+    }
+}
+
 /// The scratch-recycled engine path returns exactly what a fresh
 /// scratch returns (the pool cannot leak state into results), and the
 /// pool actually retains workspaces.
@@ -714,7 +814,7 @@ fn scratch_reuse_is_observable_and_harmless() {
         &w.affinity,
         ConsensusFunction::least_misery(),
         false,
-        GrecaConfig::top(8).check_interval(CheckInterval::Adaptive),
+        GrecaConfig::top(8),
         &mut scratch,
     );
     let reused = greca_topk_with(&views, &w.affinity, consensus, true, config, &mut scratch);

@@ -15,8 +15,7 @@ use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::{PreferenceList, RawRatings};
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    Algorithm, CheckInterval, GrecaConfig, GrecaEngine, ListLayout, PreparedQuery, StoppingRule,
-    TaConfig,
+    Algorithm, GrecaConfig, GrecaEngine, ListLayout, PreparedQuery, StoppingRule, TaConfig,
 };
 use greca_dataset::{Granularity, Group, ItemId, RatingMatrixBuilder, Timeline, UserId};
 use proptest::prelude::*;
@@ -237,15 +236,6 @@ proptest! {
             prop_assert!(t.lb - 1e-6 <= score && score <= t.ub + 1e-6,
                 "{}: {score} outside [{}, {}]", t.item, t.lb, t.ub);
         }
-    }
-
-    #[test]
-    fn adaptive_check_interval_preserves_correctness(inst in instance_strategy()) {
-        let p = build(&inst);
-        let result = p.run_algorithm(Algorithm::Greca(
-            GrecaConfig::default().check_interval(CheckInterval::Adaptive),
-        ));
-        assert_matches_naive(&p, &result.item_ids(), inst.k);
     }
 
     /// Cold-vs-warm equivalence: for every AffinityMode × consensus ×

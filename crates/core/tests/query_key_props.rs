@@ -16,7 +16,7 @@
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::RawRatings;
 use greca_consensus::ConsensusFunction;
-use greca_core::{Algorithm, CheckInterval, GrecaConfig, GrecaEngine, GroupQuery, ListLayout};
+use greca_core::{Algorithm, GrecaConfig, GrecaEngine, GroupQuery, ListLayout};
 use greca_dataset::{Granularity, Group, ItemId, RatingMatrixBuilder, Timeline, UserId};
 use proptest::prelude::*;
 
@@ -291,14 +291,10 @@ proptest! {
         // own k and must NOT separate keys.
         if p.algorithm_sel == 0 {
             let alt = build_query(&engine, &group, &items, &p)
-                .algorithm(Algorithm::Greca(
-                    GrecaConfig::top(99).check_interval(CheckInterval::EverySweep),
-                ))
+                .algorithm(Algorithm::Greca(GrecaConfig::top(99)))
                 .cache_key();
             let same = build_query(&engine, &group, &items, &p)
-                .algorithm(Algorithm::Greca(
-                    GrecaConfig::top(1).check_interval(CheckInterval::EverySweep),
-                ))
+                .algorithm(Algorithm::Greca(GrecaConfig::top(1)))
                 .cache_key();
             prop_assert_eq!(&alt, &same);
         }

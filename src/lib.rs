@@ -81,11 +81,11 @@ pub mod prelude {
     };
     pub use greca_consensus::ConsensusFunction;
     pub use greca_core::{
-        run_batch, run_batch_with, AccessStats, Algorithm, BatchResult, BuildOptions,
-        CheckInterval, GrecaConfig, GrecaEngine, GrecaScratch, GroupQuery, IngestReport,
-        ListLayout, LiveEngine, LiveModel, MemoryFootprint, PinnedEpoch, PlanOptions, PlanStats,
-        PreparedQuery, QueryError, QueryKey, ScoreCompression, SharedMemberState, StopReason,
-        StoppingRule, Substrate, TaConfig, TopKResult,
+        run_batch, run_batch_with, AccessStats, Algorithm, BatchResult, BuildOptions, GrecaConfig,
+        GrecaEngine, GrecaScratch, GroupQuery, IngestReport, ListLayout, LiveEngine, LiveModel,
+        MemoryFootprint, PinnedEpoch, PlanOptions, PlanStats, PreparedQuery, QueryError, QueryKey,
+        ScoreCompression, SharedMemberState, StopReason, StoppingRule, Substrate, TaConfig,
+        TopKResult,
     };
     pub use greca_dataset::prelude::*;
     pub use greca_eval::{
