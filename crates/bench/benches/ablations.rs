@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in `DESIGN.md` §6:
+//! Ablation benches for three design choices of the reproduction:
 //!
 //! * **stopping rule** — GRECA's buffer condition vs threshold-only vs
 //!   no early stop (the paper's key novelty, §3.2);

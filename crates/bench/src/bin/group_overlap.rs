@@ -1,9 +1,13 @@
 //! `group_overlap`: the batch planner under overlapping-group waves,
 //! emitting `BENCH_overlap.json` — one row per worldgen tier.
 //!
-//! Per tier the binary builds the quantized warm substrate, then times
-//! two waves through [`greca_core::run_batch_with`], planner **off**
-//! (the independent path) vs planner **on**:
+//! Per tier the binary builds the warm substrate, then times two waves
+//! through [`greca_core::run_batch`], planner **off** vs planner **on**.
+//! Both arms run on the same executor with the same workers. Planner
+//! off gives every query its own clone of the engine: the planner
+//! partitions a wave by engine identity, so each query then gets its
+//! own member arena and nothing is deduplicated. Planner on sends the
+//! whole wave to one engine.
 //!
 //! * **high overlap** — `WAVE_GROUPS` chained groups sharing ~80 % of
 //!   consecutive membership, each repeated `REPEATS` times (the
@@ -11,8 +15,8 @@
 //!   Dedup collapses the repeats; the shared member arena collapses
 //!   the overlap.
 //! * **zero overlap** — member-disjoint groups, nothing shareable. The
-//!   planner must detect this and fall back, so the wave's latency
-//!   tracks the independent path.
+//!   planned wave pays the analysis and one shared arena for nothing,
+//!   so its latency must track planner off.
 //!
 //! Queries run over a *subset* itemset (half the serving head), which
 //! routes warm preparation through the per-member filter pass — the
@@ -20,8 +24,8 @@
 //!
 //! Gates asserted by the binary:
 //!
-//! * planned waves are **bit-identical** to independent execution at
-//!   every tier (full `TopKResult` + summed-stats equality);
+//! * planned waves are **bit-identical** to planner-off waves at every
+//!   tier (full `TopKResult` + summed-stats equality);
 //! * the planned high-overlap wave is **≥ 1.5× faster** (min-of-rounds
 //!   wall time; relaxed to "not slower" under `--quick`, where study-
 //!   tier waves finish in microseconds and timer noise dominates);
@@ -36,10 +40,7 @@
 //! Run with: `cargo run -p greca-bench --release --bin group_overlap`
 
 use greca_bench::harness::{banner, print_row};
-use greca_core::{
-    run_batch_with, BatchResult, BuildOptions, GrecaEngine, GroupQuery, PlanOptions,
-    ScoreCompression, Substrate,
-};
+use greca_core::{run_batch, BatchResult, BuildOptions, GrecaEngine, GroupQuery, Substrate};
 use greca_dataset::{Group, ItemId, UserId};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
 use std::io::Write as _;
@@ -109,12 +110,33 @@ impl Row {
     }
 }
 
+/// One top-10 query per group over `items` at `period`; query `i` runs
+/// on `engines[i % engines.len()]`.
+fn wave<'q>(
+    engines: &'q [GrecaEngine<'q>],
+    groups: &[&'q Group],
+    items: &'q [ItemId],
+    period: usize,
+) -> Vec<GroupQuery<'q>> {
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            engines[i % engines.len()]
+                .query(g)
+                .items(items)
+                .period(period)
+                .top(10)
+        })
+        .collect()
+}
+
 /// Minimum wall time (ms) for the wave over [`ROUNDS`] rounds.
-fn time_wave(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> f64 {
+fn time_wave(queries: &[GroupQuery<'_>]) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let t = Instant::now();
-        let batch = run_batch_with(queries, opts);
+        let batch = run_batch(queries);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(batch);
         best = best.min(ms);
@@ -142,7 +164,6 @@ fn measure(tier: Tier) -> Row {
             &eager,
             &lazy,
             BuildOptions {
-                compression: ScoreCompression::Quantized,
                 materialize_budget: Some(MATERIALIZE_BUDGET),
                 ..BuildOptions::default()
             },
@@ -150,6 +171,9 @@ fn measure(tier: Tier) -> Row {
         .expect("generated scores are finite"),
     );
     let engine = GrecaEngine::with_substrate(&provider, &world.population, substrate);
+    // Planner off: one engine clone per query of the larger wave.
+    let clones: Vec<GrecaEngine<'_>> = (0..WAVE_GROUPS * REPEATS).map(|_| engine.clone()).collect();
+    let shared = std::slice::from_ref(&engine);
     // Half the serving head: warm preparation takes the subset-filter
     // path, whose per-member pass is what the arena shares.
     let subset: Vec<ItemId> = items[..items.len() / 2].to_vec();
@@ -157,13 +181,9 @@ fn measure(tier: Tier) -> Row {
 
     // ── High-overlap wave: chained groups × repeats ──────────────────
     let groups = world.group_workload(WAVE_GROUPS, GROUP_SIZE, OVERLAP, 0xA11);
-    let high: Vec<GroupQuery<'_>> = (0..REPEATS)
-        .flat_map(|_| {
-            groups
-                .iter()
-                .map(|g| engine.query(g).items(&subset).period(last_period).top(10))
-        })
-        .collect();
+    let high_groups: Vec<&Group> = (0..REPEATS).flat_map(|_| &groups).collect();
+    let high_off = wave(&clones, &high_groups, &subset, last_period);
+    let high_on = wave(shared, &high_groups, &subset, last_period);
 
     // ── Zero-overlap wave: member-disjoint cohort chunks ─────────────
     let disjoint: Vec<Group> = (0..(spec.cohort / GROUP_SIZE).min(WAVE_GROUPS))
@@ -173,27 +193,27 @@ fn measure(tier: Tier) -> Row {
                 .expect("distinct chunked members")
         })
         .collect();
-    let zero: Vec<GroupQuery<'_>> = disjoint
-        .iter()
-        .map(|g| engine.query(g).items(&subset).period(last_period).top(10))
-        .collect();
-
-    let off = PlanOptions { enabled: false };
-    let on = PlanOptions { enabled: true };
+    let zero_groups: Vec<&Group> = disjoint.iter().collect();
+    let zero_off = wave(&clones, &zero_groups, &subset, last_period);
+    let zero_on = wave(shared, &zero_groups, &subset, last_period);
 
     // Identity first (also warms the substrate's lazy state so the
     // timed rounds compare steady-state execution).
-    let high_off = run_batch_with(&high, &off);
-    let high_on = run_batch_with(&high, &on);
-    let zero_off = run_batch_with(&zero, &off);
-    let zero_on = run_batch_with(&zero, &on);
-    let identical = waves_identical(&high_off, &high_on) && waves_identical(&zero_off, &zero_on);
-    let plan = high_on.plan.expect("analyzed wave reports stats");
-    assert!(plan.executed_shared, "high-overlap wave must share");
-    let zero_plan = zero_on.plan.expect("analyzed wave reports stats");
-    assert!(
-        !zero_plan.executed_shared,
-        "zero-overlap wave must fall back to the independent path"
+    let (high_off_run, high_on_run) = (run_batch(&high_off), run_batch(&high_on));
+    let (zero_off_run, zero_on_run) = (run_batch(&zero_off), run_batch(&zero_on));
+    let identical = waves_identical(&high_off_run, &high_on_run)
+        && waves_identical(&zero_off_run, &zero_on_run);
+    for off in [&high_off_run.plan, &zero_off_run.plan] {
+        assert!(
+            off.dedup_hits == 0 && off.reused_members == 0,
+            "engine clones must share nothing"
+        );
+    }
+    let plan = high_on_run.plan;
+    assert!(plan.reused_members > 0, "high-overlap wave must share");
+    assert_eq!(
+        zero_on_run.plan.reused_members, 0,
+        "zero-overlap wave has nothing to share"
     );
     print_row(
         "wave shape",
@@ -206,16 +226,16 @@ fn measure(tier: Tier) -> Row {
         ),
     );
 
-    let off_high_ms = time_wave(&high, &off);
-    let on_high_ms = time_wave(&high, &on);
+    let off_high_ms = time_wave(&high_off);
+    let on_high_ms = time_wave(&high_on);
     let speedup_high = off_high_ms / on_high_ms.max(1e-9);
     print_row(
         "high overlap off vs on",
         format!("{off_high_ms:9.2} ms vs {on_high_ms:9.2} ms  ({speedup_high:.2}×)"),
     );
 
-    let off_zero_ms = time_wave(&zero, &off);
-    let on_zero_ms = time_wave(&zero, &on);
+    let off_zero_ms = time_wave(&zero_off);
+    let on_zero_ms = time_wave(&zero_on);
     let ratio_zero = on_zero_ms / off_zero_ms.max(1e-9);
     print_row(
         "zero overlap off vs on",
@@ -256,9 +276,7 @@ fn main() {
     } else {
         ("default", &[Tier::Study, Tier::Users10k])
     };
-    banner(&format!(
-        "group_overlap: batch planner vs independent execution ({mode})"
-    ));
+    banner(&format!("group_overlap: batch planner on vs off ({mode})"));
 
     let rows: Vec<Row> = tiers.iter().map(|&t| measure(t)).collect();
 
@@ -269,7 +287,7 @@ fn main() {
     for row in &rows {
         assert!(
             row.identical,
-            "tier {}: planned waves must be bit-identical to independent execution",
+            "tier {}: planned waves must be bit-identical to planner-off waves",
             row.tier
         );
         assert!(
@@ -279,10 +297,11 @@ fn main() {
             min_speedup,
             row.speedup_high
         );
-        // Relative bound plus a small absolute allowance: planner
-        // analysis on a shareless wave costs O(wave) key hashing —
-        // far below 0.25 ms — while sub-2 ms waves put a bare 5 %
-        // bound inside timer noise.
+        // Relative bound plus a small absolute allowance: on a
+        // shareless wave the planner's analysis costs O(wave) key
+        // hashing and the shared arena one lock per member — far
+        // below 0.25 ms — while sub-2 ms waves put a bare 5 % bound
+        // inside timer noise.
         let allowed_zero_ms = row.off_zero_ms * max_zero_ratio + 0.25;
         assert!(
             row.on_zero_ms <= allowed_zero_ms,

@@ -6,16 +6,15 @@
 //! * **build** — eager segment construction through the single-threaded
 //!   baseline path (one `preference_list()` + full-column sort + fresh
 //!   allocations per user, sequentially) vs the sharded
-//!   [`Substrate::build_with`] builder in its shipping configuration for
-//!   scale tiers (sparse head assembly + quantized `u16` storage,
-//!   `build_threads` workers). The dense `f64` build is timed too
-//!   (`build_ms_dense`) — it orders identically and serves as the
-//!   bit-identity reference;
-//! * **bytes/user** — the dense `f64` representation vs the quantized
-//!   `u16`-code representation, with the saving percentage and whether
-//!   quantized serving is bit-identical to dense;
+//!   [`Substrate::build_with`] builder (sparse head assembly + `u16`
+//!   code storage, `build_workers` workers). The baseline's sorted
+//!   columns are the bit-identity reference;
+//! * **bytes/user** — the dense representation (a `u32` id + an `f64`
+//!   score per item, 12 B × items) vs the substrate's stored columns,
+//!   with the saving percentage and whether the substrate's dequantized
+//!   columns are bit-identical to the baseline's;
 //! * **warm query p50** — µs per query over an overlapping-membership
-//!   group workload against the quantized substrate;
+//!   group workload against the substrate;
 //! * **ingest-to-visibility** — wall time for a post-horizon rating
 //!   stream to be ingested *and published* by a [`LiveEngine`] (the
 //!   epoch-swap pipeline end to end);
@@ -27,9 +26,10 @@
 //!
 //! Gates asserted by the binary:
 //!
-//! * quantized serving is **bit-identical** to dense at every tier
-//!   (quantization is exact or leaves the column dense);
-//! * quantized storage is **≥ 40 % smaller** per user at every tier;
+//! * the substrate's columns are **bit-identical** to the baseline's at
+//!   every tier (quantization is exact or leaves the column dense);
+//! * substrate storage is **≥ 40 % smaller** per user than dense at
+//!   every tier;
 //! * the sharded (shipping-configuration) build is **≥ 2× faster** than
 //!   the baseline path at the 100k tier (when that tier runs, i.e. not
 //!   `--quick`).
@@ -38,7 +38,7 @@
 
 use greca_bench::harness::{banner, percentile, print_row};
 use greca_cf::PreferenceProvider;
-use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, ScoreCompression, Substrate};
+use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, Substrate};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
 use std::io::Write as _;
 use std::sync::Arc;
@@ -50,8 +50,9 @@ const MATERIALIZE_BUDGET: usize = 256 << 20;
 const INGEST_BATCH: usize = 200;
 /// Groups in the warm-query workload (2 passes are timed).
 const QUERY_GROUPS: usize = 20;
-/// Users sampled for the dense-vs-quantized identity check on tiers
-/// where a full sweep would dominate the run (study sweeps everything).
+/// Users whose baseline columns are kept for the identity check on
+/// tiers where a full sweep would dominate the run (study sweeps
+/// everything).
 const IDENTITY_SAMPLE: usize = 64;
 
 /// One `BENCH_scale.json` row.
@@ -66,7 +67,6 @@ struct Row {
     world_gen_ms: f64,
     build_ms_single: f64,
     build_ms_parallel: f64,
-    build_ms_dense: f64,
     build_speedup: f64,
     bytes_per_user_f64: f64,
     bytes_per_user_quant: f64,
@@ -91,7 +91,7 @@ impl Row {
                 "\"cohort\":{},\"eager_users\":{},\"lazy_users\":{},",
                 "\"world_gen_ms\":{:.2},",
                 "\"build_ms_single\":{:.2},\"build_ms_parallel\":{:.2},",
-                "\"build_ms_dense\":{:.2},\"build_speedup\":{:.2},",
+                "\"build_speedup\":{:.2},",
                 "\"bytes_per_user_f64\":{:.1},\"bytes_per_user_quant\":{:.1},",
                 "\"quant_saving_pct\":{:.1},\"quant_identical\":{},",
                 "\"warm_p50_us\":{:.1},\"warm_queries\":{},",
@@ -109,7 +109,6 @@ impl Row {
             self.world_gen_ms,
             self.build_ms_single,
             self.build_ms_parallel,
-            self.build_ms_dense,
             self.build_speedup,
             self.bytes_per_user_f64,
             self.bytes_per_user_quant,
@@ -150,7 +149,14 @@ fn measure(tier: Tier) -> Row {
     // ── Build: single-threaded baseline vs sharded builder ───────────
     // The baseline retains every column it builds, exactly like the
     // pre-substrate builder did (dropping them would hand the baseline
-    // recycled allocations the real builder never sees).
+    // recycled allocations the real builder never sees). Afterwards
+    // only the sampled users' columns are kept, as the identity
+    // reference.
+    let sweep = if tier == Tier::Study {
+        eager.len()
+    } else {
+        eager.len().min(IDENTITY_SAMPLE)
+    };
     let t = Instant::now();
     let mut baseline: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(eager.len());
     for &u in &eager {
@@ -160,29 +166,16 @@ fn measure(tier: Tier) -> Row {
         baseline.push(pl.into_sorted_columns());
     }
     let build_ms_single = elapsed_ms(t);
-    drop(std::hint::black_box(baseline));
+    baseline.truncate(sweep);
+    baseline.shrink_to_fit();
 
-    // The headline "parallel" build is the substrate's shipping
-    // configuration for scale tiers: sharded construction into the
-    // quantized representation. The dense `f64` build is timed as a
-    // reference — it orders identically and anchors the identity sweep.
     let opts = BuildOptions {
         materialize_budget: Some(MATERIALIZE_BUDGET),
         ..BuildOptions::default()
     };
     let t = Instant::now();
-    let quant = Substrate::build_with(
-        &provider,
-        &world.population,
-        &items,
-        &eager,
-        &lazy,
-        BuildOptions {
-            compression: ScoreCompression::Quantized,
-            ..opts
-        },
-    )
-    .expect("generated scores are finite");
+    let quant = Substrate::build_with(&provider, &world.population, &items, &eager, &lazy, opts)
+        .expect("generated scores are finite");
     let build_ms_parallel = elapsed_ms(t);
     let build_speedup = build_ms_single / build_ms_parallel.max(1e-9);
     print_row(
@@ -193,14 +186,8 @@ fn measure(tier: Tier) -> Row {
         ),
     );
 
-    let t = Instant::now();
-    let dense = Substrate::build_with(&provider, &world.population, &items, &eager, &lazy, opts)
-        .expect("generated scores are finite");
-    let build_ms_dense = elapsed_ms(t);
-    print_row("build dense reference", format!("{build_ms_dense:9.1} ms"));
-
     // ── Storage: bytes per eager user, dense vs quantized ────────────
-    let bytes_per_user_f64 = dense.pref_bytes() as f64 / eager.len() as f64;
+    let bytes_per_user_f64 = (12 * items.len()) as f64;
     let bytes_per_user_quant = quant.pref_bytes() as f64 / eager.len() as f64;
     let quant_saving_pct = 100.0 * (1.0 - bytes_per_user_quant / bytes_per_user_f64);
     print_row(
@@ -210,21 +197,15 @@ fn measure(tier: Tier) -> Row {
         ),
     );
 
-    // ── Identity: quantized serving vs dense, bit for bit ────────────
-    let sweep = if tier == Tier::Study {
-        eager.len()
-    } else {
-        eager.len().min(IDENTITY_SAMPLE)
-    };
+    // ── Identity: dequantized columns vs the baseline, bit for bit ───
     let mut quant_identical = true;
-    for idx in 0..sweep {
-        let hd = dense.segment_handle(&provider, idx).expect("resident");
-        let hq = quant.segment_handle(&provider, idx).expect("resident");
-        quant_identical &= hd.ids() == hq.ids()
-            && hd
-                .scores()
+    for (&u, (ids, scores)) in eager.iter().zip(&baseline) {
+        let idx = quant.user_index(u).expect("eager users are covered");
+        let h = quant.segment_handle(&provider, idx).expect("resident");
+        quant_identical &= h.ids() == &ids[..]
+            && h.scores()
                 .iter()
-                .zip(hq.scores())
+                .zip(scores)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
     }
     print_row(
@@ -232,7 +213,7 @@ fn measure(tier: Tier) -> Row {
         format!("{quant_identical} (over {sweep} users)"),
     );
 
-    // ── Warm query p50 over the quantized substrate ──────────────────
+    // ── Warm query p50 over the substrate ────────────────────────────
     let quant = Arc::new(quant);
     let engine = GrecaEngine::with_substrate(&provider, &world.population, Arc::clone(&quant));
     let groups = world.group_workload(QUERY_GROUPS, 6, 0.5, 0x9e);
@@ -313,7 +294,6 @@ fn measure(tier: Tier) -> Row {
         world_gen_ms,
         build_ms_single,
         build_ms_parallel,
-        build_ms_dense,
         build_speedup,
         bytes_per_user_f64,
         bytes_per_user_quant,
@@ -357,13 +337,13 @@ fn main() {
     for row in &rows {
         assert!(
             row.quant_saving_pct >= 40.0,
-            "tier {}: quantized storage must be ≥40% smaller (got {:.1}%)",
+            "tier {}: stored columns must be ≥40% smaller than dense (got {:.1}%)",
             row.tier,
             row.quant_saving_pct
         );
         assert!(
             row.quant_identical,
-            "tier {}: quantized results must be bit-identical to f64",
+            "tier {}: stored columns must be bit-identical to the baseline's",
             row.tier
         );
         if row.tier == Tier::Users100k {
@@ -375,11 +355,15 @@ fn main() {
         }
     }
 
+    // Every tier builds with `workers_for(eager users)`; the smallest
+    // tier's count is the one all tiers share once each has at least
+    // as many users as threads.
+    let min_eager = rows.iter().map(|r| r.eager_users).min().unwrap_or(0);
     let json = format!(
-        "{{\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"build_threads\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"build_workers\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         DEFAULT_SEED,
         mode,
-        BuildOptions::default().resolved_threads(),
+        BuildOptions::default().workers_for(min_eager),
         rows.iter()
             .map(|r| r.to_json())
             .collect::<Vec<_>>()

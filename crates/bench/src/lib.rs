@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (§4), plus Criterion micro-benchmarks and the ablation
-//! studies called out in `DESIGN.md` §6.
+//! studies in `benches/ablations.rs`.
 //!
 //! | binary        | artifact      | what it regenerates                          |
 //! |---------------|---------------|----------------------------------------------|

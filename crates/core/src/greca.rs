@@ -191,7 +191,7 @@ struct SlotMeta {
 /// [`greca_topk_with`] call) — so reusing one across queries is purely
 /// an allocation optimization. [`crate::query::GrecaEngine`] keeps a
 /// pool of these so serving paths (including every
-/// [`crate::query::run_batch`] worker) are allocation-free after
+/// [`crate::plan::run_batch`] worker) are allocation-free after
 /// warmup; one-shot callers can just use [`greca_topk`], which creates
 /// a scratch internally.
 #[derive(Debug, Default)]

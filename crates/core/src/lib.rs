@@ -46,7 +46,7 @@
 //!
 //! // A warm engine precomputes the shared Substrate once (per-user
 //! // sorted preference columns + per-period sorted affinity arrays);
-//! // queries serve zero-copy views with the paper's defaults baked in
+//! // queries serve views of those columns with the paper's defaults
 //! // (k = 10, AP consensus, discrete affinity, decomposed lists) and
 //! // the itemset defaulting to the group's candidate items.
 //! let catalog: Vec<ItemId> = ml.matrix.items().collect();
@@ -93,15 +93,14 @@ pub use obs::{
     CacheNote, FlightRecorder, ObsTotals, Phase, SpanGuard, SpanKind, SpanRecord, TraceFilter,
     NUM_KINDS, NUM_PHASES,
 };
-pub use plan::{run_batch_with, PlanOptions, PlanStats, SharedMemberState};
+pub use plan::{run_batch, BatchResult, PlanStats, SharedMemberState};
 pub use query::{
-    run_batch, Algorithm, BatchResult, GrecaEngine, GroupQuery, PreparedQuery, QueryError,
-    QueryFootprint, QueryKey, PAPER_DEFAULT_K,
+    Algorithm, GrecaEngine, GroupQuery, PreparedQuery, QueryError, QueryFootprint, QueryKey,
+    PAPER_DEFAULT_K,
 };
 pub use score::BoundScorer;
 pub use substrate::{
-    BuildOptions, ItemCoverage, LazyStats, MemoryFootprint, ScoreCompression, SegmentHandle,
-    Substrate, QUANT_LEVELS,
+    BuildOptions, ItemCoverage, LazyStats, MemoryFootprint, SegmentHandle, Substrate, QUANT_LEVELS,
 };
 pub use ta::{ta_topk, TaConfig};
 pub use wal::{FsyncPolicy, RecoverySummary, Wal, WalOptions, WalRecord};

@@ -27,12 +27,14 @@
 //!   [`MaterializedInputs`] bundles one query's worth of them as the
 //!   independent reference the tests check prepared queries against;
 //! * [`crate::substrate::Substrate`] — engine-lifetime shared buffers,
-//!   precomputed once and sliced zero-copy per query (the warm path).
+//!   precomputed once and sliced per query (the warm path).
 //!
-//! Keeping views slice-backed is what makes the warm path *zero-copy*:
-//! a full-universe query's preference "lists" are literally the
-//! substrate's segments, and per-query state shrinks to cursors plus the
-//! interval bookkeeping in [`crate::interval`] / [`crate::score`].
+//! Keeping views slice-backed is what makes the warm path copy-free per
+//! query: a full-universe query's preference "lists" are the
+//! substrate's id columns and shared score columns (coded columns are
+//! dequantized once per epoch, not per query), and per-query state shrinks
+//! to cursors plus the interval bookkeeping in [`crate::interval`] /
+//! [`crate::score`].
 
 use greca_affinity::GroupAffinity;
 use greca_cf::PreferenceList;

@@ -469,8 +469,7 @@ pub struct LiveEngine<'a> {
     /// [`LiveEngine::on_publish_delta`]).
     delta_hooks: Mutex<Vec<DeltaHook>>,
     /// Substrate construction options, applied to epoch 0 and to every
-    /// full rebuild (incremental rebuilds inherit the compression from
-    /// the previous epoch's substrate).
+    /// full rebuild.
     build_options: BuildOptions,
 }
 
@@ -512,11 +511,11 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Like [`LiveEngine::new`], but with explicit substrate
-    /// construction options — sharded build threads, score compression
-    /// and the materialization budget (see [`BuildOptions`]). The
-    /// options persist: every wholesale rebuild this engine performs
-    /// (epoch 0, and any publish past the full-rebuild threshold) uses
-    /// them, and incremental rebuilds keep the substrate's compression.
+    /// construction options — sharded build threads and the
+    /// materialization budget (see [`BuildOptions`]). The options
+    /// persist: every wholesale rebuild this engine performs (epoch 0,
+    /// and any publish past the full-rebuild threshold) uses them, and
+    /// incremental rebuilds keep the substrate's cache budget.
     pub fn new_with_options(
         population: &'a PopulationAffinity,
         model: LiveModel,

@@ -135,7 +135,7 @@ pub enum SpanKind {
     Publish = 3,
     /// One subscription-pump pass over a coalesced publish delta.
     Pump = 4,
-    /// One planned batch wave (`run_batch_with` on the calling thread).
+    /// One planned batch wave (`run_batch` on the calling thread).
     Batch = 5,
     /// Anything else.
     Other = 6,

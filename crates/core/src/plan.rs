@@ -1,14 +1,14 @@
-//! The batch planner: cross-query kernel sharing for overlapping waves.
+//! The batch planner: the one executor for query waves, sharing kernel
+//! inputs across overlapping queries.
 //!
 //! At real scale many concurrent groups *overlap* — the paper's alumni
-//! and movie-night scenarios are built on shared members — yet the
-//! independent batch path executes every query from scratch: each
-//! kernel re-resolves the same members' preference lists its neighbors
-//! just resolved. This module analyzes a query wave before execution
-//! and shares that per-member work, gated by the kernel-identity
-//! invariant (every sharing lever reuses a value that is a
-//! deterministic function of the engine state and the query, so a
-//! planned wave is bit-identical to an independent one):
+//! and movie-night scenarios are built on shared members — and a query
+//! run on its own re-resolves the same members' preference lists its
+//! neighbors just resolved. [`run_batch`] analyzes every wave before
+//! execution and shares that per-member work, gated by the
+//! kernel-identity invariant (every sharing lever reuses a value that is
+//! a deterministic function of the engine state and the query, so a
+//! planned wave is bit-identical to running each query alone):
 //!
 //! 1. **Group-level memoization** — queries are deduped by their
 //!    canonical [`QueryKey`]; `n` identical queries cost one kernel run
@@ -24,21 +24,22 @@
 //! 3. **Overlap bucketing** — a union-find over shared members groups
 //!    the wave into connected components; the execution order walks one
 //!    bucket at a time so a member's freshly resolved lists are hot
-//!    when its other groups run. Waves with nothing to share fall back
-//!    to the independent path untouched — zero regression.
+//!    when its other groups run. A wave with nothing to share runs the
+//!    same way; it pays only the `O(wave)` analysis.
 //!
 //! Shared entries are keyed by `(user, itemset identity)` and scoped to
-//! **one engine state**: [`run_batch_with`] partitions the wave by
-//! engine identity and arenas never cross partitions, while the serving
-//! layer scopes one arena per published epoch (reset through the same
-//! publish hook that invalidates the result cache).
+//! **one engine state**: [`run_batch`] partitions the wave by engine
+//! identity and arenas never cross partitions, while the serving layer
+//! scopes one arena per published epoch (reset through the same publish
+//! hook that invalidates the result cache). Partitioning by identity is
+//! also how a caller measures the wave *without* sharing: give each
+//! query its own clone of the engine, and every query gets its own
+//! arena and no dedup, on the same executor and workers.
 
+use crate::access::{AccessStats, Aggregate};
 use crate::greca::TopKResult;
 use crate::lists::SortedList;
-use crate::query::{
-    lock_unpoisoned, run_batch_independent, sum_stats, BatchResult, GroupQuery, QueryError,
-    QueryKey,
-};
+use crate::query::{lock_unpoisoned, GroupQuery, QueryError, QueryKey};
 use crate::substrate::SegmentHandle;
 use greca_dataset::UserId;
 use std::collections::HashMap;
@@ -50,22 +51,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// distinct member × itemset); the cap bounds the epoch-scoped serving
 /// arena the way the engine's affinity cache is bounded.
 const SHARED_STATE_CAP: usize = 8_192;
-
-/// Tuning knobs for [`run_batch_with`]. The planner is on by default —
-/// [`crate::query::run_batch`] routes through it; pass
-/// `enabled: false` to force the independent path (the benchmarks'
-/// planner-off baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOptions {
-    /// Whether the wave is analyzed for sharing at all.
-    pub enabled: bool,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions { enabled: true }
-    }
-}
 
 /// What the planner found in (and did with) one wave.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -84,15 +69,12 @@ pub struct PlanStats {
     /// Member slots whose user appears in ≥ 2 unique queries of the
     /// same engine partition.
     pub shared_member_slots: usize,
-    /// Whether the wave actually executed through shared state (false:
-    /// nothing to share, the independent path ran).
-    pub executed_shared: bool,
     /// Distinct member-list resolutions performed by the wave.
     pub resolved_members: u64,
     /// Member-list requests answered from the shared arena.
     pub reused_members: u64,
     /// List entries (resolved prefix items) those reuse hits would have
-    /// re-materialized on the independent path.
+    /// re-materialized had each query run alone.
     pub reused_prefix_items: u64,
 }
 
@@ -296,13 +278,6 @@ struct WavePlan {
     stats: PlanStats,
 }
 
-impl WavePlan {
-    /// Whether executing through shared state can save anything.
-    fn worth_sharing(&self) -> bool {
-        self.stats.dedup_hits > 0 || self.stats.shared_member_slots > 0
-    }
-}
-
 /// Analyze a wave: partition by engine, dedupe by [`QueryKey`], bucket
 /// unique queries by member overlap.
 fn analyze(queries: &[GroupQuery<'_>]) -> WavePlan {
@@ -414,7 +389,6 @@ fn analyze(queries: &[GroupQuery<'_>]) -> WavePlan {
             buckets,
             member_slots,
             shared_member_slots,
-            executed_shared: false,
             resolved_members: 0,
             reused_members: 0,
             reused_prefix_items: 0,
@@ -422,25 +396,52 @@ fn analyze(queries: &[GroupQuery<'_>]) -> WavePlan {
     }
 }
 
-/// Execute a wave through the batch planner (see the module docs).
+/// Results of a [`run_batch`] execution.
+#[derive(Debug, Clone)]
+pub struct BatchResult {
+    /// Per-query outcome, in input order.
+    pub results: Vec<Result<TopKResult, QueryError>>,
+    /// Access counters summed over the successful queries.
+    pub stats: AccessStats,
+    /// What the batch planner found in (and did with) the wave.
+    pub plan: PlanStats,
+}
+
+impl BatchResult {
+    /// The successful results, in input order.
+    pub fn successes(&self) -> impl Iterator<Item = &TopKResult> {
+        self.results.iter().filter_map(|r| r.as_ref().ok())
+    }
+
+    /// Mean ± stderr of `%SA` over the successful queries — the figures'
+    /// "average over 20 random groups" aggregation.
+    pub fn sa_percent_aggregate(&self) -> Aggregate {
+        let samples: Vec<f64> = self.successes().map(|r| r.stats.sa_percent()).collect();
+        Aggregate::of(&samples)
+    }
+}
+
+/// Execute many queries in parallel and aggregate their access
+/// statistics — the §4.2 many-group harness path.
 ///
-/// With `enabled: false`, or when analysis finds nothing to share (no
-/// duplicate queries, no member in ≥ 2 unique groups of one engine),
-/// the wave runs on the independent path — results, statistics and
-/// per-query errors are exactly [`crate::query::run_batch`]'s
-/// pre-planner behavior. Otherwise unique queries execute through a
-/// per-partition [`SharedMemberState`] and duplicates are answered by
-/// cloning their representative's result; both levers are
-/// bit-identical to independent execution, which
-/// `crates/core/tests/plan_batch.rs` holds against the kernel-identity
-/// oracle's worlds.
-pub fn run_batch_with(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResult {
+/// The wave is analyzed first (see the module docs): duplicate queries
+/// are answered by cloning one representative's result, and unique
+/// queries execute through one [`SharedMemberState`] per engine
+/// partition, over `min(available_parallelism, #unique queries)` OS
+/// threads spawned once per wave and fed by a single atomic work queue
+/// (queries cost wildly different amounts, so work-stealing beats
+/// static chunking). Both levers are bit-identical to running each
+/// query alone with [`GroupQuery::run`], which
+/// `crates/core/tests/plan_batch.rs` holds on every storage path.
+/// Results keep input order; per-query failures surface as `Err`
+/// entries without failing the batch.
+pub fn run_batch(queries: &[GroupQuery<'_>]) -> BatchResult {
     // One span for the whole wave. Single-worker execution attributes
     // prepare/kernel phases here too; scoped worker threads run with
     // no active span (their phase timers no-op), so a parallel wave's
     // span records the wave's wall clock without double-counting.
     let batch_span = crate::obs::span(crate::obs::next_trace_id(), crate::obs::SpanKind::Batch);
-    let result = run_batch_inner(queries, opts);
+    let result = execute(queries);
     if batch_span.active() {
         crate::obs::note_ok(true);
     }
@@ -448,25 +449,8 @@ pub fn run_batch_with(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchRe
     result
 }
 
-fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResult {
-    if !opts.enabled || queries.len() < 2 {
-        let results = run_batch_independent(queries);
-        return BatchResult {
-            stats: sum_stats(&results),
-            results,
-            plan: None,
-        };
-    }
+fn execute(queries: &[GroupQuery<'_>]) -> BatchResult {
     let mut plan = analyze(queries);
-    if !plan.worth_sharing() {
-        let results = run_batch_independent(queries);
-        return BatchResult {
-            stats: sum_stats(&results),
-            results,
-            plan: Some(plan.stats),
-        };
-    }
-
     let states: Vec<SharedMemberState> = (0..plan.partitions)
         .map(|_| SharedMemberState::new())
         .collect();
@@ -513,7 +497,7 @@ fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResul
 
     // Duplicates: clone the representative's result — bit-identical to
     // re-running it, including per-query access statistics, so the
-    // summed batch stats match the independent path exactly.
+    // summed batch stats match running every query alone exactly.
     for i in 0..queries.len() {
         if let Some(rep) = plan.dup_of[i] {
             slots[i] = Some(slots[rep].clone().expect("representative executed"));
@@ -524,7 +508,6 @@ fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResul
         .map(|r| r.expect("every query index visited"))
         .collect();
 
-    plan.stats.executed_shared = true;
     for state in &states {
         plan.stats.resolved_members += state.resolved_members();
         plan.stats.reused_members += state.reused_members();
@@ -533,6 +516,17 @@ fn run_batch_inner(queries: &[GroupQuery<'_>], opts: &PlanOptions) -> BatchResul
     BatchResult {
         stats: sum_stats(&results),
         results,
-        plan: Some(plan.stats),
+        plan: plan.stats,
     }
+}
+
+/// Access counters summed over a batch's successful queries.
+fn sum_stats(results: &[Result<TopKResult, QueryError>]) -> AccessStats {
+    let mut stats = AccessStats::default();
+    for r in results.iter().filter_map(|r| r.as_ref().ok()) {
+        stats.sa += r.stats.sa;
+        stats.ra += r.stats.ra;
+        stats.total_entries += r.stats.total_entries;
+    }
+    stats
 }

@@ -19,27 +19,28 @@
 //! sorted lists from scratch — `O(n·m log m)` provider calls and sorts
 //! per query. A *warm* engine ([`GrecaEngine::warm`]) owns an
 //! `Arc<`[`Substrate`]`>` of precomputed sorted storage; its `prepare()`
-//! selects zero-copy [`ListView`](crate::lists::ListView)s (or one
-//! order-preserving filter pass for subset itemsets) — no per-user sort,
-//! no preference-entry clone, no provider calls. Both paths produce
-//! bit-identical results; the engine also keeps a small keyed cache of
-//! [`GroupAffinity`] views so repeat groups skip the view computation.
+//! selects [`ListView`](crate::lists::ListView)s of the shared columns
+//! (or one order-preserving filter pass for subset itemsets) — no
+//! per-user sort, no preference-entry clone, no provider calls. Both
+//! paths produce bit-identical results; the engine also keeps a small
+//! keyed cache of [`GroupAffinity`] views so repeat groups skip the
+//! view computation.
 //!
 //! [`Algorithm`] unifies GRECA with its §3.1/§4.2 comparison set (TA and
 //! the naive scan): the same prepared query runs through any of the
 //! three, which is what makes `%SA` comparisons fair. [`run_batch`]
-//! executes many queries in parallel across OS threads and aggregates
-//! their access statistics — the §4.2 harness shape (20 random groups
-//! per data point).
+//! executes many queries in parallel across OS threads through the
+//! batch planner ([`crate::plan`]) and aggregates their access
+//! statistics — the §4.2 harness shape (20 random groups per data
+//! point).
 
-use crate::access::{AccessStats, Aggregate};
 use crate::greca::{greca_topk_with, GrecaConfig, GrecaScratch, StoppingRule, TopKResult};
 use crate::lists::{
     build_affinity_lists, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout,
     NonFiniteEntry, SortedList,
 };
 use crate::naive::{naive_scores, naive_topk};
-use crate::plan::SharedMemberState;
+use crate::plan::{run_batch, BatchResult, SharedMemberState};
 use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
 use crate::ta::{ta_topk, TaConfig};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
@@ -1143,7 +1144,7 @@ fn build_warm(
     }))
 }
 
-/// Substrate-backed prepared state: zero-copy segment references (or
+/// Substrate-backed prepared state: shared segment handles (or
 /// filtered columns for subset itemsets) plus the per-query tiny
 /// affinity lists. The per-member handles keep their segments (and any
 /// materialized columns) alive, independent of cache eviction or epoch
@@ -1475,112 +1476,6 @@ impl PreparedQuery {
         )
         .0
     }
-}
-
-/// Results of a [`run_batch`] execution.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Per-query outcome, in input order.
-    pub results: Vec<Result<TopKResult, QueryError>>,
-    /// Access counters summed over the successful queries.
-    pub stats: AccessStats,
-    /// What the batch planner found in (and did with) the wave; `None`
-    /// when the wave skipped analysis entirely (planner disabled, or
-    /// fewer than two queries).
-    pub plan: Option<crate::plan::PlanStats>,
-}
-
-impl BatchResult {
-    /// The successful results, in input order.
-    pub fn successes(&self) -> impl Iterator<Item = &TopKResult> {
-        self.results.iter().filter_map(|r| r.as_ref().ok())
-    }
-
-    /// Mean ± stderr of `%SA` over the successful queries — the figures'
-    /// "average over 20 random groups" aggregation.
-    pub fn sa_percent_aggregate(&self) -> Aggregate {
-        let samples: Vec<f64> = self.successes().map(|r| r.stats.sa_percent()).collect();
-        Aggregate::of(&samples)
-    }
-}
-
-/// Execute many prepared queries in parallel and aggregate their access
-/// statistics — the §4.2 many-group harness path.
-///
-/// The wave first passes through the batch planner
-/// ([`crate::plan::run_batch_with`] with default options): duplicate
-/// queries are answered by one kernel run, and queries whose groups
-/// overlap share per-member list resolution through a wave-scoped
-/// [`SharedMemberState`] — both levers gated by the kernel-identity
-/// invariant, so results are bit-identical to independent execution.
-/// Waves with nothing to share run on the independent path unchanged.
-/// Results keep input order; per-query failures surface as `Err`
-/// entries without failing the batch.
-pub fn run_batch(queries: &[GroupQuery<'_>]) -> BatchResult {
-    crate::plan::run_batch_with(queries, &crate::plan::PlanOptions::default())
-}
-
-/// The planner-free execution core: every query runs independently over
-/// `min(available_parallelism, #queries)` OS threads, spawned once per
-/// batch and fed by a single shared atomic work queue (queries cost
-/// wildly different amounts — group size, item count and period depth
-/// all vary — so work-stealing beats static chunking). On a warm engine
-/// every worker serves from the *same* `Arc<Substrate>` and
-/// group-affinity cache instead of re-materializing per query.
-pub(crate) fn run_batch_independent(
-    queries: &[GroupQuery<'_>],
-) -> Vec<Result<TopKResult, QueryError>> {
-    let mut results: Vec<Option<Result<TopKResult, QueryError>>> = Vec::new();
-    results.resize_with(queries.len(), || None);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(queries.len().max(1));
-    if workers <= 1 {
-        for (slot, q) in results.iter_mut().zip(queries) {
-            *slot = Some(q.run());
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, Result<TopKResult, QueryError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(q) = queries.get(i) else { break };
-                                out.push((i, q.run()));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            });
-        for (i, r) in collected.into_iter().flatten() {
-            results[i] = Some(r);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every query index visited"))
-        .collect()
-}
-
-/// Access counters summed over a batch's successful queries.
-pub(crate) fn sum_stats(results: &[Result<TopKResult, QueryError>]) -> AccessStats {
-    let mut stats = AccessStats::default();
-    for r in results.iter().filter_map(|r| r.as_ref().ok()) {
-        stats.sa += r.stats.sa;
-        stats.ra += r.stats.ra;
-        stats.total_entries += r.stats.total_entries;
-    }
-    stats
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The shared, immutable query substrate: precomputed sorted-list
-//! storage behind `Arc`, sliced zero-copy into per-query views.
+//! storage behind `Arc`, sliced into per-query views.
 //!
 //! §2.4's ad-hoc-group scenario assumes the CF model and the affinity
 //! index are *long-lived* while groups arrive at query time — yet a cold
@@ -12,10 +12,10 @@
 //!   score-descending preference list over the item universe, computed
 //!   once from any [`PreferenceProvider`] and stored as one columnar
 //!   `(ids, scores)` segment per user, each behind its own `Arc`. A
-//!   query whose itemset *is* the universe borrows its segments as
-//!   [`ListView`]s — zero copies, zero sorts, zero provider calls. A
-//!   strict-subset itemset is filtered in one order-preserving pass
-//!   (still no sort, no provider calls).
+//!   query whose itemset *is* the universe borrows its segments' id
+//!   columns and dequantized score columns as [`ListView`]s — no sorts, no
+//!   provider calls. A strict-subset itemset is filtered in one
+//!   order-preserving pass (still no sort, no provider calls).
 //! * **Affinity arrays** — per period (and for static affinity), every
 //!   population pair ordered by component descending, plus the inverse
 //!   *rank* array. Ordering any group's pairs by rank reproduces exactly
@@ -25,22 +25,24 @@
 //!
 //! # Scale-tier storage
 //!
-//! Three mechanisms (all selected via [`BuildOptions`]) let one substrate
-//! span user populations far beyond the paper's 77-user study world:
+//! Three mechanisms let one substrate span user populations far beyond
+//! the paper's 77-user study world:
 //!
 //! * **Sharded construction** — eager segments are built by
-//!   `std::thread`s over contiguous user shards and merged in user order,
-//!   so the result is bit-identical to a sequential build regardless of
+//!   `std::thread`s over contiguous user shards
+//!   ([`BuildOptions::threads`]) and merged in user order, so the
+//!   result is bit-identical to a sequential build regardless of
 //!   thread count. Each shard reuses one scratch buffer and exploits the
 //!   provider contract (`apref ≥ 0`): only positive-score entries are
 //!   sorted, the zero tail is emitted in id order without comparisons —
 //!   the order a full sort would produce anyway.
-//! * **Quantized scores** ([`ScoreCompression::Quantized`]) — a segment
-//!   stores `u16` codes plus a per-list dictionary of the original `f64`
-//!   bit patterns instead of one `f64` per item, so dequantized views
-//!   are **bit-identical** to the uncompressed path. A list with more
-//!   than 65 536 distinct score values has no exact `u16` coding and
-//!   stays dense.
+//! * **Quantized scores** — a resident segment stores `u16` codes plus
+//!   a per-list dictionary of the original `f64` bit patterns whenever
+//!   that is smaller than one `f64` per item, so dequantized views are
+//!   **bit-identical** to the scores the provider produced. The choice
+//!   is made per column from its data: a column with more than
+//!   [`QUANT_LEVELS`] distinct values, or too few entries per distinct
+//!   value for the codes to pay for the dictionary, stays dense.
 //! * **Lazy residency** — users listed as *lazy* in
 //!   [`Substrate::build_with`] get no segment at build time; their
 //!   columns are derived from the provider on first access and cached in
@@ -53,7 +55,7 @@
 //! needs, so eviction can never invalidate an in-flight query.
 //!
 //! Each substrate value is immutable and shared via `Arc<Substrate>`:
-//! [`crate::query::run_batch`] worker threads, cached
+//! [`crate::plan::run_batch`] worker threads, cached
 //! [`PreparedQuery`](crate::query::PreparedQuery)s and the engine all
 //! alias the same buffers. Because the engine borrows its
 //! [`PopulationAffinity`] for its whole lifetime, the index cannot gain
@@ -79,53 +81,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Number of representable quantization levels (`u16` codes).
 pub const QUANT_LEVELS: usize = 1 << 16;
 
-/// How preference scores are stored inside resident segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreCompression {
-    /// One `f64` per item (12 bytes/item with the `u32` id column) —
-    /// views borrow the stored scores directly.
-    #[default]
-    F64,
-    /// `u16` codes plus a per-list exact dictionary (6 bytes/item with
-    /// the id column, amortizing the dictionary). Views are served from
-    /// a cached dequantized buffer, bit-identical to
-    /// [`F64`](Self::F64). A list with more than [`QUANT_LEVELS`]
-    /// distinct values stays dense.
-    Quantized,
-}
-
-impl ScoreCompression {
-    /// Wire/JSON label (`stats` verb, bench artifacts).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScoreCompression::F64 => "f64",
-            ScoreCompression::Quantized => "quantized",
-        }
-    }
-}
-
 /// Construction options for [`Substrate::build_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuildOptions {
     /// Worker threads for eager segment construction; `0` means
     /// `std::thread::available_parallelism()`. The result is
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Resident score representation.
-    pub compression: ScoreCompression,
     /// Byte budget for the materialization cache (lazily built segments
     /// plus dequantized score buffers). `None` = unbounded.
     pub materialize_budget: Option<usize>,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            threads: 0,
-            compression: ScoreCompression::F64,
-            materialize_budget: None,
-        }
-    }
 }
 
 impl BuildOptions {
@@ -164,12 +129,10 @@ pub struct MemoryFootprint {
     /// The universe layout: user and item id maps (users, dense user
     /// positions, items, dense item positions).
     pub universe_bytes: usize,
-    /// Per-user **resident** preference segments. For
-    /// [`ScoreCompression::F64`] this is `ids (u32) + scores (f64)`;
-    /// for [`ScoreCompression::Quantized`] it is `ids (u32) + codes
-    /// (u16) + score dictionary` — the compact form, not the transient
-    /// dequantized buffers (those live in `lazy_bytes`). Lazy slots
-    /// contribute nothing here.
+    /// Per-user **resident** preference segments: `ids (u32)` plus
+    /// either `scores (f64)` or `codes (u16) + score dictionary` —
+    /// the stored form, not the transient dequantized buffers (those live
+    /// in `lazy_bytes`). Lazy slots contribute nothing here.
     pub pref_bytes: usize,
     /// The population affinity arrays: static + per-period sorted pair
     /// columns, rank inverses, and the population position map.
@@ -223,7 +186,7 @@ pub struct LazyStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemCoverage {
     /// The itemset is exactly the universe: preference views are
-    /// zero-copy slices of the shared buffers.
+    /// slices of the shared buffers.
     Full,
     /// A strict subset (mask indexed by the substrate's *dense* item
     /// position, not raw item id): preference lists are produced by one
@@ -244,14 +207,6 @@ enum ScoreStore {
 }
 
 impl ScoreStore {
-    /// Compress a score-descending column according to `compression`.
-    fn from_scores(scores: Vec<f64>, compression: ScoreCompression) -> Self {
-        match compression {
-            ScoreCompression::F64 => ScoreStore::Dense(scores),
-            ScoreCompression::Quantized => quantize(scores),
-        }
-    }
-
     fn data_bytes(&self) -> usize {
         match self {
             ScoreStore::Dense(s) => std::mem::size_of_val(s.as_slice()),
@@ -262,30 +217,33 @@ impl ScoreStore {
     }
 }
 
-/// Quantize a score-descending column into `u16` codes + an exact
-/// dictionary. Distinct values are runs of equal *bit patterns* (`±0.0`
-/// are distinct runs, so dequantization preserves the sign of zero). A
-/// column with more than [`QUANT_LEVELS`] distinct values has no exact
-/// `u16` coding and stays dense.
+/// Store a score-descending column in its smaller exact form: `u16`
+/// codes + a dictionary of distinct values, or the dense floats.
+/// Distinct values are runs of equal *bit patterns* (`±0.0` are distinct
+/// runs, so dequantization preserves the sign of zero). The coded form costs
+/// 2 B per entry + 8 B per distinct value against 8 B per entry, so a
+/// column is quantized iff it has at most [`QUANT_LEVELS`] distinct
+/// values and `4 · distinct < 3 · len`; otherwise it stays dense.
 fn quantize(scores: Vec<f64>) -> ScoreStore {
-    let mut dict: Vec<f64> = Vec::new();
-    for &s in &scores {
-        if dict.last().is_none_or(|l| l.to_bits() != s.to_bits()) {
-            if dict.len() == QUANT_LEVELS {
-                return ScoreStore::Dense(scores);
-            }
-            dict.push(s);
-        }
+    let changes = scores
+        .windows(2)
+        .filter(|w| w[0].to_bits() != w[1].to_bits())
+        .count();
+    let distinct = changes + usize::from(!scores.is_empty());
+    if distinct > QUANT_LEVELS || 4 * distinct >= 3 * scores.len() {
+        return ScoreStore::Dense(scores);
     }
+    // Branch-free coding (the column is non-empty here): the code
+    // advances at every bit change.
+    let mut dict = vec![0.0; distinct];
     let mut codes = Vec::with_capacity(scores.len());
-    let mut k = 0usize;
+    let (mut k, mut prev) = (0usize, scores[0].to_bits());
     for &s in &scores {
-        if dict[k].to_bits() != s.to_bits() {
-            k += 1;
-        }
+        k += usize::from(s.to_bits() != prev);
+        prev = s.to_bits();
+        dict[k] = s;
         codes.push(k as u16);
     }
-    dict.shrink_to_fit();
     ScoreStore::Quantized { codes, dict }
 }
 
@@ -305,6 +263,15 @@ struct PrefSegment {
 }
 
 impl PrefSegment {
+    /// A resident segment over sorted `(ids, scores)` columns, its
+    /// scores stored by [`quantize`].
+    fn resident((ids, scores): (Vec<u32>, Vec<f64>)) -> Arc<Self> {
+        Arc::new(PrefSegment {
+            ids,
+            store: quantize(scores),
+        })
+    }
+
     fn data_bytes(&self) -> usize {
         std::mem::size_of_val(self.ids.as_slice()) + self.store.data_bytes()
     }
@@ -511,11 +478,8 @@ pub struct Substrate {
     /// One slot per `layout.users` entry.
     segments: Vec<SegmentSlot>,
     affinity: Arc<AffinityArrays>,
-    /// Resident score representation ([`Substrate::rebuild_dirty`]
-    /// rebuilds dirty segments in the same representation).
-    compression: ScoreCompression,
-    /// The on-demand materialization cache (unbounded and unused when
-    /// every segment is resident and dense).
+    /// The on-demand materialization cache (unused when every segment
+    /// is resident and dense).
     lazy: Arc<LazyStore>,
     /// Whether any slot is [`SegmentSlot::Lazy`].
     has_lazy: bool,
@@ -625,7 +589,6 @@ impl Substrate {
             &items,
             &eager_list,
             opts.workers_for(eager_list.len()),
-            opts.compression,
         )?;
         let mut built = built.into_iter();
         let segments: Vec<SegmentSlot> = eager
@@ -651,7 +614,6 @@ impl Substrate {
             }),
             segments,
             affinity: Arc::new(affinity),
-            compression: opts.compression,
             lazy: Arc::new(LazyStore::new(
                 opts.materialize_budget.unwrap_or(usize::MAX),
             )),
@@ -692,13 +654,9 @@ impl Substrate {
         for &u in dirty_users {
             if let Some(idx) = self.user_index(u) {
                 if matches!(self.segments[idx], SegmentSlot::Resident(_)) {
-                    segments[idx] = SegmentSlot::Resident(build_one_segment(
-                        provider,
-                        u,
-                        &self.layout.items,
-                        self.compression,
-                        &mut scratch,
-                    )?);
+                    segments[idx] = SegmentSlot::Resident(PrefSegment::resident(
+                        build_one_segment(provider, u, &self.layout.items, &mut scratch)?,
+                    ));
                 }
             }
         }
@@ -706,7 +664,6 @@ impl Substrate {
             layout: Arc::clone(&self.layout),
             segments,
             affinity: Arc::clone(&self.affinity),
-            compression: self.compression,
             lazy: Arc::new(LazyStore::new(self.lazy.budget_bytes)),
             has_lazy: self.has_lazy,
         })
@@ -751,11 +708,6 @@ impl Substrate {
         self.affinity.period_pairs.len()
     }
 
-    /// The resident score representation.
-    pub fn compression(&self) -> ScoreCompression {
-        self.compression
-    }
-
     /// Whether any user's segment is materialized on demand.
     pub fn has_lazy_segments(&self) -> bool {
         self.has_lazy
@@ -792,11 +744,11 @@ impl Substrate {
     ///   list, user-position map, item list, dense item map). Fixed at
     ///   build time; shared across every epoch of a live engine.
     /// * `pref_bytes` — the **resident** preference segments in their
-    ///   stored representation: `u32` id + `f64` score columns for
-    ///   [`ScoreCompression::F64`] (12 B/item), `u32` id + `u16` code
-    ///   columns plus the per-list score dictionary for
-    ///   [`ScoreCompression::Quantized`] (6 B/item + table). Lazy slots
-    ///   contribute 0 until materialized.
+    ///   stored representation: `u32` id + `f64` score columns for a
+    ///   dense segment (12 B/item), `u32` id + `u16` code columns plus
+    ///   the per-list score dictionary for a quantized one (6 B/item +
+    ///   table, always less than 12 B/item). Lazy slots contribute 0
+    ///   until materialized.
     /// * `affinity_bytes` — the population pair arrays (static +
     ///   per-period sorted columns and rank inverses); quadratic in the
     ///   population cohort, shared wholesale across epochs.
@@ -954,43 +906,24 @@ impl Substrate {
                 if let Some(h) = self.lazy.get(user_idx) {
                     return Ok(h);
                 }
-                // Lazily derived columns are stored dense even in a
-                // quantized substrate: the cache would otherwise hold
-                // codes *and* the dequantized buffer, which costs more
-                // than the dense column alone.
+                // Lazily derived columns are stored dense: the cache
+                // would otherwise hold codes *and* the dequantized buffer,
+                // which costs more than the dense column alone.
                 let mut scratch = SegmentScratch::new(self.layout.m);
-                let seg = build_one_segment(
+                let (ids, scores) = build_one_segment(
                     provider,
                     self.layout.users[user_idx],
                     &self.layout.items,
-                    ScoreCompression::F64,
                     &mut scratch,
                 )?;
+                let seg = Arc::new(PrefSegment {
+                    ids,
+                    store: ScoreStore::Dense(scores),
+                });
                 let bytes = seg.data_bytes();
                 let handle = SegmentHandle { seg, dequant: None };
                 Ok(self.lazy.insert(user_idx, handle, bytes))
             }
-        }
-    }
-
-    /// The zero-copy preference view of the **resident, dense** segment
-    /// at `user_idx`, labeled as group member `member`.
-    ///
-    /// # Panics
-    ///
-    /// On quantized or lazy segments — those need an owning
-    /// [`SegmentHandle`]; use [`Substrate::segment_handle`].
-    pub fn pref_view(&self, user_idx: usize, member: u32) -> ListView<'_> {
-        match &self.segments[user_idx] {
-            SegmentSlot::Resident(seg) => match &seg.store {
-                ScoreStore::Dense(scores) => {
-                    ListView::new(ListKind::Preference { member }, &seg.ids, scores)
-                }
-                ScoreStore::Quantized { .. } => {
-                    panic!("pref_view on a quantized segment; use segment_handle")
-                }
-            },
-            SegmentSlot::Lazy => panic!("pref_view on a lazy segment; use segment_handle"),
         }
     }
 
@@ -1132,8 +1065,8 @@ impl SegmentScratch {
     }
 }
 
-/// Build one user's segment: fill scores from the provider, order
-/// entries by (score descending, item id ascending), compress.
+/// Build one user's sorted columns: fill scores from the provider,
+/// order entries by (score descending, item id ascending).
 ///
 /// Ordering is bit-identical to
 /// `provider.preference_list(u, items)?.into_sorted_columns()` — the
@@ -1147,9 +1080,8 @@ fn build_one_segment(
     provider: &(dyn PreferenceProvider + Sync + '_),
     u: UserId,
     items: &[ItemId],
-    compression: ScoreCompression,
     scratch: &mut SegmentScratch,
-) -> Result<Arc<PrefSegment>, QueryError> {
+) -> Result<(Vec<u32>, Vec<f64>), QueryError> {
     let m = items.len();
     debug_assert_eq!(scratch.scores.len(), m);
     // Sparse fast path: a provider that can enumerate its nonzero
@@ -1172,7 +1104,7 @@ fn build_one_segment(
             dense_fallback |= !(s > 0.0 || s.to_bits() == 0);
         }
         if !dense_fallback {
-            return Ok(build_from_sparse_head(items, scratch, compression));
+            return Ok(build_from_sparse_head(items, scratch));
         }
     }
     // One batched (virtual) provider call per user, then validate the
@@ -1217,10 +1149,7 @@ fn build_one_segment(
     }
     let ids: Vec<u32> = scratch.idx.iter().map(|&d| items[d as usize].0).collect();
     let ordered: Vec<f64> = scratch.idx.iter().map(|&d| scores[d as usize]).collect();
-    Ok(Arc::new(PrefSegment {
-        ids,
-        store: ScoreStore::from_scores(ordered, compression),
-    }))
+    Ok((ids, ordered))
 }
 
 /// Assemble a segment from a validated sparse head (`scratch.head`,
@@ -1231,11 +1160,7 @@ fn build_one_segment(
 /// bit-identical to the dense path over the equivalent column: the head
 /// uses the same comparator, and the tail positions are exactly those
 /// the dense path's `!(s > 0.0)` filter would keep, in the same order.
-fn build_from_sparse_head(
-    items: &[ItemId],
-    scratch: &mut SegmentScratch,
-    compression: ScoreCompression,
-) -> Arc<PrefSegment> {
+fn build_from_sparse_head(items: &[ItemId], scratch: &mut SegmentScratch) -> (Vec<u32>, Vec<f64>) {
     let m = items.len();
     scratch.head.retain(|&(_, s)| s > 0.0);
     // Ascending head indices double as the tail's skip list; save them
@@ -1260,10 +1185,7 @@ fn build_from_sparse_head(
     let mut ordered: Vec<f64> = Vec::with_capacity(m);
     ordered.extend(scratch.head.iter().map(|&(_, s)| s));
     ordered.resize(m, 0.0);
-    Arc::new(PrefSegment {
-        ids,
-        store: ScoreStore::from_scores(ordered, compression),
-    })
+    (ids, ordered)
 }
 
 /// Build resident segments for `users` over `threads` contiguous user
@@ -1274,14 +1196,15 @@ fn build_segments_sharded(
     items: &[ItemId],
     users: &[UserId],
     threads: usize,
-    compression: ScoreCompression,
 ) -> Result<Vec<Arc<PrefSegment>>, QueryError> {
     let threads = threads.max(1).min(users.len().max(1));
     if threads == 1 {
         let mut scratch = SegmentScratch::new(items.len());
         return users
             .iter()
-            .map(|&u| build_one_segment(provider, u, items, compression, &mut scratch))
+            .map(|&u| {
+                build_one_segment(provider, u, items, &mut scratch).map(PrefSegment::resident)
+            })
             .collect();
     }
     let chunk = users.len().div_ceil(threads);
@@ -1294,7 +1217,10 @@ fn build_segments_sharded(
                     let mut scratch = SegmentScratch::new(items.len());
                     shard
                         .iter()
-                        .map(|&u| build_one_segment(provider, u, items, compression, &mut scratch))
+                        .map(|&u| {
+                            build_one_segment(provider, u, items, &mut scratch)
+                                .map(PrefSegment::resident)
+                        })
                         .collect()
                 })
             })
@@ -1355,8 +1281,13 @@ mod tests {
         (matrix, pop, tl)
     }
 
+    /// Bit patterns of a score column.
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
     #[test]
-    fn segments_are_sorted_and_zero_copy() {
+    fn segments_are_sorted() {
         let (matrix, pop, _tl) = world();
         let raw = RawRatings(&matrix);
         let items: Vec<ItemId> = matrix.items().collect();
@@ -1364,7 +1295,8 @@ mod tests {
         assert_eq!(sub.users(), &[UserId(0), UserId(1), UserId(2)]);
         assert_eq!(sub.num_items(), 4);
         for u in 0..3 {
-            let v = sub.pref_view(u, u as u32);
+            let h = sub.segment_handle(&raw, u).unwrap();
+            let v = h.view(u as u32);
             assert_eq!(v.len(), 4);
             for w in v.scores.windows(2) {
                 assert!(w[0] >= w[1]);
@@ -1372,9 +1304,9 @@ mod tests {
         }
         // User 0: rated items 0 (5.0) and 2 (3.0); 1, 3 unrated → 0.0,
         // tie-broken by id.
-        let v0 = sub.pref_view(0, 0);
-        assert_eq!(v0.ids, &[0, 2, 1, 3]);
-        assert_eq!(v0.scores, &[5.0, 3.0, 0.0, 0.0]);
+        let h0 = sub.segment_handle(&raw, 0).unwrap();
+        assert_eq!(h0.ids(), &[0, 2, 1, 3]);
+        assert_eq!(h0.scores(), &[5.0, 3.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -1383,30 +1315,14 @@ mod tests {
         let raw = RawRatings(&matrix);
         let items: Vec<ItemId> = matrix.items().collect();
         let users: Vec<UserId> = pop.universe().to_vec();
-        let seq = Substrate::build_with(
-            &raw,
-            &pop,
-            &items,
-            &users,
-            &[],
-            BuildOptions {
-                threads: 1,
+        let build = |threads| {
+            let opts = BuildOptions {
+                threads,
                 ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        let par = Substrate::build_with(
-            &raw,
-            &pop,
-            &items,
-            &users,
-            &[],
-            BuildOptions {
-                threads: 3,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+            };
+            Substrate::build_with(&raw, &pop, &items, &users, &[], opts).unwrap()
+        };
+        let (seq, par) = (build(1), build(3));
         for u in 0..3 {
             // Bit-identical across thread counts and vs. the legacy
             // per-user preference_list path.
@@ -1414,57 +1330,86 @@ mod tests {
                 .preference_list(UserId(u as u32), &items)
                 .unwrap()
                 .into_sorted_columns();
-            assert_eq!(seq.pref_view(u, 0).ids, par.pref_view(u, 0).ids);
-            assert_eq!(seq.pref_view(u, 0).scores, par.pref_view(u, 0).scores);
-            assert_eq!(seq.pref_view(u, 0).ids, &legacy.0[..]);
-            assert_eq!(seq.pref_view(u, 0).scores, &legacy.1[..]);
+            let (hs, hp) = (
+                seq.segment_handle(&raw, u).unwrap(),
+                par.segment_handle(&raw, u).unwrap(),
+            );
+            assert_eq!(hs.ids(), hp.ids());
+            assert_eq!(bits(hs.scores()), bits(hp.scores()));
+            assert_eq!(hs.ids(), &legacy.0[..]);
+            assert_eq!(bits(hs.scores()), bits(&legacy.1));
         }
     }
 
-    #[test]
-    fn quantized_segments_are_bit_identical_and_smaller() {
-        let (matrix, pop, _tl) = world();
-        let raw = RawRatings(&matrix);
-        let items: Vec<ItemId> = matrix.items().collect();
-        let users: Vec<UserId> = pop.universe().to_vec();
-        let dense = Substrate::build(&raw, &pop, &items).unwrap();
-        let quant = Substrate::build_with(
-            &raw,
-            &pop,
-            &items,
-            &users,
-            &[],
-            BuildOptions {
-                compression: ScoreCompression::Quantized,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(quant.compression(), ScoreCompression::Quantized);
-        for u in 0..3 {
-            let d = dense.pref_view(u, 0);
-            let h = quant.segment_handle(&raw, u).unwrap();
-            let q = h.view(0);
-            assert_eq!(d.ids, q.ids);
-            // Bit identity, not just numeric equality.
-            let db: Vec<u64> = d.scores.iter().map(|s| s.to_bits()).collect();
-            let qb: Vec<u64> = q.scores.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(db, qb);
+    /// Scores `(i + 1) / 1000` for every user: one distinct value per
+    /// item, the worst case for a coded column.
+    struct DistinctScores;
+
+    impl PreferenceProvider for DistinctScores {
+        fn apref(&self, _: UserId, i: ItemId) -> f64 {
+            f64::from(i.0 + 1) * 0.001
         }
-        assert!(
-            quant.pref_bytes() < dense.pref_bytes(),
-            "codes beat floats: {} vs {}",
-            quant.pref_bytes(),
-            dense.pref_bytes()
-        );
+    }
+
+    /// Build eager segments for `users` over `items` and check every one
+    /// against `SortedList::new` over the provider's scores, bit for
+    /// bit; resident storage never exceeds the dense 12 B per entry.
+    fn assert_segments_match_sorted_lists(
+        provider: &(dyn PreferenceProvider + Sync),
+        items: &[ItemId],
+        users: &[UserId],
+    ) -> Substrate {
+        let (_, pop, _tl) = world();
+        let sub = Substrate::build_with(provider, &pop, items, users, &[], BuildOptions::default())
+            .unwrap();
+        for (idx, &u) in users.iter().enumerate() {
+            let entries = items.iter().map(|&i| (i.0, provider.apref(u, i))).collect();
+            let reference = SortedList::new(ListKind::Preference { member: 0 }, entries).unwrap();
+            let reference = reference.as_view();
+            let h = sub.segment_handle(provider, idx).unwrap();
+            assert_eq!(h.ids(), reference.ids, "user {u:?}");
+            assert_eq!(bits(h.scores()), bits(reference.scores), "user {u:?}");
+        }
+        assert!(sub.pref_bytes() <= 12 * users.len() * items.len());
+        sub
+    }
+
+    #[test]
+    fn every_segment_dequantizes_to_the_sorted_provider_list() {
+        // Raw stars: a handful of distinct values per 40-entry column,
+        // so every column is stored coded and smaller than dense.
+        let mut b = RatingMatrixBuilder::new(6, 40);
+        for u in 0..6u32 {
+            for i in (u % 3..40).step_by(3) {
+                b.rate(UserId(u), ItemId(i), (1 + (u + i) % 5) as f32, 0);
+            }
+        }
+        let stars = b.build();
+        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        let items: Vec<ItemId> = stars.items().collect();
+        let sub = assert_segments_match_sorted_lists(&RawRatings(&stars), &items, &users);
+        assert!(sub.pref_bytes() < 12 * users.len() * items.len());
         // Dequant buffers are cached, not rebuilt per access.
-        let before = quant.lazy_stats().materializations;
-        let _ = quant.segment_handle(&raw, 0).unwrap();
-        assert_eq!(quant.lazy_stats().materializations, before);
+        let before = sub.lazy_stats().materializations;
+        let _ = sub.segment_handle(&RawRatings(&stars), 0).unwrap();
+        assert_eq!(sub.lazy_stats().materializations, before);
+
+        // User-CF predictions over the same matrix.
+        let cf = greca_cf::UserCfModel::fit(&stars, greca_cf::CfConfig::default());
+        assert_segments_match_sorted_lists(&cf, &items, &users);
+
+        // More distinct values than `u16` codes, and four all-distinct
+        // entries whose dictionary would outweigh the codes: both stay
+        // dense, at exactly 12 B per entry.
+        for m in [QUANT_LEVELS as u32 + 10, 4] {
+            let items: Vec<ItemId> = (0..m).map(ItemId).collect();
+            let sub = assert_segments_match_sorted_lists(&DistinctScores, &items, &[UserId(0)]);
+            assert_eq!(sub.pref_bytes(), 12 * m as usize);
+        }
     }
 
     #[test]
-    fn columns_with_too_many_distinct_values_stay_dense() {
+    fn columns_quantize_only_when_the_codes_are_smaller() {
         // More distinct values than `u16` codes: no exact coding exists,
         // so the column is stored dense, bit for bit.
         let n = QUANT_LEVELS + 10;
@@ -1472,13 +1417,26 @@ mod tests {
         let ScoreStore::Dense(stored) = quantize(scores.clone()) else {
             panic!("expected a dense store");
         };
-        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&stored), bits(&scores));
-        // Exactly QUANT_LEVELS distinct values still quantize.
-        let at_cap: Vec<f64> = scores[..QUANT_LEVELS].to_vec();
+        // Exactly QUANT_LEVELS distinct values, each twice, still
+        // quantize.
+        let at_cap: Vec<f64> = scores[..QUANT_LEVELS]
+            .iter()
+            .flat_map(|&s| [s, s])
+            .collect();
         assert!(matches!(
             quantize(at_cap),
             ScoreStore::Quantized { ref dict, .. } if dict.len() == QUANT_LEVELS
+        ));
+        // 2 B/entry + 8 B/value must beat 8 B/entry: 3 values in 4
+        // entries tie (32 B) and stay dense, 2 values quantize.
+        assert!(matches!(
+            quantize(vec![3.0, 2.0, 1.0, 1.0]),
+            ScoreStore::Dense(_)
+        ));
+        assert!(matches!(
+            quantize(vec![2.0, 1.0, 1.0, 1.0]),
+            ScoreStore::Quantized { .. }
         ));
     }
 
@@ -1625,8 +1583,10 @@ mod tests {
         let sub = Substrate::build(&raw, &pop, &items).unwrap();
         let fp = sub.memory_footprint();
         assert_eq!(fp.pref_bytes, sub.pref_bytes());
-        // 3 users × 4 items × (u32 id + f64 score).
-        assert_eq!(fp.pref_bytes, 3 * 4 * 12);
+        // Users 0 and 2 hold three distinct scores in four entries, so
+        // they stay dense: 4 × (u32 id + f64 score) each. User 1 holds
+        // two and is coded: 4 ids + 4 `u16` codes + 2 `f64` values.
+        assert_eq!(fp.pref_bytes, 48 + (16 + 8 + 16) + 48);
         assert!(fp.universe_bytes > 0, "layout maps counted");
         assert!(fp.affinity_bytes > 0, "affinity arrays counted");
         assert_eq!(fp.lazy_bytes, 0, "no on-demand materializations yet");
@@ -1681,20 +1641,24 @@ mod tests {
 
         // Dirty user: fresh segment with the new ordering.
         assert!(!sub.shares_segment_with(&next, UserId(1)));
-        let v1 = next.pref_view(1, 1);
-        assert_eq!(v1.ids, &[3, 1, 0, 2]);
-        assert_eq!(v1.scores, &[5.0, 4.0, 0.0, 0.0]);
+        let h1 = next.segment_handle(&next_raw, 1).unwrap();
+        assert_eq!(h1.ids(), &[3, 1, 0, 2]);
+        assert_eq!(h1.scores(), &[5.0, 4.0, 0.0, 0.0]);
         // Clean users: the same allocations, not copies.
         assert!(sub.shares_segment_with(&next, UserId(0)));
         assert!(sub.shares_segment_with(&next, UserId(2)));
         assert!(sub.shares_affinity_with(&next));
         // The old epoch still serves its original view.
-        assert_eq!(sub.pref_view(1, 1).ids, &[1, 0, 2, 3]);
+        assert_eq!(sub.segment_handle(&raw, 1).unwrap().ids(), &[1, 0, 2, 3]);
         // The rebuilt substrate equals a cold build from the new matrix.
         let cold = Substrate::build(&next_raw, &pop, &items).unwrap();
         for u in 0..3 {
-            assert_eq!(next.pref_view(u, 0).ids, cold.pref_view(u, 0).ids);
-            assert_eq!(next.pref_view(u, 0).scores, cold.pref_view(u, 0).scores);
+            let (hn, hc) = (
+                next.segment_handle(&next_raw, u).unwrap(),
+                cold.segment_handle(&next_raw, u).unwrap(),
+            );
+            assert_eq!(hn.ids(), hc.ids());
+            assert_eq!(bits(hn.scores()), bits(hc.scores()));
         }
     }
 

@@ -4,16 +4,16 @@
 //! shared member-state arena, overlap-bucketed scheduling — must change
 //! *nothing* observable: a planned wave's per-query results (itemsets,
 //! `[LB, UB]` envelopes, access counts, sweeps, stop reasons) and its
-//! summed batch statistics must equal the independent path's exactly,
-//! on every storage path the planner can route through (cold, warm
-//! full-universe, warm subset-filtered, warm-with-cold-fallback) and
-//! for waves mixing engines. Identity is asserted with full
-//! `TopKResult` equality — the same oracle discipline as
-//! `kernel_identity.rs`.
+//! summed batch statistics must equal running each query alone with
+//! `GroupQuery::run`, exactly, on every storage path the planner can
+//! route through (cold, warm full-universe, warm subset-filtered,
+//! warm-with-cold-fallback) and for waves mixing engines. Identity is
+//! asserted with full `TopKResult` equality — the same oracle
+//! discipline as `kernel_identity.rs`.
 
 use greca_affinity::{PopulationAffinity, TableAffinitySource};
 use greca_cf::RawRatings;
-use greca_core::{run_batch_with, GrecaEngine, GroupQuery, PlanOptions, SharedMemberState};
+use greca_core::{run_batch, AccessStats, GrecaEngine, GroupQuery, SharedMemberState};
 use greca_dataset::{
     Granularity, Group, ItemId, RatingMatrix, RatingMatrixBuilder, Timeline, UserId,
 };
@@ -80,17 +80,20 @@ fn disjoint_groups() -> Vec<Group> {
         .collect()
 }
 
-/// Run `queries` planner-off and planner-on and assert full equality of
-/// per-query results and summed stats; returns the planner-on result.
+/// Run `queries` as one planned wave and assert full equality of
+/// per-query results with running each query alone, and of the summed
+/// stats with the solo runs' sum; returns the planned result.
 fn assert_wave_identical(queries: &[GroupQuery<'_>]) -> greca_core::BatchResult {
-    let off = run_batch_with(queries, &PlanOptions { enabled: false });
-    let on = run_batch_with(queries, &PlanOptions { enabled: true });
-    assert_eq!(
-        off.results, on.results,
-        "planned wave drifted from independent execution"
-    );
-    assert_eq!(off.stats, on.stats, "summed access stats must match");
-    assert!(off.plan.is_none(), "disabled planner must skip analysis");
+    let solo: Vec<_> = queries.iter().map(GroupQuery::run).collect();
+    let mut solo_stats = AccessStats::default();
+    for r in solo.iter().flatten() {
+        solo_stats.sa += r.stats.sa;
+        solo_stats.ra += r.stats.ra;
+        solo_stats.total_entries += r.stats.total_entries;
+    }
+    let on = run_batch(queries);
+    assert_eq!(solo, on.results, "planned wave drifted from solo runs");
+    assert_eq!(solo_stats, on.stats, "summed access stats must match");
     on
 }
 
@@ -105,8 +108,7 @@ fn cold_overlapping_wave_is_bit_identical() {
         .map(|g| engine.query(g).items(&items).top(5))
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analyzed wave reports stats");
-    assert!(plan.executed_shared, "overlap must route through the arena");
+    let plan = on.plan;
     assert_eq!(plan.wave, 8);
     assert_eq!(plan.unique_queries, 8);
     assert!(plan.shared_member_slots > 0);
@@ -131,9 +133,7 @@ fn warm_full_universe_wave_is_bit_identical() {
         .map(|g| engine.query(g).items(&items).top(5))
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analyzed wave reports stats");
-    assert!(plan.executed_shared);
-    assert!(plan.reused_members > 0, "segment handles are shared");
+    assert!(on.plan.reused_members > 0, "segment handles are shared");
 }
 
 #[test]
@@ -148,10 +148,8 @@ fn warm_subset_filtered_wave_is_bit_identical() {
         .map(|g| engine.query(g).items(subset).top(5))
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analyzed wave reports stats");
-    assert!(plan.executed_shared);
     assert!(
-        plan.reused_prefix_items > 0,
+        on.plan.reused_prefix_items > 0,
         "filter passes are shared per (member, itemset)"
     );
 }
@@ -171,7 +169,7 @@ fn warm_engine_cold_fallback_wave_is_bit_identical() {
         .map(|g| engine.query(g).items(foreign).top(3))
         .collect();
     let on = assert_wave_identical(&queries);
-    assert!(on.plan.expect("analyzed").executed_shared);
+    assert!(on.plan.reused_members > 0, "cold lists are shared");
 }
 
 #[test]
@@ -193,7 +191,7 @@ fn duplicate_queries_collapse_to_one_kernel_run() {
         })
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analyzed wave reports stats");
+    let plan = on.plan;
     assert_eq!(plan.unique_queries, 1);
     assert_eq!(plan.dedup_hits, 5);
     // All six slots carry the identical result.
@@ -219,15 +217,13 @@ fn mixed_engine_wave_partitions_and_stays_identical() {
         })
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analyzed wave reports stats");
-    assert!(plan.executed_shared);
     // Shared state never crosses engines, so the chain splits into one
     // component per engine at minimum.
-    assert!(plan.buckets >= 2);
+    assert!(on.plan.buckets >= 2);
 }
 
 #[test]
-fn zero_overlap_wave_falls_back_to_the_independent_path() {
+fn zero_overlap_wave_shares_nothing() {
     let (matrix, pop, items) = world();
     let raw = RawRatings(&matrix);
     let engine = GrecaEngine::warm(&raw, &pop, &items).unwrap();
@@ -237,11 +233,33 @@ fn zero_overlap_wave_falls_back_to_the_independent_path() {
         .map(|g| engine.query(g).items(&items).top(5))
         .collect();
     let on = assert_wave_identical(&queries);
-    let plan = on.plan.expect("analysis still reported");
-    assert!(!plan.executed_shared, "nothing to share → independent path");
+    let plan = on.plan;
     assert_eq!(plan.dedup_hits, 0);
     assert_eq!(plan.shared_member_slots, 0);
-    assert_eq!(plan.resolved_members, 0, "no arena was built");
+    assert_eq!(plan.reused_members, 0, "no member list is reused");
+    assert_eq!(plan.resolved_members, plan.member_slots as u64);
+}
+
+#[test]
+fn engine_clones_run_planner_off() {
+    // One clone per query: the planner partitions by engine identity, so
+    // every query gets its own arena and no dedup — planner-off on the
+    // same executor — and the wave still matches solo runs.
+    let (matrix, pop, items) = world();
+    let raw = RawRatings(&matrix);
+    let engine = GrecaEngine::warm(&raw, &pop, &items).unwrap();
+    let groups = overlapping_groups(4);
+    let clones: Vec<GrecaEngine<'_>> = (0..2 * groups.len()).map(|_| engine.clone()).collect();
+    let queries: Vec<GroupQuery<'_>> = clones
+        .iter()
+        .zip(groups.iter().cycle())
+        .map(|(e, g)| e.query(g).items(&items[..ITEMS / 2]).top(5))
+        .collect();
+    let plan = assert_wave_identical(&queries).plan;
+    assert_eq!(plan.unique_queries, queries.len(), "no dedup across clones");
+    assert_eq!(plan.shared_member_slots, 0);
+    assert_eq!(plan.reused_members, 0);
+    assert_eq!(plan.buckets, queries.len());
 }
 
 #[test]

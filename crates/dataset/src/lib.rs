@@ -10,9 +10,10 @@
 //! 2. a **Facebook crawl** of 72 users (13 seeds plus their friends) with
 //!    friendship edges and timestamped page-likes over 197 categories.
 //!
-//! This crate provides faithful *synthetic* substitutes for both (see
-//! `DESIGN.md` §3 for the substitution argument), plus the shared data
-//! model: user/item identifiers, rating matrices, timestamps, time-period
+//! This crate provides *synthetic* substitutes for both, generated to
+//! reproduce the statistics the paper's algorithms and protocols depend
+//! on (the [`movielens`] and [`social`] module docs list them), plus the
+//! shared data model: user/item identifiers, rating matrices, timestamps, time-period
 //! discretization (paper §2) and the group-formation procedures of §4.1.3.
 //!
 //! ```

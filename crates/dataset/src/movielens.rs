@@ -3,7 +3,8 @@
 //! The paper evaluates on MovieLens 1M (Table 5: 6,040 users, 3,952
 //! movies, 1,000,209 ratings, 1–5 stars). The raw file is not
 //! redistributable, so this module generates a dataset with the same
-//! statistical fingerprint (see `DESIGN.md` §3):
+//! statistical fingerprint — the properties GRECA's early termination
+//! and the §4.1.3 group formation depend on:
 //!
 //! * **item popularity** follows a Zipf-like law (a few blockbusters, a
 //!   long tail), which drives the skew of preference-list scores that the

@@ -1326,7 +1326,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             (
                 "substrate",
                 Json::obj(vec![
-                    ("compression", Json::str(substrate.compression().label())),
                     (
                         "has_lazy_segments",
                         Json::Bool(substrate.has_lazy_segments()),

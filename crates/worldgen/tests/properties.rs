@@ -5,7 +5,8 @@
 //! same catalog shape ratios) so the whole suite stays test-sized; the
 //! full populations are exercised by the `world_scale` bench.
 
-use greca_core::{BuildOptions, ScoreCompression, Substrate};
+use greca_cf::PreferenceProvider;
+use greca_core::{BuildOptions, Substrate};
 use greca_dataset::UserId;
 use greca_worldgen::{GenWorld, Tier, WorldSpec, ALL_TIERS};
 
@@ -69,23 +70,18 @@ fn every_tier_yields_valid_substrates() {
             let (e, l) = world.substrate_users();
             (e, l)
         };
-        for compression in [ScoreCompression::F64, ScoreCompression::Quantized] {
-            let substrate = Substrate::build_with(
-                &world.provider(),
-                &world.population,
-                &items,
-                &eager,
-                &lazy,
-                BuildOptions {
-                    compression,
-                    ..BuildOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("tier {tier}: {e:?}"));
-            assert_eq!(substrate.users().len(), world.spec.num_users);
-            assert!(substrate.is_compatible_with(&world.population));
-            assert_valid_substrate(&world, &substrate);
-        }
+        let substrate = Substrate::build_with(
+            &world.provider(),
+            &world.population,
+            &items,
+            &eager,
+            &lazy,
+            BuildOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("tier {tier}: {e:?}"));
+        assert_eq!(substrate.users().len(), world.spec.num_users);
+        assert!(substrate.is_compatible_with(&world.population));
+        assert_valid_substrate(&world, &substrate);
     }
 }
 
@@ -166,13 +162,14 @@ fn identical_seeds_are_byte_reproducible_per_tier() {
 
 #[test]
 fn quantized_substrate_is_bit_identical_at_study_shape() {
-    // The serving lists' score sets are tiny (star ratings), so dict
-    // quantization must reproduce the dense path bit for bit.
+    // The serving lists' score sets are tiny (star ratings), so every
+    // column is stored as dictionary codes, and dequantization must reproduce
+    // the provider's sorted list bit for bit.
     let world = GenWorld::build(scaled(Tier::Study));
     let items = world.serving_items();
     let provider = world.provider();
     let all: Vec<UserId> = (0..world.spec.num_users as u32).map(UserId).collect();
-    let dense = Substrate::build_with(
+    let quant = Substrate::build_with(
         &provider,
         &world.population,
         &items,
@@ -181,33 +178,26 @@ fn quantized_substrate_is_bit_identical_at_study_shape() {
         BuildOptions::default(),
     )
     .unwrap();
-    let quant = Substrate::build_with(
-        &provider,
-        &world.population,
-        &items,
-        &all,
-        &[],
-        BuildOptions {
-            compression: ScoreCompression::Quantized,
-            ..BuildOptions::default()
-        },
-    )
-    .unwrap();
-    for idx in 0..dense.users().len() {
-        let hd = dense.segment_handle(&provider, idx).unwrap();
+    for (idx, &u) in all.iter().enumerate() {
+        let (ids, scores) = provider
+            .preference_list(u, &items)
+            .unwrap()
+            .into_sorted_columns();
         let hq = quant.segment_handle(&provider, idx).unwrap();
-        assert_eq!(hd.ids(), hq.ids());
+        assert_eq!(hq.ids(), &ids[..]);
         let (db, qb): (Vec<u64>, Vec<u64>) = (
-            hd.scores().iter().map(|s| s.to_bits()).collect(),
+            scores.iter().map(|s| s.to_bits()).collect(),
             hq.scores().iter().map(|s| s.to_bits()).collect(),
         );
         assert_eq!(db, qb);
     }
+    // Dense storage is a `u32` id plus an `f64` score per entry.
+    let dense_bytes = all.len() * items.len() * 12;
     assert!(
-        (quant.pref_bytes() as f64) < 0.6 * dense.pref_bytes() as f64,
+        (quant.pref_bytes() as f64) < 0.6 * dense_bytes as f64,
         "quantized storage at least 40% smaller: {} vs {}",
         quant.pref_bytes(),
-        dense.pref_bytes()
+        dense_bytes
     );
 }
 

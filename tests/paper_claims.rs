@@ -1,8 +1,8 @@
 //! Directional paper claims, asserted end-to-end on small worlds.
 //!
 //! These pin the *shape* of the reproduction: who wins, roughly by what
-//! factor, and where the qualitative crossovers fall — the contract
-//! EXPERIMENTS.md documents.
+//! factor, and where the qualitative crossovers fall — the contract the
+//! `greca-bench` figure binaries regenerate at full scale.
 
 use greca::prelude::*;
 
@@ -10,8 +10,10 @@ use greca::prelude::*;
 fn greca_saves_accesses_on_a_quality_dominated_world() {
     // §4.2's headline, scaled down. Early termination depends on
     // preference lists sharing their heads, which MovieLens-like
-    // (quality-dominated) ratings produce — see DESIGN.md §3. We build a
-    // mid-size world with the perf calibration and require a real saveup.
+    // (quality-dominated) ratings produce: every rating carries the
+    // item's quality term, so the same items lead every member's list.
+    // We build a mid-size world with the perf calibration and require a
+    // real saveup.
     let mut config = WorldConfig::scalability_scale();
     config.movielens.num_users = 2_000;
     config.movielens.num_items = 1_200;
