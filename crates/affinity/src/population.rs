@@ -199,19 +199,16 @@ impl PopulationAffinity {
 
     /// Every pair index ordered by **globally normalized static
     /// affinity descending** (ties by pair index), paired with the
-    /// values in that order — the population-level inverted list a
-    /// serving substrate snapshots once and shares across queries.
+    /// values in that order — the population-level inverted list, for
+    /// inspection (the `affinity_explorer` example). Query preparation
+    /// never builds it: per-group lists are sorted from the group view.
     pub fn static_sorted_desc(&self) -> (Vec<u32>, Vec<f64>) {
         sorted_desc(self.num_pairs(), |pair| self.static_norm(pair))
     }
 
     /// Every pair index ordered by **normalized periodic affinity of
-    /// period `p_idx` descending** (ties by pair index), with the values.
-    ///
-    /// Restricting this order to any subset of pairs reproduces exactly
-    /// what sorting that subset's values would give (normalization is a
-    /// shared positive scale), which is what lets per-group periodic
-    /// lists be assembled without a float sort.
+    /// period `p_idx` descending** (ties by pair index), with the values
+    /// — for inspection, like [`PopulationAffinity::static_sorted_desc`].
     pub fn period_sorted_desc(&self, p_idx: usize) -> (Vec<u32>, Vec<f64>) {
         let pd = &self.periods[p_idx];
         sorted_desc(self.num_pairs(), |pair| pd.normalized(pair))

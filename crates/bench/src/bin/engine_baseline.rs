@@ -62,11 +62,10 @@ fn main() {
     print_row(
         "substrate memory",
         format!(
-            "{:8.2} MiB  (universe {:.2} + prefs {:.2} + affinity {:.2})",
+            "{:8.2} MiB  (universe {:.2} + prefs {:.2})",
             footprint.total() as f64 / MIB,
             footprint.universe_bytes as f64 / MIB,
             footprint.pref_bytes as f64 / MIB,
-            footprint.affinity_bytes as f64 / MIB,
         ),
     );
 

@@ -47,8 +47,6 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Materialization-cache budget (bytes) — matches `world_scale`.
-const MATERIALIZE_BUDGET: usize = 256 << 20;
 /// Distinct groups per wave.
 const WAVE_GROUPS: usize = 12;
 /// Members per group.
@@ -76,6 +74,9 @@ struct Row {
     on_zero_ms: f64,
     ratio_zero: f64,
     identical: bool,
+    /// Workers the tier's substrate build ran with (stamped in the
+    /// header, not the row).
+    build_workers: usize,
 }
 
 impl Row {
@@ -163,10 +164,7 @@ fn measure(tier: Tier) -> Row {
             &items,
             &eager,
             &lazy,
-            BuildOptions {
-                materialize_budget: Some(MATERIALIZE_BUDGET),
-                ..BuildOptions::default()
-            },
+            BuildOptions::default(),
         )
         .expect("generated scores are finite"),
     );
@@ -258,6 +256,7 @@ fn measure(tier: Tier) -> Row {
         on_zero_ms,
         ratio_zero,
         identical,
+        build_workers: BuildOptions::default().workers_for(eager.len()),
     }
 }
 
@@ -313,10 +312,15 @@ fn main() {
         );
     }
 
+    // Every tier builds with `workers_for(eager users)`; the smallest
+    // count is the one all tiers share once each has at least as many
+    // users as threads.
     let json = format!(
-        "{{\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"wave_groups\": {},\n  \"repeats\": {},\n  \"overlap\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"wave_groups\": {},\n  \"repeats\": {},\n  \"overlap\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         DEFAULT_SEED,
         mode,
+        BuildOptions::default().resolved_threads(),
+        rows.iter().map(|r| r.build_workers).min().unwrap_or(0),
         WAVE_GROUPS,
         REPEATS,
         OVERLAP,

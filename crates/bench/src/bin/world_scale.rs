@@ -17,12 +17,13 @@
 //!   group workload against the substrate;
 //! * **ingest-to-visibility** — wall time for a post-horizon rating
 //!   stream to be ingested *and published* by a [`LiveEngine`] (the
-//!   epoch-swap pipeline end to end);
-//! * **lazy residency** — materializations/evictions under the
-//!   `materialize_budget` for tiers that leave non-cohort users lazy.
+//!   epoch-swap pipeline end to end;
+//! * **footprint** — the substrate's [`Substrate::memory_footprint`]
+//!   total after the identity sweep and the warm queries have read it.
 //!
 //! Modes: `--quick` runs study + 10k (the CI smoke; < 60 s), the
-//! default adds 100k, `--full` adds the 1M tier (lazy residency).
+//! default adds 100k, `--full` adds the 1M tier (whose non-cohort users
+//! get lazy slots).
 //!
 //! Gates asserted by the binary:
 //!
@@ -44,8 +45,6 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Materialization-cache budget for lazy tiers (bytes).
-const MATERIALIZE_BUDGET: usize = 256 << 20;
 /// Ratings per ingest-to-visibility batch.
 const INGEST_BATCH: usize = 200;
 /// Groups in the warm-query workload (2 passes are timed).
@@ -75,9 +74,6 @@ struct Row {
     warm_p50_us: f64,
     warm_queries: usize,
     ingest_to_visible_ms: f64,
-    lazy_materializations: u64,
-    lazy_evictions: u64,
-    lazy_resident_bytes: usize,
     footprint_total_bytes: usize,
 }
 
@@ -95,9 +91,7 @@ impl Row {
                 "\"bytes_per_user_f64\":{:.1},\"bytes_per_user_quant\":{:.1},",
                 "\"quant_saving_pct\":{:.1},\"quant_identical\":{},",
                 "\"warm_p50_us\":{:.1},\"warm_queries\":{},",
-                "\"ingest_to_visible_ms\":{:.2},",
-                "\"lazy_materializations\":{},\"lazy_evictions\":{},",
-                "\"lazy_resident_bytes\":{},\"footprint_total_bytes\":{}}}",
+                "\"ingest_to_visible_ms\":{:.2},\"footprint_total_bytes\":{}}}",
             ),
             self.tier.name(),
             self.users,
@@ -117,9 +111,6 @@ impl Row {
             self.warm_p50_us,
             self.warm_queries,
             self.ingest_to_visible_ms,
-            self.lazy_materializations,
-            self.lazy_evictions,
-            self.lazy_resident_bytes,
             self.footprint_total_bytes,
         )
     }
@@ -169,10 +160,7 @@ fn measure(tier: Tier) -> Row {
     baseline.truncate(sweep);
     baseline.shrink_to_fit();
 
-    let opts = BuildOptions {
-        materialize_budget: Some(MATERIALIZE_BUDGET),
-        ..BuildOptions::default()
-    };
+    let opts = BuildOptions::default();
     let t = Instant::now();
     let quant = Substrate::build_with(&provider, &world.population, &items, &eager, &lazy, opts)
         .expect("generated scores are finite");
@@ -244,25 +232,6 @@ fn measure(tier: Tier) -> Row {
         ),
     );
 
-    // ── Lazy residency: touch a slice of lazy users under budget ─────
-    for &u in lazy.iter().take(200) {
-        let idx = quant.user_index(u).expect("lazy users are in the universe");
-        std::hint::black_box(quant.segment_handle(&provider, idx).expect("materializes"));
-    }
-    let lazy_stats = quant.lazy_stats();
-    if !lazy.is_empty() {
-        print_row(
-            "lazy cache",
-            format!(
-                "{} materialized, {} evicted, {:.1} MiB resident (budget {} MiB)",
-                lazy_stats.materializations,
-                lazy_stats.evictions,
-                lazy_stats.resident_bytes as f64 / (1 << 20) as f64,
-                MATERIALIZE_BUDGET >> 20,
-            ),
-        );
-    }
-
     // ── Ingest-to-visibility through the epoch-swap pipeline ────────
     let live = LiveEngine::new_with_options(
         &world.population,
@@ -302,9 +271,6 @@ fn measure(tier: Tier) -> Row {
         warm_p50_us,
         warm_queries: lat_us.len(),
         ingest_to_visible_ms,
-        lazy_materializations: lazy_stats.materializations,
-        lazy_evictions: lazy_stats.evictions,
-        lazy_resident_bytes: lazy_stats.resident_bytes,
         footprint_total_bytes: quant.memory_footprint().total(),
     }
 }

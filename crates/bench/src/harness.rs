@@ -341,7 +341,6 @@ impl PerfWorld {
         // `build_ms_parallel` figure.
         let opts = BuildOptions {
             threads: BuildOptions::default().resolved_threads(),
-            ..BuildOptions::default()
         };
         let build_threads = opts.workers_for(study.len());
         let parallel_start = Instant::now();

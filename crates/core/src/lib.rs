@@ -45,10 +45,10 @@
 //! let pop = PopulationAffinity::build(&SocialAffinitySource::new(&net), &universe, &tl);
 //!
 //! // A warm engine precomputes the shared Substrate once (per-user
-//! // sorted preference columns + per-period sorted affinity arrays);
-//! // queries serve views of those columns with the paper's defaults
-//! // (k = 10, AP consensus, discrete affinity, decomposed lists) and
-//! // the itemset defaulting to the group's candidate items.
+//! // sorted preference columns); queries serve views of those columns
+//! // with the paper's defaults (k = 10, AP consensus, discrete
+//! // affinity, decomposed lists) and the itemset defaulting to the
+//! // group's candidate items.
 //! let catalog: Vec<ItemId> = ml.matrix.items().collect();
 //! let engine = GrecaEngine::warm(&cf, &pop, &catalog).unwrap();
 //! let group = Group::new(vec![UserId(0), UserId(1), UserId(2)]).unwrap();
@@ -100,7 +100,7 @@ pub use query::{
 };
 pub use score::BoundScorer;
 pub use substrate::{
-    BuildOptions, ItemCoverage, LazyStats, MemoryFootprint, SegmentHandle, Substrate, QUANT_LEVELS,
+    BuildOptions, ItemCoverage, MemoryFootprint, SegmentHandle, Substrate, QUANT_LEVELS,
 };
 pub use ta::{ta_topk, TaConfig};
 pub use wal::{FsyncPolicy, RecoverySummary, Wal, WalOptions, WalRecord};

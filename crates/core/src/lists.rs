@@ -469,7 +469,7 @@ impl MaterializedInputs {
 
 /// Both affinity list sets (static + per-period) for one group view —
 /// the mode-gated assembly shared by [`MaterializedInputs::build`] and
-/// the cold preparation path in `crate::query`.
+/// every preparation in `crate::query`, warm or cold.
 pub(crate) fn group_affinity_list_sets(
     affinity: &GroupAffinity,
     layout: ListLayout,
@@ -501,7 +501,7 @@ pub(crate) fn group_affinity_list_sets(
 
 /// Build one affinity kind's lists from a group view's components,
 /// sorting each list (tiny: ≤ n−1 entries each).
-pub(crate) fn build_affinity_lists(
+fn build_affinity_lists(
     affinity: &GroupAffinity,
     layout: ListLayout,
     kind: ListKind,

@@ -12,7 +12,7 @@
 //! * publishing a batch computes its *dirty set* (`greca-cf`'s
 //!   `DeltaBatch::dirty_set`), rebuilds only the invalidated preference
 //!   segments via [`Substrate::rebuild_dirty`] — structurally sharing
-//!   every clean segment and the affinity arrays — and swaps the result
+//!   every clean segment and the universe layout — and swaps the result
 //!   in as a new **epoch** behind a mutex-guarded `Arc` handoff;
 //! * readers [`pin`](LiveEngine::pin) an epoch: a [`PinnedEpoch`] holds
 //!   `Arc`s to that epoch's matrix and substrate for as long as the
@@ -511,11 +511,10 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Like [`LiveEngine::new`], but with explicit substrate
-    /// construction options — sharded build threads and the
-    /// materialization budget (see [`BuildOptions`]). The options
-    /// persist: every wholesale rebuild this engine performs (epoch 0,
-    /// and any publish past the full-rebuild threshold) uses them, and
-    /// incremental rebuilds keep the substrate's cache budget.
+    /// construction options — the sharded build's thread count (see
+    /// [`BuildOptions`]). The options persist: every wholesale rebuild
+    /// this engine performs (epoch 0, and any publish past the
+    /// full-rebuild threshold) uses them.
     pub fn new_with_options(
         population: &'a PopulationAffinity,
         model: LiveModel,
@@ -1343,7 +1342,6 @@ mod tests {
         assert!(!pin0
             .substrate()
             .shares_segment_with(pin1.substrate(), UserId(1)));
-        assert!(pin0.substrate().shares_affinity_with(pin1.substrate()));
     }
 
     #[test]

@@ -247,15 +247,16 @@ impl SharedMemberState {
         lock_unpoisoned(&self.entries).len()
     }
 
-    /// Approximate bytes retained by owned shared lists (handles are
-    /// substrate-owned and not counted).
+    /// Approximate bytes retained by the arena: owned shared lists, and
+    /// the columns handles dequantized or derived (a handle's aliased
+    /// substrate segment is not counted).
     pub fn memory_bytes(&self) -> usize {
         lock_unpoisoned(&self.entries)
             .values()
             .filter_map(|cell| cell.get())
             .filter_map(|entry| entry.as_ref().ok())
             .map(|list| match list {
-                SharedList::Handle(_) => 0,
+                SharedList::Handle(h) => h.owned_bytes(),
                 // One u32 id + one f64 score per entry.
                 SharedList::List(l) => l.len() * 12,
             })

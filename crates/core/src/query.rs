@@ -16,15 +16,17 @@
 //! ## Cold vs. warm preparation
 //!
 //! A *cold* engine ([`GrecaEngine::new`]) materializes every query's
-//! sorted lists from scratch — `O(n·m log m)` provider calls and sorts
-//! per query. A *warm* engine ([`GrecaEngine::warm`]) owns an
-//! `Arc<`[`Substrate`]`>` of precomputed sorted storage; its `prepare()`
-//! selects [`ListView`](crate::lists::ListView)s of the shared columns
-//! (or one order-preserving filter pass for subset itemsets) — no
-//! per-user sort, no preference-entry clone, no provider calls. Both
-//! paths produce bit-identical results; the engine also keeps a small
-//! keyed cache of [`GroupAffinity`] views so repeat groups skip the
-//! view computation.
+//! sorted preference lists from scratch — `O(n·m log m)` provider calls
+//! and sorts per query. A *warm* engine ([`GrecaEngine::warm`]) owns an
+//! `Arc<`[`Substrate`]`>` of precomputed sorted segments; its
+//! `prepare()` selects [`ListView`](crate::lists::ListView)s of the
+//! shared columns (or one order-preserving filter pass for subset
+//! itemsets) — no per-user sort, no provider calls. The two differ only
+//! in where the preference columns come from: both sort the group's
+//! affinity lists (≤ n−1 entries each, §4.1.2) from its
+//! [`GroupAffinity`] view, and both produce bit-identical results. The
+//! engine also keeps a small keyed cache of [`GroupAffinity`] views so
+//! repeat groups skip the view computation.
 //!
 //! [`Algorithm`] unifies GRECA with its §3.1/§4.2 comparison set (TA and
 //! the naive scan): the same prepared query runs through any of the
@@ -36,8 +38,7 @@
 
 use crate::greca::{greca_topk_with, GrecaConfig, GrecaScratch, StoppingRule, TopKResult};
 use crate::lists::{
-    build_affinity_lists, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout,
-    NonFiniteEntry, SortedList,
+    group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
 };
 use crate::naive::{naive_scores, naive_topk};
 use crate::plan::{run_batch, BatchResult, SharedMemberState};
@@ -517,9 +518,9 @@ impl<'a> GrecaEngine<'a> {
     }
 
     /// Wrap the substrates *warm*: precompute every universe user's
-    /// sorted preference list over `items` and the per-period sorted
-    /// affinity arrays, once, into shared storage. Queries then prepare
-    /// by slicing views instead of sorting (see the module docs).
+    /// sorted preference list over `items`, once, into shared storage.
+    /// Queries then prepare by slicing views instead of sorting
+    /// preference lists (see the module docs).
     pub fn warm(
         provider: &'a (dyn PreferenceProvider + Sync + 'a),
         population: &'a PopulationAffinity,
@@ -552,23 +553,15 @@ impl<'a> GrecaEngine<'a> {
     }
 
     /// Wrap the substrates around an existing shared [`Substrate`]
-    /// (e.g. one built once and shared across engines or shards).
-    ///
-    /// # Panics
-    ///
-    /// If the substrate was not built from this population index (same
-    /// universe, pair space and period count) — a mismatched pairing
-    /// would silently rank by the wrong affinity arrays, so it is a
-    /// programming error, not a query error.
+    /// (e.g. one built once and shared across engines or shards). The
+    /// substrate holds preference segments only, so any population
+    /// index pairs with it; `provider` must be the one its resident
+    /// segments were built from.
     pub fn with_substrate(
         provider: &'a (dyn PreferenceProvider + Sync + 'a),
         population: &'a PopulationAffinity,
         substrate: Arc<Substrate>,
     ) -> Self {
-        assert!(
-            substrate.is_compatible_with(population),
-            "substrate was built from a different population index"
-        );
         GrecaEngine {
             provider,
             population,
@@ -587,10 +580,6 @@ impl<'a> GrecaEngine<'a> {
         substrate: Arc<Substrate>,
         affinity_cache: AffinityCache,
     ) -> Self {
-        assert!(
-            substrate.is_compatible_with(population),
-            "substrate was built from a different population index"
-        );
         GrecaEngine {
             provider,
             population,
@@ -911,33 +900,20 @@ impl<'q> GroupQuery<'q> {
         let period = self.effective_period();
         let affinity = self.engine.cached_affinity(self.group, period, self.mode);
 
-        let warm = match self.engine.substrate {
-            Some(ref substrate) => build_warm(
-                self.engine.provider,
-                substrate,
-                &affinity,
-                self.group,
-                items,
-                self.layout,
-                (shared, items_fp),
-            )?,
+        let provider = self.engine.provider;
+        let warm = match &self.engine.substrate {
+            Some(substrate) => {
+                warm_columns(provider, substrate, self.group, items, (shared, items_fp))?
+            }
             None => None,
         };
-        let storage = match warm {
-            Some(warm) => PreparedStorage::Warm(warm),
-            None => PreparedStorage::SharedCold(shared_cold_inputs(
-                self.engine.provider,
-                &affinity,
-                self.group,
-                items,
-                items_fp,
-                self.layout,
-                shared,
-            )?),
+        let prefs = match warm {
+            Some(prefs) => prefs,
+            None => cold_columns(provider, self.group, items, (shared, items_fp))?,
         };
         Ok(PreparedQuery {
+            inputs: PreparedInputs::new(prefs, &affinity, self.layout)?,
             affinity,
-            storage,
             normalize_rpref: self.normalize_rpref,
             consensus: self.consensus,
             k: self.k,
@@ -981,95 +957,38 @@ impl<'q> GroupQuery<'q> {
     }
 }
 
-/// Cold-path list materialization: every per-member preference list is
-/// resolved through the shared arena — one provider scan + sort per
-/// `(member, itemset)` key per arena, no matter how many groups the
-/// member appears in. Lists are stored member-agnostic (kind
-/// `member: 0`) — sorting is deterministic (descending, ties by id), so
-/// the columns are identical for every group — and re-kinded to the
-/// group-local member index at view assembly. The per-group affinity
-/// lists are tiny (≤ n−1 entries each) and stay per-query.
-fn shared_cold_inputs(
+/// Warm selection of the members' preference columns from the
+/// substrate: segment handles for a full-universe itemset, filtered
+/// lists for a strict subset. Returns `Ok(None)` when the substrate
+/// cannot serve this query (an uncovered user, a foreign or duplicated
+/// item) and the caller should fall back to [`cold_columns`].
+///
+/// Handles and filtered lists resolve through the shared arena, so a
+/// member's segment is dequantized (or its lazy column derived) and
+/// filtered once per arena, however many groups it appears in. Filtered
+/// lists are stored member-agnostic and re-kinded to the group-local
+/// member index at view assembly.
+fn warm_columns(
     provider: &(dyn PreferenceProvider + Sync + '_),
-    affinity: &GroupAffinity,
+    substrate: &Substrate,
     group: &Group,
     items: &[ItemId],
-    items_fp: u128,
-    layout: ListLayout,
-    shared: &SharedMemberState,
-) -> Result<SharedColdInputs, QueryError> {
-    let pref_lists: Vec<Arc<SortedList>> = group
-        .members()
-        .iter()
-        .map(|&u| {
-            shared.resolve_list(u, items.len(), items_fp, || {
-                Ok(Arc::new(member_list(&provider.preference_list(u, items)?)?))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    SharedColdInputs::build(pref_lists, affinity, layout)
-}
-
-/// One member's preference list, sorted and stored member-agnostic.
-fn member_list(list: &PreferenceList) -> Result<SortedList, NonFiniteEntry> {
-    let entries = list.entries.iter().map(|&(i, s)| (i.0, s)).collect();
-    SortedList::new(ListKind::Preference { member: 0 }, entries)
-}
-
-/// Warm-path selection from the substrate. Returns `Ok(None)` when the
-/// substrate cannot serve this query (an uncovered user, a foreign or
-/// duplicated item) and the caller should fall back to the cold path.
-fn build_warm(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    substrate: &Arc<Substrate>,
-    affinity: &GroupAffinity,
-    group: &Group,
-    items: &[ItemId],
-    layout: ListLayout,
     (shared, items_fp): (&SharedMemberState, u128),
-) -> Result<Option<WarmInputs>, QueryError> {
+) -> Result<Option<PrefColumns>, QueryError> {
     let Some(coverage) = substrate.item_coverage(items) else {
         return Ok(None);
     };
-    // One owned handle per member: resident dense segments cost an `Arc`
-    // clone; quantized or lazy segments may materialize (and cache)
-    // their dense columns here, so the views below stay borrowable.
-    // Through the shared arena, that (potentially expensive) handle
-    // resolution happens once per member per arena.
     let mut handles: Vec<SegmentHandle> = Vec::with_capacity(group.members().len());
     for &u in group.members() {
-        match substrate.user_index(u) {
-            Some(i) => {
-                handles.push(shared.resolve_handle(u, || substrate.segment_handle(provider, i))?)
-            }
-            None => return Ok(None),
-        }
+        let Some(i) = substrate.user_index(u) else {
+            return Ok(None);
+        };
+        handles.push(shared.resolve_handle(u, || substrate.segment_handle(provider, i))?);
     }
-    // (group pair id, population pair id), in group triangular order, so
-    // a member's pairs are one contiguous row of this vec.
-    let members = affinity.members();
-    let n = members.len();
-    let mut pair_map: Vec<(u32, usize)> = Vec::with_capacity(affinity.num_pairs());
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let g = affinity
-                .pair_of(members[i], members[j])
-                .expect("members are in the group") as u32;
-            let Some(pop) = substrate.population_pair_of(members[i], members[j]) else {
-                return Ok(None);
-            };
-            pair_map.push((g, pop));
-        }
-    }
-
-    let (filtered, num_items) = match coverage {
-        ItemCoverage::Full => (None, substrate.num_items()),
-        ItemCoverage::Subset(mask) => {
-            // Filtered columns are stored member-agnostic and re-kinded
-            // to the group-local member index at view assembly, so one
-            // filter pass per (member, itemset) serves every group the
-            // member belongs to that resolves through the same arena.
-            let lists: Vec<Arc<SortedList>> = group
+    Ok(Some(match coverage {
+        ItemCoverage::Full => PrefColumns::Segments(handles),
+        ItemCoverage::Subset(mask) => PrefColumns::Filtered(
+            group
                 .members()
                 .iter()
                 .zip(&handles)
@@ -1078,86 +997,67 @@ fn build_warm(
                         Ok(Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
                     })
                 })
-                .collect::<Result<_, _>>()?;
-            (Some(lists), items.len())
-        }
-    };
-
-    let mode = affinity.mode();
-    let static_lists = if mode.uses_static() {
-        // Static components are re-normalized *per group* (§4.1.2), so
-        // their per-query sort stays (tiny: ≤ n−1 entries per list, and
-        // a shared positive rescale could in principle collapse two
-        // distinct raw values into a float tie, where the population
-        // rank and a value sort may disagree).
-        build_affinity_lists(affinity, layout, ListKind::StaticAffinity, |pair| {
-            affinity.static_component(pair)
-        })?
-    } else {
-        Vec::new()
-    };
-
-    let period_lists: Vec<Vec<SortedList>> = if mode.is_temporal() {
-        (0..affinity.num_periods())
-            .map(|p| {
-                let kind = ListKind::PeriodicAffinity { period: p as u32 };
-                let assemble = |pairs: &mut [(u32, usize)]| {
-                    substrate.order_pairs_by_period_rank(p, pairs);
-                    let ids: Vec<u32> = pairs.iter().map(|&(g, _)| g).collect();
-                    let scores: Vec<f64> = pairs
-                        .iter()
-                        .map(|&(g, _)| affinity.period_component(p, g as usize))
-                        .collect();
-                    SortedList::from_sorted_columns(kind, ids, scores)
-                };
-                match layout {
-                    ListLayout::Single => {
-                        let mut pairs = pair_map.clone();
-                        vec![assemble(&mut pairs)]
-                    }
-                    ListLayout::Decomposed => {
-                        let mut lists = Vec::with_capacity(n.saturating_sub(1));
-                        let mut row_start = 0;
-                        for i in 0..n.saturating_sub(1) {
-                            let row_len = n - 1 - i;
-                            let mut pairs = pair_map[row_start..row_start + row_len].to_vec();
-                            lists.push(assemble(&mut pairs));
-                            row_start += row_len;
-                        }
-                        lists
-                    }
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    Ok(Some(WarmInputs {
-        handles,
-        filtered,
-        static_lists,
-        period_lists,
-        num_members: n,
-        num_pairs: affinity.num_pairs(),
-        num_items,
+                .collect::<Result<_, _>>()?,
+        ),
     }))
 }
 
-/// Substrate-backed prepared state: shared segment handles (or
-/// filtered columns for subset itemsets) plus the per-query tiny
-/// affinity lists. The per-member handles keep their segments (and any
-/// materialized columns) alive, independent of cache eviction or epoch
-/// swaps.
+/// Cold materialization of the members' preference columns: every list
+/// is resolved through the shared arena — one provider scan + sort per
+/// `(member, itemset)` key per arena, no matter how many groups the
+/// member appears in. Lists are stored member-agnostic (kind
+/// `member: 0`) — sorting is deterministic (descending, ties by id), so
+/// the columns are identical for every group — and re-kinded to the
+/// group-local member index at view assembly.
+fn cold_columns(
+    provider: &(dyn PreferenceProvider + Sync + '_),
+    group: &Group,
+    items: &[ItemId],
+    (shared, items_fp): (&SharedMemberState, u128),
+) -> Result<PrefColumns, QueryError> {
+    group
+        .members()
+        .iter()
+        .map(|&u| {
+            shared.resolve_list(u, items.len(), items_fp, || {
+                Ok(Arc::new(member_list(&provider.preference_list(u, items)?)?))
+            })
+        })
+        .collect::<Result<_, _>>()
+        .map(PrefColumns::Sorted)
+}
+
+/// One member's preference list, sorted and stored member-agnostic.
+fn member_list(list: &PreferenceList) -> Result<SortedList, NonFiniteEntry> {
+    let entries = list.entries.iter().map(|&(i, s)| (i.0, s)).collect();
+    SortedList::new(ListKind::Preference { member: 0 }, entries)
+}
+
+/// Where a prepared query's preference columns come from — the one
+/// difference between a warm and a cold preparation.
 #[derive(Debug, Clone)]
-struct WarmInputs {
-    /// One owned segment handle per member.
-    handles: Vec<SegmentHandle>,
-    /// `Some` when the itemset is a strict subset of the universe. The
-    /// columns are member-agnostic (and possibly shared across queries
-    /// through a wave's [`SharedMemberState`]); views re-kind them to
-    /// the group-local member index.
-    filtered: Option<Vec<Arc<SortedList>>>,
+enum PrefColumns {
+    /// One substrate segment handle per member (a full-universe
+    /// itemset). The handles keep their columns alive across epoch
+    /// swaps.
+    Segments(Vec<SegmentHandle>),
+    /// Substrate segments filtered to a strict-subset itemset,
+    /// member-agnostic.
+    Filtered(Vec<Arc<SortedList>>),
+    /// Lists sorted from the provider (the cold path) or hand-built by
+    /// [`PreparedQuery::from_parts`], member-agnostic.
+    Sorted(Vec<Arc<SortedList>>),
+}
+
+/// A prepared query's kernel inputs: the members' preference columns
+/// plus the group's affinity lists, sorted per query from its
+/// [`GroupAffinity`] view (tiny: ≤ n−1 entries each). Views re-kind
+/// member-agnostic lists to the group-local member index, producing
+/// view bundles identical to
+/// [`MaterializedInputs::views`](crate::lists::MaterializedInputs::views)'s.
+#[derive(Debug, Clone)]
+struct PreparedInputs {
+    prefs: PrefColumns,
     static_lists: Vec<SortedList>,
     period_lists: Vec<Vec<SortedList>>,
     num_members: usize,
@@ -1165,19 +1065,53 @@ struct WarmInputs {
     num_items: usize,
 }
 
-impl WarmInputs {
+impl PreparedInputs {
+    /// Attach the group's affinity lists to its members' preference
+    /// columns, which must all rank the same itemset.
+    fn new(
+        prefs: PrefColumns,
+        affinity: &GroupAffinity,
+        layout: ListLayout,
+    ) -> Result<Self, QueryError> {
+        let lens: Vec<usize> = match &prefs {
+            PrefColumns::Segments(handles) => handles.iter().map(|h| h.ids().len()).collect(),
+            PrefColumns::Filtered(lists) | PrefColumns::Sorted(lists) => {
+                lists.iter().map(|l| l.len()).collect()
+            }
+        };
+        let num_members = affinity.members().len();
+        assert_eq!(
+            lens.len(),
+            num_members,
+            "one preference list per group member"
+        );
+        let num_items = lens.first().copied().unwrap_or(0);
+        assert!(
+            lens.iter().all(|&len| len == num_items),
+            "preference lists must align"
+        );
+        let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
+        Ok(PreparedInputs {
+            prefs,
+            static_lists,
+            period_lists,
+            num_members,
+            num_pairs: affinity.num_pairs(),
+            num_items,
+        })
+    }
+
     fn views(&self) -> GrecaInputs<'_> {
-        let pref_lists = match &self.filtered {
-            Some(lists) => lists
-                .iter()
-                .enumerate()
-                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
-                .collect(),
-            None => self
-                .handles
+        let pref_lists = match &self.prefs {
+            PrefColumns::Segments(handles) => handles
                 .iter()
                 .enumerate()
                 .map(|(m, h)| h.view(m as u32))
+                .collect(),
+            PrefColumns::Filtered(lists) | PrefColumns::Sorted(lists) => lists
+                .iter()
+                .enumerate()
+                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
                 .collect(),
         };
         GrecaInputs::assemble(
@@ -1194,89 +1128,6 @@ impl WarmInputs {
     }
 }
 
-/// Cold-path prepared state: per-member preference lists (held in a
-/// [`SharedMemberState`] arena, or built by
-/// [`PreparedQuery::from_parts`]) plus the per-query tiny affinity
-/// lists. Lists are member-agnostic `Arc`s (see
-/// [`shared_cold_inputs`]); views re-kind them to the group-local
-/// member index, producing view bundles identical to
-/// [`MaterializedInputs::views`](crate::lists::MaterializedInputs::views)'s.
-#[derive(Debug, Clone)]
-struct SharedColdInputs {
-    pref_lists: Vec<Arc<SortedList>>,
-    static_lists: Vec<SortedList>,
-    period_lists: Vec<Vec<SortedList>>,
-    num_members: usize,
-    num_pairs: usize,
-    num_items: usize,
-}
-
-impl SharedColdInputs {
-    /// Attach the group's affinity lists to its members' sorted
-    /// preference lists, which must all rank the same itemset.
-    fn build(
-        pref_lists: Vec<Arc<SortedList>>,
-        affinity: &GroupAffinity,
-        layout: ListLayout,
-    ) -> Result<Self, QueryError> {
-        let num_members = affinity.members().len();
-        assert_eq!(
-            pref_lists.len(),
-            num_members,
-            "one preference list per group member"
-        );
-        let num_items = pref_lists.first().map_or(0, |l| l.len());
-        for l in &pref_lists {
-            assert_eq!(l.len(), num_items, "preference lists must align");
-        }
-        let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
-        Ok(SharedColdInputs {
-            pref_lists,
-            static_lists,
-            period_lists,
-            num_members,
-            num_pairs: affinity.num_pairs(),
-            num_items,
-        })
-    }
-
-    fn views(&self) -> GrecaInputs<'_> {
-        GrecaInputs::assemble(
-            self.pref_lists
-                .iter()
-                .enumerate()
-                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
-                .collect(),
-            self.static_lists.iter().map(SortedList::as_view).collect(),
-            self.period_lists
-                .iter()
-                .map(|ls| ls.iter().map(SortedList::as_view).collect())
-                .collect(),
-            self.num_members,
-            self.num_pairs,
-            self.num_items,
-        )
-    }
-}
-
-/// Which storage backs a [`PreparedQuery`].
-#[derive(Debug, Clone)]
-enum PreparedStorage {
-    /// Substrate views (the warm path).
-    Warm(WarmInputs),
-    /// Sorted per-member lists (the cold path).
-    SharedCold(SharedColdInputs),
-}
-
-impl PreparedStorage {
-    fn views(&self) -> GrecaInputs<'_> {
-        match self {
-            PreparedStorage::Warm(w) => w.views(),
-            PreparedStorage::SharedCold(s) => s.views(),
-        }
-    }
-}
-
 /// A query whose sorted-list inputs are materialized or selected.
 ///
 /// Holds everything an execution needs — the group's affinity view, the
@@ -1286,7 +1137,7 @@ impl PreparedStorage {
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     affinity: Arc<GroupAffinity>,
-    storage: PreparedStorage,
+    inputs: PreparedInputs,
     normalize_rpref: bool,
     consensus: ConsensusFunction,
     k: usize,
@@ -1315,10 +1166,10 @@ impl PreparedQuery {
             .iter()
             .map(|l| member_list(l).map(Arc::new))
             .collect::<Result<_, NonFiniteEntry>>()?;
-        let inputs = SharedColdInputs::build(lists, &affinity, layout)?;
+        let inputs = PreparedInputs::new(PrefColumns::Sorted(lists), &affinity, layout)?;
         Ok(PreparedQuery {
             affinity: Arc::new(affinity),
-            storage: PreparedStorage::SharedCold(inputs),
+            inputs,
             normalize_rpref,
             consensus: ConsensusFunction::average_preference(),
             k: PAPER_DEFAULT_K,
@@ -1368,13 +1219,13 @@ impl PreparedQuery {
     /// backing storage is owned by this query or by the engine's
     /// substrate).
     pub fn inputs(&self) -> GrecaInputs<'_> {
-        self.storage.views()
+        self.inputs.views()
     }
 
-    /// Whether this preparation is served from substrate views (as
-    /// opposed to sorted per-member lists, the cold path).
+    /// Whether this preparation is served from substrate segments (as
+    /// opposed to lists sorted from the provider, the cold path).
     pub fn is_warm(&self) -> bool {
-        matches!(self.storage, PreparedStorage::Warm(_))
+        !matches!(self.inputs.prefs, PrefColumns::Sorted(_))
     }
 
     /// The group's affinity view at the query period.
@@ -1429,7 +1280,7 @@ impl PreparedQuery {
         scratch: &mut GrecaScratch,
     ) -> TopKResult {
         let kernel_timer = crate::obs::phase(crate::obs::Phase::Kernel);
-        let inputs = self.storage.views();
+        let inputs = self.inputs.views();
         let result = match algorithm {
             Algorithm::Greca(mut config) => {
                 config.k = self.k;
@@ -1469,7 +1320,7 @@ impl PreparedQuery {
     /// access accounting; the verification/evaluation path).
     pub fn exact_scores(&self) -> Vec<(ItemId, f64)> {
         naive_scores(
-            &self.storage.views(),
+            &self.inputs.views(),
             &self.affinity,
             self.consensus,
             self.normalize_rpref,

@@ -1,27 +1,27 @@
-//! The shared, immutable query substrate: precomputed sorted-list
-//! storage behind `Arc`, sliced into per-query views.
+//! The shared, immutable query substrate: per-user sorted preference
+//! segments behind `Arc`, sliced into per-query views.
 //!
 //! §2.4's ad-hoc-group scenario assumes the CF model and the affinity
 //! index are *long-lived* while groups arrive at query time — yet a cold
 //! `prepare()` pays `O(n·m log m)` per query to re-derive and re-sort
 //! every member's preference list. The TA lineage this paper builds on
 //! gets its speed precisely from reading **pre-sorted, shared** inverted
-//! lists; this module is that storage layer:
+//! lists; this module is that storage layer. For every serving user it
+//! holds the score-descending preference list over the item universe,
+//! computed once from any [`PreferenceProvider`] and stored as one
+//! columnar `(ids, scores)` segment per user, each behind its own `Arc`.
+//! A query whose itemset *is* the universe borrows its members'
+//! segments as [`ListView`]s — no sorts, no provider calls. A
+//! strict-subset itemset is filtered in one order-preserving pass
+//! (still no sort, no provider calls).
 //!
-//! * **Preference columns** — for every serving user, the
-//!   score-descending preference list over the item universe, computed
-//!   once from any [`PreferenceProvider`] and stored as one columnar
-//!   `(ids, scores)` segment per user, each behind its own `Arc`. A
-//!   query whose itemset *is* the universe borrows its segments' id
-//!   columns and dequantized score columns as [`ListView`]s — no sorts, no
-//!   provider calls. A strict-subset itemset is filtered in one
-//!   order-preserving pass (still no sort, no provider calls).
-//! * **Affinity arrays** — per period (and for static affinity), every
-//!   population pair ordered by component descending, plus the inverse
-//!   *rank* array. Ordering any group's pairs by rank reproduces exactly
-//!   the order a per-query sort would produce (normalization is a shared
-//!   positive scale and both tie-break by ascending pair id), so warm
-//!   periodic lists are assembled without comparing floats.
+//! The substrate stores no affinity. §4.1.2's per-group affinity lists
+//! hold at most `n−1` pairs each, and static values are renormalized per
+//! group, so every preparation sorts them from the group's
+//! `GroupAffinity` view — the path the cold engine and
+//! [`MaterializedInputs`](crate::lists::MaterializedInputs) take too.
+//! [`Substrate::build_with`] only checks the population's affinity
+//! values for finiteness.
 //!
 //! # Scale-tier storage
 //!
@@ -43,29 +43,28 @@
 //!   is made per column from its data: a column with more than
 //!   [`QUANT_LEVELS`] distinct values, or too few entries per distinct
 //!   value for the codes to pay for the dictionary, stays dense.
-//! * **Lazy residency** — users listed as *lazy* in
-//!   [`Substrate::build_with`] get no segment at build time; their
-//!   columns are derived from the provider on first access and cached in
-//!   a budget-governed store (see [`Substrate::memory_footprint`] for
-//!   the accounting and eviction rules). A 1M-user universe is therefore
-//!   addressable without materializing 1M preference lists up front.
+//! * **Lazy slots** — users listed as *lazy* in
+//!   [`Substrate::build_with`] get no segment at build time; each access
+//!   derives their column from the provider. A 1M-user universe is
+//!   therefore addressable without materializing 1M preference lists up
+//!   front.
 //!
 //! All three compose: queries go through [`Substrate::segment_handle`],
-//! which yields a [`SegmentHandle`] owning whatever `Arc`s the view
-//! needs, so eviction can never invalidate an in-flight query.
+//! which yields a [`SegmentHandle`] owning whatever its views borrow — the
+//! shared segment, plus the dequantized or derived column it made. The
+//! substrate keeps no cache of those columns: the caller's
+//! [`SharedMemberState`](crate::plan::SharedMemberState) (one per batch
+//! wave, or per served epoch) is the one place a handle is reused.
 //!
 //! Each substrate value is immutable and shared via `Arc<Substrate>`:
 //! [`crate::plan::run_batch`] worker threads, cached
 //! [`PreparedQuery`](crate::query::PreparedQuery)s and the engine all
-//! alias the same buffers. Because the engine borrows its
-//! [`PopulationAffinity`] for its whole lifetime, the index cannot gain
-//! periods behind the substrate's back — snapshot staleness is ruled out
-//! by the borrow checker, not by invalidation logic.
+//! alias the same buffers.
 //!
 //! Evolving *ratings* are handled by versioning, not mutation: the
 //! `Arc`-per-segment split makes [`Substrate::rebuild_dirty`] cheap — a
 //! delta batch's invalidated users get fresh segments, every clean
-//! segment (and the affinity arrays) is aliased — and the live layer
+//! segment (and the universe layout) is aliased — and the live layer
 //! ([`crate::live::LiveEngine`]) publishes each rebuilt substrate as a
 //! new *epoch* that in-flight queries, pinned to the previous epoch's
 //! `Arc`s, never observe mid-read.
@@ -75,8 +74,7 @@ use crate::query::QueryError;
 use greca_affinity::PopulationAffinity;
 use greca_cf::{NonFiniteScore, PreferenceProvider};
 use greca_dataset::{Group, ItemId, UserId};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Number of representable quantization levels (`u16` codes).
 pub const QUANT_LEVELS: usize = 1 << 16;
@@ -88,9 +86,6 @@ pub struct BuildOptions {
     /// `std::thread::available_parallelism()`. The result is
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Byte budget for the materialization cache (lazily built segments
-    /// plus dequantized score buffers). `None` = unbounded.
-    pub materialize_budget: Option<usize>,
 }
 
 impl BuildOptions {
@@ -130,56 +125,27 @@ pub struct MemoryFootprint {
     /// positions, items, dense item positions).
     pub universe_bytes: usize,
     /// Per-user **resident** preference segments: `ids (u32)` plus
-    /// either `scores (f64)` or `codes (u16) + score dictionary` —
-    /// the stored form, not the transient dequantized buffers (those live
-    /// in `lazy_bytes`). Lazy slots contribute nothing here.
+    /// either `scores (f64)` or `codes (u16) + score dictionary` — the
+    /// stored form. Lazy slots contribute nothing.
     pub pref_bytes: usize,
-    /// The population affinity arrays: static + per-period sorted pair
-    /// columns, rank inverses, and the population position map.
-    pub affinity_bytes: usize,
-    /// The materialization cache: segments built on demand for lazy
-    /// users plus dequantized score buffers for quantized segments.
-    /// Bounded by [`BuildOptions::materialize_budget`]; evicted FIFO
-    /// once the budget is exceeded (in-flight queries keep their own
-    /// `Arc`s, so eviction only drops the *cache's* reference).
-    pub lazy_bytes: usize,
 }
 
 impl MemoryFootprint {
     /// Sum over all layers.
     pub fn total(&self) -> usize {
-        self.universe_bytes + self.pref_bytes + self.affinity_bytes + self.lazy_bytes
+        self.universe_bytes + self.pref_bytes
     }
 
     /// The footprint as a JSON object (hand-formatted; the workspace
     /// has no serialization crate).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"universe_bytes\":{},\"pref_bytes\":{},\"affinity_bytes\":{},\"lazy_bytes\":{},\"total_bytes\":{}}}",
+            "{{\"universe_bytes\":{},\"pref_bytes\":{},\"total_bytes\":{}}}",
             self.universe_bytes,
             self.pref_bytes,
-            self.affinity_bytes,
-            self.lazy_bytes,
             self.total()
         )
     }
-}
-
-/// Counters of the on-demand materialization cache (see
-/// [`Substrate::lazy_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LazyStats {
-    /// Bytes currently held by the cache.
-    pub resident_bytes: usize,
-    /// The configured budget (`usize::MAX` when unbounded).
-    pub budget_bytes: usize,
-    /// Entries currently cached.
-    pub cached_segments: usize,
-    /// Total materializations performed (a re-build after eviction
-    /// counts again).
-    pub materializations: u64,
-    /// Entries dropped to stay under budget.
-    pub evictions: u64,
 }
 
 /// How a query's itemset relates to the substrate's item universe.
@@ -282,23 +248,25 @@ impl PrefSegment {
 enum SegmentSlot {
     /// Built at construction (or by [`Substrate::rebuild_dirty`]).
     Resident(Arc<PrefSegment>),
-    /// Derived from the provider on first access, cached under the
-    /// materialization budget.
+    /// Derived from the provider on every access.
     Lazy,
 }
 
-/// An owned, eviction-safe reference to one user's preference columns.
+/// An owned reference to one user's preference columns.
 ///
 /// Obtained from [`Substrate::segment_handle`]; holds the segment `Arc`
-/// (and, for quantized segments, the dequantized score buffer), so the
+/// and, for a quantized segment, the dequantized score column, so the
 /// slices returned by [`SegmentHandle::view`] stay valid for the
-/// handle's lifetime even if the cache evicts the entry meanwhile.
+/// handle's lifetime. Clones share those buffers.
 #[derive(Debug, Clone)]
 pub struct SegmentHandle {
     seg: Arc<PrefSegment>,
     /// `Some` iff the segment is quantized: the dense `f64` buffer the
     /// views borrow from.
     dequant: Option<Arc<Vec<f64>>>,
+    /// Whether `seg` was derived for this handle (a lazy slot) rather
+    /// than aliased from the substrate.
+    derived: bool,
 }
 
 impl SegmentHandle {
@@ -309,14 +277,12 @@ impl SegmentHandle {
 
     /// Scores aligned with [`SegmentHandle::ids`].
     pub fn scores(&self) -> &[f64] {
-        match &self.dequant {
-            Some(d) => d,
-            None => match &self.seg.store {
-                ScoreStore::Dense(s) => s,
-                ScoreStore::Quantized { .. } => {
-                    unreachable!("quantized handles always carry a dequant buffer")
-                }
-            },
+        match (&self.dequant, &self.seg.store) {
+            (Some(d), _) => d,
+            (None, ScoreStore::Dense(s)) => s,
+            (None, ScoreStore::Quantized { .. }) => {
+                unreachable!("quantized handles always carry a dequant buffer")
+            }
         }
     }
 
@@ -325,95 +291,21 @@ impl SegmentHandle {
     pub fn view(&self, member: u32) -> ListView<'_> {
         ListView::new(ListKind::Preference { member }, self.ids(), self.scores())
     }
-}
 
-/// The materialization cache: lazily built segments and dequantized
-/// score buffers, FIFO-evicted beyond the byte budget. Shared by all
-/// clones of one substrate value; [`Substrate::rebuild_dirty`] starts a
-/// fresh (empty) cache so no stale entry can cross an epoch boundary.
-#[derive(Debug)]
-struct LazyStore {
-    budget_bytes: usize,
-    inner: Mutex<LazyInner>,
-}
-
-#[derive(Debug, Default)]
-struct LazyInner {
-    entries: HashMap<usize, CacheEntry>,
-    /// Insertion order (FIFO eviction).
-    order: VecDeque<usize>,
-    resident_bytes: usize,
-    materializations: u64,
-    evictions: u64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    handle: SegmentHandle,
-    bytes: usize,
-}
-
-impl LazyStore {
-    fn new(budget_bytes: usize) -> Self {
-        LazyStore {
-            budget_bytes,
-            inner: Mutex::new(LazyInner::default()),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, LazyInner> {
-        // A panic while holding the lock cannot leave partial state (all
-        // mutations below are complete before unlock), so recover.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn get(&self, user_idx: usize) -> Option<SegmentHandle> {
-        self.lock().entries.get(&user_idx).map(|e| e.handle.clone())
-    }
-
-    /// Insert `handle` for `user_idx` (no-op if a racing thread beat us)
-    /// and evict FIFO until back under budget. The just-inserted entry
-    /// is never evicted — the caller is about to read it.
-    fn insert(&self, user_idx: usize, handle: SegmentHandle, bytes: usize) -> SegmentHandle {
-        let mut inner = self.lock();
-        inner.materializations += 1;
-        if let Some(existing) = inner.entries.get(&user_idx) {
-            return existing.handle.clone();
-        }
-        inner.entries.insert(
-            user_idx,
-            CacheEntry {
-                handle: handle.clone(),
-                bytes,
-            },
-        );
-        inner.order.push_back(user_idx);
-        inner.resident_bytes += bytes;
-        while inner.resident_bytes > self.budget_bytes {
-            let Some(&front) = inner.order.front() else {
-                break;
-            };
-            if front == user_idx {
-                break; // keep the entry being read, even over budget
+    /// Bytes this handle holds beyond the substrate's stored segments:
+    /// the dequantized score column, or the whole column derived for a
+    /// lazy slot (0 for a dense resident segment).
+    pub fn owned_bytes(&self) -> usize {
+        let dequant = self
+            .dequant
+            .as_ref()
+            .map_or(0, |d| std::mem::size_of_val(d.as_slice()));
+        dequant
+            + if self.derived {
+                self.seg.data_bytes()
+            } else {
+                0
             }
-            inner.order.pop_front();
-            if let Some(evicted) = inner.entries.remove(&front) {
-                inner.resident_bytes -= evicted.bytes;
-                inner.evictions += 1;
-            }
-        }
-        handle
-    }
-
-    fn stats(&self) -> LazyStats {
-        let inner = self.lock();
-        LazyStats {
-            resident_bytes: inner.resident_bytes,
-            budget_bytes: self.budget_bytes,
-            cached_segments: inner.entries.len(),
-            materializations: inner.materializations,
-            evictions: inner.evictions,
-        }
     }
 }
 
@@ -436,53 +328,19 @@ struct UniverseLayout {
     m: usize,
 }
 
-/// The population-level sorted affinity arrays (static + per period).
-/// Rating deltas never invalidate these — the paper derives affinity
-/// from social signals, and the index itself is append-only — so
-/// incremental rebuilds share them wholesale behind one `Arc`.
-#[derive(Debug)]
-struct AffinityArrays {
-    /// Population universe position by user id (for population pair
-    /// indexing; the substrate's users may be a subset *or superset* of
-    /// the universe — scale-tier worlds serve preference columns for
-    /// users outside the group-forming cohort).
-    pop_pos: Vec<Option<u32>>,
-    /// Population universe size.
-    pop_n: usize,
-    /// Population pairs ordered by globally-normalized static affinity
-    /// descending, with the values.
-    static_pairs: Vec<u32>,
-    /// Values aligned with `static_pairs`.
-    static_values: Vec<f64>,
-    /// Per period: population pairs ordered by normalized periodic
-    /// affinity descending.
-    period_pairs: Vec<Vec<u32>>,
-    /// Values aligned with `period_pairs`.
-    period_values: Vec<Vec<f64>>,
-    /// Per period: rank (position in `period_pairs[p]`) by pair id.
-    period_rank: Vec<Vec<u32>>,
-}
-
-/// Precomputed sorted-list storage for one `(provider, population,
-/// item universe)` triple. See the module docs.
+/// Precomputed sorted-list storage for one `(provider, item universe)`
+/// pair. See the module docs.
 ///
 /// Storage is split into `Arc`-shared pieces along invalidation
-/// boundaries — per-user preference segments, the fixed universe
-/// layout, and the rating-independent affinity arrays — so that
-/// [`Substrate::rebuild_dirty`] can publish a new epoch's substrate by
-/// recomputing only what a delta batch invalidated. Cloning a
-/// `Substrate` is always cheap (pointer copies).
+/// boundaries — per-user preference segments and the fixed universe
+/// layout — so that [`Substrate::rebuild_dirty`] can publish a new
+/// epoch's substrate by recomputing only what a delta batch
+/// invalidated. Cloning a `Substrate` is always cheap (pointer copies).
 #[derive(Debug, Clone)]
 pub struct Substrate {
     layout: Arc<UniverseLayout>,
     /// One slot per `layout.users` entry.
     segments: Vec<SegmentSlot>,
-    affinity: Arc<AffinityArrays>,
-    /// The on-demand materialization cache (unused when every segment
-    /// is resident and dense).
-    lazy: Arc<LazyStore>,
-    /// Whether any slot is [`SegmentSlot::Lazy`].
-    has_lazy: bool,
 }
 
 impl Substrate {
@@ -491,9 +349,10 @@ impl Substrate {
     ///
     /// Cost: one preference-column derivation per universe user (the
     /// work a cold query pays per *member*, paid once per engine
-    /// instead), plus one sort per affinity period. Rejects non-finite
-    /// preference or affinity values with [`QueryError::NonFiniteScore`]
-    /// — the same ingestion contract the cold path enforces per query.
+    /// instead), plus one linear finiteness scan of the population's
+    /// affinity values. Rejects non-finite preference or affinity values
+    /// with [`QueryError::NonFiniteScore`] — the same ingestion contract
+    /// the cold path enforces per query.
     pub fn build(
         provider: &(dyn PreferenceProvider + Sync + '_),
         population: &PopulationAffinity,
@@ -527,20 +386,20 @@ impl Substrate {
         )
     }
 
-    /// Precompute the substrate with explicit residency and storage
+    /// Precompute the substrate with explicit residency and build
     /// options — the scale-tier entry point.
     ///
     /// `eager_users` get resident segments built now (sharded over
     /// [`BuildOptions::threads`] workers, bit-identical to a sequential
-    /// build); `lazy_users` get lazy slots whose
-    /// columns are derived from the provider on first
-    /// [`Substrate::segment_handle`] call and cached under
-    /// [`BuildOptions::materialize_budget`]. Unlike
+    /// build); `lazy_users` get lazy slots whose columns are derived from
+    /// the provider on each [`Substrate::segment_handle`] call. Unlike
     /// [`Substrate::build_for`], users need **not** belong to the
     /// population universe: a scale-tier world serves preference
     /// columns for its whole user population while only a bounded
     /// cohort (the population universe, whose pair space is quadratic)
     /// forms groups. A user listed in both sets is built eagerly.
+    /// `population` is only scanned for non-finite affinity values;
+    /// nothing of it is stored.
     pub fn build_with(
         provider: &(dyn PreferenceProvider + Sync + '_),
         population: &PopulationAffinity,
@@ -549,6 +408,7 @@ impl Substrate {
         lazy_users: &[UserId],
         opts: BuildOptions,
     ) -> Result<Self, QueryError> {
+        reject_non_finite_affinity(population)?;
         let mut users: Vec<UserId> = eager_users
             .iter()
             .chain(lazy_users.iter())
@@ -601,9 +461,7 @@ impl Substrate {
                 }
             })
             .collect();
-        let has_lazy = segments.iter().any(|s| matches!(s, SegmentSlot::Lazy));
 
-        let affinity = affinity_arrays(population)?;
         Ok(Substrate {
             layout: Arc::new(UniverseLayout {
                 users,
@@ -613,18 +471,13 @@ impl Substrate {
                 m,
             }),
             segments,
-            affinity: Arc::new(affinity),
-            lazy: Arc::new(LazyStore::new(
-                opts.materialize_budget.unwrap_or(usize::MAX),
-            )),
-            has_lazy,
         })
     }
 
     /// A new substrate with only `dirty_users`' preference segments
     /// recomputed from `provider`, structurally sharing everything else
     /// with `self`: clean segments alias the same `Arc`s (pointer
-    /// copies), as do the universe layout and the affinity arrays.
+    /// copies), as does the universe layout.
     ///
     /// This is the incremental-epoch step of the live-ingestion path:
     /// cost is `O(|dirty ∩ users| · m log m)` provider calls and sorts
@@ -632,13 +485,11 @@ impl Substrate {
     /// [`Substrate::build`]'s `O(|universe| · m log m)`. Dirty users
     /// without a segment here (outside the precomputed cohort) are
     /// skipped — their queries fall back to cold materialization either
-    /// way. Dirty users with a *lazy* slot need no rebuild: the new
-    /// epoch starts with a **fresh, empty materialization cache** (a
-    /// shared cache could hand the new epoch a column the old epoch's
-    /// provider derived), so their next access re-derives from
-    /// `provider`. The caller supplies the dirty set (see `greca-cf`'s
-    /// `DeltaBatch::dirty_set`) and a provider already fitted on the
-    /// *post-batch* ratings.
+    /// way. Dirty users with a *lazy* slot need no rebuild: every access
+    /// derives their column from the provider the reader passes, so the
+    /// new epoch's readers see the post-batch column. The caller
+    /// supplies the dirty set (see `greca-cf`'s `DeltaBatch::dirty_set`)
+    /// and a provider already fitted on the *post-batch* ratings.
     ///
     /// The result is a distinct value: in-flight queries keep reading
     /// the old epoch's segments untouched (they hold their own `Arc`s),
@@ -663,9 +514,6 @@ impl Substrate {
         Ok(Substrate {
             layout: Arc::clone(&self.layout),
             segments,
-            affinity: Arc::clone(&self.affinity),
-            lazy: Arc::new(LazyStore::new(self.lazy.budget_bytes)),
-            has_lazy: self.has_lazy,
         })
     }
 
@@ -680,12 +528,6 @@ impl Substrate {
             },
             _ => false,
         }
-    }
-
-    /// Whether both substrates alias the same affinity arrays (they
-    /// always do across [`Substrate::rebuild_dirty`]).
-    pub fn shares_affinity_with(&self, other: &Substrate) -> bool {
-        Arc::ptr_eq(&self.affinity, &other.affinity)
     }
 
     /// Users with (resident or lazy) preference segments.
@@ -703,26 +545,9 @@ impl Substrate {
         self.layout.m
     }
 
-    /// Number of indexed periods.
-    pub fn num_periods(&self) -> usize {
-        self.affinity.period_pairs.len()
-    }
-
-    /// Whether any user's segment is materialized on demand.
-    pub fn has_lazy_segments(&self) -> bool {
-        self.has_lazy
-    }
-
-    /// Counters of the materialization cache (resident bytes, budget,
-    /// materializations, evictions).
-    pub fn lazy_stats(&self) -> LazyStats {
-        self.lazy.stats()
-    }
-
-    /// Approximate resident size of the preference buffers, in bytes
-    /// (counts each shared segment once per substrate that references
-    /// it; lazy slots count nothing — their cached columns are reported
-    /// by [`Substrate::lazy_stats`]).
+    /// Resident size of the preference buffers, in bytes (counts each
+    /// shared segment once per substrate that references it; lazy slots
+    /// count nothing).
     pub fn pref_bytes(&self) -> usize {
         self.segments
             .iter()
@@ -747,21 +572,10 @@ impl Substrate {
     ///   stored representation: `u32` id + `f64` score columns for a
     ///   dense segment (12 B/item), `u32` id + `u16` code columns plus
     ///   the per-list score dictionary for a quantized one (6 B/item +
-    ///   table, always less than 12 B/item). Lazy slots contribute 0
-    ///   until materialized.
-    /// * `affinity_bytes` — the population pair arrays (static +
-    ///   per-period sorted columns and rank inverses); quadratic in the
-    ///   population cohort, shared wholesale across epochs.
-    /// * `lazy_bytes` — the materialization cache: dense columns built
-    ///   on demand for lazy users and dequantized buffers for quantized
-    ///   segments. This is the only layer with *budgeted eviction*:
-    ///   once it exceeds [`BuildOptions::materialize_budget`], entries
-    ///   leave FIFO (oldest first) until the cache fits; the entry
-    ///   being handed out is never evicted, and in-flight
-    ///   [`SegmentHandle`]s own `Arc`s into their buffers, so eviction
-    ///   frees memory only after the last reader drops. An evicted
-    ///   user's next access re-derives the column (counted in
-    ///   [`LazyStats::materializations`]).
+    ///   table, always less than 12 B/item). Lazy slots contribute 0.
+    ///
+    /// Columns a [`SegmentHandle`] dequantizes or derives belong to the
+    /// handle, not the substrate (see [`SegmentHandle::owned_bytes`]).
     pub fn memory_footprint(&self) -> MemoryFootprint {
         use std::mem::size_of;
         let layout = &self.layout;
@@ -769,21 +583,9 @@ impl Substrate {
             + layout.user_pos.len() * size_of::<Option<u32>>()
             + layout.items.len() * size_of::<ItemId>()
             + layout.item_dense.len() * size_of::<u32>();
-        let aff = &self.affinity;
-        let pair_cols = |pairs: &[u32], values: &[f64]| {
-            std::mem::size_of_val(pairs) + std::mem::size_of_val(values)
-        };
-        let mut affinity_bytes = aff.pop_pos.len() * size_of::<Option<u32>>()
-            + pair_cols(&aff.static_pairs, &aff.static_values);
-        for p in 0..aff.period_pairs.len() {
-            affinity_bytes += pair_cols(&aff.period_pairs[p], &aff.period_values[p])
-                + aff.period_rank[p].len() * size_of::<u32>();
-        }
         MemoryFootprint {
             universe_bytes,
             pref_bytes: self.pref_bytes(),
-            affinity_bytes,
-            lazy_bytes: self.lazy.stats().resident_bytes,
         }
     }
 
@@ -805,39 +607,6 @@ impl Substrate {
             .members()
             .iter()
             .all(|&u| self.user_index(u).is_some())
-    }
-
-    /// Population pair index of `(u, v)` (triangular over the population
-    /// universe — the id space of the affinity arrays).
-    pub fn population_pair_of(&self, u: UserId, v: UserId) -> Option<usize> {
-        if u == v {
-            return None;
-        }
-        let aff = &self.affinity;
-        let pu = aff.pop_pos.get(u.idx()).copied().flatten()?;
-        let pv = aff.pop_pos.get(v.idx()).copied().flatten()?;
-        let (a, b) = (pu.min(pv) as usize, pu.max(pv) as usize);
-        Some(a * aff.pop_n - a * (a + 1) / 2 + (b - a - 1))
-    }
-
-    /// Whether this substrate was built from exactly this population
-    /// index: same universe, same pair space, same period count. The
-    /// invariant
-    /// [`GrecaEngine::with_substrate`](crate::query::GrecaEngine::with_substrate)
-    /// enforces — a substrate answering for a *different* index would
-    /// silently rank by the wrong affinity arrays. (The substrate's
-    /// *user coverage* may exceed the universe; only the affinity pair
-    /// space must match.)
-    pub fn is_compatible_with(&self, population: &PopulationAffinity) -> bool {
-        let universe = population.universe();
-        let aff = &self.affinity;
-        aff.pop_n == universe.len()
-            && aff.static_pairs.len() == population.num_pairs()
-            && aff.period_pairs.len() == population.num_periods()
-            && universe
-                .iter()
-                .enumerate()
-                .all(|(pos, u)| aff.pop_pos.get(u.idx()).copied().flatten() == Some(pos as u32))
     }
 
     /// How `items` relates to the universe, or `None` when the substrate
@@ -869,46 +638,31 @@ impl Substrate {
         }
     }
 
-    /// An owned handle to the user's preference columns, materializing
-    /// them if needed: resident dense segments are handed out directly
-    /// (zero copies), resident quantized segments get their dequantized
-    /// buffer from the cache (derived once, then shared), lazy slots
-    /// derive the column from `provider` and cache it under the budget.
-    ///
-    /// This is the access path every reader should use; the returned
-    /// handle owns whatever the views borrow, so cache eviction can
-    /// never invalidate it.
+    /// An owned handle to the user's preference columns: a resident
+    /// dense segment is handed out directly (zero copies), a resident
+    /// quantized segment is dequantized into the handle, and a lazy
+    /// slot's column is derived from `provider` into the handle. Nothing
+    /// is cached here; callers that read a user more than once reuse the
+    /// handle (see [`SharedMemberState`](crate::plan::SharedMemberState)).
     pub fn segment_handle(
         &self,
         provider: &(dyn PreferenceProvider + Sync + '_),
         user_idx: usize,
     ) -> Result<SegmentHandle, QueryError> {
         match &self.segments[user_idx] {
-            SegmentSlot::Resident(seg) => match &seg.store {
-                ScoreStore::Dense(_) => Ok(SegmentHandle {
-                    seg: Arc::clone(seg),
-                    dequant: None,
-                }),
-                ScoreStore::Quantized { codes, dict } => {
-                    if let Some(h) = self.lazy.get(user_idx) {
-                        return Ok(h);
+            SegmentSlot::Resident(seg) => Ok(SegmentHandle {
+                seg: Arc::clone(seg),
+                dequant: match &seg.store {
+                    ScoreStore::Dense(_) => None,
+                    ScoreStore::Quantized { codes, dict } => {
+                        Some(Arc::new(codes.iter().map(|&c| dict[c as usize]).collect()))
                     }
-                    let buf: Vec<f64> = codes.iter().map(|&c| dict[c as usize]).collect();
-                    let bytes = std::mem::size_of_val(buf.as_slice());
-                    let handle = SegmentHandle {
-                        seg: Arc::clone(seg),
-                        dequant: Some(Arc::new(buf)),
-                    };
-                    Ok(self.lazy.insert(user_idx, handle, bytes))
-                }
-            },
+                },
+                derived: false,
+            }),
             SegmentSlot::Lazy => {
-                if let Some(h) = self.lazy.get(user_idx) {
-                    return Ok(h);
-                }
-                // Lazily derived columns are stored dense: the cache
-                // would otherwise hold codes *and* the dequantized buffer,
-                // which costs more than the dense column alone.
+                // A derived column is kept dense: the handle would
+                // otherwise hold codes *and* their dequantized copy.
                 let mut scratch = SegmentScratch::new(self.layout.m);
                 let (ids, scores) = build_one_segment(
                     provider,
@@ -916,13 +670,14 @@ impl Substrate {
                     &self.layout.items,
                     &mut scratch,
                 )?;
-                let seg = Arc::new(PrefSegment {
-                    ids,
-                    store: ScoreStore::Dense(scores),
-                });
-                let bytes = seg.data_bytes();
-                let handle = SegmentHandle { seg, dequant: None };
-                Ok(self.lazy.insert(user_idx, handle, bytes))
+                Ok(SegmentHandle {
+                    seg: Arc::new(PrefSegment {
+                        ids,
+                        store: ScoreStore::Dense(scores),
+                    }),
+                    dequant: None,
+                    derived: true,
+                })
             }
         }
     }
@@ -967,83 +722,39 @@ impl Substrate {
     ) -> SortedList {
         self.filtered_pref_list(handle, 0, mask, len)
     }
-
-    /// Population-wide static affinity as one descending view. Entry ids
-    /// are **population** pair indices (unlike per-query lists, whose ids
-    /// are group pair indices).
-    pub fn static_view(&self) -> ListView<'_> {
-        ListView::new(
-            ListKind::StaticAffinity,
-            &self.affinity.static_pairs,
-            &self.affinity.static_values,
-        )
-    }
-
-    /// Population-wide periodic affinity of one period as a descending
-    /// view (entry ids are population pair indices).
-    pub fn period_view(&self, p_idx: usize) -> ListView<'_> {
-        ListView::new(
-            ListKind::PeriodicAffinity {
-                period: p_idx as u32,
-            },
-            &self.affinity.period_pairs[p_idx],
-            &self.affinity.period_values[p_idx],
-        )
-    }
-
-    /// Order `(group pair id, population pair id)` tuples by the given
-    /// period's precomputed rank.
-    ///
-    /// Both the population order and a per-group sort order lists by
-    /// (component descending, pair id ascending), and restricting the
-    /// population's triangular id order to a group preserves the group's
-    /// triangular order — so the result is *identical* to sorting the
-    /// group's component values, without touching a float.
-    pub fn order_pairs_by_period_rank(&self, p_idx: usize, pairs: &mut [(u32, usize)]) {
-        let rank = &self.affinity.period_rank[p_idx];
-        pairs.sort_by_key(|&(_, pop_pair)| rank[pop_pair]);
-    }
 }
 
-/// Snapshot the population index into sorted pair arrays (+ rank
-/// inverses), validating finiteness.
-fn affinity_arrays(population: &PopulationAffinity) -> Result<AffinityArrays, QueryError> {
-    let universe = population.universe();
-    let max_pop = universe.last().map_or(0, |u| u.idx());
-    let mut pop_pos = vec![None; max_pop + 1];
-    for (pos, &u) in universe.iter().enumerate() {
-        pop_pos[u.idx()] = Some(pos as u32);
+/// Reject a non-finite normalized affinity value of the population —
+/// static, then each period — with one linear pass per column. This is
+/// the build-time counterpart of the per-query `SortedList::new`
+/// validation, so an engine over a broken index fails at construction
+/// rather than at its first query (debug builds catch this earlier via
+/// the affinity sources' `debug_assert`s; this is the release-build
+/// guarantee).
+fn reject_non_finite_affinity(population: &PopulationAffinity) -> Result<(), QueryError> {
+    let check = |kind: ListKind, value_of: &dyn Fn(usize) -> f64| {
+        (0..population.num_pairs()).try_for_each(|pair| {
+            let value = value_of(pair);
+            if value.is_finite() {
+                Ok(())
+            } else {
+                Err(QueryError::from(NonFiniteEntry {
+                    kind,
+                    id: pair as u32,
+                    value,
+                }))
+            }
+        })
+    };
+    check(ListKind::StaticAffinity, &|pair| {
+        population.static_norm(pair)
+    })?;
+    for (p, period) in population.periods().iter().enumerate() {
+        check(ListKind::PeriodicAffinity { period: p as u32 }, &|pair| {
+            period.normalized(pair)
+        })?;
     }
-
-    let (static_pairs, static_values) = population.static_sorted_desc();
-    reject_non_finite(ListKind::StaticAffinity, &static_pairs, &static_values)?;
-    let mut period_pairs = Vec::with_capacity(population.num_periods());
-    let mut period_values = Vec::with_capacity(population.num_periods());
-    let mut period_rank = Vec::with_capacity(population.num_periods());
-    for p in 0..population.num_periods() {
-        let (pairs, values) = population.period_sorted_desc(p);
-        reject_non_finite(
-            ListKind::PeriodicAffinity { period: p as u32 },
-            &pairs,
-            &values,
-        )?;
-        let mut rank = vec![0u32; pairs.len()];
-        for (pos, &pair) in pairs.iter().enumerate() {
-            rank[pair as usize] = pos as u32;
-        }
-        period_pairs.push(pairs);
-        period_values.push(values);
-        period_rank.push(rank);
-    }
-    Ok(AffinityArrays {
-        pop_pos,
-        pop_n: universe.len(),
-        static_pairs,
-        static_values,
-        period_pairs,
-        period_values,
-        period_rank,
-    })
+    Ok(())
 }
 
 /// Reusable per-worker scratch for segment construction: one provider
@@ -1237,21 +948,6 @@ fn build_segments_sharded(
     Ok(out)
 }
 
-/// Reject a non-finite value in a population-level sorted array — the
-/// ingestion-time counterpart of the cold path's per-query
-/// `SortedList::new` validation. Without it a warm engine would compute
-/// silently wrong bounds from a NaN the cold path turns into a typed
-/// error (debug builds catch this earlier via the affinity sources'
-/// `debug_assert`s; this is the release-build guarantee).
-fn reject_non_finite(kind: ListKind, pairs: &[u32], values: &[f64]) -> Result<(), QueryError> {
-    for (&id, &value) in pairs.iter().zip(values) {
-        if !value.is_finite() {
-            return Err(QueryError::from(NonFiniteEntry { kind, id, value }));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1316,11 +1012,8 @@ mod tests {
         let items: Vec<ItemId> = matrix.items().collect();
         let users: Vec<UserId> = pop.universe().to_vec();
         let build = |threads| {
-            let opts = BuildOptions {
-                threads,
-                ..BuildOptions::default()
-            };
-            Substrate::build_with(&raw, &pop, &items, &users, &[], opts).unwrap()
+            Substrate::build_with(&raw, &pop, &items, &users, &[], BuildOptions { threads })
+                .unwrap()
         };
         let (seq, par) = (build(1), build(3));
         for u in 0..3 {
@@ -1389,10 +1082,9 @@ mod tests {
         let items: Vec<ItemId> = stars.items().collect();
         let sub = assert_segments_match_sorted_lists(&RawRatings(&stars), &items, &users);
         assert!(sub.pref_bytes() < 12 * users.len() * items.len());
-        // Dequant buffers are cached, not rebuilt per access.
-        let before = sub.lazy_stats().materializations;
-        let _ = sub.segment_handle(&RawRatings(&stars), 0).unwrap();
-        assert_eq!(sub.lazy_stats().materializations, before);
+        // A handle over a coded column owns its dequantized copy.
+        let h = sub.segment_handle(&RawRatings(&stars), 0).unwrap();
+        assert_eq!(h.owned_bytes(), 8 * items.len());
 
         // User-CF predictions over the same matrix.
         let cf = greca_cf::UserCfModel::fit(&stars, greca_cf::CfConfig::default());
@@ -1441,47 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_segments_materialize_and_evict_under_budget() {
-        let (matrix, pop, _tl) = world();
-        let raw = RawRatings(&matrix);
-        let items: Vec<ItemId> = matrix.items().collect();
-        let users: Vec<UserId> = pop.universe().to_vec();
-        // Budget fits exactly one 4-item dense column (4×12 = 48 B).
-        let sub = Substrate::build_with(
-            &raw,
-            &pop,
-            &items,
-            &[],
-            &users,
-            BuildOptions {
-                materialize_budget: Some(48),
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(sub.has_lazy_segments());
-        assert_eq!(sub.pref_bytes(), 0, "nothing resident up front");
-        assert_eq!(sub.memory_footprint().lazy_bytes, 0);
-
-        let h0 = sub.segment_handle(&raw, 0).unwrap();
-        assert_eq!(h0.view(0).ids, &[0, 2, 1, 3]);
-        assert_eq!(sub.lazy_stats().cached_segments, 1);
-        let h1 = sub.segment_handle(&raw, 1).unwrap();
-        let stats = sub.lazy_stats();
-        assert_eq!(stats.cached_segments, 1, "budget holds one column");
-        assert_eq!(stats.evictions, 1);
-        assert!(stats.resident_bytes <= 48);
-        // The evicted user's handle still reads correctly (it owns its
-        // buffers), and re-access re-materializes.
-        assert_eq!(h0.view(0).ids, &[0, 2, 1, 3]);
-        assert_eq!(h1.view(1).ids.len(), 4);
-        let before = sub.lazy_stats().materializations;
-        let h0b = sub.segment_handle(&raw, 0).unwrap();
-        assert_eq!(h0b.view(0).ids, &[0, 2, 1, 3]);
-        assert_eq!(sub.lazy_stats().materializations, before + 1);
-    }
-
-    #[test]
     fn build_with_covers_users_outside_the_population() {
         // Scale-tier shape: the population cohort is users {0,1,2}, but
         // the substrate also serves preference columns for user 3.
@@ -1505,9 +1156,6 @@ mod tests {
         assert_eq!(sub.users(), &[UserId(0), UserId(3)]);
         let h = sub.segment_handle(&raw, 1).unwrap();
         assert_eq!(h.view(0).ids, &[1, 2, 0, 3]);
-        // Affinity pair space still follows the population.
-        assert!(sub.is_compatible_with(&pop));
-        assert_eq!(sub.population_pair_of(UserId(0), UserId(3)), None);
     }
 
     #[test]
@@ -1550,32 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn population_views_are_descending_and_ranked() {
-        let (matrix, pop, _tl) = world();
-        let raw = RawRatings(&matrix);
-        let items: Vec<ItemId> = matrix.items().collect();
-        let sub = Substrate::build(&raw, &pop, &items).unwrap();
-        let sv = sub.static_view();
-        assert_eq!(sv.len(), 3);
-        for w in sv.scores.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-        assert_eq!(sub.num_periods(), 2);
-        for p in 0..2 {
-            let pv = sub.period_view(p);
-            for w in pv.scores.windows(2) {
-                assert!(w[0] >= w[1]);
-            }
-        }
-        // Rank ordering of all three pairs reproduces the period view's
-        // pair order.
-        let mut pairs: Vec<(u32, usize)> = (0..3).map(|p| (p as u32, p)).collect();
-        sub.order_pairs_by_period_rank(0, &mut pairs);
-        let got: Vec<u32> = pairs.iter().map(|&(_, pop_pair)| pop_pair as u32).collect();
-        assert_eq!(got, sub.period_view(0).ids);
-    }
-
-    #[test]
     fn memory_footprint_accounts_every_layer() {
         let (matrix, pop, _tl) = world();
         let raw = RawRatings(&matrix);
@@ -1587,37 +1209,63 @@ mod tests {
         // they stay dense: 4 × (u32 id + f64 score) each. User 1 holds
         // two and is coded: 4 ids + 4 `u16` codes + 2 `f64` values.
         assert_eq!(fp.pref_bytes, 48 + (16 + 8 + 16) + 48);
-        assert!(fp.universe_bytes > 0, "layout maps counted");
-        assert!(fp.affinity_bytes > 0, "affinity arrays counted");
-        assert_eq!(fp.lazy_bytes, 0, "no on-demand materializations yet");
+        // 3 user ids + 3 `Option<u32>` positions, 4 item ids + 4 dense
+        // positions.
+        assert_eq!(fp.universe_bytes, 3 * 4 + 3 * 8 + 4 * 4 + 4 * 4);
+        assert_eq!(fp.total(), fp.universe_bytes + fp.pref_bytes);
+        // Reading a coded segment leaves the substrate's footprint alone:
+        // the dequantized column belongs to the handle.
+        let h1 = sub.segment_handle(&raw, 1).unwrap();
+        assert_eq!(h1.owned_bytes(), 4 * 8);
+        assert_eq!(sub.memory_footprint(), fp);
         assert_eq!(
-            fp.total(),
-            fp.universe_bytes + fp.pref_bytes + fp.affinity_bytes + fp.lazy_bytes
+            fp.to_json(),
+            format!(
+                "{{\"universe_bytes\":{},\"pref_bytes\":{},\"total_bytes\":{}}}",
+                fp.universe_bytes,
+                fp.pref_bytes,
+                fp.total()
+            )
         );
-        let json = fp.to_json();
-        assert!(json.contains("\"total_bytes\"") && json.contains("\"pref_bytes\""));
-        assert!(json.contains("\"lazy_bytes\""));
     }
 
     #[test]
-    fn compatibility_rejects_foreign_population() {
+    fn the_population_pair_space_leaves_no_trace() {
+        // The same users and items against the three-user, two-period
+        // population and a wider static-only one: the substrate stores
+        // no affinity, so its footprint and segments are identical.
         let (matrix, pop, _tl) = world();
         let raw = RawRatings(&matrix);
         let items: Vec<ItemId> = matrix.items().collect();
-        let sub = Substrate::build(&raw, &pop, &items).unwrap();
-        assert!(sub.is_compatible_with(&pop));
-        // A static-only index over the same users: different period
-        // count → incompatible.
+        let users: Vec<UserId> = pop.universe().to_vec();
         let mut src = TableAffinitySource::new();
-        src.set_static(UserId(0), UserId(1), 0.5);
-        let other = PopulationAffinity::new_static_only(&src, &[UserId(0), UserId(1), UserId(2)]);
-        assert!(!sub.is_compatible_with(&other));
-        // A different universe → incompatible.
+        src.set_static(UserId(0), UserId(7), 0.5);
         let wider = PopulationAffinity::new_static_only(
             &src,
             &[UserId(0), UserId(1), UserId(2), UserId(7)],
         );
-        assert!(!sub.is_compatible_with(&wider));
+        assert_ne!(wider.num_pairs(), pop.num_pairs());
+        let build = |population: &PopulationAffinity| {
+            Substrate::build_with(
+                &raw,
+                population,
+                &items,
+                &users,
+                &[],
+                BuildOptions::default(),
+            )
+            .unwrap()
+        };
+        let (a, b) = (build(&pop), build(&wider));
+        assert_eq!(a.memory_footprint(), b.memory_footprint());
+        for u in 0..users.len() {
+            let (ha, hb) = (
+                a.segment_handle(&raw, u).unwrap(),
+                b.segment_handle(&raw, u).unwrap(),
+            );
+            assert_eq!(ha.ids(), hb.ids());
+            assert_eq!(bits(ha.scores()), bits(hb.scores()));
+        }
     }
 
     #[test]
@@ -1647,7 +1295,6 @@ mod tests {
         // Clean users: the same allocations, not copies.
         assert!(sub.shares_segment_with(&next, UserId(0)));
         assert!(sub.shares_segment_with(&next, UserId(2)));
-        assert!(sub.shares_affinity_with(&next));
         // The old epoch still serves its original view.
         assert_eq!(sub.segment_handle(&raw, 1).unwrap().ids(), &[1, 0, 2, 3]);
         // The rebuilt substrate equals a cold build from the new matrix.
@@ -1663,28 +1310,44 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_dirty_starts_with_a_fresh_cache() {
+    fn lazy_slots_derive_every_access_from_the_readers_provider() {
         let (matrix, pop, _tl) = world();
         let raw = RawRatings(&matrix);
         let items: Vec<ItemId> = matrix.items().collect();
         let users: Vec<UserId> = pop.universe().to_vec();
-        let sub = Substrate::build_with(&raw, &pop, &items, &[], &users, BuildOptions::default())
+        let eager = Substrate::build_with(&raw, &pop, &items, &users, &[], BuildOptions::default())
             .unwrap();
-        let _ = sub.segment_handle(&raw, 1).unwrap();
-        assert_eq!(sub.lazy_stats().cached_segments, 1);
+        let lazy = Substrate::build_with(&raw, &pop, &items, &[], &users, BuildOptions::default())
+            .unwrap();
+        assert_eq!(lazy.pref_bytes(), 0, "nothing resident up front");
+        // Every access derives a column bit-identical to the eager
+        // build's, owned by the handle.
+        for _ in 0..2 {
+            for u in 0..users.len() {
+                let (he, hl) = (
+                    eager.segment_handle(&raw, u).unwrap(),
+                    lazy.segment_handle(&raw, u).unwrap(),
+                );
+                assert_eq!(hl.ids(), he.ids());
+                assert_eq!(bits(hl.scores()), bits(he.scores()));
+                assert_eq!(hl.owned_bytes(), 12 * items.len());
+            }
+        }
+        assert_eq!(lazy.memory_footprint().pref_bytes, 0, "no cache");
 
+        // User 1 rates item 3: the rebuilt substrate serves the
+        // post-batch column, the old one still serves the old column.
         let mut b = RatingMatrixBuilder::new(3, 4);
-        b.rate(UserId(1), ItemId(3), 5.0, 1);
+        b.rate(UserId(1), ItemId(1), 4.0, 0)
+            .rate(UserId(1), ItemId(3), 5.0, 1);
         let next_matrix = b.build();
         let next_raw = RawRatings(&next_matrix);
-        let next = sub.rebuild_dirty(&next_raw, &[UserId(1)]).unwrap();
-        // The new epoch must not inherit the old epoch's derivation.
-        assert_eq!(next.lazy_stats().cached_segments, 0);
-        let h = next.segment_handle(&next_raw, 1).unwrap();
-        assert_eq!(h.view(1).ids[0], 3, "post-batch column served");
-        // The old epoch's cache still serves the old column.
-        let old = sub.segment_handle(&raw, 1).unwrap();
-        assert_eq!(old.view(1).ids, &[1, 0, 2, 3]);
+        let next = lazy.rebuild_dirty(&next_raw, &[UserId(1)]).unwrap();
+        assert_eq!(
+            next.segment_handle(&next_raw, 1).unwrap().ids(),
+            &[3, 1, 0, 2]
+        );
+        assert_eq!(lazy.segment_handle(&raw, 1).unwrap().ids(), &[1, 0, 2, 3]);
     }
 
     #[test]
@@ -1712,7 +1375,5 @@ mod tests {
         assert!(sub.covers_group(&g));
         let g2 = Group::new(vec![UserId(0), UserId(1)]).unwrap();
         assert!(!sub.covers_group(&g2));
-        // Population pair indexing still spans the full universe.
-        assert_eq!(sub.population_pair_of(UserId(0), UserId(2)), Some(1));
     }
 }

@@ -1317,39 +1317,11 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         let stats = &cache.stats;
         let load = |c: &std::sync::atomic::AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
         let substrate = pin.substrate();
-        let lazy = substrate.lazy_stats();
         Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("verb", Json::str("stats")),
             ("epoch", Json::num(engine_epoch as f64)),
             ("world", Json::str(self.config.world_label.as_str())),
-            (
-                "substrate",
-                Json::obj(vec![
-                    (
-                        "has_lazy_segments",
-                        Json::Bool(substrate.has_lazy_segments()),
-                    ),
-                    (
-                        "materialize_budget_bytes",
-                        Json::num(if lazy.budget_bytes == usize::MAX {
-                            -1.0
-                        } else {
-                            lazy.budget_bytes as f64
-                        }),
-                    ),
-                    ("lazy_resident_bytes", Json::num(lazy.resident_bytes as f64)),
-                    (
-                        "lazy_cached_segments",
-                        Json::num(lazy.cached_segments as f64),
-                    ),
-                    (
-                        "lazy_materializations",
-                        Json::num(lazy.materializations as f64),
-                    ),
-                    ("lazy_evictions", Json::num(lazy.evictions as f64)),
-                ]),
-            ),
             (
                 "cache",
                 Json::obj(vec![
@@ -1612,8 +1584,6 @@ fn memory_json(fp: greca_core::MemoryFootprint) -> Json {
     Json::obj(vec![
         ("universe_bytes", Json::num(fp.universe_bytes as f64)),
         ("pref_bytes", Json::num(fp.pref_bytes as f64)),
-        ("affinity_bytes", Json::num(fp.affinity_bytes as f64)),
-        ("lazy_bytes", Json::num(fp.lazy_bytes as f64)),
         ("total_bytes", Json::num(fp.total() as f64)),
     ])
 }

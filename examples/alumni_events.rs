@@ -75,8 +75,8 @@ fn main() {
     }
 
     // Discrete vs continuous at year end. The index is final now, so
-    // warm the engine: preference lists and affinity arrays precompute
-    // once and both modes serve from the same shared substrate.
+    // warm the engine: preference lists precompute once and both modes
+    // serve from the same shared substrate.
     let last = timeline.num_periods() - 1;
     let catalog: Vec<ItemId> = ml.matrix.items().collect();
     let engine = GrecaEngine::warm(&cf, &population, &catalog).expect("finite CF scores");

@@ -26,8 +26,8 @@ fn main() {
 
     // --- 2. Substrates → the warm serving engine -------------------------
     // `warm` precomputes, once, every user's sorted preference list over
-    // the catalog plus the per-period sorted affinity arrays; queries
-    // then prepare by slicing zero-copy views instead of sorting.
+    // the catalog; queries then prepare by slicing zero-copy views
+    // instead of sorting them.
     let cf = UserCfModel::fit(&ml.matrix, CfConfig::default());
     let universe: Vec<UserId> = net.users().collect();
     let population =

@@ -37,10 +37,10 @@
 //!     &SocialAffinitySource::new(&net), &universe, &timeline);
 //!
 //! // 3. A warm engine precomputes the shared Substrate (sorted
-//! //    preference columns + affinity arrays) once; queries then serve
-//! //    zero-copy views with the paper's defaults baked in (k = 10, AP
-//! //    consensus, discrete affinity, decomposed lists, normalized
-//! //    relative preference, candidate itemset).
+//! //    preference columns) once; queries then serve zero-copy views
+//! //    with the paper's defaults baked in (k = 10, AP consensus,
+//! //    discrete affinity, decomposed lists, normalized relative
+//! //    preference, candidate itemset).
 //! let catalog: Vec<ItemId> = ml.matrix.items().collect();
 //! let engine = GrecaEngine::warm(&cf, &population, &catalog).unwrap();
 //! let group = Group::new(vec![UserId(0), UserId(1), UserId(4)]).unwrap();
