@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use greca_affinity::{PopulationAffinity, SocialAffinitySource};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{Algorithm, GrecaConfig, GrecaEngine, ListLayout, StoppingRule};
+use greca_core::{GrecaEngine, ListLayout, StoppingRule};
 use greca_dataset::UserId;
 use std::hint::black_box;
 
@@ -35,13 +35,8 @@ fn bench_stopping_rules(c: &mut Criterion) {
         ("threshold_only", StoppingRule::ThresholdOnly),
         ("exhaustive", StoppingRule::Exhaustive),
     ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    prepared.run_algorithm(Algorithm::Greca(GrecaConfig::top(10).stopping(rule))),
-                )
-            })
-        });
+        let prepared = prepared.clone().stopping(rule);
+        g.bench_function(name, |b| b.iter(|| black_box(prepared.run())));
     }
     g.finish();
 }
@@ -68,7 +63,6 @@ fn bench_list_layout(c: &mut Criterion) {
             .affinity(settings.mode)
             .layout(layout)
             .normalize_rpref(false)
-            .algorithm(Algorithm::Greca(GrecaConfig::top(10)))
             .prepare()
             .expect("valid layout-ablation query");
         g.bench_function(name, |b| b.iter(|| black_box(prepared.run())));

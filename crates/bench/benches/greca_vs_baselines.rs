@@ -3,8 +3,8 @@
 //! saveup must also show up as time, not just avoided reads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use greca_bench::baselines::{naive_topk, ta_topk};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{Algorithm, GrecaConfig, TaConfig};
 use std::hint::black_box;
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -20,14 +20,14 @@ fn bench_algorithms(c: &mut Criterion) {
     let mut g = c.benchmark_group("topk_algorithms");
     for k in [5usize, 10] {
         let prepared = prepared.clone().top(k);
-        g.bench_with_input(BenchmarkId::new("greca", k), &k, |b, &k| {
-            b.iter(|| black_box(prepared.run_algorithm(Algorithm::Greca(GrecaConfig::top(k)))))
+        g.bench_with_input(BenchmarkId::new("greca", k), &k, |b, _| {
+            b.iter(|| black_box(prepared.run()))
         });
-        g.bench_with_input(BenchmarkId::new("ta", k), &k, |b, &k| {
-            b.iter(|| black_box(prepared.run_algorithm(Algorithm::Ta(TaConfig::top(k)))))
+        g.bench_with_input(BenchmarkId::new("ta", k), &k, |b, _| {
+            b.iter(|| black_box(ta_topk(&prepared)))
         });
         g.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
-            b.iter(|| black_box(prepared.run_algorithm(Algorithm::Naive)))
+            b.iter(|| black_box(naive_topk(&prepared)))
         });
     }
     g.finish();

@@ -23,7 +23,7 @@
 
 use greca_bench::harness::{banner, print_row};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{Algorithm, GrecaConfig, GrecaScratch, PreparedQuery, StoppingRule};
+use greca_core::{BuildOptions, GrecaScratch, PreparedQuery, StoppingRule};
 use std::io::Write;
 use std::time::Instant;
 
@@ -100,6 +100,13 @@ fn main() {
     print_row("groups", settings.num_groups);
     print_row("k", settings.k);
     print_row("items", settings.num_items);
+    // The host's threads, and the workers a warm engine over the study
+    // users builds with. Every kernel row runs on one thread; the
+    // queries are prepared once, cold, before any timing.
+    let nproc = BuildOptions::default().resolved_threads();
+    let build_workers = BuildOptions::default().workers_for(pw.world().study_users().len());
+    print_row("nproc", nproc);
+    print_row("build workers", build_workers);
 
     let cf = pw.cf();
     let groups = pw.random_groups(settings.num_groups, settings.group_size, settings.seed);
@@ -107,7 +114,6 @@ fn main() {
         .iter()
         .map(|g| pw.prepare_group(&cf, g, &settings))
         .collect();
-    let config_of = |stopping| Algorithm::Greca(GrecaConfig::top(settings.k).stopping(stopping));
 
     // Identity gates first (untimed): scratch reuse is bit-identical to
     // fresh scratches, and every rule's itemset matches the exhaustive
@@ -116,11 +122,11 @@ fn main() {
     let mut identical = true;
     for p in &prepared {
         for (stopping, _) in RULES {
-            let alg = config_of(stopping);
-            let fresh = p.run_algorithm(alg);
-            let reused = p.run_algorithm_with(alg, &mut scratch);
+            let p = p.clone().stopping(stopping);
+            let fresh = p.run();
+            let reused = p.run_with_scratch(&mut scratch);
             identical &= fresh == reused;
-            identical &= matches_truth(p, &reused, settings.k);
+            identical &= matches_truth(&p, &reused, settings.k);
         }
     }
     print_row("identical", identical);
@@ -129,12 +135,15 @@ fn main() {
     // scratch (the serving shape).
     let mut rows = Vec::new();
     for (stopping, label) in RULES {
-        let alg = config_of(stopping);
+        let ruled: Vec<PreparedQuery> = prepared
+            .iter()
+            .map(|p| p.clone().stopping(stopping))
+            .collect();
         let mut sa_sum = 0.0;
         let start = Instant::now();
         for _ in 0..rounds {
-            for p in &prepared {
-                let r = p.run_algorithm_with(alg, &mut scratch);
+            for p in &ruled {
+                let r = p.run_with_scratch(&mut scratch);
                 sa_sum += r.stats.sa_percent();
             }
         }
@@ -173,8 +182,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"world\": \"{}\",\n  \"num_groups\": {},\n  \"group_size\": {},\n  \"k\": {},\n  \"num_items\": {},\n  \"identical\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"world\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"num_groups\": {},\n  \"group_size\": {},\n  \"k\": {},\n  \"num_items\": {},\n  \"identical\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         world_label,
+        nproc,
+        build_workers,
         settings.num_groups,
         settings.group_size,
         settings.k,

@@ -12,12 +12,13 @@
 //! [`greca_core::GroupQuery`]s executed in parallel, access statistics
 //! aggregated — the serving shape the engine API exists for.
 
+use crate::baselines::{naive_topk, ta_topk};
 use greca_affinity::AffinityMode;
 use greca_cf::{PreferenceProvider, UserCfModel};
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    Aggregate, Algorithm, BatchResult, BuildOptions, GrecaConfig, GrecaEngine, GrecaScratch,
-    PreparedQuery, Substrate, TaConfig,
+    Aggregate, BatchResult, BuildOptions, GrecaEngine, GrecaScratch, PreparedQuery, Substrate,
+    TopKResult,
 };
 use greca_dataset::{Group, GroupBuilder, ItemId, UserId};
 use greca_eval::{StudyWorld, WorldConfig};
@@ -53,14 +54,6 @@ impl Default for PerfSettings {
             mode: AffinityMode::Discrete,
             seed: 0xbe7c4,
         }
-    }
-}
-
-impl PerfSettings {
-    /// GRECA as the experiments run it: the buffer stopping rule
-    /// (`GrecaConfig::top`'s default) at the settings' `k`.
-    pub fn greca_algorithm(&self) -> Algorithm {
-        Algorithm::Greca(GrecaConfig::top(self.k))
     }
 }
 
@@ -145,7 +138,6 @@ impl PerfWorld {
             // does.
             .normalize_rpref(false)
             .top(settings.k)
-            .algorithm(settings.greca_algorithm())
             .prepare()
             .expect("experiment settings form valid queries")
     }
@@ -198,7 +190,6 @@ impl PerfWorld {
                     .consensus(settings.consensus)
                     .normalize_rpref(false)
                     .top(settings.k)
-                    .algorithm(settings.greca_algorithm())
             })
             .collect();
         engine.run_batch(&queries)
@@ -220,10 +211,11 @@ impl PerfWorld {
             .iter()
             .map(|g| self.prepare_group(&cf, g, settings))
             .collect();
-        let algorithms = [
-            settings.greca_algorithm(),
-            Algorithm::Ta(TaConfig::top(settings.k)),
-            Algorithm::Naive,
+        type Run<'r> = &'r dyn Fn(&PreparedQuery, &mut GrecaScratch) -> TopKResult;
+        let algorithms: [(&'static str, Run<'_>); 3] = [
+            ("greca", &|p, scratch| p.run_with_scratch(scratch)),
+            ("ta", &|p, _| ta_topk(p)),
+            ("naive", &|p, _| naive_topk(p)),
         ];
         // One recycled kernel workspace across the whole sweep — the
         // serving shape (a `run_batch` worker reuses its scratch the
@@ -231,18 +223,18 @@ impl PerfWorld {
         let mut scratch = GrecaScratch::new();
         algorithms
             .iter()
-            .map(|&algorithm| {
+            .map(|&(label, run)| {
                 let mut sa_pcts = Vec::with_capacity(prepared.len());
                 let mut ra_total = 0u64;
                 let start = Instant::now();
                 for p in &prepared {
-                    let r = p.run_algorithm_with(algorithm, &mut scratch);
+                    let r = run(p, &mut scratch);
                     sa_pcts.push(r.stats.sa_percent());
                     ra_total += r.stats.ra;
                 }
                 let elapsed = start.elapsed();
                 BaselineRow {
-                    algorithm: algorithm.label(),
+                    algorithm: label,
                     mean_latency_ms: elapsed.as_secs_f64() * 1e3 / prepared.len() as f64,
                     sa_percent: Aggregate::of(&sa_pcts),
                     random_accesses: ra_total,
@@ -358,7 +350,6 @@ impl PerfWorld {
                 .consensus(settings.consensus)
                 .normalize_rpref(false)
                 .top(settings.k)
-                .algorithm(settings.greca_algorithm())
                 .prepare()
                 .expect("experiment settings form valid queries")
         };

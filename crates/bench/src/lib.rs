@@ -2,7 +2,9 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (§4), plus Criterion micro-benchmarks and the ablation
-//! studies in `benches/ablations.rs`.
+//! studies in `benches/ablations.rs`. It also holds the §3.1/§4.2
+//! comparison set GRECA is measured against ([`baselines`]: TA and the
+//! naive full scan), which `greca-core` does not ship.
 //!
 //! | binary        | artifact      | what it regenerates                          |
 //! |---------------|---------------|----------------------------------------------|
@@ -24,6 +26,7 @@
 //! Run any of them with
 //! `cargo run -p greca-bench --release --bin <name>`.
 
+pub mod baselines;
 pub mod experiments;
 pub mod harness;
 

@@ -12,7 +12,6 @@
 //! * a user-based neighbourhood model whose fit scores every co-rater
 //!   in one pass over the item postings and whose batched prediction
 //!   scatters neighbour rows, both bit-identical to the pairwise path,
-//! * an item-based model (an extension, useful for ablations),
 //! * per-user **preference lists**: items sorted by decreasing predicted
 //!   preference, the `PL_u` inputs of GRECA (§3.1),
 //! * the **live-update delta layer** ([`delta`]): a [`RatingStore`] of
@@ -32,13 +31,11 @@
 //! ```
 
 pub mod delta;
-pub mod item_cf;
 pub mod preference;
 pub mod similarity;
 pub mod user_cf;
 
 pub use delta::{DeltaBatch, DirtySet, InvalidationScope, RatingStore};
-pub use item_cf::ItemCfModel;
 pub use preference::{
     candidate_items, group_preference_lists, NonFiniteScore, PreferenceList, PreferenceProvider,
     RawRatings,

@@ -6,11 +6,10 @@
 //! user recommendation strategy."
 //!
 //! [`PreferenceProvider`] abstracts over the `apref` source (user-based
-//! CF, item-based CF, raw ratings, or hand-written tables like the
-//! paper's running example) so the group-recommendation layers stay
-//! independent of how individual preferences are produced.
+//! CF, raw ratings, or hand-written tables like the paper's running
+//! example) so the group-recommendation layers stay independent of how
+//! individual preferences are produced.
 
-use crate::item_cf::ItemCfModel;
 use crate::user_cf::UserCfModel;
 use greca_dataset::{Group, ItemId, RatingMatrix, UserId};
 
@@ -136,16 +135,6 @@ impl PreferenceProvider for UserCfModel<'_> {
             return;
         }
         self.scatter_predictions(u, items, out);
-    }
-
-    fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
-        Some(candidate_items(self.matrix(), group))
-    }
-}
-
-impl PreferenceProvider for ItemCfModel<'_> {
-    fn apref(&self, u: UserId, i: ItemId) -> f64 {
-        self.predict(u, i)
     }
 
     fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {

@@ -862,7 +862,9 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
 ///
 /// `affinity` must be the same view the inputs were built from;
 /// `consensus` and `normalize_rpref` must match whatever scalar scoring
-/// the caller compares against (see [`crate::naive::naive_topk`]).
+/// the caller compares against (see
+/// [`PreparedQuery::exact_scores`](crate::query::PreparedQuery::exact_scores);
+/// the TA and naive-scan baselines live in `greca_bench::baselines`).
 ///
 /// Every preference list must rank the same itemset (§2.4 poses the
 /// problem over one shared itemset `I`; [`MaterializedInputs::build`]

@@ -1,7 +1,7 @@
 //! # greca-core
 //!
 //! GRECA — *Group Recommendation with Temporal Affinities* (EDBT 2015,
-//! §3) — and its baselines.
+//! §3) — and the engine that serves it.
 //!
 //! GRECA adapts the NRA member of the Fagin threshold-algorithm family to
 //! group recommendation with temporal affinities. Its inputs are, for a
@@ -19,11 +19,13 @@
 //! function of `greca-consensus` and every affinity mode of
 //! `greca-affinity`.
 //!
-//! Baselines: [`ta::ta_topk`] (random-access threshold algorithm,
-//! reproducing §3.1's RA accounting) and [`naive::naive_topk`] (full
-//! scan; also the correctness oracle).
+//! GRECA is the only algorithm this crate ships. The §3.1/§4.2
+//! comparison set — the random-access threshold algorithm and the naive
+//! full scan — lives in `greca_bench::baselines`, beside the experiments
+//! and tests that compare against it. The exact scorer they and the
+//! tests check against is [`PreparedQuery::exact_scores`].
 //!
-//! Serving layers on top of the algorithms: [`query::GrecaEngine`] (the
+//! Serving layers on top of the kernel: [`query::GrecaEngine`] (the
 //! fluent query API over cold or warm [`substrate::Substrate`] storage)
 //! and [`live::LiveEngine`] (rating ingestion with epoch-swapped
 //! substrates — §2.4's evolving preferences without ever blocking or
@@ -65,13 +67,11 @@ pub mod greca;
 pub mod interval;
 pub mod lists;
 pub mod live;
-pub mod naive;
 pub mod obs;
 pub mod plan;
 pub mod query;
 pub mod score;
 pub mod substrate;
-pub mod ta;
 pub mod wal;
 
 pub use access::{AccessStats, Aggregate};
@@ -88,19 +88,16 @@ pub use live::{
     EpochLineage, EpochProvider, IngestReport, LineageSummary, LiveEngine, LiveHealth, LiveModel,
     PinnedEpoch, PublishDelta, RecoveryReport, StagedBatch, LINEAGE_CAP,
 };
-pub use naive::{naive_scores, naive_topk};
 pub use obs::{
     CacheNote, FlightRecorder, ObsTotals, Phase, SpanGuard, SpanKind, SpanRecord, TraceFilter,
     NUM_KINDS, NUM_PHASES,
 };
 pub use plan::{run_batch, BatchResult, PlanStats, SharedMemberState};
 pub use query::{
-    Algorithm, GrecaEngine, GroupQuery, PreparedQuery, QueryError, QueryFootprint, QueryKey,
-    PAPER_DEFAULT_K,
+    GrecaEngine, GroupQuery, PreparedQuery, QueryError, QueryFootprint, QueryKey, PAPER_DEFAULT_K,
 };
 pub use score::BoundScorer;
 pub use substrate::{
     BuildOptions, ItemCoverage, MemoryFootprint, SegmentHandle, Substrate, QUANT_LEVELS,
 };
-pub use ta::{ta_topk, TaConfig};
 pub use wal::{FsyncPolicy, RecoverySummary, Wal, WalOptions, WalRecord};

@@ -256,8 +256,9 @@ const NO_LIST: u32 = u32::MAX;
 
 /// All inputs for one algorithm execution, as borrowed views.
 ///
-/// This is what [`crate::greca::greca_topk`], [`crate::ta::ta_topk`] and
-/// [`crate::naive::naive_topk`] consume. It borrows from whichever
+/// This is what [`crate::greca::greca_topk`] — the only algorithm this
+/// crate ships — consumes, as do the §4.2 baselines in
+/// `greca_bench::baselines`. It borrows from whichever
 /// storage backs the query — owned [`SortedList`]s or the engine's
 /// shared [`crate::substrate::Substrate`] — and costs only the
 /// view vectors (plus two tiny pair-membership tables) to assemble.

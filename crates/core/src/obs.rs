@@ -56,7 +56,7 @@ pub enum Phase {
     /// sorted-list selection/materialization (shared-arena resolution
     /// included).
     Prepare = 2,
-    /// Kernel execution — the GRECA/TA/naive sweeps themselves.
+    /// Kernel execution — the GRECA sweeps themselves.
     Kernel = 3,
     /// Final consensus resolution: scoring/ranking the buffered
     /// candidates into the returned top-k (the kernel's finish step).

@@ -28,10 +28,10 @@
 //! engine also keeps a small keyed cache of [`GroupAffinity`] views so
 //! repeat groups skip the view computation.
 //!
-//! [`Algorithm`] unifies GRECA with its §3.1/§4.2 comparison set (TA and
-//! the naive scan): the same prepared query runs through any of the
-//! three, which is what makes `%SA` comparisons fair. [`run_batch`]
-//! executes many queries in parallel across OS threads through the
+//! A prepared query runs GRECA under any [`StoppingRule`] and exposes
+//! its inputs, so the §3.1/§4.2 comparison set (`greca_bench::baselines`)
+//! reads exactly the lists GRECA reads — what makes `%SA` comparisons
+//! fair. [`run_batch`] executes many queries in parallel across OS threads through the
 //! batch planner ([`crate::plan`]) and aggregates their access
 //! statistics — the §4.2 harness shape (20 random groups per data
 //! point).
@@ -40,13 +40,11 @@ use crate::greca::{greca_topk_with, GrecaConfig, GrecaScratch, StoppingRule, Top
 use crate::lists::{
     group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
 };
-use crate::naive::{naive_scores, naive_topk};
 use crate::plan::{run_batch, BatchResult, SharedMemberState};
 use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
-use crate::ta::{ta_topk, TaConfig};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
 use greca_cf::{PreferenceList, PreferenceProvider};
-use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind};
+use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind, GroupScorer};
 use greca_dataset::{Group, ItemId, UserId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -150,43 +148,6 @@ impl From<NonFiniteEntry> for QueryError {
     }
 }
 
-/// Which top-k algorithm executes a query.
-///
-/// All three consume the same prepared inputs and return the same
-/// [`TopKResult`] shape, differing only in access pattern — GRECA reads
-/// sequentially with the buffer stopping condition, TA completes scores
-/// by random access, the naive scan reads everything. The `k` recorded
-/// inside a variant's config is overridden by the query's own
-/// [`GroupQuery::top`] so one query object can sweep algorithms without
-/// re-stating k.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Algorithm {
-    /// GRECA (Algorithm 1): sequential accesses, buffer condition.
-    Greca(GrecaConfig),
-    /// Threshold-algorithm baseline with random accesses (§3.1).
-    Ta(TaConfig),
-    /// Full-scan baseline; also the correctness oracle.
-    Naive,
-}
-
-impl Default for Algorithm {
-    /// GRECA with its default stopping rule and check cadence.
-    fn default() -> Self {
-        Algorithm::Greca(GrecaConfig::top(PAPER_DEFAULT_K))
-    }
-}
-
-impl Algorithm {
-    /// Short label for tables and JSON artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Algorithm::Greca(_) => "greca",
-            Algorithm::Ta(_) => "ta",
-            Algorithm::Naive => "naive",
-        }
-    }
-}
-
 /// Lock a mutex, recovering if a previous holder panicked: the poison
 /// flag is cleared and `sanitize` puts the protected value back into a
 /// known-good state before reuse. The engine's shared caches use this
@@ -275,29 +236,6 @@ impl From<ConsensusFunction> for ConsensusKey {
     }
 }
 
-/// [`Algorithm`] made hashable. The `k` recorded inside a variant's
-/// config is excluded on purpose: the query's own
-/// [`GroupQuery::top`] overrides it at execution, so it cannot affect
-/// results and must not split the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum AlgorithmKey {
-    Greca(StoppingRule),
-    Ta { cache_affinity: bool },
-    Naive,
-}
-
-impl From<Algorithm> for AlgorithmKey {
-    fn from(a: Algorithm) -> Self {
-        match a {
-            Algorithm::Greca(c) => AlgorithmKey::Greca(c.stopping),
-            Algorithm::Ta(c) => AlgorithmKey::Ta {
-                cache_affinity: c.cache_affinity,
-            },
-            Algorithm::Naive => AlgorithmKey::Naive,
-        }
-    }
-}
-
 /// SplitMix64: the finalizer used to hash individual item ids into the
 /// itemset fingerprint.
 fn splitmix64(mut x: u64) -> u64 {
@@ -330,7 +268,7 @@ fn itemset_fingerprint(items: &[ItemId]) -> u128 {
 /// results against the same engine state: group members (already
 /// canonical — [`Group`] keeps them sorted), effective period, affinity
 /// mode, list layout, consensus function, rpref normalization, `k`, the
-/// algorithm configuration, and the candidate itemset all participate.
+/// stopping rule, and the candidate itemset all participate.
 /// The itemset enters as its length plus an order-independent 128-bit
 /// fingerprint, so permutations of one itemset share a key at `O(m)`
 /// hashing cost with no sort and no copy. (A fingerprint collision
@@ -359,7 +297,7 @@ pub struct QueryKey {
     consensus: ConsensusKey,
     normalize_rpref: bool,
     k: usize,
-    algorithm: AlgorithmKey,
+    stopping: StoppingRule,
 }
 
 impl QueryKey {
@@ -611,7 +549,7 @@ impl<'a> GrecaEngine<'a> {
             consensus: ConsensusFunction::average_preference(),
             normalize_rpref: true,
             k: PAPER_DEFAULT_K,
-            algorithm: Algorithm::default(),
+            stopping: StoppingRule::Greca,
         }
     }
 
@@ -702,7 +640,7 @@ impl<'a> GrecaEngine<'a> {
 ///
 /// Defaults (the paper's §4.2 settings): `k = 10`, AP consensus,
 /// discrete affinity mode, decomposed list layout, normalized relative
-/// preference, the current (latest) period, GRECA as the algorithm.
+/// preference, the current (latest) period, GRECA's buffer stopping rule.
 /// The itemset itself defaults to the provider's candidate set for the
 /// group (every catalog item no member has rated — §2.4); supply
 /// [`items`](Self::items) to override it.
@@ -717,7 +655,7 @@ pub struct GroupQuery<'q> {
     consensus: ConsensusFunction,
     normalize_rpref: bool,
     k: usize,
-    algorithm: Algorithm,
+    stopping: StoppingRule,
 }
 
 impl std::fmt::Debug for GroupQuery<'_> {
@@ -731,7 +669,7 @@ impl std::fmt::Debug for GroupQuery<'_> {
             .field("consensus", &self.consensus.label())
             .field("normalize_rpref", &self.normalize_rpref)
             .field("k", &self.k)
-            .field("algorithm", &self.algorithm)
+            .field("stopping", &self.stopping)
             .finish()
     }
 }
@@ -778,16 +716,15 @@ impl<'q> GroupQuery<'q> {
         self
     }
 
-    /// Result size `k` (default: 10). Overrides any `k` recorded inside
-    /// the algorithm's config.
+    /// Result size `k` (default: 10).
     pub fn top(mut self, k: usize) -> Self {
         self.k = k;
         self
     }
 
-    /// Executing algorithm (default: GRECA).
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
+    /// GRECA's stopping rule (default: [`StoppingRule::Greca`]).
+    pub fn stopping(mut self, stopping: StoppingRule) -> Self {
+        self.stopping = stopping;
         self
     }
 
@@ -805,7 +742,7 @@ impl<'q> GroupQuery<'q> {
             consensus: ConsensusKey::from(self.consensus),
             normalize_rpref: self.normalize_rpref,
             k: self.k,
-            algorithm: AlgorithmKey::from(self.algorithm),
+            stopping: self.stopping,
         }
     }
 
@@ -851,8 +788,9 @@ impl<'q> GroupQuery<'q> {
     }
 
     /// Materialize or select the sorted lists once; the result can then
-    /// run any [`Algorithm`] over the *same* inputs (the fair-`%SA`
-    /// setup of §4.2) without paying preparation again.
+    /// run again — under other stopping rules or consensus functions, or
+    /// through a §4.2 baseline over the *same* inputs (the fair-`%SA`
+    /// setup) — without paying preparation again.
     ///
     /// On a warm engine this selects substrate views (no per-user sort,
     /// no preference-entry clone); on a cold engine — or for a query the
@@ -917,7 +855,7 @@ impl<'q> GroupQuery<'q> {
             normalize_rpref: self.normalize_rpref,
             consensus: self.consensus,
             k: self.k,
-            algorithm: self.algorithm,
+            stopping: self.stopping,
             key: Some(self.cache_key()),
         })
     }
@@ -1132,8 +1070,8 @@ impl PreparedInputs {
 ///
 /// Holds everything an execution needs — the group's affinity view, the
 /// list storage (owned or substrate-backed), and the query's scoring
-/// settings — so repeated runs (different algorithms, the §4.2 sweeps)
-/// share one preparation.
+/// settings — so repeated runs (stopping rules, baselines, the §4.2
+/// sweeps) share one preparation.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     affinity: Arc<GroupAffinity>,
@@ -1141,7 +1079,7 @@ pub struct PreparedQuery {
     normalize_rpref: bool,
     consensus: ConsensusFunction,
     k: usize,
-    algorithm: Algorithm,
+    stopping: StoppingRule,
     /// The originating query's canonical key, kept in sync by the
     /// scoring mutators below. `None` for hand-assembled preparations
     /// ([`PreparedQuery::from_parts`]), whose inputs never came from an
@@ -1155,7 +1093,7 @@ impl PreparedQuery {
     /// example, whose preference lists are given as tables. Scoring
     /// settings start at the paper defaults; chain
     /// [`consensus`](Self::consensus) / [`top`](Self::top) /
-    /// [`algorithm`](Self::algorithm) to adjust.
+    /// [`stopping`](Self::stopping) to adjust.
     pub fn from_parts(
         affinity: GroupAffinity,
         pref_lists: &[PreferenceList],
@@ -1173,7 +1111,7 @@ impl PreparedQuery {
             normalize_rpref,
             consensus: ConsensusFunction::average_preference(),
             k: PAPER_DEFAULT_K,
-            algorithm: Algorithm::default(),
+            stopping: StoppingRule::Greca,
             key: None,
         })
     }
@@ -1196,11 +1134,11 @@ impl PreparedQuery {
         self
     }
 
-    /// Replace the executing algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
+    /// Replace the stopping rule.
+    pub fn stopping(mut self, stopping: StoppingRule) -> Self {
+        self.stopping = stopping;
         if let Some(key) = &mut self.key {
-            key.algorithm = AlgorithmKey::from(algorithm);
+            key.stopping = stopping;
         }
         self
     }
@@ -1209,7 +1147,7 @@ impl PreparedQuery {
     /// kept in sync across the scoring mutators — equal to what
     /// [`GroupQuery::cache_key`] returned (with any
     /// [`top`](Self::top)/[`consensus`](Self::consensus)/
-    /// [`algorithm`](Self::algorithm) replacement applied). `None` for
+    /// [`stopping`](Self::stopping) replacement applied). `None` for
     /// [`PreparedQuery::from_parts`] preparations.
     pub fn cache_key(&self) -> Option<&QueryKey> {
         self.key.as_ref()
@@ -1233,99 +1171,82 @@ impl PreparedQuery {
         &self.affinity
     }
 
-    /// Execute the configured algorithm.
+    /// The result size `k`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The consensus function runs score with.
+    pub fn consensus_function(&self) -> ConsensusFunction {
+        self.consensus
+    }
+
+    /// Whether relative preference is normalized by `|G|−1`.
+    pub fn normalize_rpref(&self) -> bool {
+        self.normalize_rpref
+    }
+
+    /// Execute GRECA.
     pub fn run(&self) -> TopKResult {
-        self.execute(self.algorithm, self.consensus)
+        self.execute_with(self.consensus, &mut GrecaScratch::new())
     }
 
-    /// Execute the configured algorithm, recycling a caller-owned kernel
-    /// workspace (see [`GrecaScratch`]) — bit-identical to
-    /// [`PreparedQuery::run`], allocation-free after warmup.
+    /// Execute GRECA, recycling a caller-owned kernel workspace (see
+    /// [`GrecaScratch`]) — bit-identical to [`PreparedQuery::run`],
+    /// allocation-free after warmup.
     pub fn run_with_scratch(&self, scratch: &mut GrecaScratch) -> TopKResult {
-        self.execute_with(self.algorithm, self.consensus, scratch)
+        self.execute_with(self.consensus, scratch)
     }
 
-    /// Execute the configured algorithm under a different consensus
-    /// function without re-preparing the lists (the consensus-sweep path
-    /// of the §4.1/§4.2 experiments).
+    /// Execute GRECA under a different consensus function without
+    /// re-preparing the lists (the consensus-sweep path of the
+    /// §4.1/§4.2 experiments).
     pub fn run_with(&self, consensus: ConsensusFunction) -> TopKResult {
-        self.execute(self.algorithm, consensus)
+        self.execute_with(consensus, &mut GrecaScratch::new())
     }
 
-    /// Execute a specific algorithm over the same prepared inputs (the
-    /// `%SA` comparison path: GRECA vs TA vs naive on identical lists).
-    pub fn run_algorithm(&self, algorithm: Algorithm) -> TopKResult {
-        self.execute(algorithm, self.consensus)
-    }
-
-    /// [`PreparedQuery::run_algorithm`] with a recycled kernel
-    /// workspace (only GRECA uses it; TA and naive take their own tiny
-    /// per-run storage).
-    pub fn run_algorithm_with(
-        &self,
-        algorithm: Algorithm,
-        scratch: &mut GrecaScratch,
-    ) -> TopKResult {
-        self.execute_with(algorithm, self.consensus, scratch)
-    }
-
-    fn execute(&self, algorithm: Algorithm, consensus: ConsensusFunction) -> TopKResult {
-        self.execute_with(algorithm, consensus, &mut GrecaScratch::new())
-    }
-
-    fn execute_with(
-        &self,
-        algorithm: Algorithm,
-        consensus: ConsensusFunction,
-        scratch: &mut GrecaScratch,
-    ) -> TopKResult {
+    fn execute_with(&self, consensus: ConsensusFunction, scratch: &mut GrecaScratch) -> TopKResult {
         let kernel_timer = crate::obs::phase(crate::obs::Phase::Kernel);
-        let inputs = self.inputs.views();
-        let result = match algorithm {
-            Algorithm::Greca(mut config) => {
-                config.k = self.k;
-                greca_topk_with(
-                    &inputs,
-                    &self.affinity,
-                    consensus,
-                    self.normalize_rpref,
-                    config,
-                    scratch,
-                )
-            }
-            Algorithm::Ta(mut config) => {
-                config.k = self.k;
-                ta_topk(
-                    &inputs,
-                    &self.affinity,
-                    consensus,
-                    self.normalize_rpref,
-                    config,
-                )
-            }
-            Algorithm::Naive => naive_topk(
-                &inputs,
-                &self.affinity,
-                consensus,
-                self.normalize_rpref,
-                self.k,
-            ),
-        };
+        let result = greca_topk_with(
+            &self.inputs.views(),
+            &self.affinity,
+            consensus,
+            self.normalize_rpref,
+            GrecaConfig::top(self.k).stopping(self.stopping),
+            scratch,
+        );
         drop(kernel_timer);
         crate::obs::note_access(result.stats.sa, result.stats.ra);
         result
     }
 
-    /// Exact consensus scores of every candidate item, descending (no
-    /// access accounting; the verification/evaluation path).
+    /// Exact consensus scores of every candidate item, descending, ties
+    /// by ascending id — the reference every top-k is checked against
+    /// (no access accounting).
     pub fn exact_scores(&self) -> Vec<(ItemId, f64)> {
-        naive_scores(
-            &self.inputs.views(),
-            &self.affinity,
+        let inputs = self.inputs.views();
+        let n = inputs.num_members;
+        let mut aprefs: HashMap<u32, Vec<f64>> = HashMap::with_capacity(inputs.num_items);
+        for (member, list) in inputs.pref_lists.iter().enumerate() {
+            for (id, score) in list.iter() {
+                aprefs.entry(id).or_insert_with(|| vec![0.0; n])[member] = score;
+            }
+        }
+        let scorer = GroupScorer::new(
+            (*self.affinity).clone(),
             self.consensus,
             self.normalize_rpref,
-        )
-        .0
+        );
+        let mut scored: Vec<(ItemId, f64)> = aprefs
+            .into_iter()
+            .map(|(id, a)| (ItemId(id), scorer.score(&a)))
+            .collect();
+        scored.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite scores")
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        scored
     }
 }
 
@@ -1394,27 +1315,14 @@ mod tests {
                 .cache_key(),
             base().normalize_rpref(false).cache_key(),
             base().top(3).cache_key(),
-            base().algorithm(Algorithm::Naive).cache_key(),
-            base()
-                .algorithm(Algorithm::Greca(
-                    GrecaConfig::top(10).stopping(StoppingRule::ThresholdOnly),
-                ))
-                .cache_key(),
+            base().stopping(StoppingRule::ThresholdOnly).cache_key(),
             engine.query(&g01).cache_key(), // default (empty) itemset
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(&key, v, "variant {i} must not collide with the base key");
         }
-        // The k inside an algorithm's config is overridden by the
-        // query's own k, so it must not split the cache.
-        assert_eq!(
-            base()
-                .algorithm(Algorithm::Greca(GrecaConfig::top(99)))
-                .cache_key(),
-            base()
-                .algorithm(Algorithm::Greca(GrecaConfig::top(10)))
-                .cache_key(),
-        );
+        // The default rule keys like an explicit one.
+        assert_eq!(key, base().stopping(StoppingRule::Greca).cache_key());
     }
 
     #[test]

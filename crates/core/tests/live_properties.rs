@@ -21,9 +21,10 @@
 //! epoch immutability under arbitrary later ingestion.
 
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
+use greca_bench::baselines::{naive_topk, ta_topk};
 use greca_cf::{CfConfig, PreferenceProvider, RawRatings, UserCfModel};
 use greca_consensus::ConsensusFunction;
-use greca_core::{Algorithm, GrecaEngine, LiveEngine, LiveModel, TaConfig};
+use greca_core::{GrecaEngine, LiveEngine, LiveModel};
 use greca_dataset::{
     Granularity, Group, ItemId, Rating, RatingMatrix, RatingMatrixBuilder, Timeline, UserId,
 };
@@ -286,14 +287,8 @@ proptest! {
                 prop_assert!(warm.is_warm(), "substrate must cover the query");
                 prop_assert!(!cold.is_warm());
                 prop_assert_eq!(cold.run(), warm.run());
-                prop_assert_eq!(
-                    cold.run_algorithm(Algorithm::Ta(TaConfig::default())),
-                    warm.run_algorithm(Algorithm::Ta(TaConfig::default()))
-                );
-                prop_assert_eq!(
-                    cold.run_algorithm(Algorithm::Naive),
-                    warm.run_algorithm(Algorithm::Naive)
-                );
+                prop_assert_eq!(ta_topk(&cold), ta_topk(&warm));
+                prop_assert_eq!(naive_topk(&cold), naive_topk(&warm));
                 prop_assert_eq!(cold.exact_scores(), warm.exact_scores());
             }
 

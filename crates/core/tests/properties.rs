@@ -12,11 +12,10 @@
 //! * GRECA never reads more than the naive scan.
 
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
+use greca_bench::baselines::{naive_topk, ta_topk};
 use greca_cf::{PreferenceList, RawRatings};
 use greca_consensus::ConsensusFunction;
-use greca_core::{
-    Algorithm, GrecaConfig, GrecaEngine, ListLayout, PreparedQuery, StoppingRule, TaConfig,
-};
+use greca_core::{GrecaEngine, ListLayout, PreparedQuery, StoppingRule};
 use greca_dataset::{Granularity, Group, ItemId, RatingMatrixBuilder, Timeline, UserId};
 use proptest::prelude::*;
 
@@ -213,16 +212,14 @@ proptest! {
     #[test]
     fn threshold_only_equals_naive(inst in instance_strategy()) {
         let p = build(&inst);
-        let result = p.run_algorithm(Algorithm::Greca(
-            GrecaConfig::default().stopping(StoppingRule::ThresholdOnly),
-        ));
+        let result = p.clone().stopping(StoppingRule::ThresholdOnly).run();
         assert_matches_naive(&p, &result.item_ids(), inst.k);
     }
 
     #[test]
     fn ta_equals_naive(inst in instance_strategy()) {
         let p = build(&inst);
-        let result = p.run_algorithm(Algorithm::Ta(TaConfig::default()));
+        let result = ta_topk(&p);
         assert_matches_naive(&p, &result.item_ids(), inst.k);
     }
 
@@ -289,14 +286,8 @@ proptest! {
         let warm = mk(&warm_engine, &items);
         prop_assert!(!cold.is_warm() && warm.is_warm());
         prop_assert_eq!(cold.run(), warm.run());
-        prop_assert_eq!(
-            cold.run_algorithm(Algorithm::Ta(TaConfig::default())),
-            warm.run_algorithm(Algorithm::Ta(TaConfig::default()))
-        );
-        prop_assert_eq!(
-            cold.run_algorithm(Algorithm::Naive),
-            warm.run_algorithm(Algorithm::Naive)
-        );
+        prop_assert_eq!(ta_topk(&cold), ta_topk(&warm));
+        prop_assert_eq!(naive_topk(&cold), naive_topk(&warm));
         prop_assert_eq!(cold.exact_scores(), warm.exact_scores());
 
         // A strict-subset itemset goes through the filtered (no-sort)

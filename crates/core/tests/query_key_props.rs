@@ -8,7 +8,7 @@
 //!   query produce *equal* keys (groups are canonical by construction,
 //!   itemsets through the order-independent fingerprint).
 //! * **Separating**: changing any single parameter — k, affinity mode,
-//!   consensus, period, layout, rpref normalization, algorithm, one
+//!   consensus, period, layout, rpref normalization, stopping rule, one
 //!   itemset element, one member — produces a *distinct* key.
 //!
 //! [`QueryKey`]: greca_core::QueryKey
@@ -16,7 +16,7 @@
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::RawRatings;
 use greca_consensus::ConsensusFunction;
-use greca_core::{Algorithm, GrecaConfig, GrecaEngine, GroupQuery, ListLayout};
+use greca_core::{GrecaEngine, GroupQuery, ListLayout, StoppingRule};
 use greca_dataset::{Granularity, Group, ItemId, RatingMatrixBuilder, Timeline, UserId};
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ struct Params {
     layout_single: bool,
     normalize: bool,
     k: usize,
-    algorithm_sel: u8,
+    stopping_sel: u8,
     /// Seeds for the two permutations under test.
     member_perm: u64,
     item_perm: u64,
@@ -65,7 +65,7 @@ fn params_strategy() -> impl Strategy<Value = Params> {
                 layout_single,
                 normalize,
                 k,
-                algorithm_sel,
+                stopping_sel,
                 member_perm,
                 item_perm,
             )| Params {
@@ -98,7 +98,7 @@ fn params_strategy() -> impl Strategy<Value = Params> {
                 layout_single,
                 normalize,
                 k,
-                algorithm_sel,
+                stopping_sel,
                 member_perm,
                 item_perm,
             },
@@ -137,11 +137,11 @@ fn consensus_of(sel: u8) -> ConsensusFunction {
     }
 }
 
-fn algorithm_of(sel: u8) -> Algorithm {
+fn stopping_of(sel: u8) -> StoppingRule {
     match sel {
-        0 => Algorithm::Greca(GrecaConfig::top(10)),
-        1 => Algorithm::Ta(greca_core::TaConfig::default()),
-        _ => Algorithm::Naive,
+        0 => StoppingRule::Greca,
+        1 => StoppingRule::ThresholdOnly,
+        _ => StoppingRule::Exhaustive,
     }
 }
 
@@ -179,7 +179,7 @@ fn build_query<'q>(
         .consensus(consensus_of(p.consensus_sel))
         .normalize_rpref(p.normalize)
         .top(p.k)
-        .algorithm(algorithm_of(p.algorithm_sel))
+        .stopping(stopping_of(p.stopping_sel))
 }
 
 proptest! {
@@ -257,9 +257,9 @@ proptest! {
         q.normalize = !p.normalize;
         prop_assert_ne!(&base, &build_query(&engine, &group, &items, &q).cache_key());
 
-        // Algorithm family.
+        // Stopping rule.
         let mut q = p.clone();
-        q.algorithm_sel = (p.algorithm_sel + 1) % 3;
+        q.stopping_sel = (p.stopping_sel + 1) % 3;
         prop_assert_ne!(&base, &build_query(&engine, &group, &items, &q).cache_key());
 
         // One itemset element replaced by an id outside the set.
@@ -286,17 +286,5 @@ proptest! {
             &base,
             &build_query(&engine, &changed_group, &items, &p).cache_key()
         );
-
-        // k inside the algorithm config is overridden by the query's
-        // own k and must NOT separate keys.
-        if p.algorithm_sel == 0 {
-            let alt = build_query(&engine, &group, &items, &p)
-                .algorithm(Algorithm::Greca(GrecaConfig::top(99)))
-                .cache_key();
-            let same = build_query(&engine, &group, &items, &p)
-                .algorithm(Algorithm::Greca(GrecaConfig::top(1)))
-                .cache_key();
-            prop_assert_eq!(&alt, &same);
-        }
     }
 }

@@ -11,7 +11,7 @@
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::PreferenceList;
 use greca_consensus::ConsensusFunction;
-use greca_core::{Algorithm, GrecaConfig, ListLayout, PreparedQuery, StoppingRule};
+use greca_core::{ListLayout, PreparedQuery, StoppingRule};
 use greca_dataset::{Granularity, Group, ItemId, Timeline, UserId};
 
 const U1: UserId = UserId(1);
@@ -187,23 +187,10 @@ fn decreasing_affinity_between_periods_lowers_pair_affinity() {
 
 #[test]
 fn exhaustive_rule_reads_everything() {
-    let p = prepared(AffinityMode::Discrete).top(1);
-    let result = p.run_algorithm(Algorithm::Greca(
-        GrecaConfig::top(1).stopping(StoppingRule::Exhaustive),
-    ));
+    let p = prepared(AffinityMode::Discrete)
+        .top(1)
+        .stopping(StoppingRule::Exhaustive);
+    let result = p.run();
     assert_eq!(result.stats.sa, p.inputs().total_entries());
     assert_eq!(result.items[0].item, I1);
-}
-
-#[test]
-fn ta_agrees_with_naive_and_charges_ras() {
-    let p = prepared(AffinityMode::Discrete).top(1);
-    let ta = p.run_algorithm(Algorithm::Ta(greca_core::TaConfig::default()));
-    assert_eq!(ta.items[0].item, I1);
-    // §3.1: completing one item's score costs 21 RAs in this example
-    // (2 apref RAs are charged per *new* item: the paper charges 3
-    // because it also re-fetches the component under the cursor; our
-    // accounting charges the n−1 missing ones plus n(n−1)(T+1) affinity
-    // fetches = 2 + 18 = 20 per item).
-    assert!(ta.stats.ra >= 20, "ra = {}", ta.stats.ra);
 }

@@ -14,8 +14,10 @@
 //! * [`consensus`] — relative preference and the AP/MO/PD/variance
 //!   consensus functions;
 //! * [`core`] — the GRECA top-k algorithm with its buffer stopping
-//!   condition, TA and naive baselines with access accounting, and the
-//!   [`GrecaEngine`](core::GrecaEngine) serving API;
+//!   condition and access accounting, and the
+//!   [`GrecaEngine`](core::GrecaEngine) serving API (GRECA is the only
+//!   algorithm shipped; the §4.2 TA and naive-scan baselines live in
+//!   `greca_bench::baselines`);
 //! * [`eval`] — the simulated user study (satisfaction oracle,
 //!   independent/comparative protocols).
 //!
@@ -48,12 +50,17 @@
 //! assert_eq!(top.items.len(), 5);
 //! println!("saved {:.1}% of list accesses", top.stats.saveup_percent());
 //!
-//! // The same query object runs the comparison set of §4.2 over
-//! // identical inputs: GRECA vs TA vs the naive full scan.
+//! // A prepared query also yields every candidate's exact score,
+//! // descending — what a naive scan of all `total_entries` would rank
+//! // by. Every item GRECA returns is a true top-5 item.
 //! let prepared = engine.query(&group).top(5).prepare().unwrap();
-//! let greca = prepared.run_algorithm(Algorithm::Greca(GrecaConfig::default()));
-//! let naive = prepared.run_algorithm(Algorithm::Naive);
-//! assert!(greca.stats.sa <= naive.stats.sa);
+//! let greca = prepared.run();
+//! let exact = prepared.exact_scores();
+//! for t in &greca.items {
+//!     let score = exact.iter().find(|&&(i, _)| i == t.item).unwrap().1;
+//!     assert!(score >= exact[4].1 - 1e-9);
+//! }
+//! assert!(greca.stats.sa <= greca.stats.total_entries);
 //! ```
 //!
 //! Many-group workloads go through [`run_batch`](core::run_batch),
@@ -76,15 +83,14 @@ pub mod prelude {
         TableAffinitySource,
     };
     pub use greca_cf::{
-        candidate_items, CfConfig, ItemCfModel, PreferenceList, PreferenceProvider, Similarity,
-        UserCfModel,
+        candidate_items, CfConfig, PreferenceList, PreferenceProvider, Similarity, UserCfModel,
     };
     pub use greca_consensus::ConsensusFunction;
     pub use greca_core::{
-        run_batch, AccessStats, Algorithm, BatchResult, BuildOptions, GrecaConfig, GrecaEngine,
-        GrecaScratch, GroupQuery, IngestReport, ListLayout, LiveEngine, LiveModel, MemoryFootprint,
-        PinnedEpoch, PlanStats, PreparedQuery, QueryError, QueryKey, SharedMemberState, StopReason,
-        StoppingRule, Substrate, TaConfig, TopKResult,
+        run_batch, AccessStats, BatchResult, BuildOptions, GrecaConfig, GrecaEngine, GrecaScratch,
+        GroupQuery, IngestReport, ListLayout, LiveEngine, LiveModel, MemoryFootprint, PinnedEpoch,
+        PlanStats, PreparedQuery, QueryError, QueryKey, SharedMemberState, StopReason,
+        StoppingRule, Substrate, TopKResult,
     };
     pub use greca_dataset::prelude::*;
     pub use greca_eval::{

@@ -11,6 +11,7 @@
 use greca::cf::group_preference_lists;
 use greca::core::{greca_topk_with, MaterializedInputs, Substrate};
 use greca::prelude::*;
+use greca_bench::baselines::{naive_topk, ta_topk};
 
 struct World {
     ml: greca_dataset::MovieLens,
@@ -32,19 +33,11 @@ fn population(w: &World) -> PopulationAffinity {
 }
 
 /// Assert two preparations of the same query are bit-identical under
-/// every algorithm.
+/// GRECA and both §4.2 baselines.
 fn assert_identical(cold: &PreparedQuery, warm: &PreparedQuery, ctx: &str) {
     assert_eq!(cold.run(), warm.run(), "greca mismatch: {ctx}");
-    assert_eq!(
-        cold.run_algorithm(Algorithm::Ta(TaConfig::default())),
-        warm.run_algorithm(Algorithm::Ta(TaConfig::default())),
-        "ta mismatch: {ctx}"
-    );
-    assert_eq!(
-        cold.run_algorithm(Algorithm::Naive),
-        warm.run_algorithm(Algorithm::Naive),
-        "naive mismatch: {ctx}"
-    );
+    assert_eq!(ta_topk(cold), ta_topk(warm), "ta mismatch: {ctx}");
+    assert_eq!(naive_topk(cold), naive_topk(warm), "naive mismatch: {ctx}");
     assert_eq!(
         cold.exact_scores(),
         warm.exact_scores(),

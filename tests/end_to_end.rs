@@ -4,6 +4,7 @@
 //! API.
 
 use greca::prelude::*;
+use greca_bench::baselines::{naive_topk, ta_topk};
 
 struct World {
     ml: greca_dataset::MovieLens,
@@ -63,7 +64,7 @@ fn full_pipeline_matches_naive_across_configs() {
                 .consensus(consensus)
                 .top(k);
             let greca = p.run();
-            let naive = p.run_algorithm(Algorithm::Naive);
+            let naive = naive_topk(&p);
             let exact = p.exact_scores();
             let score_of =
                 |item: ItemId| exact.iter().find(|&&(i, _)| i == item).expect("scored").1;
@@ -98,11 +99,9 @@ fn ta_and_threshold_only_agree_with_naive_end_to_end() {
         100,
     )
     .top(5);
-    let naive = p.run_algorithm(Algorithm::Naive);
-    let ta = p.run_algorithm(Algorithm::Ta(TaConfig::default()));
-    let nra = p.run_algorithm(Algorithm::Greca(
-        GrecaConfig::default().stopping(StoppingRule::ThresholdOnly),
-    ));
+    let naive = naive_topk(&p);
+    let ta = ta_topk(&p);
+    let nra = p.clone().stopping(StoppingRule::ThresholdOnly).run();
     let exact = p.exact_scores();
     let score_of = |item: ItemId| exact.iter().find(|&&(i, _)| i == item).expect("scored").1;
     for r in [&ta, &nra] {

@@ -9,6 +9,7 @@
 //! window; the builder is the only entry point now.)
 
 use greca::prelude::*;
+use greca_bench::baselines::ta_topk;
 
 struct World {
     ml: greca_dataset::MovieLens,
@@ -53,7 +54,7 @@ fn builder_defaults_are_the_paper_settings() {
         .consensus(ConsensusFunction::average_preference())
         .normalize_rpref(true)
         .top(10)
-        .algorithm(Algorithm::Greca(GrecaConfig::top(10)))
+        .stopping(StoppingRule::Greca)
         .run()
         .unwrap();
     assert_eq!(defaulted, spelled_out);
@@ -158,9 +159,10 @@ fn validation_errors_are_typed() {
 }
 
 #[test]
-fn query_k_overrides_algorithm_config_k() {
-    // One query object sweeps algorithms without re-stating k: the k
-    // recorded inside an Algorithm's config must lose to the query's.
+fn query_top_k_alone_sets_result_size() {
+    // `top(k)` is the only place k is stated: GRECA under every
+    // stopping rule and the bench-side TA all return k items, and a
+    // prepared query's own `top` retargets them all.
     let w = world();
     let cf = UserCfModel::fit(&w.ml.matrix, CfConfig::default());
     let pop = population(&w);
@@ -168,10 +170,17 @@ fn query_k_overrides_algorithm_config_k() {
     let group = Group::new(vec![UserId(0), UserId(4)]).unwrap();
     let items: Vec<ItemId> = w.ml.matrix.items().take(60).collect();
     let prepared = engine.query(&group).items(&items).top(3).prepare().unwrap();
-    let r = prepared.run_algorithm(Algorithm::Greca(GrecaConfig::top(25)));
-    assert_eq!(r.items.len(), 3);
-    let r = prepared.run_algorithm(Algorithm::Ta(TaConfig::top(25)));
-    assert_eq!(r.items.len(), 3);
+    for k in [3, 7] {
+        let p = prepared.clone().top(k);
+        for rule in [
+            StoppingRule::Greca,
+            StoppingRule::ThresholdOnly,
+            StoppingRule::Exhaustive,
+        ] {
+            assert_eq!(p.clone().stopping(rule).run().items.len(), k, "{rule:?}");
+        }
+        assert_eq!(ta_topk(&p).items.len(), k, "ta");
+    }
 }
 
 #[test]

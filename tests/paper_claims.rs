@@ -174,8 +174,6 @@ fn buffer_rule_never_reads_more_than_threshold_only() {
         .prepare()
         .expect("valid query");
     let buffer = p.run();
-    let threshold_only = p.run_algorithm(Algorithm::Greca(
-        GrecaConfig::default().stopping(StoppingRule::ThresholdOnly),
-    ));
+    let threshold_only = p.clone().stopping(StoppingRule::ThresholdOnly).run();
     assert!(buffer.stats.sa <= threshold_only.stats.sa);
 }
