@@ -26,9 +26,9 @@
 //! study user co-rates with every other — so the dirty set degenerates
 //! to the whole cohort. Historically that made "incremental" publishing
 //! a net *regression* (0.9× vs a full rebuild); the engine now detects
-//! degenerate coverage (`LiveEngine::with_full_rebuild_fraction`) and
-//! rebuilds wholesale instead — `full_rebuild_fallbacks` in the JSON
-//! counts how often. Sparse populations and row-local providers are
+//! degenerate coverage (95% of the segments,
+//! `DEFAULT_FULL_REBUILD_FRACTION`) and rebuilds wholesale instead —
+//! `full_rebuild_fallbacks` in the JSON counts how often. Sparse populations and row-local providers are
 //! where incremental epochs shine (`rebuilt_segments_mean` makes the
 //! fan-out visible).
 //!

@@ -358,7 +358,9 @@ pub struct DirtySet {
     /// Users whose `PL_u` must be recomputed.
     pub users: Vec<UserId>,
     /// `(min, max)` user pairs whose co-rating-derived affinity entries
-    /// are invalidated.
+    /// are invalidated. Every pair holds a batch rater, who is in
+    /// `users` too ([`DeltaBatch::dirty_set_bounded`] inserts the rater
+    /// before recording a pair).
     pub pairs: Vec<(UserId, UserId)>,
 }
 
@@ -396,23 +398,6 @@ impl DirtySet {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
-    /// Whether any unordered pair drawn from `members` is dirty.
-    /// `members` must be sorted ascending. O(|members|² · log pairs),
-    /// fine for group-sized member lists.
-    pub fn intersects_member_pairs(&self, members: &[UserId]) -> bool {
-        if self.pairs.is_empty() {
-            return false;
-        }
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                if self.pairs.binary_search(&(a, b)).is_ok() {
-                    return true;
-                }
             }
         }
         false
@@ -783,10 +768,6 @@ mod tests {
         assert!(d.intersects_users(&[UserId(1), UserId(5), UserId(20)]));
         assert!(!d.intersects_users(&[UserId(1), UserId(4), UserId(20)]));
         assert!(!d.intersects_users(&[]));
-        // Pair intersection: {3,7} ⊂ members, {2,5} not.
-        assert!(d.intersects_member_pairs(&[UserId(3), UserId(6), UserId(7)]));
-        assert!(!d.intersects_member_pairs(&[UserId(2), UserId(3), UserId(9)]));
-        assert!(!d.intersects_member_pairs(&[UserId(3)]));
     }
 
     #[test]

@@ -247,15 +247,6 @@ impl PreferenceList {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Score of `item` via linear probe (lists are short-lived; random
-    /// access is only used by the TA baseline, which charges an RA for it).
-    pub fn score_of(&self, item: ItemId) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|&&(i, _)| i == item)
-            .map(|&(_, s)| s)
-    }
 }
 
 /// The candidate item set for a group: all items **no group member has
@@ -358,14 +349,6 @@ mod tests {
             }
         }
         assert_eq!(Table.candidate_items(&g), None);
-    }
-
-    #[test]
-    fn score_of_finds_items() {
-        let pl = PreferenceList::from_entries(UserId(0), vec![(ItemId(1), 3.0), (ItemId(2), 4.0)])
-            .unwrap();
-        assert_eq!(pl.score_of(ItemId(1)), Some(3.0));
-        assert_eq!(pl.score_of(ItemId(7)), None);
     }
 
     #[test]

@@ -44,11 +44,26 @@
 //! recomputation; under no-disagreement consensus only the
 //! cursor-driven UB chain recomputes); the k-th lower bound comes from
 //! a **bounded binary heap** rather than a full sort; and all working
-//! memory lives in a reusable [`GrecaScratch`], so steady-state serving
-//! allocates nothing. Every shortcut preserves **bit-identical**
+//! memory lives in a reusable [`GrecaScratch`] workspace. Each thread
+//! keeps one (see "The thread's workspace" below), so a long-lived
+//! serving thread's kernel allocates nothing in steady state. Every
+//! shortcut preserves **bit-identical**
 //! results — same itemsets, bounds, access counts, sweeps and stop
 //! reasons as the straightforward implementation, which survives
 //! verbatim as the oracle in `tests/kernel_identity.rs`.
+//!
+//! ## The thread's workspace
+//!
+//! [`greca_topk`], [`GroupQuery::run`](crate::query::GroupQuery::run)
+//! and [`PreparedQuery::run`](crate::query::PreparedQuery::run) borrow
+//! the calling thread's workspace: they take it out of a thread-local
+//! slot for the run and put it back afterwards. A nested run on the
+//! same thread therefore starts from an empty workspace, and a run that
+//! panics just loses it. A workspace is put back only while it holds at
+//! most 32 MiB of capacity, so each thread that runs kernels retains at
+//! most that much. Callers that manage their own workspace pass it to
+//! [`greca_topk_with`] or
+//! [`PreparedQuery::run_with_scratch`](crate::query::PreparedQuery::run_with_scratch).
 
 use crate::access::AccessStats;
 use crate::interval::Interval;
@@ -56,6 +71,7 @@ use crate::lists::{GrecaInputs, ListKind};
 use crate::score::BoundScorer;
 use greca_consensus::ConsensusFunction;
 use greca_dataset::ItemId;
+use std::cell::Cell;
 
 /// Early-termination policy. `Greca` and `ThresholdOnly` test their
 /// condition between sweeps, on the cadence the module docs describe
@@ -189,11 +205,10 @@ struct SlotMeta {
 /// A scratch value is plain memory — it carries no results between runs
 /// (every buffer is re-initialized by the next
 /// [`greca_topk_with`] call) — so reusing one across queries is purely
-/// an allocation optimization. [`crate::query::GrecaEngine`] keeps a
-/// pool of these so serving paths (including every
-/// [`crate::plan::run_batch`] worker) are allocation-free after
-/// warmup; one-shot callers can just use [`greca_topk`], which creates
-/// a scratch internally.
+/// an allocation optimization. Every thread keeps one for the entry
+/// points that take no workspace (module docs, "The thread's
+/// workspace"); callers that want to own theirs pass it to
+/// [`greca_topk_with`].
 #[derive(Debug, Default)]
 pub struct GrecaScratch {
     /// Item id → arena slot (direct-indexed; rebuilt per run).
@@ -251,10 +266,10 @@ impl GrecaScratch {
         GrecaScratch::default()
     }
 
-    /// Bytes of heap capacity this workspace retains — what the engine's
-    /// scratch pool budgets against. Capacity, not length: buffers are
+    /// Bytes of heap capacity this workspace retains — what a thread's
+    /// slot budgets against. Capacity, not length: buffers are
     /// truncated between runs but keep their allocations, and the
-    /// allocation is what a pooled workspace actually costs.
+    /// allocation is what a retained workspace actually costs.
     pub fn memory_bytes(&self) -> usize {
         fn vec_bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
@@ -284,12 +299,48 @@ impl GrecaScratch {
     }
 
     /// Grow retained capacity to at least `bytes` — test hook for the
-    /// scratch pool's byte-budget eviction.
+    /// thread slot's byte budget.
     #[cfg(test)]
     pub(crate) fn inflate_for_test(&mut self, bytes: usize) {
         self.aprefs
             .reserve(bytes.div_ceil(std::mem::size_of::<f64>()));
     }
+}
+
+/// Bytes of capacity a thread may keep in its workspace between runs.
+/// One huge-query workspace (an arena sized to a 100k-item itemset) is
+/// worth keeping; a larger one is dropped after its run instead — it is
+/// pure derived state and rebuilds on demand.
+pub(crate) const WORKSPACE_BYTE_BUDGET: usize = 32 << 20;
+
+thread_local! {
+    /// The calling thread's kernel workspace; empty while a run has it
+    /// out (module docs, "The thread's workspace").
+    static WORKSPACE: Cell<Option<GrecaScratch>> = const { Cell::new(None) };
+}
+
+/// Run `f` on the calling thread's workspace: take it out of its slot
+/// (or start an empty one), and put it back afterwards if it stays
+/// within [`WORKSPACE_BYTE_BUDGET`].
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut GrecaScratch) -> R) -> R {
+    let mut scratch = WORKSPACE.with(Cell::take).unwrap_or_default();
+    let result = f(&mut scratch);
+    if scratch.memory_bytes() <= WORKSPACE_BYTE_BUDGET {
+        WORKSPACE.with(|slot| slot.set(Some(scratch)));
+    }
+    result
+}
+
+/// Bytes of capacity the calling thread's slot holds (`None` when it
+/// holds no workspace).
+#[cfg(test)]
+pub(crate) fn thread_workspace_bytes() -> Option<usize> {
+    WORKSPACE.with(|slot| {
+        let scratch = slot.take();
+        let bytes = scratch.as_ref().map(GrecaScratch::memory_bytes);
+        slot.set(scratch);
+        bytes
+    })
 }
 
 /// Whether `a` ranks strictly *worse* than `b` under the buffer
@@ -875,8 +926,8 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
 /// [`crate::substrate::Substrate`]'s dense item map; remap pathologically
 /// sparse id spaces before building lists.
 ///
-/// Allocates a fresh [`GrecaScratch`] internally; hot serving paths use
-/// [`greca_topk_with`] to recycle one.
+/// Runs on the calling thread's [`GrecaScratch`] (module docs, "The
+/// thread's workspace"); [`greca_topk_with`] takes a caller-owned one.
 ///
 /// [`MaterializedInputs::build`]: crate::lists::MaterializedInputs::build
 pub fn greca_topk(
@@ -886,14 +937,16 @@ pub fn greca_topk(
     normalize_rpref: bool,
     config: GrecaConfig,
 ) -> TopKResult {
-    greca_topk_with(
-        inputs,
-        affinity,
-        consensus,
-        normalize_rpref,
-        config,
-        &mut GrecaScratch::new(),
-    )
+    with_thread_scratch(|scratch| {
+        greca_topk_with(
+            inputs,
+            affinity,
+            consensus,
+            normalize_rpref,
+            config,
+            scratch,
+        )
+    })
 }
 
 /// Run GRECA over prepared inputs, recycling a caller-owned

@@ -209,7 +209,7 @@ pub struct IngestReport {
     pub shared_segments: usize,
     /// Whether the dirty set covered enough of the population that the
     /// engine rebuilt the substrate wholesale instead of per segment
-    /// (see [`LiveEngine::with_full_rebuild_fraction`]).
+    /// (see [`DEFAULT_FULL_REBUILD_FRACTION`]).
     pub full_rebuild: bool,
 }
 
@@ -230,12 +230,6 @@ pub struct PublishDelta {
     /// [`IngestReport::dirty_users`]; subscribers must then treat
     /// everything as dirty.
     pub dirty: Arc<DirtySet>,
-    /// Affinity periods invalidated wholesale. Always empty today: the
-    /// population affinity index is fixed for the engine's lifetime, so
-    /// rating publishes never stale a period. The field exists so
-    /// rating-derived or time-decayed affinity sources can invalidate
-    /// per period without another hook-signature change.
-    pub periods: Vec<usize>,
     /// Whether the publish fell back to a wholesale substrate rebuild,
     /// making [`PublishDelta::dirty`] a lower bound. Subscribers that
     /// keep state keyed by footprint disjointness must drop everything
@@ -247,12 +241,9 @@ impl PublishDelta {
     /// Whether a query with footprint `fp` may observe a different
     /// result at this delta's epoch: always true under a full rebuild
     /// (the dirty set is a lower bound), otherwise footprint
-    /// intersection against the dirty set (and the invalidated
-    /// periods, for affinity-using footprints).
+    /// intersection against the dirty set.
     pub fn affects(&self, fp: &crate::query::QueryFootprint) -> bool {
-        self.full_rebuild
-            || fp.intersects(&self.dirty)
-            || (fp.uses_affinity() && self.periods.contains(&fp.period()))
+        self.full_rebuild || fp.intersects(&self.dirty)
     }
 }
 
@@ -445,10 +436,6 @@ pub struct LiveEngine<'a> {
     /// staleness bound without taking any lock — in particular without
     /// queueing behind a publish holding the staging store.
     last_publish_ms: AtomicU64,
-    /// Dirty-coverage fraction at which a publish abandons per-segment
-    /// work for one wholesale rebuild (see
-    /// [`LiveEngine::with_full_rebuild_fraction`]).
-    full_rebuild_fraction: f64,
     /// Recent per-epoch lineage records, newest last (cap
     /// [`LINEAGE_CAP`]).
     lineage: Mutex<VecDeque<EpochLineage>>,
@@ -473,7 +460,7 @@ pub struct LiveEngine<'a> {
     build_options: BuildOptions,
 }
 
-/// Default dirty-coverage fraction above which [`LiveEngine::publish`]
+/// Dirty-coverage fraction at or above which [`LiveEngine::publish`]
 /// rebuilds the substrate wholesale. Per-segment rebuilding beats a
 /// full rebuild only while a meaningful share of segments stays clean;
 /// once a batch invalidates (nearly) everything — the honest degenerate
@@ -557,7 +544,6 @@ impl<'a> LiveEngine<'a> {
             wal_stalled: AtomicBool::new(false),
             created: Instant::now(),
             last_publish_ms: AtomicU64::new(0),
-            full_rebuild_fraction: DEFAULT_FULL_REBUILD_FRACTION,
             lineage: Mutex::new(VecDeque::new()),
             publishes: AtomicU64::new(0),
             full_rebuilds: AtomicU64::new(0),
@@ -668,8 +654,8 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Register a hook invoked after every successful epoch swap with
-    /// the full [`PublishDelta`] — epoch, dirty set, invalidated periods,
-    /// and the full-rebuild flag.
+    /// the full [`PublishDelta`] — epoch, dirty set and the full-rebuild
+    /// flag.
     ///
     /// This is the invalidation signal serving layers build on: a result
     /// cache keyed beside epoch `e` drops only the entries whose
@@ -695,34 +681,12 @@ impl<'a> LiveEngine<'a> {
         }
     }
 
-    /// Set the dirty-coverage fraction at which [`LiveEngine::publish`]
+    /// The dirty-coverage fraction at which [`LiveEngine::publish`]
     /// abandons per-segment rebuilding for one wholesale substrate
-    /// rebuild. When a batch's dirty set covers at least this fraction
-    /// of the precomputed segments, the incremental path would rebuild
-    /// (nearly) everything anyway while still paying the per-segment
-    /// bookkeeping — the honest degenerate case of exact user-CF
-    /// invalidation over a dense cohort, where `BENCH_ingest.json`
-    /// showed incremental publishing *losing* to a full rebuild.
-    ///
-    /// Defaults to [`DEFAULT_FULL_REBUILD_FRACTION`]. Values above `1.0`
-    /// disable the fallback; `0.0` makes any batch that dirties at
-    /// least one *precomputed segment* rebuild wholesale (a batch
-    /// touching only users outside the serving set still takes the
-    /// incremental path — there is nothing to rebuild wholesale for).
-    /// Either way results stay bit-identical — only the rebuild
-    /// strategy changes (regression-tested).
-    pub fn with_full_rebuild_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction >= 0.0 && fraction.is_finite(),
-            "fraction must be finite and non-negative"
-        );
-        self.full_rebuild_fraction = fraction;
-        self
-    }
-
-    /// The configured full-rebuild fallback fraction.
+    /// rebuild: [`DEFAULT_FULL_REBUILD_FRACTION`]. Either way results
+    /// are bit-identical — only the rebuild strategy changes.
     pub fn full_rebuild_fraction(&self) -> f64 {
-        self.full_rebuild_fraction
+        DEFAULT_FULL_REBUILD_FRACTION
     }
 
     /// The population-affinity index this engine serves from.
@@ -1007,11 +971,7 @@ impl<'a> LiveEngine<'a> {
         // closure would only refine counts we no longer act on, so the
         // reported dirty figures are lower bounds when `full_rebuild`
         // is set.
-        let cap = if self.full_rebuild_fraction <= 1.0 {
-            ((self.full_rebuild_fraction * total_segments as f64).ceil() as usize).max(1)
-        } else {
-            usize::MAX
-        };
+        let cap = ((DEFAULT_FULL_REBUILD_FRACTION * total_segments as f64).ceil() as usize).max(1);
         let (dirty, full_rebuild) =
             batch.dirty_set_bounded(&prev.matrix, &post, self.model.scope(), cap, |u| {
                 prev.substrate.user_index(u).is_some()
@@ -1152,7 +1112,6 @@ impl<'a> LiveEngine<'a> {
         self.notify_epoch(&PublishDelta {
             epoch,
             dirty: Arc::new(dirty),
-            periods: Vec::new(),
             full_rebuild,
         });
         // Seal after the hooks so their survival/pump work accrues to
@@ -1397,48 +1356,41 @@ mod tests {
 
     /// The degenerate-coverage fallback: when a batch dirties (nearly)
     /// every segment, publish rebuilds wholesale — reported honestly,
-    /// with results bit-identical to the per-segment path and to a cold
-    /// refit.
+    /// with results bit-identical to a cold refit. (That the wholesale
+    /// and per-segment strategies build identical substrates is
+    /// `substrate.rs`'s `rebuild_dirty_over_every_user_equals_build_with`.)
     #[test]
     fn full_rebuild_fallback_triggers_and_stays_identical() {
         let (matrix, pop, items) = world();
         let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
         let cfg = CfConfig::default();
-        // A u0 rating dirties u0 plus co-raters u1 (i0) and u3 (new
-        // co-rating on i4): 3 of 4 segments.
-        let batch = [rating(0, 4, 4.5, 10)];
-        let fallback = LiveEngine::new(&pop, LiveModel::UserCf(cfg), &matrix, &items)
-            .unwrap()
-            .with_full_rebuild_fraction(0.5);
-        let incremental = LiveEngine::new(&pop, LiveModel::UserCf(cfg), &matrix, &items)
-            .unwrap()
-            .with_full_rebuild_fraction(1.1); // > 1.0 disables the fallback
-        assert_eq!(fallback.full_rebuild_fraction(), 0.5);
-        let r_fb = fallback.ingest(&batch).unwrap();
-        let r_inc = incremental.ingest(&batch).unwrap();
-        assert!(r_fb.full_rebuild, "3/4 coverage must trip a 0.5 threshold");
-        assert!(!r_inc.full_rebuild, "disabled fallback stays incremental");
-        assert_eq!((r_fb.rebuilt_segments, r_fb.shared_segments), (4, 0));
-        assert!(r_inc.rebuilt_segments >= 3 && r_inc.shared_segments >= 1);
-        // The fallback may stop counting early (its dirty figures are
-        // documented lower bounds); it can never exceed the full count.
-        assert!(r_fb.dirty_users >= 2 && r_fb.dirty_users <= r_inc.dirty_users);
-        let q = |live: &LiveEngine<'_>| {
-            live.pin()
-                .engine()
-                .query(&group)
-                .items(&items)
-                .top(3)
-                .run()
-                .unwrap()
-        };
-        assert_eq!(q(&fallback), q(&incremental));
+        let live = LiveEngine::new(&pop, LiveModel::UserCf(cfg), &matrix, &items).unwrap();
+        // Every user rates: 4/4 coverage trips the default threshold.
+        let r = live
+            .ingest(&[
+                rating(0, 4, 4.5, 10),
+                rating(1, 3, 2.0, 10),
+                rating(2, 0, 1.5, 10),
+                rating(3, 2, 3.0, 10),
+            ])
+            .unwrap();
+        assert!(r.full_rebuild, "4/4 coverage rebuilds wholesale");
+        assert_eq!((r.rebuilt_segments, r.shared_segments), (4, 0));
+        assert_eq!(r.dirty_users, 4);
+        let served = live
+            .pin()
+            .engine()
+            .query(&group)
+            .items(&items)
+            .top(3)
+            .run()
+            .unwrap();
         // …and identical to a cold engine refit from the final ratings.
-        let final_matrix = fallback.pin().matrix().clone();
+        let final_matrix = live.pin().matrix().clone();
         let cold_model = UserCfModel::fit(&final_matrix, cfg);
         let cold = crate::query::GrecaEngine::new(&cold_model, &pop);
         assert_eq!(
-            q(&fallback),
+            served,
             cold.query(&group).items(&items).top(3).run().unwrap()
         );
     }

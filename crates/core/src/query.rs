@@ -36,7 +36,9 @@
 //! statistics — the §4.2 harness shape (20 random groups per data
 //! point).
 
-use crate::greca::{greca_topk_with, GrecaConfig, GrecaScratch, StoppingRule, TopKResult};
+use crate::greca::{
+    greca_topk_with, with_thread_scratch, GrecaConfig, GrecaScratch, StoppingRule, TopKResult,
+};
 use crate::lists::{
     group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
 };
@@ -56,22 +58,6 @@ pub const PAPER_DEFAULT_K: usize = 10;
 /// (a serving deployment sees a bounded set of hot groups; the cache is
 /// deliberately small and self-flushing rather than LRU-precise).
 const AFFINITY_CACHE_CAP: usize = 256;
-
-/// Kernel scratch workspaces the engine's pool retains. A wide
-/// [`run_batch`] wave checks out one scratch per concurrent worker;
-/// without a cap the pool would grow to the wave's peak parallelism and
-/// retain every workspace — each sized to the largest query it ever
-/// served — forever. Steady-state serving needs no more workspaces than
-/// CPUs, so the count cap is set comfortably above typical core counts
-/// while bounding the spike retention.
-const SCRATCH_POOL_MAX: usize = 16;
-
-/// Total bytes of scratch capacity the pool retains across all pooled
-/// workspaces. One huge-query scratch (arena sized to a 100k-item
-/// itemset) is worth keeping; sixteen of them are not. Workspaces that
-/// would push the pooled total past this budget are dropped instead of
-/// pooled — they are pure derived state and rebuild on demand.
-const SCRATCH_POOL_BYTE_BUDGET: usize = 32 << 20;
 
 /// A query rejected before execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,12 +136,11 @@ impl From<NonFiniteEntry> for QueryError {
 
 /// Lock a mutex, recovering if a previous holder panicked: the poison
 /// flag is cleared and `sanitize` puts the protected value back into a
-/// known-good state before reuse. The engine's shared caches use this
-/// with a wholesale clear — cached views and pooled workspaces are pure
-/// derived state, so dropping them is always safe — which keeps one
-/// panicked worker thread from permanently wedging (or silently
-/// disabling caching for) every subsequent query in a long-lived
-/// server.
+/// known-good state before reuse. The engine's affinity cache uses
+/// this with a wholesale clear — cached views are pure derived state,
+/// so dropping them is always safe — which keeps one panicked worker
+/// thread from permanently wedging (or silently disabling caching for)
+/// every subsequent query in a long-lived server.
 fn lock_recovering<'m, T>(m: &'m Mutex<T>, sanitize: impl FnOnce(&mut T)) -> MutexGuard<'m, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -306,56 +291,42 @@ impl QueryKey {
     pub fn footprint(&self) -> QueryFootprint {
         QueryFootprint {
             members: self.members.clone(),
-            items_fp: self.items_fp,
-            period: self.period,
-            uses_affinity: self.mode != ModeKey::None,
         }
     }
 }
 
 /// The slice of *mutable* engine state one query's result depends on:
-/// the group members (whose preference lists and candidate itemset feed
-/// the kernel), the itemset fingerprint, and the affinity coordinates
-/// (period + whether affinity participates at all).
+/// its group's member set.
 ///
 /// A cached result keyed by the matching [`QueryKey`] stays
-/// bit-identical across an epoch publish iff its footprint is disjoint
-/// from the publish's `DirtySet`: the kernel reads only (a) each
-/// member's preference list — and the dirty-set contract guarantees
+/// bit-identical across an epoch publish when no member is in the
+/// publish's `DirtySet::users`. The kernel reads (a) each member's
+/// preference list, and the dirty-set contract guarantees
 /// `dirty.users` covers every user whose list changed, including
-/// co-raters and emptied rows under user-CF — (b) pair affinity between
-/// members, covered by `dirty.pairs` for rating-derived affinity
-/// sources (the population index itself is fixed for the engine's
-/// lifetime), and (c) the default candidate itemset, a deterministic
-/// function of the members' own rating rows. On the full-rebuild
-/// fallback the dirty set is only a lower bound, so callers must treat
-/// *everything* as dirty (see
-/// [`PublishDelta::full_rebuild`](crate::live::PublishDelta)).
+/// co-raters and emptied rows under user-CF; (b) pair affinity between
+/// members, which comes from the population index, fixed for the
+/// engine's lifetime (a rating-derived source would go stale only on
+/// pairs in `dirty.pairs`, and each of those holds a rater, who is in
+/// `dirty.users`); and (c) the default candidate itemset, a
+/// deterministic function of the members' own rating rows. Every other
+/// key dimension (itemset, period, mode, …) is fixed per query, so it
+/// cannot tell two publishes apart. On the full-rebuild fallback the
+/// dirty set is only a lower bound, so callers must treat *everything*
+/// as dirty (see [`PublishDelta::full_rebuild`](crate::live::PublishDelta)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryFootprint {
     /// Sorted ascending ([`Group`] keeps members canonical).
     members: Vec<UserId>,
-    items_fp: u128,
-    period: usize,
-    uses_affinity: bool,
 }
 
 impl QueryFootprint {
-    /// A conservative footprint over `members` alone: affinity assumed
-    /// in play, provider-resolved itemset, period 0. Its trigger set is
-    /// a superset of any precise footprint with the same members, so it
-    /// is safe as a placeholder while the precise one (which needs a
-    /// prepared query) is still being computed — continuous-query
-    /// registration uses it to close the register-then-pin race.
-    pub fn conservative(mut members: Vec<UserId>) -> QueryFootprint {
+    /// The footprint of any query over `members` (sorted and
+    /// deduplicated here) — what [`QueryKey::footprint`] returns for
+    /// the same member set, available before a query is built.
+    pub fn new(mut members: Vec<UserId>) -> QueryFootprint {
         members.sort_unstable();
         members.dedup();
-        QueryFootprint {
-            members,
-            items_fp: 0,
-            period: 0,
-            uses_affinity: true,
-        }
+        QueryFootprint { members }
     }
 
     /// The member set (sorted ascending).
@@ -363,42 +334,21 @@ impl QueryFootprint {
         &self.members
     }
 
-    /// Order-independent itemset fingerprint (zero = provider-resolved
-    /// candidate set).
-    pub fn items_fingerprint(&self) -> u128 {
-        self.items_fp
-    }
-
-    /// Effective affinity period.
-    pub fn period(&self) -> usize {
-        self.period
-    }
-
-    /// Whether pair affinity participates in scoring at all.
-    pub fn uses_affinity(&self) -> bool {
-        self.uses_affinity
-    }
-
     /// Whether a publish with this dirty set can change the result:
-    /// true iff a member's preference list is dirty, or (when affinity
-    /// participates) a member-member affinity pair is dirty. Disjoint ⇒
-    /// the cached result is bit-identical at the new epoch — unless the
+    /// true iff a member's preference list is dirty. Disjoint ⇒ the
+    /// cached result is bit-identical at the new epoch — unless the
     /// publish fell back to a full rebuild, which callers must check
     /// *before* consulting this.
     pub fn intersects(&self, dirty: &greca_cf::DirtySet) -> bool {
         dirty.intersects_users(&self.members)
-            || (self.uses_affinity && dirty.intersects_member_pairs(&self.members))
     }
 
     /// Replace the member set (re-canonicalized by sorting). This exists
     /// for fault-injection tests that deliberately widen or narrow a
     /// footprint to prove the survival invariants would catch a wrong
-    /// one; production footprints come only from [`QueryKey::footprint`].
-    pub fn with_members(mut self, mut members: Vec<UserId>) -> QueryFootprint {
-        members.sort_unstable();
-        members.dedup();
-        self.members = members;
-        self
+    /// one.
+    pub fn with_members(self, members: Vec<UserId>) -> QueryFootprint {
+        QueryFootprint::new(members)
     }
 }
 
@@ -408,24 +358,20 @@ impl QueryFootprint {
 ///
 /// Both index substrates are borrowed; the precomputed storage and the
 /// group-affinity cache are shared `Arc`s, so cloning an engine is cheap
-/// and clones serve from the same buffers and cache. The provider is a
-/// trait object so heterogeneous deployments (user CF, item CF, raw
-/// ratings, hand-built tables) serve through one engine type; `Sync` is
-/// required so [`run_batch`] can fan queries out across threads.
+/// and clones serve from the same buffers and cache. The kernel
+/// workspace is not the engine's: each thread keeps its own (see
+/// [`GrecaScratch`]), so an engine built per request — the serving
+/// layer builds one per pinned epoch — still runs on a warm one. The
+/// provider is a trait object so heterogeneous deployments (user CF,
+/// raw ratings, hand-built tables) serve through one engine type;
+/// `Sync` is required so [`run_batch`] can fan queries out across
+/// threads.
 #[derive(Clone)]
 pub struct GrecaEngine<'a> {
     provider: &'a (dyn PreferenceProvider + Sync + 'a),
     population: &'a PopulationAffinity,
     substrate: Option<Arc<Substrate>>,
     affinity_cache: AffinityCache,
-    /// Pool of reusable kernel workspaces, shared (like the substrate
-    /// and the affinity cache) by every clone of this engine, so the
-    /// *kernel* runs allocation-free in steady state: each
-    /// [`GroupQuery::run`] — including every [`run_batch`] worker —
-    /// checks one out and returns it afterwards. (Preparation still
-    /// allocates its per-query view vectors; the kernel's per-sweep and
-    /// per-check work is what the pool eliminates.)
-    scratch_pool: Arc<Mutex<Vec<GrecaScratch>>>,
 }
 
 impl std::fmt::Debug for GrecaEngine<'_> {
@@ -451,7 +397,6 @@ impl<'a> GrecaEngine<'a> {
             population,
             substrate: None,
             affinity_cache: Arc::new(Mutex::new(HashMap::new())),
-            scratch_pool: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -505,7 +450,6 @@ impl<'a> GrecaEngine<'a> {
             population,
             substrate: Some(substrate),
             affinity_cache: Arc::new(Mutex::new(HashMap::new())),
-            scratch_pool: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -523,7 +467,6 @@ impl<'a> GrecaEngine<'a> {
             population,
             substrate: Some(substrate),
             affinity_cache,
-            scratch_pool: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -589,45 +532,6 @@ impl<'a> GrecaEngine<'a> {
     /// Number of group-affinity views currently cached.
     pub fn cached_affinity_views(&self) -> usize {
         lock_recovering(&self.affinity_cache, HashMap::clear).len()
-    }
-
-    /// Check a kernel workspace out of the shared pool (or make a fresh
-    /// one). Pair with [`GrecaEngine::restore_scratch`].
-    fn checkout_scratch(&self) -> GrecaScratch {
-        lock_recovering(&self.scratch_pool, Vec::clear)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Return a kernel workspace to the pool for the next query — unless
-    /// the pool is already at its count cap or the workspace would push
-    /// pooled capacity past the byte budget, in which case it is simply
-    /// dropped (scratch is derived state; a future query rebuilds it).
-    fn restore_scratch(&self, scratch: GrecaScratch) {
-        let mut pool = lock_recovering(&self.scratch_pool, Vec::clear);
-        if pool.len() >= SCRATCH_POOL_MAX {
-            return;
-        }
-        let pooled: usize = pool.iter().map(GrecaScratch::memory_bytes).sum();
-        if pooled + scratch.memory_bytes() > SCRATCH_POOL_BYTE_BUDGET {
-            return;
-        }
-        pool.push(scratch);
-    }
-
-    /// Number of kernel workspaces currently pooled (observability for
-    /// tests and benchmarks; bounded by `SCRATCH_POOL_MAX`).
-    pub fn pooled_scratches(&self) -> usize {
-        lock_recovering(&self.scratch_pool, Vec::clear).len()
-    }
-
-    /// Total bytes of vector capacity held by pooled workspaces
-    /// (bounded by `SCRATCH_POOL_BYTE_BUDGET`).
-    pub fn pooled_scratch_bytes(&self) -> usize {
-        lock_recovering(&self.scratch_pool, Vec::clear)
-            .iter()
-            .map(GrecaScratch::memory_bytes)
-            .sum()
     }
 
     /// Execute many prepared queries in parallel — see [`run_batch`].
@@ -860,9 +764,9 @@ impl<'q> GroupQuery<'q> {
         })
     }
 
-    /// Prepare and execute in one call, recycling a kernel workspace
-    /// from the engine's shared pool (identical results to
-    /// [`PreparedQuery::run`] on a fresh scratch). This is
+    /// Prepare and execute in one call on the calling thread's kernel
+    /// workspace (see [`GrecaScratch`]; identical results to
+    /// [`PreparedQuery::run_with_scratch`] on a fresh one). This is
     /// [`run_shared`](Self::run_shared) over a fresh, per-call
     /// [`SharedMemberState`].
     pub fn run(&self) -> Result<TopKResult, QueryError> {
@@ -873,11 +777,7 @@ impl<'q> GroupQuery<'q> {
     /// arena — the batch planner's and serving layer's execution path
     /// for overlapping waves. Bit-identical to [`run`](Self::run).
     pub fn run_shared(&self, shared: &SharedMemberState) -> Result<TopKResult, QueryError> {
-        let prepared = self.prepare_shared(shared)?;
-        let mut scratch = self.engine.checkout_scratch();
-        let result = prepared.run_with_scratch(&mut scratch);
-        self.engine.restore_scratch(scratch);
-        Ok(result)
+        Ok(self.prepare_shared(shared)?.run())
     }
 
     /// Stable identity of the engine this query targets — the batch
@@ -1186,14 +1086,14 @@ impl PreparedQuery {
         self.normalize_rpref
     }
 
-    /// Execute GRECA.
+    /// Execute GRECA on the calling thread's kernel workspace (see
+    /// [`GrecaScratch`]).
     pub fn run(&self) -> TopKResult {
-        self.execute_with(self.consensus, &mut GrecaScratch::new())
+        with_thread_scratch(|scratch| self.execute_with(self.consensus, scratch))
     }
 
-    /// Execute GRECA, recycling a caller-owned kernel workspace (see
-    /// [`GrecaScratch`]) — bit-identical to [`PreparedQuery::run`],
-    /// allocation-free after warmup.
+    /// Execute GRECA on a caller-owned kernel workspace — bit-identical
+    /// to [`PreparedQuery::run`].
     pub fn run_with_scratch(&self, scratch: &mut GrecaScratch) -> TopKResult {
         self.execute_with(self.consensus, scratch)
     }
@@ -1202,7 +1102,7 @@ impl PreparedQuery {
     /// re-preparing the lists (the consensus-sweep path of the
     /// §4.1/§4.2 experiments).
     pub fn run_with(&self, consensus: ConsensusFunction) -> TopKResult {
-        self.execute_with(consensus, &mut GrecaScratch::new())
+        with_thread_scratch(|scratch| self.execute_with(consensus, scratch))
     }
 
     fn execute_with(&self, consensus: ConsensusFunction, scratch: &mut GrecaScratch) -> TopKResult {
@@ -1356,33 +1256,96 @@ mod tests {
         assert_eq!(hand.cache_key(), None);
     }
 
+    /// A 3-user, 60-item world with spread-out raw ratings.
+    fn wide_world() -> (greca_dataset::RatingMatrix, PopulationAffinity, Vec<ItemId>) {
+        let mut b = RatingMatrixBuilder::new(3, 60);
+        for u in 0..3u32 {
+            for i in (u..60).step_by(2) {
+                b.rate(
+                    UserId(u),
+                    ItemId(i),
+                    ((u * 7 + i * 13) % 10 + 1) as f32 / 2.0,
+                    0,
+                );
+            }
+        }
+        let (_, pop, _) = world();
+        (b.build(), pop, (0..60).map(ItemId).collect())
+    }
+
     #[test]
-    fn scratch_pool_memory_returns_to_the_cap_after_a_wide_wave() {
+    fn thread_workspace_runs_match_fresh_workspaces() {
+        let (matrix, pop, items) = wide_world();
+        let raw = RawRatings(&matrix);
+        let engine = GrecaEngine::new(&raw, &pop);
+        let group = Group::new(vec![UserId(0), UserId(1), UserId(2)]).unwrap();
+        let rules = [
+            StoppingRule::Greca,
+            StoppingRule::ThresholdOnly,
+            StoppingRule::Exhaustive,
+        ];
+        let mut grown = 0;
+        // Growing, shrinking, then growing again: every run reuses
+        // the workspace the previous one left behind.
+        for m in [4, 15, 60, 30, 8, 2, 20, 45, 60] {
+            for rule in rules {
+                let query = engine
+                    .query(&group)
+                    .items(&items[..m])
+                    .top(3)
+                    .stopping(rule);
+                let prepared = query.prepare().unwrap();
+                let fresh = prepared.run_with_scratch(&mut GrecaScratch::new());
+                assert_eq!(
+                    query.run().unwrap(),
+                    fresh,
+                    "GroupQuery::run, m={m} {rule:?}"
+                );
+                assert_eq!(prepared.run(), fresh, "PreparedQuery::run, m={m} {rule:?}");
+                let lm = ConsensusFunction::least_misery();
+                assert_eq!(
+                    prepared.run_with(lm),
+                    prepared
+                        .clone()
+                        .consensus(lm)
+                        .run_with_scratch(&mut GrecaScratch::new()),
+                    "PreparedQuery::run_with, m={m} {rule:?}"
+                );
+                let bytes = crate::greca::thread_workspace_bytes().expect("workspace kept");
+                assert!(bytes >= grown, "capacity is retained across runs");
+                grown = bytes;
+            }
+        }
+    }
+
+    #[test]
+    fn a_workspace_over_the_budget_is_not_kept() {
+        use crate::greca::{thread_workspace_bytes, with_thread_scratch, WORKSPACE_BYTE_BUDGET};
         let (matrix, pop, items) = world();
         let raw = RawRatings(&matrix);
         let engine = GrecaEngine::new(&raw, &pop);
-        // A wave at parallelism far above the cap: 2×MAX workspaces
-        // live at once, then all returned. Only MAX may be retained.
-        let held: Vec<GrecaScratch> = (0..SCRATCH_POOL_MAX * 2)
-            .map(|_| engine.checkout_scratch())
-            .collect();
-        for s in held {
-            engine.restore_scratch(s);
-        }
-        assert_eq!(engine.pooled_scratches(), SCRATCH_POOL_MAX);
-        assert!(engine.pooled_scratch_bytes() <= SCRATCH_POOL_BYTE_BUDGET);
-
-        // A workspace that alone exceeds the byte budget is dropped,
-        // not pooled — and the pool keeps working for normal ones.
-        let engine = GrecaEngine::new(&raw, &pop);
-        let mut huge = engine.checkout_scratch();
-        huge.inflate_for_test(SCRATCH_POOL_BYTE_BUDGET + 1);
-        assert!(huge.memory_bytes() > SCRATCH_POOL_BYTE_BUDGET);
-        engine.restore_scratch(huge);
-        assert_eq!(engine.pooled_scratches(), 0);
         let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
-        engine.query(&group).items(&items).run().unwrap();
-        assert_eq!(engine.pooled_scratches(), 1);
+        let query = || engine.query(&group);
+        query().items(&items).run().unwrap();
+        assert!(thread_workspace_bytes().is_some());
+        with_thread_scratch(|scratch| {
+            // The workspace is out of its slot: a nested run starts empty.
+            assert_eq!(thread_workspace_bytes(), None);
+            scratch.inflate_for_test(WORKSPACE_BYTE_BUDGET + 1);
+            assert!(scratch.memory_bytes() > WORKSPACE_BYTE_BUDGET);
+        });
+        assert_eq!(
+            thread_workspace_bytes(),
+            None,
+            "over-budget workspace dropped"
+        );
+        let fresh = query()
+            .items(&items)
+            .prepare()
+            .unwrap()
+            .run_with_scratch(&mut GrecaScratch::new());
+        assert_eq!(query().items(&items).run().unwrap(), fresh);
+        assert!(thread_workspace_bytes().is_some_and(|b| b <= WORKSPACE_BYTE_BUDGET));
     }
 
     #[test]
@@ -1393,28 +1356,23 @@ mod tests {
         let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
         engine.query(&group).items(&items).run().unwrap();
         assert_eq!(engine.cached_affinity_views(), 1);
-        assert_eq!(engine.pooled_scratches(), 1);
 
-        // Poison both shared mutexes the way a panicking worker would:
+        // Poison the shared mutex the way a panicking worker would:
         // die while holding the lock.
         let cache = Arc::clone(&engine.affinity_cache);
-        let pool = Arc::clone(&engine.scratch_pool);
         std::thread::spawn(move || {
             let _c = cache.lock().unwrap();
-            let _p = pool.lock().unwrap();
-            panic!("worker panic while holding the cache locks");
+            panic!("worker panic while holding the cache lock");
         })
         .join()
         .unwrap_err();
         assert!(engine.affinity_cache.is_poisoned());
-        assert!(engine.scratch_pool.is_poisoned());
 
         // Queries keep working: the poisoned state is cleared once and
-        // both caches resume caching (not silently disabled).
+        // the cache resumes caching (not silently disabled).
         let r = engine.query(&group).items(&items).run().unwrap();
         assert_eq!(r, engine.query(&group).items(&items).run().unwrap());
         assert!(!engine.affinity_cache.is_poisoned(), "flag cleared");
         assert_eq!(engine.cached_affinity_views(), 1, "cache refilled");
-        assert_eq!(engine.pooled_scratches(), 1, "pool refilled");
     }
 }

@@ -1309,6 +1309,49 @@ mod tests {
         }
     }
 
+    /// The live layer's two publish strategies — per-segment
+    /// `rebuild_dirty` and the wholesale `build_with` fallback — must
+    /// build the same substrate when every user is dirty.
+    #[test]
+    fn rebuild_dirty_over_every_user_equals_build_with() {
+        let (matrix, pop, _tl) = world();
+        let items: Vec<ItemId> = matrix.items().collect();
+        let users: Vec<UserId> = pop.universe().to_vec();
+        let mut b = RatingMatrixBuilder::new(3, 4);
+        b.rate(UserId(0), ItemId(1), 2.0, 0)
+            .rate(UserId(0), ItemId(2), 3.0, 0)
+            .rate(UserId(1), ItemId(1), 4.0, 0)
+            .rate(UserId(1), ItemId(3), 5.0, 1)
+            .rate(UserId(2), ItemId(0), 1.0, 0);
+        let next_matrix = b.build();
+        let (raw, next_raw) = (RawRatings(&matrix), RawRatings(&next_matrix));
+        let cf = greca_cf::UserCfModel::fit(&matrix, greca_cf::CfConfig::default());
+        let next_cf = greca_cf::UserCfModel::fit(&next_matrix, greca_cf::CfConfig::default());
+        let providers: [(
+            &(dyn PreferenceProvider + Sync),
+            &(dyn PreferenceProvider + Sync),
+        ); 2] = [(&raw, &next_raw), (&cf, &next_cf)];
+        for (before, after) in providers {
+            let sub = Substrate::build(before, &pop, &items).unwrap();
+            let rebuilt = sub.rebuild_dirty(after, &users).unwrap();
+            let built =
+                Substrate::build_with(after, &pop, &items, &users, &[], BuildOptions::default())
+                    .unwrap();
+            assert_eq!(rebuilt.users(), built.users());
+            assert_eq!(rebuilt.items(), built.items());
+            assert_eq!(rebuilt.memory_footprint(), built.memory_footprint());
+            for (idx, &u) in users.iter().enumerate() {
+                assert!(!sub.shares_segment_with(&rebuilt, u), "{u:?} rebuilt");
+                let (hr, hb) = (
+                    rebuilt.segment_handle(after, idx).unwrap(),
+                    built.segment_handle(after, idx).unwrap(),
+                );
+                assert_eq!(hr.ids(), hb.ids(), "{u:?}");
+                assert_eq!(bits(hr.scores()), bits(hb.scores()), "{u:?}");
+            }
+        }
+    }
+
     #[test]
     fn lazy_slots_derive_every_access_from_the_readers_provider() {
         let (matrix, pop, _tl) = world();

@@ -776,9 +776,8 @@ fn large_itemsets_stretch_the_cadence_and_stay_bit_identical() {
     }
 }
 
-/// The scratch-recycled engine path returns exactly what a fresh
-/// scratch returns (the pool cannot leak state into results), and the
-/// pool actually retains workspaces.
+/// A recycled scratch returns exactly what a fresh scratch returns (a
+/// workspace cannot leak state into results).
 #[test]
 fn scratch_reuse_is_observable_and_harmless() {
     let w = world(

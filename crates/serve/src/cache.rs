@@ -1,7 +1,8 @@
 //! The epoch-aware result cache: memoized [`TopKResult`]s keyed by
 //! canonical query identity, selectively invalidated on epoch swaps
-//! (entries whose [`QueryFootprint`] is disjoint from the publish's
-//! dirty set *survive*), with single-flight stampede protection.
+//! (entries whose [`QueryFootprint`] — the query's member set — holds
+//! no user of the publish's dirty set *survive*), with single-flight
+//! stampede protection.
 //!
 //! A production group-recommendation deployment sees the *same* query
 //! many times — the hot groups re-ask every few seconds, dashboards
@@ -18,10 +19,10 @@
 //! * **No stale epochs** — entries are scoped to one
 //!   [`LiveEngine`](greca_core::LiveEngine) epoch. The serving layer
 //!   registers [`ResultCache::apply_publish`] as an
-//!   `on_publish_delta` hook: entries whose recorded footprint is
-//!   *disjoint* from the publish's dirty set are re-stamped to the new
-//!   epoch and kept (they are bit-identical there by the dirty-set
-//!   contract — see [`QueryFootprint`]), everything else — and
+//!   `on_publish_delta` hook: entries none of whose members is a dirty
+//!   user of the publish are re-stamped to the new epoch and kept
+//!   (they are bit-identical there by the dirty-set contract — see
+//!   [`QueryFootprint`]), everything else — and
 //!   everything, on the full-rebuild fallback, where the dirty set is
 //!   only a lower bound — is dropped. And because every lookup also
 //!   carries the *pinned* epoch of its own query, even a racing lookup
@@ -699,7 +700,6 @@ mod tests {
                 users: users.iter().map(|&u| UserId(u)).collect(),
                 pairs: Vec::new(),
             }),
-            periods: Vec::new(),
             full_rebuild,
         }
     }

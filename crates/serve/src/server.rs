@@ -74,16 +74,15 @@ struct Subscription {
     /// The owning connection's write half, shared with its response
     /// writer so pushed frames and responses interleave as whole lines.
     writer: Arc<Mutex<TcpStream>>,
-    /// Mutable state, guarded together: the footprint the pump
-    /// intersects against (conservative at registration, precise once
-    /// the baseline runs) and the last result delivered, with its
-    /// epoch — pushes happen only for strictly newer epochs, which is
-    /// what makes stale pushes structurally impossible.
+    /// The footprint the pump intersects publish deltas against.
+    footprint: QueryFootprint,
+    /// The last result delivered, with its epoch — pushes happen only
+    /// for strictly newer epochs, which is what makes stale pushes
+    /// structurally impossible.
     state: Mutex<SubState>,
 }
 
 struct SubState {
-    footprint: QueryFootprint,
     epoch: u64,
     result: Option<Arc<TopKResult>>,
 }
@@ -252,17 +251,9 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             let mut pending = lock_ok(&hook_shared.pending);
             if pending.queue.len() >= PENDING_DELTA_CAP {
                 // Bound memory when nothing drains the queue: fold into
-                // the newest entry (union of dirty sets, max epoch).
-                let mut merged = pending.queue.pop_back().expect("cap > 0");
-                let mut dirty = (*merged.dirty).clone();
-                dirty.merge(&delta.dirty);
-                merged = PublishDelta {
-                    epoch: merged.epoch.max(delta.epoch),
-                    dirty: Arc::new(dirty),
-                    periods: merge_periods(&merged.periods, &delta.periods),
-                    full_rebuild: merged.full_rebuild || delta.full_rebuild,
-                };
-                pending.queue.push_back(merged);
+                // the newest entry.
+                let newest = pending.queue.pop_back().expect("cap > 0");
+                pending.queue.push_back(coalesce(&newest, delta));
             } else {
                 pending.queue.push_back(delta.clone());
             }
@@ -402,14 +393,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             {
                 let mut pending = lock_ok(&self.shared.pending);
                 while let Some(more) = pending.queue.pop_front() {
-                    let mut dirty = (*delta.dirty).clone();
-                    dirty.merge(&more.dirty);
-                    delta = PublishDelta {
-                        epoch: delta.epoch.max(more.epoch),
-                        dirty: Arc::new(dirty),
-                        periods: merge_periods(&delta.periods, &more.periods),
-                        full_rebuild: delta.full_rebuild || more.full_rebuild,
-                    };
+                    delta = coalesce(&delta, &more);
                 }
             }
             self.process_delta(&delta);
@@ -431,28 +415,16 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             SpanKind::Pump,
         );
         let pump_timer = obs::phase(Phase::Pump);
-        let pin = self.live.pin();
-        let epoch = pin.epoch();
-        let engine = pin.engine();
-        let plan_state = self.shared.plan_state_for(epoch);
+        let epoch = self.live.epoch();
         for sub in subs {
-            let affected = {
-                let st = lock_ok(&sub.state);
-                st.epoch < epoch && delta.affects(&st.footprint)
-            };
-            if !affected {
+            if !delta.affects(&sub.footprint) || lock_ok(&sub.state).epoch >= epoch {
                 continue;
             }
             self.shared.metrics.sub_runs.fetch_add(1, Ordering::Relaxed);
             let Ok(group) = Group::new(sub.request.group.clone()) else {
                 continue; // validated at subscribe; unreachable
             };
-            let query = build_query(&engine, &group, &sub.request);
-            let key = query.cache_key();
-            let (result, _) = self
-                .shared
-                .cache
-                .get_or_compute(epoch, key, || query.run_shared(&plan_state));
+            let (epoch, result, _) = self.run_cached(&group, &sub.request);
             let Ok(top) = result else { continue };
             let frame = {
                 let mut st = lock_ok(&sub.state);
@@ -732,10 +704,10 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             }
             Request::Subscribe(q) => {
                 // Assign the id and register *on the connection thread*,
-                // before the baseline runs: the conservative footprint
-                // makes the pump re-check this subscription for any
-                // publish touching its members, so a swap racing the
-                // baseline can never be missed — only re-verified.
+                // before the baseline runs: the footprint makes the pump
+                // re-check this subscription for any publish touching
+                // its members, so a swap racing the baseline can never
+                // be missed — only re-verified.
                 let t0 = Instant::now();
                 let trace = resolve_trace(q.trace);
                 let sub_id = self.shared.next_sub.fetch_add(1, Ordering::Relaxed);
@@ -744,8 +716,8 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                     id: sub_id,
                     request: q.clone(),
                     writer: Arc::clone(writer),
+                    footprint: QueryFootprint::new(q.group.clone()),
                     state: Mutex::new(SubState {
-                        footprint: QueryFootprint::conservative(q.group.clone()),
                         epoch: 0,
                         result: None,
                     }),
@@ -784,9 +756,8 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         }
     }
 
-    /// Run a subscription's baseline query and arm its precise
-    /// footprint. Returns `(response line, ok)`; on error the caller
-    /// unregisters the subscription.
+    /// Run a subscription's baseline query. Returns `(response line,
+    /// ok)`; on error the caller unregisters the subscription.
     fn handle_subscribe(
         &self,
         sub: &Subscription,
@@ -798,34 +769,11 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             obs::add_phase(Phase::Admit, admitted.elapsed());
         }
         let q = &sub.request;
-        let group = match Group::new(q.group.clone()) {
+        let group = match request_group("subscribe", q, trace) {
             Ok(g) => g,
-            Err(e) => {
-                return (
-                    protocol::error_response(
-                        "subscribe",
-                        "bad_request",
-                        &e.to_string(),
-                        &q.id,
-                        Some(trace),
-                    ),
-                    false,
-                )
-            }
+            Err(line) => return (line, false),
         };
-        let pin = self.live.pin();
-        let epoch = pin.epoch();
-        let engine = pin.engine();
-        let query = build_query(&engine, &group, q);
-        let key = query.cache_key();
-        let footprint = key.footprint();
-        let plan_state = self.shared.plan_state_for(epoch);
-        let lookup = std::cell::Cell::new(Some(obs::phase(Phase::Cache)));
-        let (result, outcome) = self.shared.cache.get_or_compute(epoch, key, || {
-            drop(lookup.take());
-            query.run_shared(&plan_state)
-        });
-        drop(lookup.take());
+        let (epoch, result, outcome) = self.run_cached(&group, q);
         if span.active() {
             obs::note_cache(cache_note(outcome));
             obs::note_epoch(epoch);
@@ -833,12 +781,9 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         match result {
             Ok(top) => {
                 let mut st = lock_ok(&sub.state);
-                // The precise footprint replaces the conservative
-                // registration one unconditionally (it is a property of
-                // the query, not of an epoch); the baseline result only
-                // lands if the pump hasn't already delivered a newer
-                // epoch in the registration window.
-                st.footprint = footprint;
+                // The baseline result only lands if the pump hasn't
+                // already delivered a newer epoch in the registration
+                // window.
                 if epoch > st.epoch {
                     st.epoch = epoch;
                     st.result = Some(Arc::clone(&top));
@@ -859,26 +804,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 }
                 (line, true)
             }
-            Err(CacheError::Query(e)) => (
-                protocol::error_response(
-                    "subscribe",
-                    "rejected",
-                    &e.to_string(),
-                    &q.id,
-                    Some(trace),
-                ),
-                false,
-            ),
-            Err(CacheError::ComputePanicked) => (
-                protocol::error_response(
-                    "subscribe",
-                    "internal",
-                    "a concurrent identical query panicked in the kernel",
-                    &q.id,
-                    Some(trace),
-                ),
-                false,
-            ),
+            Err(e) => (cache_error_response("subscribe", &e, &q.id, trace), false),
         }
     }
 
@@ -1035,42 +961,11 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         if span.active() {
             obs::add_phase(Phase::Admit, admitted.elapsed());
         }
-        let group = match Group::new(q.group.clone()) {
+        let group = match request_group("query", q, trace) {
             Ok(g) => g,
-            Err(e) => {
-                return (
-                    protocol::error_response(
-                        "query",
-                        "bad_request",
-                        &e.to_string(),
-                        &q.id,
-                        Some(trace),
-                    ),
-                    false,
-                )
-            }
+            Err(line) => return (line, false),
         };
-        let pin = self.live.pin();
-        let epoch = pin.epoch();
-        let engine = pin.engine();
-        let query = build_query(&engine, &group, q);
-        let key = query.cache_key();
-        // Cache misses run through the planner's shared member-state
-        // arena: distinct overlapping groups landing in one epoch
-        // resolve each member's lists once, not once per query. The
-        // arena is epoch-scoped, so sharing never crosses a substrate
-        // swap and results stay bit-identical to `query.run()`.
-        let plan_state = self.shared.plan_state_for(epoch);
-        // The cache timer covers the lookup (and, on a coalesced
-        // lookup, the wait for the concurrent identical run); a miss
-        // hands off to the kernel's own prepare/kernel timers the
-        // moment the compute closure starts.
-        let lookup = std::cell::Cell::new(Some(obs::phase(Phase::Cache)));
-        let (result, outcome) = self.shared.cache.get_or_compute(epoch, key, || {
-            drop(lookup.take());
-            query.run_shared(&plan_state)
-        });
-        drop(lookup.take());
+        let (epoch, result, outcome) = self.run_cached(&group, q);
         if span.active() {
             obs::note_cache(cache_note(outcome));
             obs::note_epoch(epoch);
@@ -1092,21 +987,43 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 }
                 (line, true)
             }
-            Err(CacheError::Query(e)) => (
-                protocol::error_response("query", "rejected", &e.to_string(), &q.id, Some(trace)),
-                false,
-            ),
-            Err(CacheError::ComputePanicked) => (
-                protocol::error_response(
-                    "query",
-                    "internal",
-                    "a concurrent identical query panicked in the kernel",
-                    &q.id,
-                    Some(trace),
-                ),
-                false,
-            ),
+            Err(e) => (cache_error_response("query", &e, &q.id, trace), false),
         }
+    }
+
+    /// Answer `q` over `group` at the current epoch through the result
+    /// cache — the one served query path (`query`, `subscribe` and the
+    /// subscription pump). Returns the pinned epoch, the result and the
+    /// cache outcome.
+    fn run_cached(
+        &self,
+        group: &Group,
+        q: &QueryRequest,
+    ) -> (u64, Result<Arc<TopKResult>, CacheError>, CacheOutcome) {
+        let pin = self.live.pin();
+        let epoch = pin.epoch();
+        let engine = pin.engine();
+        let query = build_query(&engine, group, q);
+        // Cache misses run through the planner's shared member-state
+        // arena: distinct overlapping groups landing in one epoch
+        // resolve each member's lists once, not once per query. The
+        // arena is epoch-scoped, so sharing never crosses a substrate
+        // swap and results stay bit-identical to `query.run()`.
+        let plan_state = self.shared.plan_state_for(epoch);
+        // The cache timer covers the lookup (and, on a coalesced
+        // lookup, the wait for the concurrent identical run); a miss
+        // hands off to the kernel's own prepare/kernel timers the
+        // moment the compute closure starts.
+        let lookup = std::cell::Cell::new(Some(obs::phase(Phase::Cache)));
+        let (result, outcome) = self
+            .shared
+            .cache
+            .get_or_compute(epoch, query.cache_key(), || {
+                drop(lookup.take());
+                query.run_shared(&plan_state)
+            });
+        drop(lookup.take());
+        (epoch, result, outcome)
     }
 
     /// Stage + publish one delta batch. Returns `(response line, ok)`.
@@ -1570,13 +1487,36 @@ fn cache_note(outcome: CacheOutcome) -> CacheNote {
     }
 }
 
-/// Union two sorted-or-not period lists into a sorted, deduplicated
-/// one (delta coalescing in the hook and the pump).
-fn merge_periods(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut merged: Vec<usize> = a.iter().chain(b).copied().collect();
-    merged.sort_unstable();
-    merged.dedup();
-    merged
+/// One delta standing for two publishes (the hook's queue cap and the
+/// pump's burst coalescing): the union of their dirty sets at the newer
+/// epoch, a full rebuild if either was one.
+fn coalesce(a: &PublishDelta, b: &PublishDelta) -> PublishDelta {
+    let mut dirty = (*a.dirty).clone();
+    dirty.merge(&b.dirty);
+    PublishDelta {
+        epoch: a.epoch.max(b.epoch),
+        dirty: Arc::new(dirty),
+        full_rebuild: a.full_rebuild || b.full_rebuild,
+    }
+}
+
+/// A `query` or `subscribe` request's group, or its `bad_request` line.
+fn request_group(verb: &str, q: &QueryRequest, trace: u64) -> Result<Group, String> {
+    Group::new(q.group.clone()).map_err(|e| {
+        protocol::error_response(verb, "bad_request", &e.to_string(), &q.id, Some(trace))
+    })
+}
+
+/// The error line for a `query` or `subscribe` whose cached run failed.
+fn cache_error_response(verb: &str, e: &CacheError, id: &Option<Json>, trace: u64) -> String {
+    let (code, detail) = match e {
+        CacheError::Query(e) => ("rejected", e.to_string()),
+        CacheError::ComputePanicked => (
+            "internal",
+            "a concurrent identical query panicked in the kernel".to_string(),
+        ),
+    };
+    protocol::error_response(verb, code, &detail, id, Some(trace))
 }
 
 /// A [`greca_core::MemoryFootprint`] as a JSON object.
