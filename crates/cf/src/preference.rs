@@ -226,8 +226,8 @@ impl PreferenceList {
     }
 
     /// Decompose into columnar `(item ids, scores)` arrays, preserving
-    /// the sorted order without re-sorting — the zero-sort ingestion path
-    /// of `greca-core`'s substrate layer.
+    /// the sorted order without re-sorting — the reference `greca-core`'s
+    /// segment builder is checked against.
     pub fn into_sorted_columns(self) -> (Vec<u32>, Vec<f64>) {
         let mut ids = Vec::with_capacity(self.entries.len());
         let mut scores = Vec::with_capacity(self.entries.len());
@@ -251,12 +251,17 @@ impl PreferenceList {
 
 /// The candidate item set for a group: all items **no group member has
 /// already rated** (the problem definition excludes items already known
-/// to members: "i is not individually recommended to u", §2.4).
+/// to members: "i is not individually recommended to u", §2.4), in
+/// ascending id. One pass marks the members' rating rows, one filters
+/// the catalog.
 pub fn candidate_items(matrix: &RatingMatrix, group: &Group) -> Vec<ItemId> {
-    matrix
-        .items()
-        .filter(|&i| group.members().iter().all(|&u| !matrix.has_rated(u, i)))
-        .collect()
+    let mut rated = vec![false; matrix.num_items()];
+    for &u in group.members() {
+        for &(i, _) in matrix.user_ratings(u) {
+            rated[i.idx()] = true;
+        }
+    }
+    matrix.items().filter(|i| !rated[i.idx()]).collect()
 }
 
 /// Build the `PL_u` lists for every group member over a shared candidate

@@ -183,16 +183,9 @@ impl SortedList {
         Ok(SortedList { kind, ids, scores })
     }
 
-    /// Adopt columns that are **already** sorted descending with ties by
-    /// id — the zero-sort path for entries whose order was established
-    /// elsewhere (a substrate segment filter, a rank-ordered selection).
-    pub fn from_sorted_columns(kind: ListKind, ids: Vec<u32>, scores: Vec<f64>) -> Self {
-        assert_eq!(ids.len(), scores.len(), "columns must align");
-        debug_assert!(
-            scores.windows(2).all(|w| w[0] >= w[1]),
-            "columns must arrive sorted descending"
-        );
-        SortedList { kind, ids, scores }
+    /// The `(ids, scores)` columns, in list order.
+    pub(crate) fn into_columns(self) -> (Vec<u32>, Vec<f64>) {
+        (self.ids, self.scores)
     }
 
     /// Number of entries.
@@ -209,17 +202,6 @@ impl SortedList {
     #[inline]
     pub fn as_view(&self) -> ListView<'_> {
         ListView::new(self.kind, &self.ids, &self.scores)
-    }
-
-    /// A view with the kind overridden — the re-kinding path for lists
-    /// shared across queries. A member's sorted columns are identical
-    /// for every group the member belongs to, but
-    /// [`ListKind::Preference`] carries the *group-local* member index;
-    /// shared storage keeps lists member-agnostic and each query views
-    /// them under its own index.
-    #[inline]
-    pub fn view_as(&self, kind: ListKind) -> ListView<'_> {
-        ListView::new(kind, &self.ids, &self.scores)
     }
 
     /// Iterate `(id, score)` entries in list order.

@@ -20,11 +20,12 @@
 //!   consistent snapshot no matter how many swaps happen mid-flight,
 //!   and its results are bit-identical to a cold rebuild at that epoch
 //!   (the contract proven by `live_properties.rs`);
-//! * each epoch gets a **fresh group-affinity cache**: a swap retires
-//!   every cached `GroupAffinity` view together with the substrate it
-//!   was computed beside, so a stale epoch's views are never served
-//!   after a swap (the regression test in
-//!   `tests/cold_warm_equivalence.rs` pins this down).
+//! * each epoch gets a **fresh group-affinity cache and member arena**:
+//!   a swap retires every cached `GroupAffinity` view and every
+//!   resolved preference column together with the substrate they were
+//!   computed beside, so a stale epoch's views are never served after a
+//!   swap (the regression test in `tests/cold_warm_equivalence.rs` pins
+//!   this down), while queries still pinned to it keep its arena.
 //!
 //! The item universe and the population-affinity index stay fixed for
 //! the engine's lifetime — ratings stream, the catalog and the social
@@ -69,6 +70,7 @@
 //! # Ok(()) }
 //! ```
 
+use crate::plan::SharedMemberState;
 use crate::query::{lock_unpoisoned, new_affinity_cache, AffinityCache, GrecaEngine, QueryError};
 use crate::substrate::{BuildOptions, Substrate};
 use crate::wal::{RecoverySummary, Wal, WalOptions, WalRecord};
@@ -129,12 +131,12 @@ impl LiveModel {
 /// `Arc` so a pinned epoch is self-contained (no borrows into the
 /// engine).
 ///
-/// Warm queries never call it — they serve from the epoch's substrate —
-/// so it optimizes for the *rare* paths: cold fallback (a group member
-/// without a segment, a foreign itemset) fits a per-user CF
-/// neighbourhood on demand, and `candidate_items` reads the matrix
-/// directly. Batch work (substrate construction and rebuilds) uses a
-/// properly batch-fitted model instead.
+/// Resident segments never call it; it serves lazy slots and cold
+/// columns (a group member without a segment, an itemset the substrate
+/// does not cover): raw ratings through their sparse rating row, user
+/// CF by fitting a per-user neighbourhood on demand. `candidate_items`
+/// reads the matrix directly. Batch work (substrate construction and
+/// rebuilds) uses a properly batch-fitted model instead.
 #[derive(Debug, Clone)]
 pub struct EpochProvider {
     matrix: Arc<RatingMatrix>,
@@ -161,25 +163,43 @@ impl PreferenceProvider for EpochProvider {
         }
     }
 
+    /// Raw ratings enumerate their rating row; user-CF predictions have
+    /// no sparse structure.
+    fn sparse_aprefs(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> bool {
+        match self.model {
+            LiveModel::Raw => RawRatings(&self.matrix).sparse_aprefs(u, items, out),
+            LiveModel::UserCf(_) => false,
+        }
+    }
+
     fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
         Some(candidate_items(&self.matrix, group))
     }
 }
 
 /// One published epoch: the rating matrix after every batch up to (and
-/// including) this epoch, and the substrate rebuilt from it.
+/// including) this epoch, the substrate rebuilt from it, and the
+/// epoch-scoped derived state — its group-affinity cache and its member
+/// arena — which a swap retires with it.
 #[derive(Debug)]
 struct EpochState {
     epoch: u64,
     matrix: Arc<RatingMatrix>,
     substrate: Arc<Substrate>,
+    cache: AffinityCache,
+    members: SharedMemberState,
 }
 
-/// The currently-published epoch plus its epoch-scoped affinity cache,
-/// swapped together under one lock.
-struct CurrentEpoch {
-    state: Arc<EpochState>,
-    cache: AffinityCache,
+impl EpochState {
+    fn new(epoch: u64, matrix: Arc<RatingMatrix>, substrate: Substrate) -> Arc<EpochState> {
+        Arc::new(EpochState {
+            epoch,
+            matrix,
+            substrate: Arc::new(substrate),
+            cache: new_affinity_cache(),
+            members: SharedMemberState::new(),
+        })
+    }
 }
 
 /// What one [`LiveEngine::publish`] did.
@@ -416,7 +436,7 @@ pub struct LiveEngine<'a> {
     population: &'a PopulationAffinity,
     model: LiveModel,
     store: Mutex<RatingStore>,
-    current: Mutex<CurrentEpoch>,
+    current: Mutex<Arc<EpochState>>,
     /// Optional write-ahead log; when attached, every staged batch and
     /// every publish marker is appended (and, per the fsync policy,
     /// made durable) *before* it is applied in memory. Locked after
@@ -531,14 +551,7 @@ impl<'a> LiveEngine<'a> {
             population,
             model,
             store: Mutex::new(RatingStore::new()),
-            current: Mutex::new(CurrentEpoch {
-                state: Arc::new(EpochState {
-                    epoch: 0,
-                    matrix,
-                    substrate: Arc::new(substrate),
-                }),
-                cache: new_affinity_cache(),
-            }),
+            current: Mutex::new(EpochState::new(0, matrix, substrate)),
             wal: None,
             seen_keys: Mutex::new(SeenKeys::default()),
             wal_stalled: AtomicBool::new(false),
@@ -701,7 +714,7 @@ impl<'a> LiveEngine<'a> {
 
     /// The currently-published epoch number.
     pub fn epoch(&self) -> u64 {
-        lock_unpoisoned(&self.current).state.epoch
+        lock_unpoisoned(&self.current).epoch
     }
 
     /// Number of staged-but-unpublished delta keys.
@@ -711,8 +724,8 @@ impl<'a> LiveEngine<'a> {
 
     /// Number of group-affinity views cached for the current epoch.
     pub fn cached_affinity_views(&self) -> usize {
-        let cache = Arc::clone(&lock_unpoisoned(&self.current).cache);
-        let n = lock_unpoisoned(&cache).len();
+        let state = Arc::clone(&lock_unpoisoned(&self.current));
+        let n = lock_unpoisoned(&state.cache).len();
         n
     }
 
@@ -941,7 +954,7 @@ impl<'a> LiveEngine<'a> {
         // swap below.
         let mut store = lock_unpoisoned(&self.store);
         let batch = store.drain();
-        let prev = Arc::clone(&lock_unpoisoned(&self.current).state);
+        let prev = Arc::clone(&lock_unpoisoned(&self.current));
         if batch.is_empty() {
             return Ok(IngestReport {
                 epoch: prev.epoch,
@@ -1053,16 +1066,8 @@ impl<'a> LiveEngine<'a> {
             0
         };
         let swap_start = Instant::now();
-        let state = Arc::new(EpochState {
-            epoch,
-            matrix: post,
-            substrate: Arc::new(substrate),
-        });
-        {
-            let mut cur = lock_unpoisoned(&self.current);
-            cur.state = state;
-            cur.cache = new_affinity_cache();
-        }
+        let state = EpochState::new(epoch, post, substrate);
+        *lock_unpoisoned(&self.current) = state;
         let swap_ns = elapsed_ns(swap_start);
         crate::obs::add_phase(crate::obs::Phase::Swap, swap_start.elapsed());
         self.clear_stall();
@@ -1132,14 +1137,12 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Pin the current epoch: the returned handle keeps that epoch's
-    /// matrix and substrate alive (and its affinity cache reachable)
-    /// for as long as the caller holds it, independent of any further
-    /// ingestion. Pinning is one brief lock and two `Arc` clones.
+    /// matrix and substrate alive (and its affinity cache and member
+    /// arena reachable) for as long as the caller holds it, independent
+    /// of any further ingestion. Pinning is one brief lock and two `Arc`
+    /// clones.
     pub fn pin(&self) -> PinnedEpoch<'a> {
-        let (state, cache) = {
-            let cur = lock_unpoisoned(&self.current);
-            (Arc::clone(&cur.state), Arc::clone(&cur.cache))
-        };
+        let state = Arc::clone(&lock_unpoisoned(&self.current));
         let provider = EpochProvider {
             matrix: Arc::clone(&state.matrix),
             model: self.model,
@@ -1148,7 +1151,6 @@ impl<'a> LiveEngine<'a> {
             population: self.population,
             state,
             provider,
-            cache,
         }
     }
 }
@@ -1156,17 +1158,17 @@ impl<'a> LiveEngine<'a> {
 /// One pinned epoch of a [`LiveEngine`]: a self-contained, immutable
 /// snapshot to serve queries from.
 ///
-/// The pin holds `Arc`s to the epoch's matrix, substrate and affinity
-/// cache, so every query made through [`PinnedEpoch::engine`] reads one
-/// consistent state end-to-end — concurrent publishes swap the *engine's*
-/// current epoch but can never mutate a pinned one. Results are
-/// bit-identical to a cold engine built from this epoch's ratings.
+/// The pin holds an `Arc` to the epoch's matrix, substrate, affinity
+/// cache and member arena, so every query made through
+/// [`PinnedEpoch::engine`] reads one consistent state end-to-end —
+/// concurrent publishes swap the *engine's* current epoch but can never
+/// mutate a pinned one. Results are bit-identical to a cold engine
+/// built from this epoch's ratings.
 #[derive(Debug, Clone)]
 pub struct PinnedEpoch<'a> {
     population: &'a PopulationAffinity,
     state: Arc<EpochState>,
     provider: EpochProvider,
-    cache: AffinityCache,
 }
 
 impl PinnedEpoch<'_> {
@@ -1193,8 +1195,15 @@ impl PinnedEpoch<'_> {
             &self.provider,
             self.population,
             Arc::clone(&self.state.substrate),
-            Arc::clone(&self.cache),
+            Arc::clone(&self.state.cache),
         )
+    }
+
+    /// The epoch's member arena, shared by every pin of this epoch and
+    /// dropped with it — what served queries pass to
+    /// [`GroupQuery::run_shared`](crate::query::GroupQuery::run_shared).
+    pub fn members(&self) -> &SharedMemberState {
+        &self.state.members
     }
 }
 
@@ -1255,6 +1264,37 @@ mod tests {
         let r = live.retract(&[(UserId(2), ItemId(1))]).unwrap();
         assert_eq!(r.epoch, 2);
         assert_eq!((r.upserts, r.retractions), (0, 1));
+    }
+
+    #[test]
+    fn each_epoch_owns_its_member_arena() {
+        let (matrix, pop, items) = world();
+        let live = LiveEngine::new(&pop, LiveModel::Raw, &matrix, &items).unwrap();
+        let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
+        let pin0 = live.pin();
+        live.ingest(&[rating(1, 3, 5.0, 10)]).unwrap();
+        let pin1 = live.pin();
+        assert!(std::ptr::eq(pin1.members(), live.pin().members()));
+        assert!(!std::ptr::eq(pin0.members(), pin1.members()));
+        // A subset itemset resolves two universe handles and two
+        // filtered columns into the arena.
+        let served = |pin: &PinnedEpoch<'_>| {
+            let engine = pin.engine();
+            let query = engine.query(&group).items(&items[..4]).top(3);
+            let shared = query.run_shared(pin.members()).unwrap();
+            assert_eq!(shared, query.run().unwrap(), "epoch {}", pin.epoch());
+            shared
+        };
+        let at1 = served(&pin1);
+        assert_eq!(pin1.members().resolved_members(), 4);
+        // A query pinned to the older epoch fills that epoch's arena
+        // and leaves the current one alone.
+        assert_ne!(served(&pin0), at1, "the new rating is visible");
+        assert_eq!(pin0.members().resolved_members(), 4);
+        assert_eq!(pin1.members().entries(), 4);
+        assert_eq!(served(&pin1), at1);
+        assert_eq!(pin1.members().resolved_members(), 4);
+        assert_eq!(pin1.members().reused_members(), 4);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!    and `n − 1` clones (the in-process analogue of `greca-serve`'s
 //!    single-flight result cache).
 //! 2. **A shared member-state arena** — [`SharedMemberState`] hoists
-//!    per-member list resolution (the cold provider-call + sort, the
-//!    warm subset filter pass, the warm segment handle) out of the
-//!    per-query scratch into wave-scoped storage that kernels borrow
+//!    per-member column resolution (a segment handle, a subset filter
+//!    pass, a cold derivation — all [`SegmentHandle`]s) out of the
+//!    per-query preparation into wave-scoped storage that kernels borrow
 //!    read-only and extend monotonically, with a per-member once-latch
 //!    ([`std::sync::OnceLock`]) so concurrent workers never duplicate a
 //!    resolution.
@@ -29,16 +29,17 @@
 //!
 //! Shared entries are keyed by `(user, itemset identity)` and scoped to
 //! **one engine state**: [`run_batch`] partitions the wave by engine
-//! identity and arenas never cross partitions, while the serving layer
-//! scopes one arena per published epoch (reset through the same publish
-//! hook that invalidates the result cache). Partitioning by identity is
-//! also how a caller measures the wave *without* sharing: give each
-//! query its own clone of the engine, and every query gets its own
-//! arena and no dedup, on the same executor and workers.
+//! identity and arenas never cross partitions, while each published
+//! live epoch owns one arena, dropped with the epoch
+//! ([`PinnedEpoch::members`](crate::live::PinnedEpoch::members)).
+//! `GroupQuery::run`/`prepare` use a fresh arena per call, so a direct
+//! run never reads a column another query resolved. Partitioning by
+//! identity is also how a caller measures the wave *without* sharing:
+//! give each query its own clone of the engine, and every query gets
+//! its own arena and no dedup, on the same executor and workers.
 
 use crate::access::{AccessStats, Aggregate};
 use crate::greca::TopKResult;
-use crate::lists::SortedList;
 use crate::query::{lock_unpoisoned, GroupQuery, QueryError, QueryKey};
 use crate::substrate::SegmentHandle;
 use greca_dataset::UserId;
@@ -51,6 +52,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// distinct member × itemset); the cap bounds the epoch-scoped serving
 /// arena the way the engine's affinity cache is bounded.
 const SHARED_STATE_CAP: usize = 8_192;
+
+/// Column bytes ([`SharedMemberState::memory_bytes`]) a
+/// [`SharedMemberState`] retains before it self-flushes wholesale. A
+/// cold column over a 120,000-item catalog holds ~1.4 MB, so the entry
+/// cap alone would let a read-only epoch's arena grow to gigabytes.
+const SHARED_STATE_BYTE_BUDGET: usize = 64 << 20;
 
 /// What the planner found in (and did with) one wave.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -89,49 +96,25 @@ impl PlanStats {
     }
 }
 
-/// Identity of one shared member-list resolution.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum MemberScope {
-    /// The member's full-universe sorted segment (itemset-independent).
+/// Which of a member's preference columns an arena entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum MemberScope {
+    /// The member's full-universe substrate segment
+    /// (itemset-independent).
     Universe,
-    /// The member's list filtered to one itemset, identified the way
-    /// [`QueryKey`] identifies itemsets (length + order-independent
-    /// fingerprint).
+    /// The member's column over one itemset (a subset filter or a cold
+    /// derivation), identified the way [`QueryKey`] identifies
+    /// itemsets (length + order-independent fingerprint).
     Itemset { len: usize, fp: u128 },
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemberKey {
-    user: UserId,
-    scope: MemberScope,
-}
+type MemberKey = (UserId, MemberScope);
+type SharedEntry = Result<SegmentHandle, QueryError>;
 
-/// One resolved member list, shareable across queries.
-#[derive(Debug, Clone)]
-pub(crate) enum SharedList {
-    /// A warm full-universe segment handle.
-    Handle(SegmentHandle),
-    /// An owned sorted list (cold materialization or warm subset
-    /// filter), stored member-agnostic — consumers re-kind it to their
-    /// own group-local member index at view assembly.
-    List(Arc<SortedList>),
-}
-
-impl SharedList {
-    fn len(&self) -> usize {
-        match self {
-            SharedList::Handle(h) => h.ids().len(),
-            SharedList::List(l) => l.len(),
-        }
-    }
-}
-
-type SharedEntry = Result<SharedList, QueryError>;
-
-/// The wave-scoped shared member-state arena.
+/// The shared member-state arena of one batch wave or served epoch.
 ///
-/// Maps `(user, itemset identity)` to that member's resolved sorted
-/// list, computed **exactly once** per key — concurrent requesters
+/// Maps `(user, scope)` to that member's resolved preference column,
+/// computed **exactly once** per key — concurrent requesters
 /// block on the entry's [`OnceLock`] instead of duplicating the
 /// resolution — and then borrowed read-only by every kernel that needs
 /// it. Entries are pure derived state (a deterministic function of the
@@ -141,13 +124,20 @@ type SharedEntry = Result<SharedList, QueryError>;
 ///
 /// **Scope contract:** one arena serves one engine state. The planner
 /// partitions waves by engine identity and builds one arena per
-/// partition; `greca-serve` scopes one arena per published epoch.
+/// partition; a live epoch owns one
+/// ([`PinnedEpoch::members`](crate::live::PinnedEpoch::members)).
 /// Failed resolutions are cached too (they are equally deterministic),
 /// so a wave of queries hitting the same broken member pays one
 /// provider round-trip, not one per query.
+///
+/// The arena flushes wholesale once it holds 8,192 entries or 64 MiB of
+/// columns ([`SharedMemberState::memory_bytes`]).
 #[derive(Debug, Default)]
 pub struct SharedMemberState {
     entries: Mutex<HashMap<MemberKey, Arc<OnceLock<SharedEntry>>>>,
+    /// Bytes of the columns resolved since the last flush
+    /// ([`SegmentHandle::owned_bytes`]).
+    retained: AtomicUsize,
     resolved: AtomicU64,
     reused: AtomicU64,
     reused_prefix_items: AtomicU64,
@@ -159,16 +149,27 @@ impl SharedMemberState {
         SharedMemberState::default()
     }
 
-    /// Resolve-or-reuse the entry at `key`. `init` runs at most once
-    /// per key across all threads; everyone else gets the cached value.
-    fn resolve(&self, key: MemberKey, init: impl FnOnce() -> SharedEntry) -> SharedEntry {
+    /// Resolve-or-reuse `user`'s column at `scope`. `init` runs at most
+    /// once per key across all threads; everyone else gets the cached
+    /// value.
+    pub(crate) fn resolve(
+        &self,
+        user: UserId,
+        scope: MemberScope,
+        init: impl FnOnce() -> SharedEntry,
+    ) -> SharedEntry {
+        let key = (user, scope);
         let cell = {
             let mut map = lock_unpoisoned(&self.entries);
-            if map.len() >= SHARED_STATE_CAP && !map.contains_key(&key) {
+            if !map.contains_key(&key)
+                && (map.len() >= SHARED_STATE_CAP
+                    || self.retained.load(Ordering::Relaxed) >= SHARED_STATE_BYTE_BUDGET)
+            {
                 // Wholesale self-flush, like the engine's affinity
                 // cache: entries are derived state, dropping them only
                 // costs re-resolution.
                 map.clear();
+                self.retained.store(0, Ordering::Relaxed);
             }
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
         };
@@ -179,52 +180,18 @@ impl SharedMemberState {
         });
         if initialized_here {
             self.resolved.fetch_add(1, Ordering::Relaxed);
+            if let Ok(handle) = entry {
+                self.retained
+                    .fetch_add(handle.owned_bytes(), Ordering::Relaxed);
+            }
         } else {
             self.reused.fetch_add(1, Ordering::Relaxed);
-            if let Ok(list) = entry {
+            if let Ok(handle) = entry {
                 self.reused_prefix_items
-                    .fetch_add(list.len() as u64, Ordering::Relaxed);
+                    .fetch_add(handle.ids().len() as u64, Ordering::Relaxed);
             }
         }
         entry.clone()
-    }
-
-    /// Resolve-or-reuse a member's full-universe segment handle.
-    pub(crate) fn resolve_handle(
-        &self,
-        user: UserId,
-        init: impl FnOnce() -> Result<SegmentHandle, QueryError>,
-    ) -> Result<SegmentHandle, QueryError> {
-        let key = MemberKey {
-            user,
-            scope: MemberScope::Universe,
-        };
-        match self.resolve(key, || init().map(SharedList::Handle))? {
-            SharedList::Handle(h) => Ok(h),
-            SharedList::List(_) => unreachable!("universe scope only stores handles"),
-        }
-    }
-
-    /// Resolve-or-reuse a member's sorted list over one itemset
-    /// (identified by length + fingerprint, like [`QueryKey`]).
-    pub(crate) fn resolve_list(
-        &self,
-        user: UserId,
-        items_len: usize,
-        items_fp: u128,
-        init: impl FnOnce() -> Result<Arc<SortedList>, QueryError>,
-    ) -> Result<Arc<SortedList>, QueryError> {
-        let key = MemberKey {
-            user,
-            scope: MemberScope::Itemset {
-                len: items_len,
-                fp: items_fp,
-            },
-        };
-        match self.resolve(key, || init().map(SharedList::List))? {
-            SharedList::List(l) => Ok(l),
-            SharedList::Handle(_) => unreachable!("itemset scope only stores lists"),
-        }
     }
 
     /// Distinct member-list resolutions performed so far.
@@ -247,20 +214,11 @@ impl SharedMemberState {
         lock_unpoisoned(&self.entries).len()
     }
 
-    /// Approximate bytes retained by the arena: owned shared lists, and
-    /// the columns handles dequantized or derived (a handle's aliased
+    /// Approximate bytes retained by the arena: the columns its handles
+    /// dequantized or derived since the last flush (a handle's aliased
     /// substrate segment is not counted).
     pub fn memory_bytes(&self) -> usize {
-        lock_unpoisoned(&self.entries)
-            .values()
-            .filter_map(|cell| cell.get())
-            .filter_map(|entry| entry.as_ref().ok())
-            .map(|list| match list {
-                SharedList::Handle(h) => h.owned_bytes(),
-                // One u32 id + one f64 score per entry.
-                SharedList::List(l) => l.len() * 12,
-            })
-            .sum()
+        self.retained.load(Ordering::Relaxed)
     }
 }
 
@@ -530,4 +488,45 @@ fn sum_stats(results: &[Result<TopKResult, QueryError>]) -> AccessStats {
         stats.total_entries += r.stats.total_entries;
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::GrecaEngine;
+    use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
+    use greca_dataset::{Group, ItemId, RatingMatrixBuilder};
+
+    #[test]
+    fn an_arena_past_its_byte_budget_flushes_and_stays_identical() {
+        // Every cold column over 300,000 items holds 12 B per item.
+        const M: u32 = 300_000;
+        let users: Vec<UserId> = (0..32).map(UserId).collect();
+        let mut b = RatingMatrixBuilder::new(users.len(), M as usize);
+        for &u in &users {
+            b.rate(u, ItemId(u.0 * 7919), 4.0, 0);
+        }
+        let matrix = b.build();
+        let raw = greca_cf::RawRatings(&matrix);
+        let pop = PopulationAffinity::new_static_only(&TableAffinitySource::new(), &users);
+        let engine = GrecaEngine::new(&raw, &pop);
+        let items: Vec<ItemId> = (0..M).map(ItemId).collect();
+        let arena = SharedMemberState::new();
+        let mut flushed = false;
+        for members in users.chunks(4) {
+            let group = Group::new(members.to_vec()).unwrap();
+            let query = engine.query(&group).items(&items);
+            let query = query.affinity(AffinityMode::StaticOnly);
+            let before = arena.entries();
+            assert_eq!(query.run_shared(&arena), query.run(), "{members:?}");
+            flushed |= arena.entries() < before;
+            let bytes = arena.memory_bytes();
+            assert!(
+                bytes < SHARED_STATE_BYTE_BUDGET + 12 * M as usize,
+                "{bytes}"
+            );
+        }
+        assert!(flushed, "eight groups of four pass the budget");
+        assert_eq!(arena.resolved_members(), users.len() as u64);
+    }
 }

@@ -15,13 +15,16 @@
 //!
 //! ## Cold vs. warm preparation
 //!
-//! A *cold* engine ([`GrecaEngine::new`]) materializes every query's
-//! sorted preference lists from scratch — `O(n·m log m)` provider calls
-//! and sorts per query. A *warm* engine ([`GrecaEngine::warm`]) owns an
-//! `Arc<`[`Substrate`]`>` of precomputed sorted segments; its
-//! `prepare()` selects [`ListView`](crate::lists::ListView)s of the
-//! shared columns (or one order-preserving filter pass for subset
-//! itemsets) — no per-user sort, no provider calls. The two differ only
+//! Every preference column a query reads is a [`SegmentHandle`], one
+//! per member. A *cold* engine ([`GrecaEngine::new`]) derives each
+//! member's column over the query's itemset with the substrate's
+//! segment builder — one batched provider call and a sort of the
+//! positive head per member. A *warm* engine ([`GrecaEngine::warm`])
+//! owns an `Arc<`[`Substrate`]`>` of precomputed sorted segments; its
+//! `prepare()` takes their handles (or one order-preserving filter pass
+//! for subset itemsets) — no per-user sort, no provider calls — and
+//! derives cold columns for what the substrate cannot serve (an
+//! uncovered user, a foreign or duplicated item). The two differ only
 //! in where the preference columns come from: both sort the group's
 //! affinity lists (≤ n−1 entries each, §4.1.2) from its
 //! [`GroupAffinity`] view, and both produce bit-identical results. The
@@ -42,7 +45,7 @@ use crate::greca::{
 use crate::lists::{
     group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
 };
-use crate::plan::{run_batch, BatchResult, SharedMemberState};
+use crate::plan::{run_batch, BatchResult, MemberScope, SharedMemberState};
 use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
 use greca_cf::{PreferenceList, PreferenceProvider};
@@ -696,12 +699,13 @@ impl<'q> GroupQuery<'q> {
     /// through a §4.2 baseline over the *same* inputs (the fair-`%SA`
     /// setup) — without paying preparation again.
     ///
-    /// On a warm engine this selects substrate views (no per-user sort,
+    /// On a warm engine this takes substrate handles (no per-user sort,
     /// no preference-entry clone); on a cold engine — or for a query the
     /// substrate cannot serve (unknown user, foreign or duplicated
-    /// items) — it sorts each member's preference list. Both paths are
-    /// bit-identical. This is [`prepare_shared`](Self::prepare_shared)
-    /// over a fresh, per-call [`SharedMemberState`].
+    /// items) — it derives each member's column with the segment
+    /// builder. Both paths are bit-identical. This is
+    /// [`prepare_shared`](Self::prepare_shared) over a fresh, per-call
+    /// [`SharedMemberState`].
     pub fn prepare(&self) -> Result<PreparedQuery, QueryError> {
         self.prepare_shared(&SharedMemberState::new())
     }
@@ -715,8 +719,9 @@ impl<'q> GroupQuery<'q> {
     ///
     /// **Scope contract:** `shared` must be used against exactly one
     /// engine state (the planner builds one arena per engine partition;
-    /// `greca-serve` scopes one per published epoch). Crossing engines
-    /// or epochs would serve stale lists.
+    /// a live epoch owns one,
+    /// [`PinnedEpoch::members`](crate::live::PinnedEpoch::members)).
+    /// Crossing engines or epochs would serve stale lists.
     pub fn prepare_shared(&self, shared: &SharedMemberState) -> Result<PreparedQuery, QueryError> {
         let _prepare = crate::obs::phase(crate::obs::Phase::Prepare);
         self.validate()?;
@@ -734,28 +739,37 @@ impl<'q> GroupQuery<'q> {
         if items.is_empty() {
             return Err(QueryError::EmptyItemset);
         }
-        // Shared entries are keyed the way `QueryKey` identifies
-        // itemsets; the fingerprint is computed over the *resolved*
-        // itemset so a defaulted (empty) itemset keys by what it
-        // actually resolved to.
-        let items_fp = itemset_fingerprint(items);
+        // Itemset-scoped columns are keyed the way `QueryKey` identifies
+        // itemsets, over the *resolved* itemset, so a defaulted (empty)
+        // itemset keys by what it actually resolved to.
+        let itemset = MemberScope::Itemset {
+            len: items.len(),
+            fp: itemset_fingerprint(items),
+        };
         let period = self.effective_period();
         let affinity = self.engine.cached_affinity(self.group, period, self.mode);
 
         let provider = self.engine.provider;
         let warm = match &self.engine.substrate {
             Some(substrate) => {
-                warm_columns(provider, substrate, self.group, items, (shared, items_fp))?
+                warm_columns(provider, substrate, self.group, items, (shared, itemset))?
             }
             None => None,
         };
+        let is_warm = warm.is_some();
         let prefs = match warm {
             Some(prefs) => prefs,
-            None => cold_columns(provider, self.group, items, (shared, items_fp))?,
+            None => self
+                .group
+                .members()
+                .iter()
+                .map(|&u| shared.resolve(u, itemset, || SegmentHandle::derive(provider, u, items)))
+                .collect::<Result<_, _>>()?,
         };
         Ok(PreparedQuery {
             inputs: PreparedInputs::new(prefs, &affinity, self.layout)?,
             affinity,
+            is_warm,
             normalize_rpref: self.normalize_rpref,
             consensus: self.consensus,
             k: self.k,
@@ -797,22 +811,20 @@ impl<'q> GroupQuery<'q> {
 
 /// Warm selection of the members' preference columns from the
 /// substrate: segment handles for a full-universe itemset, filtered
-/// lists for a strict subset. Returns `Ok(None)` when the substrate
+/// handles for a strict subset. Returns `Ok(None)` when the substrate
 /// cannot serve this query (an uncovered user, a foreign or duplicated
-/// item) and the caller should fall back to [`cold_columns`].
+/// item) and the caller should derive every column cold.
 ///
-/// Handles and filtered lists resolve through the shared arena, so a
-/// member's segment is dequantized (or its lazy column derived) and
-/// filtered once per arena, however many groups it appears in. Filtered
-/// lists are stored member-agnostic and re-kinded to the group-local
-/// member index at view assembly.
+/// Handles resolve through the shared arena, so a member's segment is
+/// dequantized (or its lazy column derived) and filtered once per arena,
+/// however many groups it appears in.
 fn warm_columns(
     provider: &(dyn PreferenceProvider + Sync + '_),
     substrate: &Substrate,
     group: &Group,
     items: &[ItemId],
-    (shared, items_fp): (&SharedMemberState, u128),
-) -> Result<Option<PrefColumns>, QueryError> {
+    (shared, itemset): (&SharedMemberState, MemberScope),
+) -> Result<Option<Vec<SegmentHandle>>, QueryError> {
     let Some(coverage) = substrate.item_coverage(items) else {
         return Ok(None);
     };
@@ -821,81 +833,35 @@ fn warm_columns(
         let Some(i) = substrate.user_index(u) else {
             return Ok(None);
         };
-        handles.push(shared.resolve_handle(u, || substrate.segment_handle(provider, i))?);
+        handles.push(shared.resolve(u, MemberScope::Universe, || {
+            substrate.segment_handle(provider, i)
+        })?);
     }
-    Ok(Some(match coverage {
-        ItemCoverage::Full => PrefColumns::Segments(handles),
-        ItemCoverage::Subset(mask) => PrefColumns::Filtered(
-            group
-                .members()
-                .iter()
-                .zip(&handles)
-                .map(|(&u, h)| {
-                    shared.resolve_list(u, items.len(), items_fp, || {
-                        Ok(Arc::new(substrate.shared_pref_list(h, &mask, items.len())))
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-    }))
-}
-
-/// Cold materialization of the members' preference columns: every list
-/// is resolved through the shared arena — one provider scan + sort per
-/// `(member, itemset)` key per arena, no matter how many groups the
-/// member appears in. Lists are stored member-agnostic (kind
-/// `member: 0`) — sorting is deterministic (descending, ties by id), so
-/// the columns are identical for every group — and re-kinded to the
-/// group-local member index at view assembly.
-fn cold_columns(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    group: &Group,
-    items: &[ItemId],
-    (shared, items_fp): (&SharedMemberState, u128),
-) -> Result<PrefColumns, QueryError> {
+    let ItemCoverage::Subset(mask) = coverage else {
+        return Ok(Some(handles));
+    };
     group
         .members()
         .iter()
-        .map(|&u| {
-            shared.resolve_list(u, items.len(), items_fp, || {
-                Ok(Arc::new(member_list(&provider.preference_list(u, items)?)?))
+        .zip(&handles)
+        .map(|(&u, h)| {
+            shared.resolve(u, itemset, || {
+                Ok(substrate.filtered_handle(h, &mask, items.len()))
             })
         })
         .collect::<Result<_, _>>()
-        .map(PrefColumns::Sorted)
+        .map(Some)
 }
 
-/// One member's preference list, sorted and stored member-agnostic.
-fn member_list(list: &PreferenceList) -> Result<SortedList, NonFiniteEntry> {
-    let entries = list.entries.iter().map(|&(i, s)| (i.0, s)).collect();
-    SortedList::new(ListKind::Preference { member: 0 }, entries)
-}
-
-/// Where a prepared query's preference columns come from — the one
-/// difference between a warm and a cold preparation.
-#[derive(Debug, Clone)]
-enum PrefColumns {
-    /// One substrate segment handle per member (a full-universe
-    /// itemset). The handles keep their columns alive across epoch
-    /// swaps.
-    Segments(Vec<SegmentHandle>),
-    /// Substrate segments filtered to a strict-subset itemset,
-    /// member-agnostic.
-    Filtered(Vec<Arc<SortedList>>),
-    /// Lists sorted from the provider (the cold path) or hand-built by
-    /// [`PreparedQuery::from_parts`], member-agnostic.
-    Sorted(Vec<Arc<SortedList>>),
-}
-
-/// A prepared query's kernel inputs: the members' preference columns
+/// A prepared query's kernel inputs: one [`SegmentHandle`] per member
 /// plus the group's affinity lists, sorted per query from its
-/// [`GroupAffinity`] view (tiny: ≤ n−1 entries each). Views re-kind
-/// member-agnostic lists to the group-local member index, producing
-/// view bundles identical to
+/// [`GroupAffinity`] view (tiny: ≤ n−1 entries each). Handles are
+/// member-agnostic; views label them with the group-local member index,
+/// producing view bundles identical to
 /// [`MaterializedInputs::views`](crate::lists::MaterializedInputs::views)'s.
 #[derive(Debug, Clone)]
 struct PreparedInputs {
-    prefs: PrefColumns,
+    prefs: Vec<SegmentHandle>,
     static_lists: Vec<SortedList>,
     period_lists: Vec<Vec<SortedList>>,
     num_members: usize,
@@ -907,25 +873,19 @@ impl PreparedInputs {
     /// Attach the group's affinity lists to its members' preference
     /// columns, which must all rank the same itemset.
     fn new(
-        prefs: PrefColumns,
+        prefs: Vec<SegmentHandle>,
         affinity: &GroupAffinity,
         layout: ListLayout,
     ) -> Result<Self, QueryError> {
-        let lens: Vec<usize> = match &prefs {
-            PrefColumns::Segments(handles) => handles.iter().map(|h| h.ids().len()).collect(),
-            PrefColumns::Filtered(lists) | PrefColumns::Sorted(lists) => {
-                lists.iter().map(|l| l.len()).collect()
-            }
-        };
         let num_members = affinity.members().len();
         assert_eq!(
-            lens.len(),
+            prefs.len(),
             num_members,
             "one preference list per group member"
         );
-        let num_items = lens.first().copied().unwrap_or(0);
+        let num_items = prefs.first().map_or(0, |h| h.ids().len());
         assert!(
-            lens.iter().all(|&len| len == num_items),
+            prefs.iter().all(|h| h.ids().len() == num_items),
             "preference lists must align"
         );
         let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
@@ -940,20 +900,12 @@ impl PreparedInputs {
     }
 
     fn views(&self) -> GrecaInputs<'_> {
-        let pref_lists = match &self.prefs {
-            PrefColumns::Segments(handles) => handles
+        GrecaInputs::assemble(
+            self.prefs
                 .iter()
                 .enumerate()
                 .map(|(m, h)| h.view(m as u32))
                 .collect(),
-            PrefColumns::Filtered(lists) | PrefColumns::Sorted(lists) => lists
-                .iter()
-                .enumerate()
-                .map(|(m, l)| l.view_as(ListKind::Preference { member: m as u32 }))
-                .collect(),
-        };
-        GrecaInputs::assemble(
-            pref_lists,
             self.static_lists.iter().map(SortedList::as_view).collect(),
             self.period_lists
                 .iter()
@@ -968,14 +920,17 @@ impl PreparedInputs {
 
 /// A query whose sorted-list inputs are materialized or selected.
 ///
-/// Holds everything an execution needs — the group's affinity view, the
-/// list storage (owned or substrate-backed), and the query's scoring
-/// settings — so repeated runs (stopping rules, baselines, the §4.2
-/// sweeps) share one preparation.
+/// Holds everything an execution needs — the group's affinity view, one
+/// [`SegmentHandle`] per member, and the query's scoring settings — so
+/// repeated runs (stopping rules, baselines, the §4.2 sweeps) share one
+/// preparation.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     affinity: Arc<GroupAffinity>,
     inputs: PreparedInputs,
+    /// Whether the substrate served the columns (see
+    /// [`PreparedQuery::is_warm`]).
+    is_warm: bool,
     normalize_rpref: bool,
     consensus: ConsensusFunction,
     k: usize,
@@ -1000,14 +955,19 @@ impl PreparedQuery {
         layout: ListLayout,
         normalize_rpref: bool,
     ) -> Result<Self, QueryError> {
-        let lists = pref_lists
+        let prefs = pref_lists
             .iter()
-            .map(|l| member_list(l).map(Arc::new))
+            .map(|l| {
+                let entries = l.entries.iter().map(|&(i, s)| (i.0, s)).collect();
+                SortedList::new(ListKind::Preference { member: 0 }, entries)
+                    .map(|list| SegmentHandle::derived(list.into_columns()))
+            })
             .collect::<Result<_, NonFiniteEntry>>()?;
-        let inputs = PreparedInputs::new(PrefColumns::Sorted(lists), &affinity, layout)?;
+        let inputs = PreparedInputs::new(prefs, &affinity, layout)?;
         Ok(PreparedQuery {
             affinity: Arc::new(affinity),
             inputs,
+            is_warm: false,
             normalize_rpref,
             consensus: ConsensusFunction::average_preference(),
             k: PAPER_DEFAULT_K,
@@ -1053,17 +1013,17 @@ impl PreparedQuery {
         self.key.as_ref()
     }
 
-    /// The list views an execution reads (assembled per call; the
-    /// backing storage is owned by this query or by the engine's
-    /// substrate).
+    /// The list views an execution reads (assembled per call over the
+    /// query's handles and affinity lists).
     pub fn inputs(&self) -> GrecaInputs<'_> {
         self.inputs.views()
     }
 
     /// Whether this preparation is served from substrate segments (as
-    /// opposed to lists sorted from the provider, the cold path).
+    /// opposed to columns derived from the provider, the cold path, or
+    /// hand-built by [`PreparedQuery::from_parts`]).
     pub fn is_warm(&self) -> bool {
-        !matches!(self.inputs.prefs, PrefColumns::Sorted(_))
+        self.is_warm
     }
 
     /// The group's affinity view at the query period.

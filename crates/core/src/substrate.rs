@@ -3,13 +3,14 @@
 //!
 //! §2.4's ad-hoc-group scenario assumes the CF model and the affinity
 //! index are *long-lived* while groups arrive at query time — yet a cold
-//! `prepare()` pays `O(n·m log m)` per query to re-derive and re-sort
-//! every member's preference list. The TA lineage this paper builds on
-//! gets its speed precisely from reading **pre-sorted, shared** inverted
-//! lists; this module is that storage layer. For every serving user it
-//! holds the score-descending preference list over the item universe,
-//! computed once from any [`PreferenceProvider`] and stored as one
-//! columnar `(ids, scores)` segment per user, each behind its own `Arc`.
+//! `prepare()` pays one provider pass and one sort per member per query
+//! to re-derive every member's preference list. The TA lineage this
+//! paper builds on gets its speed precisely from reading **pre-sorted,
+//! shared** inverted lists; this module is that storage layer. For
+//! every serving user it holds the score-descending preference list
+//! over the item universe, computed once from any [`PreferenceProvider`]
+//! and stored as one columnar `(ids, scores)` segment per user, each
+//! behind its own `Arc`.
 //! A query whose itemset *is* the universe borrows its members'
 //! segments as [`ListView`]s — no sorts, no provider calls. A
 //! strict-subset itemset is filtered in one order-preserving pass
@@ -54,7 +55,12 @@
 //! shared segment, plus the dequantized or derived column it made. The
 //! substrate keeps no cache of those columns: the caller's
 //! [`SharedMemberState`](crate::plan::SharedMemberState) (one per batch
-//! wave, or per served epoch) is the one place a handle is reused.
+//! wave, or per live epoch) is the one place a handle is reused.
+//!
+//! Every preference column a query reads is a [`SegmentHandle`], and one
+//! builder derives every column from a provider: eager and rebuilt
+//! segments, lazy slots, and the cold columns of itemsets the substrate
+//! does not serve (see [`SegmentHandle`]).
 //!
 //! Each substrate value is immutable and shared via `Arc<Substrate>`:
 //! [`crate::plan::run_batch`] worker threads, cached
@@ -69,7 +75,7 @@
 //! new *epoch* that in-flight queries, pinned to the previous epoch's
 //! `Arc`s, never observe mid-read.
 
-use crate::lists::{ListKind, ListView, NonFiniteEntry, SortedList};
+use crate::lists::{ListKind, ListView, NonFiniteEntry};
 use crate::query::QueryError;
 use greca_affinity::PopulationAffinity;
 use greca_cf::{NonFiniteScore, PreferenceProvider};
@@ -252,24 +258,62 @@ enum SegmentSlot {
     Lazy,
 }
 
-/// An owned reference to one user's preference columns.
+/// An owned reference to one user's preference columns — the one type
+/// of every preference column a prepared query reads.
 ///
-/// Obtained from [`Substrate::segment_handle`]; holds the segment `Arc`
-/// and, for a quantized segment, the dequantized score column, so the
-/// slices returned by [`SegmentHandle::view`] stay valid for the
-/// handle's lifetime. Clones share those buffers.
+/// A handle aliases a resident dense segment, owns the dequantized
+/// column of a coded one, or owns a column derived for it: a lazy slot's
+/// or a cold itemset's (by the segment builder, bit-identical to sorting
+/// `PreferenceProvider::preference_list`), a subset filter's, or a
+/// hand-built list's. It keeps whatever [`SegmentHandle::view`]'s slices
+/// borrow alive for its lifetime; clones share those buffers.
 #[derive(Debug, Clone)]
 pub struct SegmentHandle {
     seg: Arc<PrefSegment>,
     /// `Some` iff the segment is quantized: the dense `f64` buffer the
     /// views borrow from.
     dequant: Option<Arc<Vec<f64>>>,
-    /// Whether `seg` was derived for this handle (a lazy slot) rather
-    /// than aliased from the substrate.
+    /// Whether `seg` was derived for this handle rather than aliased
+    /// from the substrate.
     derived: bool,
 }
 
 impl SegmentHandle {
+    /// `u`'s column over `items`, derived by the segment builder — the
+    /// one routine behind a lazy slot and a cold itemset. The builder
+    /// writes the zero tail in itemset order, which must be id order, so
+    /// a non-ascending itemset is sorted first, keeping duplicates.
+    pub(crate) fn derive(
+        provider: &(dyn PreferenceProvider + Sync + '_),
+        u: UserId,
+        items: &[ItemId],
+    ) -> Result<SegmentHandle, QueryError> {
+        let mut scratch = SegmentScratch::default();
+        let columns = if strictly_ascending(items) {
+            build_one_segment(provider, u, items, true, &mut scratch)?
+        } else {
+            let mut sorted = items.to_vec();
+            sorted.sort_unstable();
+            let sparse = strictly_ascending(&sorted);
+            build_one_segment(provider, u, &sorted, sparse, &mut scratch)?
+        };
+        Ok(SegmentHandle::derived(columns))
+    }
+
+    /// A handle owning score-descending (ties by id) columns that no
+    /// substrate stores. They are kept dense: coded, the handle would
+    /// hold the codes *and* their dequantized copy.
+    pub(crate) fn derived((ids, scores): (Vec<u32>, Vec<f64>)) -> SegmentHandle {
+        SegmentHandle {
+            seg: Arc::new(PrefSegment {
+                ids,
+                store: ScoreStore::Dense(scores),
+            }),
+            dequant: None,
+            derived: true,
+        }
+    }
+
     /// Item ids, score-descending (ties by id).
     pub fn ids(&self) -> &[u32] {
         &self.seg.ids
@@ -293,8 +337,8 @@ impl SegmentHandle {
     }
 
     /// Bytes this handle holds beyond the substrate's stored segments:
-    /// the dequantized score column, or the whole column derived for a
-    /// lazy slot (0 for a dense resident segment).
+    /// the dequantized score column, or the whole derived column (0 for
+    /// a dense resident segment).
     pub fn owned_bytes(&self) -> usize {
         let dequant = self
             .dequant
@@ -501,12 +545,12 @@ impl Substrate {
         dirty_users: &[UserId],
     ) -> Result<Self, QueryError> {
         let mut segments = self.segments.clone();
-        let mut scratch = SegmentScratch::new(self.layout.m);
+        let mut scratch = SegmentScratch::default();
         for &u in dirty_users {
             if let Some(idx) = self.user_index(u) {
                 if matches!(self.segments[idx], SegmentSlot::Resident(_)) {
                     segments[idx] = SegmentSlot::Resident(PrefSegment::resident(
-                        build_one_segment(provider, u, &self.layout.items, &mut scratch)?,
+                        build_one_segment(provider, u, &self.layout.items, true, &mut scratch)?,
                     ));
                 }
             }
@@ -661,66 +705,33 @@ impl Substrate {
                 derived: false,
             }),
             SegmentSlot::Lazy => {
-                // A derived column is kept dense: the handle would
-                // otherwise hold codes *and* their dequantized copy.
-                let mut scratch = SegmentScratch::new(self.layout.m);
-                let (ids, scores) = build_one_segment(
-                    provider,
-                    self.layout.users[user_idx],
-                    &self.layout.items,
-                    &mut scratch,
-                )?;
-                Ok(SegmentHandle {
-                    seg: Arc::new(PrefSegment {
-                        ids,
-                        store: ScoreStore::Dense(scores),
-                    }),
-                    dequant: None,
-                    derived: true,
-                })
+                SegmentHandle::derive(provider, self.layout.users[user_idx], &self.layout.items)
             }
         }
     }
 
-    /// The handle's preference columns filtered to a subset itemset
-    /// (`mask` by dense item position, `len` items), preserving the
-    /// sorted order — one linear pass, no sort, no provider calls.
-    pub fn filtered_pref_list(
+    /// The handle's columns filtered to a subset itemset (`mask` by
+    /// dense item position, `len` items), preserving the sorted order —
+    /// one linear pass, no sort, no provider calls. The result depends
+    /// only on the segment and the mask, so one filtered handle serves
+    /// every group the user is in.
+    pub(crate) fn filtered_handle(
         &self,
         handle: &SegmentHandle,
-        member: u32,
         mask: &[bool],
         len: usize,
-    ) -> SortedList {
-        let seg_ids = handle.ids();
-        let seg_scores = handle.scores();
+    ) -> SegmentHandle {
         let mut ids = Vec::with_capacity(len);
         let mut scores = Vec::with_capacity(len);
-        for (pos, &id) in seg_ids.iter().enumerate() {
+        for (&id, &score) in handle.ids().iter().zip(handle.scores()) {
             // Segment ids always belong to the universe; the dense
             // lookup cannot miss.
-            let dense = self.layout.item_dense[id as usize] as usize;
-            if mask[dense] {
+            if mask[self.layout.item_dense[id as usize] as usize] {
                 ids.push(id);
-                scores.push(seg_scores[pos]);
+                scores.push(score);
             }
         }
-        SortedList::from_sorted_columns(ListKind::Preference { member }, ids, scores)
-    }
-
-    /// [`Substrate::filtered_pref_list`] stored member-agnostic (kind
-    /// `member: 0`): the filter output depends only on the segment and
-    /// the mask, so one pass is shareable across every query whose group
-    /// places the user at a different member index — consumers re-kind
-    /// the columns to their own index at view assembly (see
-    /// [`SortedList::view_as`]).
-    pub fn shared_pref_list(
-        &self,
-        handle: &SegmentHandle,
-        mask: &[bool],
-        len: usize,
-    ) -> SortedList {
-        self.filtered_pref_list(handle, 0, mask, len)
+        SegmentHandle::derived((ids, scores))
     }
 }
 
@@ -758,43 +769,42 @@ fn reject_non_finite_affinity(population: &PopulationAffinity) -> Result<(), Que
 }
 
 /// Reusable per-worker scratch for segment construction: one provider
-/// score per dense item position plus the index buffer the sort runs
-/// over — no per-user allocations.
+/// score per dense item position (sized by the first dense build), the
+/// index buffer the sort runs over and the sparse head — no per-user
+/// allocations.
+#[derive(Default)]
 struct SegmentScratch {
     scores: Vec<f64>,
     idx: Vec<u32>,
     head: Vec<(u32, f64)>,
 }
 
-impl SegmentScratch {
-    fn new(m: usize) -> Self {
-        SegmentScratch {
-            scores: vec![0.0; m],
-            idx: Vec::with_capacity(m),
-            head: Vec::new(),
-        }
-    }
+/// Whether `items` ascend strictly by id.
+fn strictly_ascending(items: &[ItemId]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Build one user's sorted columns: fill scores from the provider,
-/// order entries by (score descending, item id ascending).
+/// order entries by (score descending, item id ascending). `items` must
+/// ascend by id; `sparse` (the provider's sparse path) only when they
+/// ascend strictly, as [`PreferenceProvider::sparse_aprefs`] requires.
 ///
 /// Ordering is bit-identical to
-/// `provider.preference_list(u, items)?.into_sorted_columns()` — the
-/// path substrate construction used before sharding — at a fraction of
-/// the cost: since the provider contract demands `apref ≥ 0`, only
-/// positive entries need comparisons; the `±0.0` tail is emitted in id
-/// order (exactly where a full sort would put it, in the order its ties
-/// resolve). A contract-violating negative score falls back to the full
-/// sort so the equivalence holds for *any* finite input.
+/// `provider.preference_list(u, items)?.into_sorted_columns()` at a
+/// fraction of the cost: since the provider contract demands
+/// `apref ≥ 0`, only positive entries need comparisons; the `±0.0` tail
+/// is emitted in id order (exactly where a full sort would put it, in
+/// the order its ties resolve). A contract-violating negative score
+/// falls back to the full sort so the equivalence holds for *any*
+/// finite input.
 fn build_one_segment(
     provider: &(dyn PreferenceProvider + Sync + '_),
     u: UserId,
     items: &[ItemId],
+    sparse: bool,
     scratch: &mut SegmentScratch,
 ) -> Result<(Vec<u32>, Vec<f64>), QueryError> {
     let m = items.len();
-    debug_assert_eq!(scratch.scores.len(), m);
     // Sparse fast path: a provider that can enumerate its nonzero
     // entries lets us skip the dense column entirely — no `O(m)` zero
     // fill, no `O(m)` validation scan, no `O(m)` index buffer. Only a
@@ -802,7 +812,7 @@ fn build_one_segment(
     // order. A `-0.0` or negative entry (which the sparse tail cannot
     // represent bit-exactly) falls back to the dense path below.
     scratch.head.clear();
-    if provider.sparse_aprefs(u, items, &mut scratch.head) {
+    if sparse && provider.sparse_aprefs(u, items, &mut scratch.head) {
         let mut dense_fallback = false;
         for &(d, s) in &scratch.head {
             if !s.is_finite() {
@@ -820,6 +830,7 @@ fn build_one_segment(
     }
     // One batched (virtual) provider call per user, then validate the
     // filled column — sparse providers fill it in `O(r + m)`.
+    scratch.scores.resize(m, 0.0);
     provider.fill_aprefs(u, items, &mut scratch.scores);
     let mut any_negative = false;
     for (d, &s) in scratch.scores.iter().enumerate() {
@@ -910,11 +921,11 @@ fn build_segments_sharded(
 ) -> Result<Vec<Arc<PrefSegment>>, QueryError> {
     let threads = threads.max(1).min(users.len().max(1));
     if threads == 1 {
-        let mut scratch = SegmentScratch::new(items.len());
+        let mut scratch = SegmentScratch::default();
         return users
             .iter()
             .map(|&u| {
-                build_one_segment(provider, u, items, &mut scratch).map(PrefSegment::resident)
+                build_one_segment(provider, u, items, true, &mut scratch).map(PrefSegment::resident)
             })
             .collect();
     }
@@ -925,11 +936,11 @@ fn build_segments_sharded(
             .iter()
             .map(|shard| {
                 scope.spawn(move || {
-                    let mut scratch = SegmentScratch::new(items.len());
+                    let mut scratch = SegmentScratch::default();
                     shard
                         .iter()
                         .map(|&u| {
-                            build_one_segment(provider, u, items, &mut scratch)
+                            build_one_segment(provider, u, items, true, &mut scratch)
                                 .map(PrefSegment::resident)
                         })
                         .collect()
@@ -951,6 +962,7 @@ fn build_segments_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lists::SortedList;
     use greca_affinity::TableAffinitySource;
     use greca_cf::RawRatings;
     use greca_dataset::{Granularity, RatingMatrixBuilder, Timeline};
@@ -1191,10 +1203,10 @@ mod tests {
         mask[0] = true;
         mask[3] = true;
         let h = sub.segment_handle(&raw, 0).unwrap();
-        let l = sub.filtered_pref_list(&h, 0, &mask, 2);
-        let v = l.as_view();
-        assert_eq!(v.ids, &[0, 3]);
-        assert_eq!(v.scores, &[5.0, 0.0]);
+        let f = sub.filtered_handle(&h, &mask, 2);
+        assert_eq!(f.ids(), &[0, 3]);
+        assert_eq!(f.scores(), &[5.0, 0.0]);
+        assert_eq!(f.owned_bytes(), 2 * 12);
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::protocol::{self, IngestRequest, QueryRequest, Request, TraceRequest};
 use crate::ServeConfig;
 use greca_core::obs::{self, CacheNote, Phase, SpanKind, TraceFilter};
 use greca_core::{
-    FaultCtx, FaultPlan, IoFault, LiveEngine, PublishDelta, QueryError, QueryFootprint,
-    SharedMemberState, TopKResult, LINEAGE_CAP,
+    FaultCtx, FaultPlan, IoFault, LiveEngine, PublishDelta, QueryError, QueryFootprint, TopKResult,
+    LINEAGE_CAP,
 };
 use greca_dataset::Group;
 use std::collections::{HashMap, VecDeque};
@@ -105,12 +105,6 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: ResultCache,
-    /// The batch planner's member-state arena for the current epoch:
-    /// concurrent cache-miss queries resolve each member's preference
-    /// list once per epoch instead of once per query. Swapped (not
-    /// mutated) on publish, so in-flight queries keep the arena they
-    /// started with — same discipline as the epoch-pinned engine.
-    plan_state: Mutex<(u64, Arc<SharedMemberState>)>,
     /// Live subscriptions by id.
     subs: Mutex<HashMap<u64, Arc<Subscription>>>,
     /// Next subscription id.
@@ -131,21 +125,6 @@ struct Shared {
     /// ([`crate::ServeConfig::fault_plan`]); `None` injects nothing.
     fault: Option<Arc<FaultPlan>>,
     started: Instant,
-}
-
-impl Shared {
-    /// The member-state arena scoped to `epoch`, freshly reset if the
-    /// last one belonged to an older epoch.
-    fn plan_state_for(&self, epoch: u64) -> Arc<SharedMemberState> {
-        let mut slot = self.plan_state.lock().unwrap_or_else(|p| {
-            self.plan_state.clear_poison();
-            p.into_inner()
-        });
-        if slot.0 != epoch {
-            *slot = (epoch, Arc::new(SharedMemberState::new()));
-        }
-        Arc::clone(&slot.1)
-    }
 }
 
 /// A clonable remote control for a running [`GrecaServer`].
@@ -192,7 +171,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             shutdown: AtomicBool::new(false),
             metrics: Metrics::default(),
             cache: ResultCache::new(config.cache_capacity),
-            plan_state: Mutex::new((live.epoch(), Arc::new(SharedMemberState::new()))),
             subs: Mutex::new(HashMap::new()),
             next_sub: AtomicU64::new(1),
             pending: Mutex::new(PendingDeltas {
@@ -234,9 +212,6 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 }
                 log.push_back((delta.epoch, kept, dropped));
             }
-            // Retire the old epoch's member arena eagerly; queries that
-            // pinned the previous epoch still hold their own Arc.
-            hook_shared.plan_state_for(delta.epoch);
             hook_shared
                 .metrics
                 .publishes
@@ -1004,12 +979,11 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
         let epoch = pin.epoch();
         let engine = pin.engine();
         let query = build_query(&engine, group, q);
-        // Cache misses run through the planner's shared member-state
-        // arena: distinct overlapping groups landing in one epoch
-        // resolve each member's lists once, not once per query. The
-        // arena is epoch-scoped, so sharing never crosses a substrate
-        // swap and results stay bit-identical to `query.run()`.
-        let plan_state = self.shared.plan_state_for(epoch);
+        // Cache misses run through the pinned epoch's member arena:
+        // distinct overlapping groups landing in one epoch resolve each
+        // member's column once, not once per query. The arena belongs
+        // to the epoch, so sharing never crosses a substrate swap and
+        // results stay bit-identical to `query.run()`.
         // The cache timer covers the lookup (and, on a coalesced
         // lookup, the wait for the concurrent identical run); a miss
         // hands off to the kernel's own prepare/kernel timers the
@@ -1020,7 +994,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
             .cache
             .get_or_compute(epoch, query.cache_key(), || {
                 drop(lookup.take());
-                query.run_shared(&plan_state)
+                query.run_shared(pin.members())
             });
         drop(lookup.take());
         (epoch, result, outcome)
@@ -1311,7 +1285,7 @@ impl<'live, 'pop> GrecaServer<'live, 'pop> {
                 },
             ),
             ("planner", {
-                let state = self.shared.plan_state_for(engine_epoch);
+                let state = pin.members();
                 Json::obj(vec![
                     ("entries", Json::num(state.entries() as f64)),
                     (
