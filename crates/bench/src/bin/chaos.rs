@@ -41,7 +41,7 @@
 //! `--cycles <n>` overrides the cycle count).
 
 use greca_affinity::{PopulationAffinity, TableAffinitySource};
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, percentile, sorted_ms, Report, Stamp};
 use greca_cf::RawRatings;
 use greca_core::{
     BuildOptions, FaultCtx, FaultPlan, GrecaEngine, IoFault, LiveEngine, LiveModel, TopKResult,
@@ -52,7 +52,6 @@ use greca_dataset::{
 };
 use greca_serve::{Client, GrecaServer, Json, ServeConfig};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -218,7 +217,6 @@ struct CycleOutcome {
     degraded_reads: usize,
     degraded_answered: usize,
     recovery: std::time::Duration,
-    records_replayed: usize,
     identical: bool,
     lost: usize,
 }
@@ -245,16 +243,6 @@ fn main() {
         fault,
         ..WalOptions::default()
     };
-
-    print_row(
-        "world",
-        format!("{} users × {} items", world.users, world.items_n),
-    );
-    print_row(
-        "cycles × ingests",
-        format!("{cycles} × {ingests_per_cycle}"),
-    );
-    print_row("wal dir", dir.display());
 
     // The ack log: committed state, the durable-but-unpublished tail,
     // and the acked epoch — maintained purely from wire responses plus
@@ -284,14 +272,13 @@ fn main() {
 
         // ── Recover from everything previous cycles left behind ──────
         let t0 = Instant::now();
-        let (live, report) = if cycle == 0 {
+        let live = if cycle == 0 {
             let wal = Wal::create(&dir, wal_tuning(Some(Arc::clone(&plan)))).expect("create WAL");
-            let live = LiveEngine::new(&world.pop, LiveModel::Raw, &world.initial, &world.items)
+            LiveEngine::new(&world.pop, LiveModel::Raw, &world.initial, &world.items)
                 .expect("epoch 0")
-                .with_wal(wal);
-            (live, None)
+                .with_wal(wal)
         } else {
-            let (live, report) = LiveEngine::recover(
+            LiveEngine::recover(
                 &world.pop,
                 LiveModel::Raw,
                 &world.initial,
@@ -300,8 +287,8 @@ fn main() {
                 &dir,
                 wal_tuning(Some(Arc::clone(&plan))),
             )
-            .expect("recover");
-            (live, Some(report))
+            .expect("recover")
+            .0
         };
         let recovery = t0.elapsed();
         assert_eq!(
@@ -444,7 +431,6 @@ fn main() {
                 degraded_reads,
                 degraded_answered,
                 recovery,
-                records_replayed: report.map_or(0, |r| r.batches_replayed + r.publishes_replayed),
                 identical,
                 lost,
             }
@@ -514,18 +500,8 @@ fn main() {
     let lost_committed: usize = outcomes.iter().map(|o| o.lost).sum::<usize>() + final_lost;
     let recovered_identical =
         outcomes.iter().all(|o| o.identical) && final_identical && acked_epoch == live.epoch();
-    let cycle_replayed: usize = outcomes.iter().map(|o| o.records_replayed).sum();
-    let mut recovery_ms: Vec<f64> = outcomes
-        .iter()
-        .skip(1) // cycle 0 is a create, not a recovery
-        .map(|o| o.recovery.as_secs_f64() * 1e3)
-        .collect();
-    recovery_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let recovery_p50 = recovery_ms
-        .get(recovery_ms.len() / 2)
-        .copied()
-        .unwrap_or(0.0);
-    let recovery_max = recovery_ms.last().copied().unwrap_or(0.0);
+    // Cycle 0 is a create, not a recovery.
+    let recovery_ms = sorted_ms(outcomes.iter().skip(1).map(|o| o.recovery));
     let replay_records = report.batches_replayed + report.publishes_replayed;
     let replay_per_s = if final_wall.as_secs_f64() > 0.0 {
         replay_records as f64 / final_wall.as_secs_f64()
@@ -533,85 +509,44 @@ fn main() {
         0.0
     };
 
-    print_row(
-        "fault-injected cycles",
-        format!("{injected_cycles} of {cycles}"),
-    );
-    print_row("faults injected (total)", faults_injected);
-    print_row(
-        "ingests acked / refused",
-        format!("{total_acked} / {total_refused}"),
-    );
-    print_row(
-        "degraded reads answered",
-        format!("{degraded_answered} of {degraded_reads}"),
-    );
-    print_row("lost committed batches", lost_committed);
-    print_row("recovered identical", recovered_identical);
-    print_row("final epoch", acked_epoch);
-    print_row(
-        "wal history",
-        format!(
-            "{} records / {} segments / {} bytes",
-            report.wal.records, report.wal.segments, report.wal.bytes_scanned
-        ),
-    );
-    print_row(
-        "final replay",
-        format!(
-            "{replay_records} records in {:.1} ms ({replay_per_s:.0} rec/s)",
-            final_wall.as_secs_f64() * 1e3
-        ),
-    );
-    print_row(
-        "recovery p50 / max",
-        format!("{recovery_p50:.1} ms / {recovery_max:.1} ms"),
-    );
-    print_row("records replayed (all cycles)", cycle_replayed);
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {quick},\n",
-            "  \"cycles\": {cycles},\n",
-            "  \"injected_cycles\": {injected_cycles},\n",
-            "  \"faults_injected\": {faults},\n",
-            "  \"ingests\": {{\"acked\": {acked}, \"refused\": {refused}}},\n",
-            "  \"lost_committed\": {lost},\n",
-            "  \"recovered_identical\": {ident},\n",
-            "  \"degraded_reads\": {{\"issued\": {dreads}, \"answered\": {danswered}}},\n",
-            "  \"final_epoch\": {epoch},\n",
-            "  \"wal\": {{\"records\": {wrecords}, \"segments\": {wsegments}, \"bytes\": {wbytes}, \"torn_tail_truncations\": {wtorn}}},\n",
-            "  \"replay\": {{\"records\": {rrecords}, \"wall_ms\": {rwall:.3}, \"records_per_s\": {rps:.0}}},\n",
-            "  \"recovery_ms\": {{\"p50\": {rp50:.3}, \"max\": {rmax:.3}}}\n",
-            "}}\n",
-        ),
-        quick = quick,
-        cycles = cycles,
-        injected_cycles = injected_cycles,
-        faults = faults_injected,
-        acked = total_acked,
-        refused = total_refused,
-        lost = lost_committed,
-        ident = recovered_identical,
-        dreads = degraded_reads,
-        danswered = degraded_answered,
-        epoch = acked_epoch,
-        wrecords = report.wal.records,
-        wsegments = report.wal.segments,
-        wbytes = report.wal.bytes_scanned,
-        wtorn = report.wal.torn_tail as u8,
-        rrecords = replay_records,
-        rwall = final_wall.as_secs_f64() * 1e3,
-        rps = replay_per_s,
-        rp50 = recovery_p50,
-        rmax = recovery_max,
-    );
-    let path = "BENCH_chaos.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_chaos.json");
-    println!("\nwrote {path}");
+    let mut bench = Report::new("chaos");
+    bench
+        .record("cycles", cycles)
+        .record("injected_cycles", injected_cycles)
+        .record("faults_injected", faults_injected);
+    bench.section("ingests", |s| {
+        s.record("acked", total_acked)
+            .record("refused", total_refused);
+    });
+    bench
+        .record("lost_committed", lost_committed)
+        .record("recovered_identical", recovered_identical);
+    bench.section("degraded_reads", |s| {
+        s.record("issued", degraded_reads)
+            .record("answered", degraded_answered);
+    });
+    bench.record("final_epoch", acked_epoch);
+    bench.section("wal", |s| {
+        s.record("records", report.wal.records)
+            .record("segments", report.wal.segments)
+            .record("bytes", report.wal.bytes_scanned)
+            .record("torn_tail_truncations", usize::from(report.wal.torn_tail));
+    });
+    bench.section("replay", |s| {
+        s.record("records", replay_records)
+            .record("wall_ms", final_wall.as_secs_f64() * 1e3)
+            .record("records_per_s", replay_per_s);
+    });
+    bench.section("recovery_ms", |s| {
+        s.record("p50", percentile(&recovery_ms, 0.5))
+            .record("max", recovery_ms.last().copied().unwrap_or(0.0));
+    });
+    // Every engine this run builds covers the world's users.
+    bench.write(Stamp {
+        mode: if quick { "quick" } else { "full" },
+        build_workers: BuildOptions::default().workers_for(world.users as usize),
+        seed: None,
+    });
     let _ = std::fs::remove_dir_all(&dir);
 
     // ── Gates (every run, --quick included) ──────────────────────────

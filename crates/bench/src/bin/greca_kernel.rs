@@ -21,10 +21,9 @@
 //! Run with: `cargo run -p greca-bench --release --bin greca_kernel`
 //! (pass `--quick` for the small study world).
 
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, Report, Stamp};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_core::{BuildOptions, GrecaScratch, PreparedQuery, StoppingRule};
-use std::io::Write;
 use std::time::Instant;
 
 /// Latency budget (ms/query) for the served GRECA configuration in
@@ -38,21 +37,6 @@ const RULES: [(StoppingRule, &str); 3] = [
     (StoppingRule::ThresholdOnly, "threshold_only"),
     (StoppingRule::Exhaustive, "exhaustive"),
 ];
-
-struct KernelRow {
-    stopping: &'static str,
-    mean_latency_ms: f64,
-    sa_percent_mean: f64,
-}
-
-impl KernelRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"stopping\":\"{}\",\"mean_latency_ms\":{:.4},\"sa_percent_mean\":{:.4}}}",
-            self.stopping, self.mean_latency_ms, self.sa_percent_mean,
-        )
-    }
-}
 
 /// Whether the returned itemset's exact scores match the exhaustive
 /// truth's top-k score multiset (ties may swap items; scores may not
@@ -96,17 +80,13 @@ fn main() {
             3usize,
         )
     };
-    print_row("world", world_label);
-    print_row("groups", settings.num_groups);
-    print_row("k", settings.k);
-    print_row("items", settings.num_items);
-    // The host's threads, and the workers a warm engine over the study
-    // users builds with. Every kernel row runs on one thread; the
-    // queries are prepared once, cold, before any timing.
-    let nproc = BuildOptions::default().resolved_threads();
-    let build_workers = BuildOptions::default().workers_for(pw.world().study_users().len());
-    print_row("nproc", nproc);
-    print_row("build workers", build_workers);
+    let mut report = Report::new("greca_kernel");
+    report
+        .record("world", world_label)
+        .record("num_groups", settings.num_groups)
+        .record("group_size", settings.group_size)
+        .record("k", settings.k)
+        .record("num_items", settings.num_items);
 
     let cf = pw.cf();
     let groups = pw.random_groups(settings.num_groups, settings.group_size, settings.seed);
@@ -129,11 +109,11 @@ fn main() {
             identical &= matches_truth(&p, &reused, settings.k);
         }
     }
-    print_row("identical", identical);
+    report.record("identical", identical);
 
     // Latency rows: each rule over all groups × rounds, one recycled
     // scratch (the serving shape).
-    let mut rows = Vec::new();
+    let mut served_ms = f64::NAN;
     for (stopping, label) in RULES {
         let ruled: Vec<PreparedQuery> = prepared
             .iter()
@@ -147,18 +127,18 @@ fn main() {
                 sa_sum += r.stats.sa_percent();
             }
         }
-        let mean_latency_ms =
-            start.elapsed().as_secs_f64() * 1e3 / (rounds * prepared.len()) as f64;
-        let row = KernelRow {
-            stopping: label,
-            mean_latency_ms,
-            sa_percent_mean: sa_sum / (rounds * prepared.len()) as f64,
-        };
-        println!(
-            "  {:<16} latency = {:9.3} ms/query   %SA = {:6.2}",
-            row.stopping, row.mean_latency_ms, row.sa_percent_mean,
-        );
-        rows.push(row);
+        let runs = (rounds * prepared.len()) as f64;
+        let mean_latency_ms = start.elapsed().as_secs_f64() * 1e3 / runs;
+        // The served configuration (`GrecaConfig::top`), picked by rule
+        // so reordering or extending RULES cannot gate the wrong row.
+        if stopping == StoppingRule::Greca {
+            served_ms = mean_latency_ms;
+        }
+        report.row("rows", |r| {
+            r.record("stopping", label)
+                .record("mean_latency_ms", mean_latency_ms)
+                .record("sa_percent_mean", sa_sum / runs);
+        });
     }
 
     assert!(
@@ -166,39 +146,17 @@ fn main() {
         "kernel outputs must be bit-identical across scratch reuse and match the exhaustive truth"
     );
     if quick {
-        // The served configuration (`GrecaConfig::top`), looked up by
-        // label so reordering or extending RULES cannot silently gate the
-        // wrong row.
-        let default_row = rows
-            .iter()
-            .find(|r| r.stopping == "greca")
-            .expect("the served rule is benchmarked");
         assert!(
-            default_row.mean_latency_ms <= QUICK_BUDGET_MS,
-            "GRECA kernel regression: {:.3} ms/query exceeds the {} ms sanity budget",
-            default_row.mean_latency_ms,
-            QUICK_BUDGET_MS
+            served_ms <= QUICK_BUDGET_MS,
+            "GRECA kernel regression: {served_ms:.3} ms/query exceeds the {QUICK_BUDGET_MS} ms sanity budget"
         );
     }
-
-    let json = format!(
-        "{{\n  \"world\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"num_groups\": {},\n  \"group_size\": {},\n  \"k\": {},\n  \"num_items\": {},\n  \"identical\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
-        world_label,
-        nproc,
-        build_workers,
-        settings.num_groups,
-        settings.group_size,
-        settings.k,
-        settings.num_items,
-        identical,
-        rows.iter()
-            .map(KernelRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-    );
-    let path = "BENCH_greca_kernel.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_greca_kernel.json");
-    println!("\nwrote {path}");
+    // The workers a warm engine over the study users builds with. Every
+    // kernel row runs on one thread; the queries are prepared once,
+    // cold, before any timing.
+    report.write(Stamp {
+        mode: if quick { "quick" } else { "full" },
+        build_workers: BuildOptions::default().workers_for(pw.world().study_users().len()),
+        seed: None,
+    });
 }

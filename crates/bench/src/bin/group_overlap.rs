@@ -39,11 +39,10 @@
 //!
 //! Run with: `cargo run -p greca-bench --release --bin group_overlap`
 
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, Report, Section, Stamp};
 use greca_core::{run_batch, BatchResult, BuildOptions, GrecaEngine, GroupQuery, Substrate};
 use greca_dataset::{Group, ItemId, UserId};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,59 +56,6 @@ const REPEATS: usize = 4;
 const OVERLAP: f64 = 0.8;
 /// Timed rounds per (wave, planner setting); min is reported.
 const ROUNDS: usize = 5;
-
-/// One `BENCH_overlap.json` row.
-struct Row {
-    tier: Tier,
-    users: usize,
-    wave: usize,
-    unique_queries: usize,
-    dedup_hits: usize,
-    shared_member_ratio: f64,
-    reused_prefix_items: u64,
-    off_high_ms: f64,
-    on_high_ms: f64,
-    speedup_high: f64,
-    off_zero_ms: f64,
-    on_zero_ms: f64,
-    ratio_zero: f64,
-    identical: bool,
-    /// Workers the tier's substrate build ran with (stamped in the
-    /// header, not the row).
-    build_workers: usize,
-}
-
-impl Row {
-    /// The row as a JSON object (hand-formatted; the workspace
-    /// has no serialization crate).
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tier\":\"{}\",\"users\":{},\"wave\":{},",
-                "\"unique_queries\":{},\"dedup_hits\":{},",
-                "\"shared_member_ratio\":{:.3},\"reused_prefix_items\":{},",
-                "\"off_high_ms\":{:.3},\"on_high_ms\":{:.3},",
-                "\"speedup_high\":{:.2},",
-                "\"off_zero_ms\":{:.3},\"on_zero_ms\":{:.3},",
-                "\"ratio_zero\":{:.3},\"identical\":{}}}",
-            ),
-            self.tier.name(),
-            self.users,
-            self.wave,
-            self.unique_queries,
-            self.dedup_hits,
-            self.shared_member_ratio,
-            self.reused_prefix_items,
-            self.off_high_ms,
-            self.on_high_ms,
-            self.speedup_high,
-            self.off_zero_ms,
-            self.on_zero_ms,
-            self.ratio_zero,
-            self.identical,
-        )
-    }
-}
 
 /// One top-10 query per group over `items` at `period`; query `i` runs
 /// on `engines[i % engines.len()]`.
@@ -150,7 +96,10 @@ fn waves_identical(off: &BatchResult, on: &BatchResult) -> bool {
     off.results == on.results && off.stats == on.stats
 }
 
-fn measure(tier: Tier) -> Row {
+/// Measure one tier into `row` and assert its gates (see the module
+/// docs; `quick` loosens the timing gates). Returns the workers the
+/// tier's substrate build ran with.
+fn measure(tier: Tier, quick: bool, row: &mut Section) -> usize {
     banner(&format!("tier {tier}"));
     let world = GenWorld::of_tier(tier);
     let spec = world.spec;
@@ -213,51 +162,48 @@ fn measure(tier: Tier) -> Row {
         zero_on_run.plan.reused_members, 0,
         "zero-overlap wave has nothing to share"
     );
-    print_row(
-        "wave shape",
-        format!(
-            "{} queries → {} unique ({} dedup hits), {:.0}% member slots shared",
-            plan.wave,
-            plan.unique_queries,
-            plan.dedup_hits,
-            100.0 * plan.shared_member_ratio()
-        ),
-    );
-
     let off_high_ms = time_wave(&high_off);
     let on_high_ms = time_wave(&high_on);
     let speedup_high = off_high_ms / on_high_ms.max(1e-9);
-    print_row(
-        "high overlap off vs on",
-        format!("{off_high_ms:9.2} ms vs {on_high_ms:9.2} ms  ({speedup_high:.2}×)"),
-    );
-
     let off_zero_ms = time_wave(&zero_off);
     let on_zero_ms = time_wave(&zero_on);
-    let ratio_zero = on_zero_ms / off_zero_ms.max(1e-9);
-    print_row(
-        "zero overlap off vs on",
-        format!("{off_zero_ms:9.2} ms vs {on_zero_ms:9.2} ms  ({ratio_zero:.2}× of baseline)"),
-    );
-    print_row("identical", format!("{identical}"));
+    row.record("tier", tier.name())
+        .record("users", spec.num_users)
+        .record("wave", plan.wave)
+        .record("unique_queries", plan.unique_queries)
+        .record("dedup_hits", plan.dedup_hits)
+        .record("shared_member_ratio", plan.shared_member_ratio())
+        .record("reused_prefix_items", plan.reused_prefix_items)
+        .record("off_high_ms", off_high_ms)
+        .record("on_high_ms", on_high_ms)
+        .record("speedup_high", speedup_high)
+        .record("off_zero_ms", off_zero_ms)
+        .record("on_zero_ms", on_zero_ms)
+        .record("ratio_zero", on_zero_ms / off_zero_ms.max(1e-9))
+        .record("identical", identical);
 
-    Row {
-        tier,
-        users: spec.num_users,
-        wave: plan.wave,
-        unique_queries: plan.unique_queries,
-        dedup_hits: plan.dedup_hits,
-        shared_member_ratio: plan.shared_member_ratio(),
-        reused_prefix_items: plan.reused_prefix_items,
-        off_high_ms,
-        on_high_ms,
-        speedup_high,
-        off_zero_ms,
-        on_zero_ms,
-        ratio_zero,
+    // Quick mode keeps the identity gate absolute but loosens the
+    // timing gates: study-tier waves are microsecond-scale and shared
+    // CI runners add noise.
+    let (min_speedup, max_zero_ratio) = if quick { (1.0, 1.25) } else { (1.5, 1.05) };
+    assert!(
         identical,
-        build_workers: BuildOptions::default().workers_for(eager.len()),
-    }
+        "tier {tier}: planned waves must be bit-identical to planner-off waves"
+    );
+    assert!(
+        speedup_high >= min_speedup,
+        "tier {tier}: high-overlap wave must be ≥{min_speedup:.2}× faster planned (got {speedup_high:.2}×)"
+    );
+    // Relative bound plus a small absolute allowance: on a shareless
+    // wave the planner's analysis costs O(wave) key hashing and the
+    // shared arena one lock per member — far below 0.25 ms — while
+    // sub-2 ms waves put a bare 5 % bound inside timer noise.
+    let allowed_zero_ms = off_zero_ms * max_zero_ratio + 0.25;
+    assert!(
+        on_zero_ms <= allowed_zero_ms,
+        "tier {tier}: zero-overlap wave must not regress beyond {max_zero_ratio:.2}×+0.25ms (got {on_zero_ms:.3} ms vs {allowed_zero_ms:.3} ms allowed)"
+    );
+    BuildOptions::default().workers_for(eager.len())
 }
 
 fn main() {
@@ -277,61 +223,22 @@ fn main() {
     };
     banner(&format!("group_overlap: batch planner on vs off ({mode})"));
 
-    let rows: Vec<Row> = tiers.iter().map(|&t| measure(t)).collect();
-
-    // The gates (see the module docs). Quick mode keeps the identity
-    // gate absolute but loosens the timing gates: study-tier waves are
-    // microsecond-scale and shared CI runners add noise.
-    let (min_speedup, max_zero_ratio) = if quick { (1.0, 1.25) } else { (1.5, 1.05) };
-    for row in &rows {
-        assert!(
-            row.identical,
-            "tier {}: planned waves must be bit-identical to planner-off waves",
-            row.tier
-        );
-        assert!(
-            row.speedup_high >= min_speedup,
-            "tier {}: high-overlap wave must be ≥{:.2}× faster planned (got {:.2}×)",
-            row.tier,
-            min_speedup,
-            row.speedup_high
-        );
-        // Relative bound plus a small absolute allowance: on a
-        // shareless wave the planner's analysis costs O(wave) key
-        // hashing and the shared arena one lock per member — far
-        // below 0.25 ms — while sub-2 ms waves put a bare 5 % bound
-        // inside timer noise.
-        let allowed_zero_ms = row.off_zero_ms * max_zero_ratio + 0.25;
-        assert!(
-            row.on_zero_ms <= allowed_zero_ms,
-            "tier {}: zero-overlap wave must not regress beyond {:.2}×+0.25ms (got {:.3} ms vs {:.3} ms allowed)",
-            row.tier,
-            max_zero_ratio,
-            row.on_zero_ms,
-            allowed_zero_ms
-        );
-    }
-
+    let mut report = Report::new("overlap");
+    report
+        .record("wave_groups", WAVE_GROUPS)
+        .record("repeats", REPEATS)
+        .record("overlap", OVERLAP);
+    let build_workers = tiers
+        .iter()
+        .map(|&t| report.row("rows", |row| measure(t, quick, row)))
+        .min()
+        .unwrap_or(0);
     // Every tier builds with `workers_for(eager users)`; the smallest
     // count is the one all tiers share once each has at least as many
     // users as threads.
-    let json = format!(
-        "{{\n  \"seed\": {},\n  \"mode\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"wave_groups\": {},\n  \"repeats\": {},\n  \"overlap\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
-        DEFAULT_SEED,
+    report.write(Stamp {
         mode,
-        BuildOptions::default().resolved_threads(),
-        rows.iter().map(|r| r.build_workers).min().unwrap_or(0),
-        WAVE_GROUPS,
-        REPEATS,
-        OVERLAP,
-        rows.iter()
-            .map(|r| r.to_json())
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-    );
-    let path = "BENCH_overlap.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_overlap.json");
-    println!("\nwrote {path}");
+        build_workers,
+        seed: Some(DEFAULT_SEED),
+    });
 }

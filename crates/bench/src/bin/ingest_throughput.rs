@@ -35,46 +35,22 @@
 //! Run with: `cargo run -p greca-bench --release --bin ingest_throughput`
 //! (pass `--quick` for the small study world).
 
-use greca_bench::harness::{banner, print_row};
+use greca_bench::harness::{banner, Report, Section, Stamp};
 use greca_bench::{PerfSettings, PerfWorld};
 use greca_cf::{PreferenceProvider, RawRatings, UserCfModel};
 use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel};
 use greca_dataset::{Group, ItemId, Rating, UserId};
-use std::io::Write;
 use std::time::Instant;
 
-struct IngestRow {
-    model: &'static str,
+/// Stream `batches` single-rating publishes through `model` and record
+/// the row; returns `(speedup, identical)` for the gates.
+fn measure(
+    pw: &PerfWorld,
+    settings: &PerfSettings,
+    model: LiveModel,
     batches: usize,
-    incremental_ms_mean: f64,
-    incremental_ms_max: f64,
-    updates_per_s: f64,
-    full_rebuild_ms: f64,
-    speedup: f64,
-    rebuilt_segments_mean: f64,
-    full_rebuild_fallbacks: usize,
-    identical: bool,
-}
-
-impl IngestRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"model\":\"{}\",\"batch_size\":1,\"batches\":{},\"incremental_ms_mean\":{:.4},\"incremental_ms_max\":{:.4},\"updates_per_s\":{:.1},\"full_rebuild_ms\":{:.4},\"speedup\":{:.1},\"rebuilt_segments_mean\":{:.1},\"full_rebuild_fallbacks\":{},\"identical\":{}}}",
-            self.model,
-            self.batches,
-            self.incremental_ms_mean,
-            self.incremental_ms_max,
-            self.updates_per_s,
-            self.full_rebuild_ms,
-            self.speedup,
-            self.rebuilt_segments_mean,
-            self.full_rebuild_fallbacks,
-            self.identical,
-        )
-    }
-}
-
-fn measure(pw: &PerfWorld, settings: &PerfSettings, model: LiveModel, batches: usize) -> IngestRow {
+    row: &mut Section,
+) -> (f64, bool) {
     let world = pw.world();
     let items: Vec<ItemId> = pw.items(settings.num_items);
     let live = LiveEngine::new(&world.population, model, &world.movielens.matrix, &items)
@@ -159,21 +135,18 @@ fn measure(pw: &PerfWorld, settings: &PerfSettings, model: LiveModel, batches: u
             mk(&cold) == mk(&pin.engine()) && mk(&cold) == mk(&full.pin().engine())
         });
 
-    IngestRow {
-        model: match model {
-            LiveModel::Raw => "raw",
-            _ => "user_cf",
-        },
-        batches,
-        incremental_ms_mean: mean,
-        incremental_ms_max: max,
-        updates_per_s: batches as f64 / total_s,
-        full_rebuild_ms,
-        speedup: full_rebuild_ms / mean,
-        rebuilt_segments_mean: rebuilt as f64 / batches as f64,
-        full_rebuild_fallbacks: fallbacks,
-        identical,
-    }
+    let speedup = full_rebuild_ms / mean;
+    row.record("batch_size", 1usize)
+        .record("batches", batches)
+        .record("incremental_ms_mean", mean)
+        .record("incremental_ms_max", max)
+        .record("updates_per_s", batches as f64 / total_s)
+        .record("full_rebuild_ms", full_rebuild_ms)
+        .record("speedup", speedup)
+        .record("rebuilt_segments_mean", rebuilt as f64 / batches as f64)
+        .record("full_rebuild_fallbacks", fallbacks)
+        .record("identical", identical);
+    (speedup, identical)
 }
 
 fn main() {
@@ -198,16 +171,11 @@ fn main() {
         )
     };
     let world = pw.world();
-    print_row("world", world_label);
-    print_row("universe users", world.population.universe().len());
-    print_row("items", settings.num_items);
-    print_row("single-rating batches", batches);
-    // What the engines' substrate builds actually ran with: `LiveEngine`
-    // builds with the default options, sharded over the universe.
-    let nproc = BuildOptions::default().resolved_threads();
-    let build_workers = BuildOptions::default().workers_for(world.population.universe().len());
-    print_row("nproc", nproc);
-    print_row("build workers", build_workers);
+    let mut report = Report::new("ingest");
+    report
+        .record("world", world_label)
+        .record("universe_users", world.population.universe().len())
+        .record("num_items", settings.num_items);
 
     let models = [
         ("raw", LiveModel::Raw, batches),
@@ -220,46 +188,26 @@ fn main() {
             batches.min(10),
         ),
     ];
-    let mut rows = Vec::new();
+    let mut raw_speedup = f64::NAN;
     for (label, model, batches) in models {
-        let row = measure(&pw, &settings, model, batches);
-        println!(
-            "  {:<8} publish = {:7.3} ms mean / {:7.3} ms max   {:>9.1} updates/s   full rebuild = {:9.3} ms   speedup = {:6.1}×   dirty segments/batch = {:.1}   wholesale fallbacks = {}   identical = {}",
-            label,
-            row.incremental_ms_mean,
-            row.incremental_ms_max,
-            row.updates_per_s,
-            row.full_rebuild_ms,
-            row.speedup,
-            row.rebuilt_segments_mean,
-            row.full_rebuild_fallbacks,
-            row.identical,
-        );
-        assert!(row.identical, "pinned epoch must equal a cold full refit");
-        rows.push(row);
+        let (speedup, identical) = report.row("rows", |row| {
+            row.record("model", label);
+            measure(&pw, &settings, model, batches, row)
+        });
+        assert!(identical, "pinned epoch must equal a cold full refit");
+        if label == "raw" {
+            raw_speedup = speedup;
+        }
     }
     assert!(
-        rows[0].speedup >= 10.0,
-        "single-user incremental publish must be ≥ 10× faster than a full rebuild (got {:.1}×)",
-        rows[0].speedup
+        raw_speedup >= 10.0,
+        "single-user incremental publish must be ≥ 10× faster than a full rebuild (got {raw_speedup:.1}×)"
     );
-
-    let json = format!(
-        "{{\n  \"world\": \"{}\",\n  \"mode\": \"{}\",\n  \"nproc\": {},\n  \"build_workers\": {},\n  \"universe_users\": {},\n  \"num_items\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
-        world_label,
-        if quick { "quick" } else { "full" },
-        nproc,
-        build_workers,
-        world.population.universe().len(),
-        settings.num_items,
-        rows.iter()
-            .map(IngestRow::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-    );
-    let path = "BENCH_ingest.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_ingest.json");
-    println!("\nwrote {path}");
+    // What the engines' substrate builds actually ran with: `LiveEngine`
+    // builds with the default options, sharded over the universe.
+    report.write(Stamp {
+        mode: if quick { "quick" } else { "full" },
+        build_workers: BuildOptions::default().workers_for(world.population.universe().len()),
+        seed: None,
+    });
 }

@@ -35,12 +35,11 @@
 //! (pass `--quick` for the small study world and shorter blocks, or
 //! `--seed <u64>` to re-key the group draws).
 
-use greca_bench::harness::{banner, percentile, print_row, sorted_ms};
+use greca_bench::harness::{banner, percentile, sorted_ms, Report, Stamp};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{obs, LiveEngine, LiveModel};
+use greca_core::{obs, BuildOptions, LiveEngine, LiveModel};
 use greca_dataset::Group;
 use greca_serve::{Client, GrecaServer, Json, ServeConfig};
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 fn member_ids(group: &Group) -> Vec<u32> {
@@ -140,13 +139,6 @@ fn main() {
         .map(member_ids)
         .collect();
     let cold_groups = world.random_groups(cold_n, settings.group_size, 0xc01d ^ seed);
-    print_row("world", world_label);
-    print_row("seed", seed);
-    print_row("items / k", format!("{} / {k}", items.len()));
-    print_row(
-        "hot pool × rounds × blocks",
-        format!("{hot_pool} × {rounds_per_block} × {alternations} per mode"),
-    );
 
     let server = GrecaServer::bind(
         &live,
@@ -257,79 +249,32 @@ fn main() {
     // and tracing's real cost (one span open, a handful of phase
     // stamps, one seqlock ring write) is far below the floor.
     let overhead_ok = overhead_pct <= 5.0 || delta_ms <= 0.010;
+    let totals = obs::recorder().totals();
 
-    print_row(
-        "warm p50 off / on",
-        format!(
-            "{off_p50:8.4} ms / {on_p50:8.4} ms  (n={} per mode)",
-            off_ms.len()
-        ),
-    );
-    print_row(
-        "warm p99 off / on",
-        format!(
-            "{:8.4} ms / {:8.4} ms",
-            percentile(&off_ms, 0.99),
-            percentile(&on_ms, 0.99)
-        ),
-    );
-    print_row(
-        "tracing overhead",
-        format!("{overhead_pct:+.2}%  ({:+.1} µs)", delta_ms * 1e3),
-    );
-    print_row("warm hit rate", format!("{:.1}%", warm_hit_rate * 100.0));
-    print_row("identical (traced == untraced)", identical);
-    print_row("trace roundtrip", roundtrip);
-
-    let rec = obs::recorder();
-    let totals = rec.totals();
-    let spans_recorded: u64 = totals.spans.iter().sum();
-    print_row(
-        "spans recorded / slow",
-        format!("{spans_recorded} / {}", totals.slow),
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"world\": \"{world}\",\n",
-            "  \"samples_per_mode\": {n},\n",
-            "  \"warm_p50_off_ms\": {offp50:.5},\n",
-            "  \"warm_p50_on_ms\": {onp50:.5},\n",
-            "  \"warm_p99_off_ms\": {offp99:.5},\n",
-            "  \"warm_p99_on_ms\": {onp99:.5},\n",
-            "  \"warm_hit_rate\": {hitrate:.4},\n",
-            "  \"overhead_pct\": {pct:.3},\n",
-            "  \"overhead_delta_us\": {delta:.2},\n",
-            "  \"overhead_ok\": {okflag},\n",
-            "  \"cold_groups_verified\": {cold},\n",
-            "  \"identical\": {identical},\n",
-            "  \"trace_roundtrip\": {roundtrip},\n",
-            "  \"spans_recorded\": {spans},\n",
-            "  \"slow_spans\": {slow}\n",
-            "}}\n",
-        ),
-        world = world_label,
-        n = off_ms.len(),
-        offp50 = off_p50,
-        onp50 = on_p50,
-        offp99 = percentile(&off_ms, 0.99),
-        onp99 = percentile(&on_ms, 0.99),
-        hitrate = warm_hit_rate,
-        pct = overhead_pct,
-        delta = delta_ms * 1e3,
-        okflag = overhead_ok,
-        cold = cold_n,
-        identical = identical,
-        roundtrip = roundtrip,
-        spans = spans_recorded,
-        slow = totals.slow,
-    );
-    let path = "BENCH_obs.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_obs.json");
-    println!("\nwrote {path}");
+    let mut report = Report::new("obs");
+    report
+        .record("world", world_label)
+        .record("samples_per_mode", off_ms.len())
+        .record("warm_p50_off_ms", off_p50)
+        .record("warm_p50_on_ms", on_p50)
+        .record("warm_p99_off_ms", percentile(&off_ms, 0.99))
+        .record("warm_p99_on_ms", percentile(&on_ms, 0.99))
+        .record("warm_hit_rate", warm_hit_rate)
+        .record("overhead_pct", overhead_pct)
+        .record("overhead_delta_us", delta_ms * 1e3)
+        .record("overhead_ok", overhead_ok)
+        .record("cold_groups_verified", cold_n)
+        .record("identical", identical)
+        .record("trace_roundtrip", roundtrip)
+        .record("spans_recorded", totals.spans.iter().sum::<u64>())
+        .record("slow_spans", totals.slow);
+    // The live engine builds with the default options over the universe.
+    report.write(Stamp {
+        mode: if quick { "quick" } else { "full" },
+        build_workers: BuildOptions::default()
+            .workers_for(world.world().population.universe().len()),
+        seed: Some(seed),
+    });
 
     // The CI gates — every run, quick included.
     assert!(

@@ -53,15 +53,14 @@
 //! reproducible-but-different CI smoke.
 
 use greca_affinity::PopulationAffinity;
-use greca_bench::harness::{banner, percentile, print_row, sorted_ms};
+use greca_bench::harness::{banner, percentile, sorted_ms, Report, Stamp};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{LiveEngine, LiveModel};
+use greca_core::{BuildOptions, LiveEngine, LiveModel};
 use greca_dataset::{Group, ItemId, RatingMatrix, UserId};
 use greca_serve::{Client, GrecaServer, Json, ServeConfig};
 use greca_worldgen::{GenWorld, Tier};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::io::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -498,14 +497,12 @@ fn main() {
     let cold_groups: Vec<Vec<Group>> = (0..clients)
         .map(|c| world.groups(20, settings.group_size, overlap, (0xc01d + c as u64) ^ seed))
         .collect();
-    print_row("world", &world_label);
-    print_row("seed", seed);
-    print_row(
-        "overlap",
-        overlap.map_or("default".to_string(), |f| format!("{f}")),
-    );
-    print_row("items", items.len());
-    print_row("clients × requests", format!("{clients} × {requests}"));
+    let mut report = Report::new("serve");
+    report
+        .record("world", world_label.as_str())
+        .record("overlap", overlap)
+        .record("clients", clients)
+        .record("requests_per_client", requests);
 
     // ── Phase 1: mixed workload ──────────────────────────────────────
     let server = GrecaServer::bind(
@@ -519,7 +516,6 @@ fn main() {
     let handle = server.handle();
     let (samples, stats_line, verify_identical, protocol_errors) = std::thread::scope(|s| {
         s.spawn(|| server.run());
-        let t0 = Instant::now();
         let samples = mixed_workload(
             handle.addr(),
             clients,
@@ -530,15 +526,6 @@ fn main() {
             &users,
             k,
             seed,
-        );
-        let wall = t0.elapsed();
-        print_row(
-            "workload wall / throughput",
-            format!(
-                "{:7.2} s / {:7.0} req/s",
-                wall.as_secs_f64(),
-                samples.len() as f64 / wall.as_secs_f64()
-            ),
         );
 
         // ── Phase 2: identity verification at the quiesced epoch ────
@@ -566,30 +553,13 @@ fn main() {
         (samples, stats, identical, protocol_errors)
     });
 
-    let query_ms = sorted_ms(
-        samples
-            .iter()
-            .filter(|s| s.verb == "query" && s.ok)
-            .map(|s| s.latency),
-    );
-    let ingest_ms = sorted_ms(
-        samples
-            .iter()
-            .filter(|s| s.verb == "ingest" && s.ok)
-            .map(|s| s.latency),
-    );
-    let hit_ms = sorted_ms(
-        samples
-            .iter()
-            .filter(|s| s.disposition == "hit")
-            .map(|s| s.latency),
-    );
-    let miss_ms = sorted_ms(
-        samples
-            .iter()
-            .filter(|s| s.disposition == "miss")
-            .map(|s| s.latency),
-    );
+    let latencies_ms = |keep: &dyn Fn(&Sample) -> bool| {
+        sorted_ms(samples.iter().filter(|s| keep(s)).map(|s| s.latency))
+    };
+    let query_ms = latencies_ms(&|s| s.verb == "query" && s.ok);
+    let ingest_ms = latencies_ms(&|s| s.verb == "ingest" && s.ok);
+    let hit_ms = latencies_ms(&|s| s.disposition == "hit");
+    let miss_ms = latencies_ms(&|s| s.disposition == "miss");
     let hit_p50 = percentile(&hit_ms, 0.5);
     let miss_p50 = percentile(&miss_ms, 0.5);
     let hit_speedup = if hit_p50 > 0.0 {
@@ -597,52 +567,47 @@ fn main() {
     } else {
         0.0
     };
+    report.section("verbs", |verbs| {
+        for (verb, ms) in [("query", &query_ms), ("ingest", &ingest_ms)] {
+            verbs.section(verb, |v| {
+                v.record("requests", ms.len())
+                    .record("p50_ms", percentile(ms, 0.5))
+                    .record("p99_ms", percentile(ms, 0.99));
+            });
+        }
+    });
     let cache_json = stats_line.get("cache").expect("stats.cache");
-    let hit_rate = cache_json
-        .get("hit_rate")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let publishes = stats_line
-        .get("metrics")
-        .and_then(|m| m.get("publishes_observed"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let memory_total = stats_line
-        .get("memory")
-        .and_then(|m| m.get("total_bytes"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-
-    print_row(
-        "query p50 / p99",
-        format!(
-            "{:8.3} ms / {:8.3} ms  (n={})",
-            percentile(&query_ms, 0.5),
-            percentile(&query_ms, 0.99),
-            query_ms.len()
-        ),
-    );
-    print_row(
-        "ingest p50 / p99",
-        format!(
-            "{:8.3} ms / {:8.3} ms  (n={})",
-            percentile(&ingest_ms, 0.5),
-            percentile(&ingest_ms, 0.99),
-            ingest_ms.len()
-        ),
-    );
-    print_row(
-        "cache hit p50 vs miss p50",
-        format!("{hit_p50:8.3} ms vs {miss_p50:8.3} ms  ({hit_speedup:.1}×)"),
-    );
-    print_row("cache hit rate", format!("{:.1}%", hit_rate * 100.0));
-    print_row("epoch publishes observed", publishes);
-    print_row(
-        "substrate memory",
-        format!("{:.1} MiB", memory_total as f64 / (1024.0 * 1024.0)),
-    );
-    print_row("identical (served == direct)", verify_identical);
-    print_row("protocol errors", protocol_errors);
+    report.section("cache", |c| {
+        c.record(
+            "hit_rate",
+            cache_json
+                .get("hit_rate")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
+        )
+        .record("hit_p50_ms", hit_p50)
+        .record("miss_p50_ms", miss_p50)
+        .record("hit_speedup", hit_speedup);
+    });
+    report
+        .record(
+            "epoch_publishes",
+            stats_line
+                .get("metrics")
+                .and_then(|m| m.get("publishes_observed"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+        )
+        .record(
+            "substrate_total_bytes",
+            stats_line
+                .get("memory")
+                .and_then(|m| m.get("total_bytes"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0),
+        )
+        .record("identical", verify_identical)
+        .record("protocol_errors", protocol_errors);
 
     // ── Phase 3: cache survival across a disjoint epoch swap ────────
     banner("survival: cache entries across a disjoint epoch swap");
@@ -669,19 +634,13 @@ fn main() {
         k,
         &world_label,
     );
-    print_row(
-        "post-swap hits",
-        format!("{}/{}", survival.hits, survival.total),
-    );
-    print_row(
-        "survivors / survival rate",
-        format!(
-            "{} / {:.1}%",
-            survival.survivors,
-            survival.survival_rate * 100.0
-        ),
-    );
-    print_row("survivors identical", survival.identical);
+    report.section("survival", |sv| {
+        sv.record("groups", survival.total)
+            .record("hits", survival.hits)
+            .record("survivors", survival.survivors)
+            .record("survival_rate", survival.survival_rate)
+            .record("survivors_identical", survival.identical);
+    });
 
     // ── Phase 4: continuous queries over the push stream ────────────
     banner("subscriptions: push stream under streaming ingests");
@@ -695,10 +654,11 @@ fn main() {
         &world_label,
         sub_swaps,
     );
-    print_row(
-        "pushes / stale / convergent",
-        format!("{} / {} / {}", subs.pushes, subs.stale, subs.convergent),
-    );
+    report.section("subscriptions", |sub| {
+        sub.record("pushes", subs.pushes)
+            .record("stale_pushes", subs.stale)
+            .record("convergent", subs.convergent);
+    });
 
     // ── Phase 5: overload ────────────────────────────────────────────
     banner("overload: tight admission, unique-group burst");
@@ -756,81 +716,23 @@ fn main() {
     // tiny quick world from gating on microsecond jitter.
     let p99_bound_ms = (8.0 * (oq_queue + oq_workers) as f64 * miss_p50.max(over_p50)).max(250.0);
     let bounded = over_p99 < p99_bound_ms;
-    print_row(
-        "overload clients / capacity",
-        format!("{overload_clients} / queue {oq_queue} + {oq_workers} workers"),
-    );
-    print_row(
-        "accepted p50 / p99",
-        format!("{over_p50:8.3} ms / {over_p99:8.3} ms (bound {p99_bound_ms:.0} ms)"),
-    );
-    print_row(
-        "shed (overloaded replies)",
-        format!("{shed} of {}", over_samples.len()),
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"world\": \"{world}\",\n",
-            "  \"overlap\": {overlap},\n",
-            "  \"clients\": {clients},\n",
-            "  \"requests_per_client\": {requests},\n",
-            "  \"verbs\": {{\n",
-            "    \"query\": {{\"requests\": {qn}, \"p50_ms\": {qp50:.4}, \"p99_ms\": {qp99:.4}}},\n",
-            "    \"ingest\": {{\"requests\": {inn}, \"p50_ms\": {ip50:.4}, \"p99_ms\": {ip99:.4}}}\n",
-            "  }},\n",
-            "  \"cache\": {{\"hit_rate\": {hit_rate:.4}, \"hit_p50_ms\": {hp50:.4}, \"miss_p50_ms\": {mp50:.4}, \"hit_speedup\": {speedup:.1}}},\n",
-            "  \"survival\": {{\"groups\": {sgroups}, \"hits\": {shits}, \"survivors\": {survivors}, \"survival_rate\": {survrate:.4}, \"survivors_identical\": {sident}}},\n",
-            "  \"subscriptions\": {{\"pushes\": {pushes}, \"stale_pushes\": {stale}, \"convergent\": {convergent}}},\n",
-            "  \"epoch_publishes\": {publishes},\n",
-            "  \"substrate_total_bytes\": {memory},\n",
-            "  \"overload\": {{\"clients\": {oc}, \"queue\": {oq}, \"workers\": {ow}, \"accepted\": {oacc}, \"shed\": {shed}, \"p50_ms\": {op50:.4}, \"p99_ms\": {op99:.4}, \"p99_bound_ms\": {obound:.1}, \"bounded\": {bounded}}},\n",
-            "  \"identical\": {identical},\n",
-            "  \"protocol_errors\": {perr}\n",
-            "}}\n",
-        ),
-        world = world_label,
-        overlap = overlap.map_or("null".to_string(), |f| format!("{f}")),
-        clients = clients,
-        requests = requests,
-        qn = query_ms.len(),
-        qp50 = percentile(&query_ms, 0.5),
-        qp99 = percentile(&query_ms, 0.99),
-        inn = ingest_ms.len(),
-        ip50 = percentile(&ingest_ms, 0.5),
-        ip99 = percentile(&ingest_ms, 0.99),
-        hit_rate = hit_rate,
-        hp50 = hit_p50,
-        mp50 = miss_p50,
-        speedup = hit_speedup,
-        sgroups = survival.total,
-        shits = survival.hits,
-        survivors = survival.survivors,
-        survrate = survival.survival_rate,
-        sident = survival.identical,
-        pushes = subs.pushes,
-        stale = subs.stale,
-        convergent = subs.convergent,
-        publishes = publishes,
-        memory = memory_total,
-        oc = overload_clients,
-        oq = oq_queue,
-        ow = oq_workers,
-        oacc = accepted_ms.len(),
-        shed = shed,
-        op50 = over_p50,
-        op99 = over_p99,
-        obound = p99_bound_ms,
-        bounded = bounded,
-        identical = verify_identical,
-        perr = protocol_errors,
-    );
-    let path = "BENCH_serve.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_serve.json");
-    println!("\nwrote {path}");
+    report.section("overload", |o| {
+        o.record("clients", overload_clients)
+            .record("queue", oq_queue)
+            .record("workers", oq_workers)
+            .record("accepted", accepted_ms.len())
+            .record("shed", shed)
+            .record("p50_ms", over_p50)
+            .record("p99_ms", over_p99)
+            .record("p99_bound_ms", p99_bound_ms)
+            .record("bounded", bounded);
+    });
+    // The live engine builds with the default options over the universe.
+    report.write(Stamp {
+        mode: if quick { "quick" } else { "full" },
+        build_workers: BuildOptions::default().workers_for(world.population().universe().len()),
+        seed: Some(seed),
+    });
 
     // The CI gates: every run (quick included) must serve bit-identical
     // results with a clean protocol; the full run additionally gates

@@ -11,6 +11,11 @@
 //! [`GrecaEngine`] over the world's substrates, twenty prepared
 //! [`greca_core::GroupQuery`]s executed in parallel, access statistics
 //! aggregated — the serving shape the engine API exists for.
+//!
+//! Every bench bin reports through one path: a [`Report`] stamps what
+//! ran ([`Stamp`]), records each metric once under its JSON key
+//! ([`Section::record`]), printing the aligned console row as it goes,
+//! and writes `BENCH_<name>.json` through [`greca_serve::Json`].
 
 use crate::baselines::{naive_topk, ta_topk};
 use greca_affinity::AffinityMode;
@@ -22,6 +27,7 @@ use greca_core::{
 };
 use greca_dataset::{Group, GroupBuilder, ItemId, UserId};
 use greca_eval::{StudyWorld, WorldConfig};
+use greca_serve::Json;
 use std::time::{Duration, Instant};
 
 /// Default experiment settings (§4.2 "Experiment Settings").
@@ -276,24 +282,6 @@ pub struct PrepareSplit {
     pub identical: bool,
 }
 
-impl PrepareSplit {
-    /// The split as a JSON object (hand-formatted; the workspace
-    /// has no serialization crate).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"substrate_build_ms\":{:.4},\"build_ms_single\":{:.4},\"build_ms_parallel\":{:.4},\"build_threads\":{},\"cold_prepare_ms\":{:.4},\"warm_prepare_ms\":{:.4},\"speedup\":{:.2},\"identical\":{}}}",
-            self.substrate_build_ms,
-            self.build_ms_single,
-            self.build_ms_parallel,
-            self.build_threads,
-            self.cold_prepare_ms,
-            self.warm_prepare_ms,
-            self.speedup,
-            self.identical,
-        )
-    }
-}
-
 impl PerfWorld {
     /// Measure cold vs warm `prepare()` over the settings' random
     /// groups (several rounds each, means reported), and verify the two
@@ -398,19 +386,182 @@ pub struct BaselineRow {
     pub random_accesses: u64,
 }
 
-impl BaselineRow {
-    /// The row as a JSON object (hand-formatted; the workspace
-    /// has no serialization crate).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"algorithm\":\"{}\",\"mean_latency_ms\":{:.4},\"sa_percent_mean\":{:.4},\"sa_percent_stderr\":{:.4},\"groups\":{},\"random_accesses\":{}}}",
-            self.algorithm,
-            self.mean_latency_ms,
-            self.sa_percent.mean,
-            self.sa_percent.std_err,
-            self.sa_percent.n,
-            self.random_accesses,
-        )
+/// A value a [`Section`] records.
+pub trait Metric {
+    /// The value as JSON.
+    fn into_json(self) -> Json;
+}
+
+macro_rules! numeric_metric {
+    ($($t:ty),*) => {$(
+        impl Metric for $t {
+            fn into_json(self) -> Json {
+                Json::Num(self as f64)
+            }
+        }
+    )*};
+}
+
+numeric_metric!(f64, u64, usize);
+
+impl Metric for bool {
+    fn into_json(self) -> Json {
+        Json::Bool(self)
+    }
+}
+
+impl Metric for &str {
+    fn into_json(self) -> Json {
+        Json::str(self)
+    }
+}
+
+impl Metric for Option<f64> {
+    fn into_json(self) -> Json {
+        self.map_or(Json::Null, Json::Num)
+    }
+}
+
+impl Metric for Json {
+    fn into_json(self) -> Json {
+        self
+    }
+}
+
+/// A JSON object whose every key is recorded once. Recording prints
+/// the aligned console row, labelled with the key's path in the file.
+#[derive(Debug, Default)]
+pub struct Section {
+    path: String,
+    entries: Vec<(String, Json)>,
+}
+
+impl Section {
+    /// Record `value` under `key`, printing its console row.
+    ///
+    /// # Panics
+    /// If `key` is already recorded here: each metric has one value.
+    pub fn record(&mut self, key: &str, value: impl Metric) -> &mut Self {
+        let value = value.into_json();
+        let shown = match &value {
+            Json::Num(n) if n.fract() != 0.0 => format!("{n:.4}"),
+            Json::Str(s) => s.clone(),
+            other => other.to_line(),
+        };
+        print_row(&format!("{}{key}", self.path), shown);
+        self.insert(key, value);
+        self
+    }
+
+    /// Record a nested object under `key`, filled by `fill`.
+    pub fn section<R>(&mut self, key: &str, fill: impl FnOnce(&mut Section) -> R) -> R {
+        let mut child = Section::at(format!("{}{key}.", self.path));
+        let out = fill(&mut child);
+        self.insert(key, child.json());
+        out
+    }
+
+    /// Append one object, filled by `fill`, to the array under `key`.
+    pub fn row<R>(&mut self, key: &str, fill: impl FnOnce(&mut Section) -> R) -> R {
+        if !self.entries.iter().any(|(k, _)| k == key) {
+            self.insert(key, Json::Arr(Vec::new()));
+        }
+        let Some((_, Json::Arr(rows))) = self.entries.iter_mut().find(|(k, _)| k == key) else {
+            panic!("`{}{key}` is recorded as a metric, not rows", self.path);
+        };
+        let mut child = Section::at(format!("{}{key}[{}].", self.path, rows.len()));
+        let out = fill(&mut child);
+        rows.push(child.json());
+        out
+    }
+
+    fn at(path: String) -> Section {
+        Section {
+            path,
+            entries: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, key: &str, value: Json) {
+        assert!(
+            self.entries.iter().all(|(k, _)| k != key),
+            "metric `{}{key}` recorded twice",
+            self.path
+        );
+        self.entries.push((key.to_string(), value));
+    }
+
+    fn json(&self) -> Json {
+        Json::Obj(self.entries.clone())
+    }
+}
+
+/// What ran, stamped first into every BENCH file.
+#[derive(Debug, Clone, Copy)]
+pub struct Stamp {
+    /// The bin's run mode (`quick` / `full`, or its named tier set).
+    pub mode: &'static str,
+    /// Workers the run's substrate builds ran with.
+    pub build_workers: usize,
+    /// The seed the workload was drawn with, for bins that have one.
+    /// Written as a decimal string: a `u64` above 2^53 does not survive
+    /// a JSON number.
+    pub seed: Option<u64>,
+}
+
+/// One bench run's `BENCH_<name>.json`: every metric recorded through
+/// the root [`Section`] it dereferences to, written behind the run's
+/// [`Stamp`] (`mode`, the host's `nproc`, `build_workers`, `seed`).
+#[derive(Debug)]
+pub struct Report {
+    name: &'static str,
+    root: Section,
+}
+
+impl Report {
+    /// An empty report for `BENCH_<name>.json`.
+    pub fn new(name: &'static str) -> Report {
+        Report {
+            name,
+            root: Section::default(),
+        }
+    }
+
+    /// The file's contents, one JSON line: the stamp (its console rows
+    /// printed), then the recorded metrics.
+    pub fn render(&self, stamp: Stamp) -> String {
+        let mut file = Section::default();
+        file.record("mode", stamp.mode)
+            .record("nproc", BuildOptions::default().resolved_threads())
+            .record("build_workers", stamp.build_workers);
+        if let Some(seed) = stamp.seed {
+            file.record("seed", seed.to_string().as_str());
+        }
+        for (key, value) in &self.root.entries {
+            file.insert(key, value.clone());
+        }
+        file.json().to_line() + "\n"
+    }
+
+    /// Write `BENCH_<name>.json`, stamped, to the current directory.
+    pub fn write(&self, stamp: Stamp) {
+        let path = format!("BENCH_{}.json", self.name);
+        std::fs::write(&path, self.render(stamp)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}");
+    }
+}
+
+impl std::ops::Deref for Report {
+    type Target = Section;
+
+    fn deref(&self) -> &Section {
+        &self.root
+    }
+}
+
+impl std::ops::DerefMut for Report {
+    fn deref_mut(&mut self) -> &mut Section {
+        &mut self.root
     }
 }
 
@@ -460,6 +611,109 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.0), 1.0);
         let ms = sorted_ms([Duration::from_millis(3), Duration::from_micros(500)]);
         assert_eq!(ms, vec![0.5, 3.0]);
+    }
+
+    /// Every key path of `v`, depth first (`a.b`, `rows[].c`), with
+    /// each object's keys checked unique along the way.
+    fn key_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
+        match v {
+            Json::Obj(pairs) => {
+                for (i, (k, child)) in pairs.iter().enumerate() {
+                    assert!(
+                        pairs[..i].iter().all(|(seen, _)| seen != k),
+                        "{prefix}{k} twice"
+                    );
+                    let path = format!("{prefix}{k}");
+                    out.push(path.clone());
+                    key_paths(child, &format!("{path}."), out);
+                }
+            }
+            Json::Arr(rows) => {
+                for row in rows {
+                    key_paths(row, &format!("{}[].", prefix.trim_end_matches('.')), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn report_stamps_and_records_each_metric_once() {
+        let mut report = Report::new("test");
+        report
+            .record("world", "study_scale")
+            .record("p50_ms", 0.1 + 0.2)
+            .record("identical", true)
+            .record("overlap", None::<f64>);
+        report.section("cache", |s| {
+            s.record("hit_rate", 0.25);
+        });
+        for (label, n) in [("raw", 30usize), ("user_cf", 10)] {
+            report.row("rows", |row| {
+                row.record("model", label).record("batches", n);
+            });
+        }
+
+        let stamp = Stamp {
+            mode: "quick",
+            build_workers: 2,
+            seed: Some(u64::MAX),
+        };
+        let parsed = greca_serve::json::parse(&report.render(stamp)).expect("the file re-parses");
+        for stamp in ["mode", "nproc", "build_workers", "seed"] {
+            assert!(parsed.get(stamp).is_some(), "stamp key {stamp} missing");
+        }
+        assert_eq!(
+            parsed.get("seed").and_then(Json::as_str),
+            Some("18446744073709551615")
+        );
+        assert_eq!(parsed.get("p50_ms").and_then(Json::as_f64), Some(0.1 + 0.2));
+        let mut paths = Vec::new();
+        key_paths(&parsed, "", &mut paths);
+        let want = [
+            "mode",
+            "nproc",
+            "build_workers",
+            "seed",
+            "world",
+            "p50_ms",
+            "identical",
+            "overlap",
+            "cache",
+            "cache.hit_rate",
+            "rows",
+            "rows[].model",
+            "rows[].batches",
+            "rows[].model",
+            "rows[].batches",
+        ];
+        assert_eq!(paths, want);
+
+        // Recording a key twice is refused: in a section, at the root,
+        // as rows over a metric, and as a metric the stamp also writes.
+        let refused = |fill: fn(&mut Report)| {
+            let mut r = Report::new("test");
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fill(&mut r);
+                r.render(stamp);
+            }))
+            .is_err()
+        };
+        assert!(refused(|r| r.section("s", |s| {
+            s.record("x", 1.0).record("x", 2.0);
+        })));
+        assert!(refused(|r| {
+            r.record("x", 1.0).record("x", 1.0);
+        }));
+        assert!(refused(|r| {
+            r.record("rows", 1usize).row("rows", |_| ());
+        }));
+        assert!(refused(|r| {
+            r.record("mode", "full");
+        }));
+        assert!(!refused(|r| {
+            r.record("x", 1.0);
+        }));
     }
 
     #[test]
@@ -535,8 +789,6 @@ mod tests {
         assert!(rows[0].sa_percent.mean <= rows[2].sa_percent.mean + 1e-9);
         assert_eq!(rows[0].random_accesses, 0);
         assert!(rows[1].random_accesses > 0, "TA must pay RAs");
-        // JSON rows are well-formed enough to eyeball.
-        assert!(rows[0].to_json().contains("\"algorithm\":\"greca\""));
     }
 
     #[test]
@@ -558,8 +810,6 @@ mod tests {
         // The reported count is what the build ran with, never phantom
         // parallelism beyond the built population.
         assert!(split.build_threads <= pw.world.study_users().len());
-        assert!(split.to_json().contains("\"identical\":true"));
-        assert!(split.to_json().contains("\"build_threads\":"));
     }
 
     #[test]

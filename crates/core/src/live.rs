@@ -20,12 +20,10 @@
 //!   consistent snapshot no matter how many swaps happen mid-flight,
 //!   and its results are bit-identical to a cold rebuild at that epoch
 //!   (the contract proven by `live_properties.rs`);
-//! * each epoch gets a **fresh group-affinity cache and member arena**:
-//!   a swap retires every cached `GroupAffinity` view and every
-//!   resolved preference column together with the substrate they were
-//!   computed beside, so a stale epoch's views are never served after a
-//!   swap (the regression test in `tests/cold_warm_equivalence.rs` pins
-//!   this down), while queries still pinned to it keep its arena.
+//! * each epoch gets a **fresh member arena**: a swap retires every
+//!   resolved preference column together with the substrate it was
+//!   computed beside, so a stale epoch's columns are never served after
+//!   a swap, while queries still pinned to it keep its arena.
 //!
 //! The item universe and the population-affinity index stay fixed for
 //! the engine's lifetime — ratings stream, the catalog and the social
@@ -71,7 +69,7 @@
 //! ```
 
 use crate::plan::SharedMemberState;
-use crate::query::{lock_unpoisoned, new_affinity_cache, AffinityCache, GrecaEngine, QueryError};
+use crate::query::{lock_unpoisoned, GrecaEngine, QueryError};
 use crate::substrate::{BuildOptions, Substrate};
 use crate::wal::{RecoverySummary, Wal, WalOptions, WalRecord};
 use greca_affinity::PopulationAffinity;
@@ -179,14 +177,12 @@ impl PreferenceProvider for EpochProvider {
 
 /// One published epoch: the rating matrix after every batch up to (and
 /// including) this epoch, the substrate rebuilt from it, and the
-/// epoch-scoped derived state — its group-affinity cache and its member
-/// arena — which a swap retires with it.
+/// epoch-scoped member arena, which a swap retires with it.
 #[derive(Debug)]
 struct EpochState {
     epoch: u64,
     matrix: Arc<RatingMatrix>,
     substrate: Arc<Substrate>,
-    cache: AffinityCache,
     members: SharedMemberState,
 }
 
@@ -196,7 +192,6 @@ impl EpochState {
             epoch,
             matrix,
             substrate: Arc::new(substrate),
-            cache: new_affinity_cache(),
             members: SharedMemberState::new(),
         })
     }
@@ -722,13 +717,6 @@ impl<'a> LiveEngine<'a> {
         lock_unpoisoned(&self.store).len()
     }
 
-    /// Number of group-affinity views cached for the current epoch.
-    pub fn cached_affinity_views(&self) -> usize {
-        let state = Arc::clone(&lock_unpoisoned(&self.current));
-        let n = lock_unpoisoned(&state.cache).len();
-        n
-    }
-
     /// The staging core every mutation path funnels through: duplicate
     /// check, atomic validation, WAL append (when attached), then the
     /// in-memory stage — in that order, so a batch that reaches the
@@ -942,7 +930,7 @@ impl<'a> LiveEngine<'a> {
 
     /// Drain the staged deltas, rebuild the dirty preference segments,
     /// and atomically swap the result in as the next epoch (with a
-    /// fresh, epoch-scoped group-affinity cache).
+    /// fresh, epoch-scoped member arena).
     ///
     /// Publishers serialize on the staging store; pinned readers are
     /// never blocked beyond the brief `Arc` handoff, and epochs they
@@ -1137,10 +1125,9 @@ impl<'a> LiveEngine<'a> {
     }
 
     /// Pin the current epoch: the returned handle keeps that epoch's
-    /// matrix and substrate alive (and its affinity cache and member
-    /// arena reachable) for as long as the caller holds it, independent
-    /// of any further ingestion. Pinning is one brief lock and two `Arc`
-    /// clones.
+    /// matrix and substrate alive (and its member arena reachable) for
+    /// as long as the caller holds it, independent of any further
+    /// ingestion. Pinning is one brief lock and two `Arc` clones.
     pub fn pin(&self) -> PinnedEpoch<'a> {
         let state = Arc::clone(&lock_unpoisoned(&self.current));
         let provider = EpochProvider {
@@ -1187,15 +1174,14 @@ impl PinnedEpoch<'_> {
         &self.state.substrate
     }
 
-    /// A warm [`GrecaEngine`] over this epoch's substrate, provider and
-    /// (epoch-scoped) group-affinity cache. Engines are cheap views —
-    /// build one per scope that needs to issue queries.
+    /// A warm [`GrecaEngine`] over this epoch's substrate and provider.
+    /// Engines are cheap views — build one per scope that needs to
+    /// issue queries.
     pub fn engine(&self) -> GrecaEngine<'_> {
-        GrecaEngine::with_substrate_and_cache(
+        GrecaEngine::with_substrate(
             &self.provider,
             self.population,
             Arc::clone(&self.state.substrate),
-            Arc::clone(&self.state.cache),
         )
     }
 

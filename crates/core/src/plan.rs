@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Entries a [`SharedMemberState`] holds before it self-flushes
 /// wholesale. Wave-scoped arenas never approach this (one entry per
 /// distinct member × itemset); the cap bounds the epoch-scoped serving
-/// arena the way the engine's affinity cache is bounded.
+/// arena.
 const SHARED_STATE_CAP: usize = 8_192;
 
 /// Column bytes ([`SharedMemberState::memory_bytes`]) a

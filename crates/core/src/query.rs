@@ -57,11 +57,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// The paper's default result size (§4.2: "k = 10").
 pub const PAPER_DEFAULT_K: usize = 10;
 
-/// Entries the engine's group-affinity cache holds before it is cleared
-/// (a serving deployment sees a bounded set of hot groups; the cache is
-/// deliberately small and self-flushing rather than LRU-precise).
-const AFFINITY_CACHE_CAP: usize = 256;
-
 /// A query rejected before execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
@@ -138,51 +133,22 @@ impl From<NonFiniteEntry> for QueryError {
 }
 
 /// Lock a mutex, recovering if a previous holder panicked: the poison
-/// flag is cleared and `sanitize` puts the protected value back into a
-/// known-good state before reuse. The engine's affinity cache uses
-/// this with a wholesale clear — cached views are pure derived state,
-/// so dropping them is always safe — which keeps one panicked worker
-/// thread from permanently wedging (or silently disabling caching for)
-/// every subsequent query in a long-lived server.
-fn lock_recovering<'m, T>(m: &'m Mutex<T>, sanitize: impl FnOnce(&mut T)) -> MutexGuard<'m, T> {
+/// flag is cleared and the guard returned as is. Every caller guards
+/// state that stays internally consistent across a panic (each mutation
+/// under the lock is itself panic-free), so one panicked worker thread
+/// never wedges every later request of a long-lived server.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
             m.clear_poison();
-            let mut guard = poisoned.into_inner();
-            sanitize(&mut guard);
-            guard
+            poisoned.into_inner()
         }
     }
 }
 
-/// [`lock_recovering`] for state that stays internally consistent
-/// across a panic (every mutation under the lock is itself panic-free),
-/// so recovery needs no sanitization — just clear the flag and go.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock_recovering(m, |_| {})
-}
-
-/// Hashable identity of one cached [`GroupAffinity`] view.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct AffinityKey {
-    members: Vec<UserId>,
-    period: usize,
-    mode: ModeKey,
-}
-
-/// The engine's shared keyed cache of group-affinity views. The live
-/// layer scopes one of these per epoch so a swap retires every cached
-/// view along with the substrate it was computed beside.
-pub(crate) type AffinityCache = Arc<Mutex<HashMap<AffinityKey, Arc<GroupAffinity>>>>;
-
-/// A fresh, empty affinity cache.
-pub(crate) fn new_affinity_cache() -> AffinityCache {
-    Arc::new(Mutex::new(HashMap::new()))
-}
-
 /// [`AffinityMode`] with its `f64` payload made hashable via bit
-/// identity (two scales cache separately unless bit-equal, which is the
+/// identity (two scales key separately unless bit-equal, which is the
 /// conservative direction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ModeKey {
@@ -359,9 +325,9 @@ impl QueryFootprint {
 /// plus the population-affinity index, optionally warmed with a shared
 /// [`Substrate`] of precomputed sorted storage.
 ///
-/// Both index substrates are borrowed; the precomputed storage and the
-/// group-affinity cache are shared `Arc`s, so cloning an engine is cheap
-/// and clones serve from the same buffers and cache. The kernel
+/// Both index substrates are borrowed; the precomputed storage is a
+/// shared `Arc`, so cloning an engine is cheap and clones serve from
+/// the same buffers. The kernel
 /// workspace is not the engine's: each thread keeps its own (see
 /// [`GrecaScratch`]), so an engine built per request — the serving
 /// layer builds one per pinned epoch — still runs on a warm one. The
@@ -374,7 +340,6 @@ pub struct GrecaEngine<'a> {
     provider: &'a (dyn PreferenceProvider + Sync + 'a),
     population: &'a PopulationAffinity,
     substrate: Option<Arc<Substrate>>,
-    affinity_cache: AffinityCache,
 }
 
 impl std::fmt::Debug for GrecaEngine<'_> {
@@ -399,7 +364,6 @@ impl<'a> GrecaEngine<'a> {
             provider,
             population,
             substrate: None,
-            affinity_cache: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
@@ -452,24 +416,6 @@ impl<'a> GrecaEngine<'a> {
             provider,
             population,
             substrate: Some(substrate),
-            affinity_cache: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// Like [`GrecaEngine::with_substrate`], but sharing an existing
-    /// group-affinity cache — the live layer's path, where the cache is
-    /// scoped to the substrate's epoch rather than to one engine value.
-    pub(crate) fn with_substrate_and_cache(
-        provider: &'a (dyn PreferenceProvider + Sync + 'a),
-        population: &'a PopulationAffinity,
-        substrate: Arc<Substrate>,
-        affinity_cache: AffinityCache,
-    ) -> Self {
-        GrecaEngine {
-            provider,
-            population,
-            substrate: Some(substrate),
-            affinity_cache,
         }
     }
 
@@ -502,39 +448,6 @@ impl<'a> GrecaEngine<'a> {
     /// The population-affinity index this engine serves from.
     pub fn population(&self) -> &'a PopulationAffinity {
         self.population
-    }
-
-    /// The group's affinity view at `(period, mode)` via the engine's
-    /// keyed cache: computed at most once per key, shared by `Arc`.
-    fn cached_affinity(
-        &self,
-        group: &Group,
-        period_idx: usize,
-        mode: AffinityMode,
-    ) -> Arc<GroupAffinity> {
-        let key = AffinityKey {
-            members: group.members().to_vec(),
-            period: period_idx,
-            mode: ModeKey::from(mode),
-        };
-        {
-            let cache = lock_recovering(&self.affinity_cache, HashMap::clear);
-            if let Some(hit) = cache.get(&key) {
-                return Arc::clone(hit);
-            }
-        }
-        let view = Arc::new(self.population.group_view(group, period_idx, mode));
-        let mut cache = lock_recovering(&self.affinity_cache, HashMap::clear);
-        if cache.len() >= AFFINITY_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&view));
-        view
-    }
-
-    /// Number of group-affinity views currently cached.
-    pub fn cached_affinity_views(&self) -> usize {
-        lock_recovering(&self.affinity_cache, HashMap::clear).len()
     }
 
     /// Execute many prepared queries in parallel — see [`run_batch`].
@@ -747,7 +660,11 @@ impl<'q> GroupQuery<'q> {
             fp: itemset_fingerprint(items),
         };
         let period = self.effective_period();
-        let affinity = self.engine.cached_affinity(self.group, period, self.mode);
+        let affinity = Arc::new(
+            self.engine
+                .population
+                .group_view(self.group, period, self.mode),
+        );
 
         let provider = self.engine.provider;
         let warm = match &self.engine.substrate {
@@ -1309,30 +1226,22 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shared_caches_recover_instead_of_wedging() {
-        let (matrix, pop, items) = world();
-        let raw = RawRatings(&matrix);
-        let engine = GrecaEngine::new(&raw, &pop);
-        let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
-        engine.query(&group).items(&items).run().unwrap();
-        assert_eq!(engine.cached_affinity_views(), 1);
-
-        // Poison the shared mutex the way a panicking worker would:
-        // die while holding the lock.
-        let cache = Arc::clone(&engine.affinity_cache);
+    fn a_poisoned_lock_recovers_instead_of_wedging() {
+        // Poison the mutex the way a panicking worker would: die while
+        // holding the lock.
+        let m = Arc::new(Mutex::new(vec![1u32]));
+        let held = Arc::clone(&m);
         std::thread::spawn(move || {
-            let _c = cache.lock().unwrap();
-            panic!("worker panic while holding the cache lock");
+            let _guard = held.lock().unwrap();
+            panic!("worker panic while holding the lock");
         })
         .join()
         .unwrap_err();
-        assert!(engine.affinity_cache.is_poisoned());
+        assert!(m.is_poisoned());
 
-        // Queries keep working: the poisoned state is cleared once and
-        // the cache resumes caching (not silently disabled).
-        let r = engine.query(&group).items(&items).run().unwrap();
-        assert_eq!(r, engine.query(&group).items(&items).run().unwrap());
-        assert!(!engine.affinity_cache.is_poisoned(), "flag cleared");
-        assert_eq!(engine.cached_affinity_views(), 1, "cache refilled");
+        // The next lock clears the flag and hands back the value intact.
+        lock_unpoisoned(&m).push(2);
+        assert!(!m.is_poisoned(), "flag cleared");
+        assert_eq!(*lock_unpoisoned(&m), vec![1, 2]);
     }
 }

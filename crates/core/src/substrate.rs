@@ -141,17 +141,6 @@ impl MemoryFootprint {
     pub fn total(&self) -> usize {
         self.universe_bytes + self.pref_bytes
     }
-
-    /// The footprint as a JSON object (hand-formatted; the workspace
-    /// has no serialization crate).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"universe_bytes\":{},\"pref_bytes\":{},\"total_bytes\":{}}}",
-            self.universe_bytes,
-            self.pref_bytes,
-            self.total()
-        )
-    }
 }
 
 /// How a query's itemset relates to the substrate's item universe.
@@ -1230,15 +1219,6 @@ mod tests {
         let h1 = sub.segment_handle(&raw, 1).unwrap();
         assert_eq!(h1.owned_bytes(), 4 * 8);
         assert_eq!(sub.memory_footprint(), fp);
-        assert_eq!(
-            fp.to_json(),
-            format!(
-                "{{\"universe_bytes\":{},\"pref_bytes\":{},\"total_bytes\":{}}}",
-                fp.universe_bytes,
-                fp.pref_bytes,
-                fp.total()
-            )
-        );
     }
 
     #[test]

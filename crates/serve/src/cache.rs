@@ -35,7 +35,7 @@
 //!   simultaneous identical requests cost one kernel execution, not
 //!   `n` (the "thundering herd" guard; accounted as `coalesced`).
 //!
-//! Capacity is bounded the same way the engine's affinity cache is:
+//! Capacity is bounded the same way the engine's member arena is:
 //! reaching the cap flushes wholesale (hot keys repopulate in one
 //! miss each) rather than maintaining LRU precision.
 

@@ -71,7 +71,7 @@ pub use client::{Client, ClientConfig, ClientError};
 pub use json::Json;
 pub use metrics::{Histogram, Metrics, VerbMetrics};
 pub use protocol::{IngestRequest, QueryRequest, Request, TraceRequest, MAX_WIRE_TRACE};
-pub use server::{GrecaServer, ServerHandle};
+pub use server::{memory_json, GrecaServer, ServerHandle};
 
 use greca_core::FaultPlan;
 use std::sync::Arc;

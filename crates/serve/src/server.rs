@@ -1493,11 +1493,29 @@ fn cache_error_response(verb: &str, e: &CacheError, id: &Option<Json>, trace: u6
     protocol::error_response(verb, code, &detail, id, Some(trace))
 }
 
-/// A [`greca_core::MemoryFootprint`] as a JSON object.
-fn memory_json(fp: greca_core::MemoryFootprint) -> Json {
+/// A [`greca_core::MemoryFootprint`] as a JSON object: the `stats`
+/// verb's `memory` member and `BENCH_engine.json`'s `memory` entry.
+pub fn memory_json(fp: greca_core::MemoryFootprint) -> Json {
     Json::obj(vec![
         ("universe_bytes", Json::num(fp.universe_bytes as f64)),
         ("pref_bytes", Json::num(fp.pref_bytes as f64)),
         ("total_bytes", Json::num(fp.total() as f64)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memory_json_reports_each_layer_and_the_total() {
+        let fp = greca_core::MemoryFootprint {
+            universe_bytes: 68,
+            pref_bytes: 136,
+        };
+        assert_eq!(
+            memory_json(fp).to_line(),
+            r#"{"universe_bytes":68,"pref_bytes":136,"total_bytes":204}"#
+        );
+    }
 }

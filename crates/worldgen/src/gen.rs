@@ -234,7 +234,7 @@ impl GenWorld {
     /// An overlapping-membership group workload over the cohort:
     /// `num_groups` groups of `size` members where consecutive groups
     /// share ~`overlap` of their membership — the repeat-group shape
-    /// serving caches and the affinity cache are sensitive to.
+    /// the serving cache and the member arena are sensitive to.
     /// Deterministic under `(spec.seed, salt)`.
     pub fn group_workload(
         &self,

@@ -118,10 +118,6 @@ fn warm_engine_equals_cold_across_modes_consensus_layouts() {
             }
         }
     }
-    assert!(
-        warm_engine.cached_affinity_views() > 0,
-        "repeat (group, period, mode) keys must populate the cache"
-    );
 }
 
 #[test]
@@ -246,13 +242,10 @@ fn warm_batch_shares_one_substrate_and_matches_solo_runs() {
 
 #[test]
 fn stale_epoch_affinity_views_are_never_served_after_swap() {
-    // The live layer scopes the group-affinity cache per epoch: an
-    // ingest swap must retire every cached `GroupAffinity` view along
-    // with the substrate it was computed beside. We prove it by
-    // allocation identity — a post-swap engine computing a fresh view
-    // (different pointer) is exactly "the stale cached view was not
-    // served"; a same-epoch repeat hitting the same allocation is
-    // exactly "the cache works at all".
+    // Every preparation computes its group's affinity view from the
+    // population index, which an ingest swap leaves alone: a post-swap
+    // query's view equals the pre-swap one in value, and each pin stays
+    // on its own epoch.
     let w = world();
     let pop = population(&w);
     let items: Vec<ItemId> = w.ml.matrix.items().take(80).collect();
@@ -266,24 +259,13 @@ fn stale_epoch_affinity_views_are_never_served_after_swap() {
     let group = Group::new(vec![UserId(0), UserId(3)]).unwrap();
 
     let pin0 = live.pin();
-    let engine0 = pin0.engine();
-    let q1 = engine0
+    let q1 = pin0
+        .engine()
         .query(&group)
         .items(&items)
         .top(3)
         .prepare()
         .unwrap();
-    let q2 = engine0
-        .query(&group)
-        .items(&items)
-        .top(3)
-        .prepare()
-        .unwrap();
-    assert!(
-        std::ptr::eq(q1.affinity(), q2.affinity()),
-        "same epoch + same key must hit the same cached allocation"
-    );
-    assert_eq!(live.cached_affinity_views(), 1);
 
     let report = live
         .ingest(&[Rating {
@@ -294,11 +276,6 @@ fn stale_epoch_affinity_views_are_never_served_after_swap() {
         }])
         .unwrap();
     assert_eq!(report.epoch, 1);
-    assert_eq!(
-        live.cached_affinity_views(),
-        0,
-        "the swap must retire the previous epoch's cache"
-    );
 
     let pin1 = live.pin();
     let q3 = pin1
@@ -308,24 +285,9 @@ fn stale_epoch_affinity_views_are_never_served_after_swap() {
         .top(3)
         .prepare()
         .unwrap();
-    assert!(
-        !std::ptr::eq(q1.affinity(), q3.affinity()),
-        "a post-swap query must not be served the stale epoch's cached view"
-    );
     // Affinity is social-derived, so the recomputed view is *equal* in
-    // value — the invalidation is about lifecycle, not content.
+    // value.
     assert_eq!(q1.affinity(), q3.affinity());
-
-    // The stale pin, by contrast, legitimately keeps serving its own
-    // epoch's cache: pinned readers stay on their snapshot end-to-end.
-    let q4 = pin0
-        .engine()
-        .query(&group)
-        .items(&items)
-        .top(3)
-        .prepare()
-        .unwrap();
-    assert!(std::ptr::eq(q1.affinity(), q4.affinity()));
     assert_eq!(pin0.epoch(), 0);
     assert_eq!(pin1.epoch(), 1);
 }
