@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use greca_affinity::{PopulationAffinity, SocialAffinitySource};
-use greca_cf::{CfConfig, PreferenceProvider, UserCfModel};
+use greca_cf::{preference_list, CfConfig, UserCfModel};
 use greca_dataset::{ItemId, MovieLensConfig, SocialConfig, Timeline, UserId};
 use std::hint::black_box;
 
@@ -19,7 +19,7 @@ fn bench_cf(c: &mut Criterion) {
     });
     let items: Vec<ItemId> = ml.matrix.items().collect();
     g.bench_function("preference_list_400_items", |b| {
-        b.iter(|| black_box(model.preference_list(UserId(3), &items)))
+        b.iter(|| black_box(preference_list(&model, UserId(3), &items)))
     });
     g.finish();
 }

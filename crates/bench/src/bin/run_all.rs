@@ -18,5 +18,5 @@ fn main() {
     experiments::fig8(&pw, Scale::Full);
     experiments::time_models(&pw, Scale::Full);
     println!();
-    println!("All experiments complete. See EXPERIMENTS.md for the paper-vs-measured index.");
+    println!("All experiments complete.");
 }

@@ -4,11 +4,12 @@
 //! Per tier the row reports:
 //!
 //! * **build** — eager segment construction through the single-threaded
-//!   baseline path (one `preference_list()` + full-column sort + fresh
-//!   allocations per user, sequentially) vs the sharded
-//!   [`Substrate::build_with`] builder (sparse head assembly + `u16`
-//!   code storage, `build_workers` workers). The baseline's sorted
-//!   columns are the bit-identity reference;
+//!   baseline path (one `greca_cf::preference_list` call — one provider
+//!   call plus a full-column sort — and fresh allocations per user,
+//!   sequentially) vs the sharded [`Substrate::build_with`] builder
+//!   (a sort of the provider's support, the default run written in id
+//!   order, `u16` code storage, `build_workers` workers). The
+//!   baseline's sorted columns are the bit-identity reference;
 //! * **bytes/user** — the dense representation (a `u32` id + an `f64`
 //!   score per item, 12 B × items) vs the substrate's stored columns,
 //!   with the saving percentage and whether the substrate's dequantized
@@ -38,7 +39,7 @@
 //! Run with: `cargo run -p greca-bench --release --bin world_scale`
 
 use greca_bench::harness::{banner, percentile, sorted_ms, Report, Section, Stamp};
-use greca_cf::PreferenceProvider;
+use greca_cf::preference_list;
 use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, Substrate};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
 use std::sync::Arc;
@@ -91,9 +92,7 @@ fn measure(tier: Tier, row: &mut Section) -> usize {
     let t = Instant::now();
     let mut baseline: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(eager.len());
     for &u in &eager {
-        let pl = provider
-            .preference_list(u, &items)
-            .expect("generated scores are finite");
+        let pl = preference_list(&provider, u, &items).expect("generated scores are finite");
         baseline.push(pl.into_sorted_columns());
     }
     let build_ms_single = elapsed_ms(t);

@@ -19,7 +19,7 @@
 
 use crate::baselines::{naive_topk, ta_topk};
 use greca_affinity::AffinityMode;
-use greca_cf::{PreferenceProvider, UserCfModel};
+use greca_cf::{preference_list, UserCfModel};
 use greca_consensus::ConsensusFunction;
 use greca_core::{
     Aggregate, BatchResult, BuildOptions, GrecaEngine, GrecaScratch, PreparedQuery, Substrate,
@@ -258,12 +258,14 @@ pub struct PrepareSplit {
     /// subsequent queries of the engine's lifetime).
     pub substrate_build_ms: f64,
     /// Eager-segment construction via the pre-substrate baseline path
-    /// (one `preference_list()` + full-column sort + fresh allocations
-    /// per user, sequentially) — the single-threaded reference the
-    /// sharded builder is compared against.
+    /// (one `greca_cf::preference_list` call — one provider call plus a
+    /// full-column sort — and fresh allocations per user, sequentially):
+    /// the single-threaded reference the sharded builder is compared
+    /// against.
     pub build_ms_single: f64,
     /// The same segments through `Substrate::build_with`'s sharded
-    /// builder (scratch reuse + zero-tail sort, `build_threads`
+    /// builder (scratch reuse; only the provider's support is sorted,
+    /// the default run is written in id order; `build_threads`
     /// workers). Bit-identical output to the baseline path.
     pub build_ms_parallel: f64,
     /// Worker threads the sharded build actually ran with on this host
@@ -306,13 +308,13 @@ impl PerfWorld {
         let single_start = Instant::now();
         let mut baseline: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(study.len());
         for &u in &study {
-            let pl = cf.preference_list(u, &items).expect("CF scores are finite");
+            let pl = preference_list(&cf, u, &items).expect("CF scores are finite");
             baseline.push(pl.into_sorted_columns());
         }
         let build_ms_single = single_start.elapsed().as_secs_f64() * 1e3;
         drop(std::hint::black_box(baseline));
 
-        // Sharded builder over the same users (scratch reuse + zero-tail
+        // Sharded builder over the same users (scratch reuse + support
         // sort; bit-identity with the baseline is covered by core tests).
         // Threads default to `available_parallelism`; the reported
         // count is the workers the build *actually* ran with — the

@@ -4,7 +4,9 @@
 //! evaluation (§4), plus Criterion micro-benchmarks and the ablation
 //! studies in `benches/ablations.rs`. It also holds the §3.1/§4.2
 //! comparison set GRECA is measured against ([`baselines`]: TA and the
-//! naive full scan), which `greca-core` does not ship.
+//! naive full scan), which `greca-core` does not ship, and the
+//! preference-provider contract check the test suites share
+//! ([`contract`]).
 //!
 //! | binary        | artifact      | what it regenerates                          |
 //! |---------------|---------------|----------------------------------------------|
@@ -27,6 +29,7 @@
 //! `cargo run -p greca-bench --release --bin <name>`.
 
 pub mod baselines;
+pub mod contract;
 pub mod experiments;
 pub mod harness;
 

@@ -10,7 +10,7 @@
 //! * sparse similarity measures (cosine — the paper's choice — plus
 //!   Pearson and Jaccard),
 //! * a user-based neighbourhood model whose fit scores every co-rater
-//!   in one pass over the item postings and whose batched prediction
+//!   in one pass over the item postings and whose column support
 //!   scatters neighbour rows, both bit-identical to the pairwise path,
 //! * per-user **preference lists**: items sorted by decreasing predicted
 //!   preference, the `PL_u` inputs of GRECA (§3.1),
@@ -37,8 +37,8 @@ pub mod user_cf;
 
 pub use delta::{DeltaBatch, DirtySet, InvalidationScope, RatingStore};
 pub use preference::{
-    candidate_items, group_preference_lists, NonFiniteScore, PreferenceList, PreferenceProvider,
-    RawRatings,
+    candidate_items, group_preference_lists, preference_list, NonFiniteScore, PreferenceList,
+    PreferenceProvider, RawRatings,
 };
 pub use similarity::{user_similarity, Similarity};
 pub use user_cf::{CfConfig, UserCfModel};

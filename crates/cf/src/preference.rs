@@ -46,63 +46,29 @@ impl std::error::Error for NonFiniteScore {}
 /// Implementations must return finite, non-negative scores: GRECA's
 /// lower-bound computation substitutes 0 for unseen entries (§3.2), which
 /// is only a valid lower bound when scores cannot be negative.
+///
+/// A provider gives one user's scores in two shapes: per item
+/// ([`apref`](PreferenceProvider::apref)) and as a column's *support*
+/// plus a default ([`support`](PreferenceProvider::support)), which bulk
+/// consumers (substrate construction) read with one virtual call per
+/// user.
 pub trait PreferenceProvider {
     /// Absolute preference of `u` for `i` (finite, ≥ 0).
     fn apref(&self, u: UserId, i: ItemId) -> f64;
 
-    /// Build the sorted preference list of `u` over `items`, rejecting
-    /// non-finite scores instead of panicking later in a sort comparator.
-    /// Scores come from one [`fill_aprefs`](PreferenceProvider::fill_aprefs)
-    /// call, so a provider's batched path serves list builds too.
-    fn preference_list(
-        &self,
-        u: UserId,
-        items: &[ItemId],
-    ) -> Result<PreferenceList, NonFiniteScore> {
-        // The entries are allocated before the transient score column so
-        // that freeing the column does not leave a hole under the live
-        // list: with the column first, peak RSS on 120k-item cold lists
-        // rose ~8%.
-        let mut entries: Vec<(ItemId, f64)> = Vec::with_capacity(items.len());
-        let mut scores = vec![0.0; items.len()];
-        self.fill_aprefs(u, items, &mut scores);
-        entries.extend(items.iter().copied().zip(scores));
-        PreferenceList::from_entries(u, entries)
-    }
-
-    /// Fill `out[d] = apref(u, items[d])` for the whole itemset in one
-    /// call — the batched form bulk consumers (substrate construction)
-    /// use so a `dyn` provider pays one virtual dispatch per *user*
-    /// rather than one per *item*. `out.len()` must equal
-    /// `items.len()`; scores are written unvalidated (callers that need
-    /// the finiteness guarantee check the filled slice, where the
-    /// offending item is still addressable by index).
+    /// Append `(d, apref(u, items[d]))`, in strictly ascending `d`, for
+    /// every itemset position `d` whose score may differ from the
+    /// returned default. Every other position scores the default, bit
+    /// for bit. Scores are appended unvalidated; consumers check them.
     ///
-    /// Sparse providers should override this: [`RawRatings`] walks the
-    /// user's rating row once instead of probing it per item, and
-    /// [`UserCfModel`] scatters its neighbours' rows.
-    fn fill_aprefs(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
-        debug_assert_eq!(items.len(), out.len());
-        for (d, &i) in items.iter().enumerate() {
-            out[d] = self.apref(u, i);
-        }
-    }
-
-    /// Sparse form of [`fill_aprefs`](PreferenceProvider::fill_aprefs):
-    /// append `(d, apref(u, items[d]))` for every itemset position `d`
-    /// whose score **may** be nonzero, in strictly ascending `d`, and
-    /// return `true`. Positions not emitted are guaranteed to score
-    /// exactly `+0.0`. Returning `false` (the default) tells the caller
-    /// the provider has no sparse structure to exploit; bulk consumers
-    /// then fall back to the dense fill.
-    ///
-    /// **Precondition:** `items` must be strictly ascending by id —
-    /// bulk consumers (substrate construction) always canonicalize
-    /// itemsets that way. Implementations may rely on it (and should
-    /// `debug_assert!` it) rather than re-checking per call.
-    fn sparse_aprefs(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> bool {
-        let _ = (u, items, out);
-        false
+    /// `items` must be strictly ascending by id. The default emits every
+    /// position through `apref`; [`RawRatings`] emits its rated
+    /// positions and [`UserCfModel`] the positions its neighbourhood
+    /// reaches.
+    fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
+        debug_assert!(strictly_ascending(items), "support needs ascending items");
+        out.extend((0..).zip(items).map(|(d, &i)| (d, self.apref(u, i))));
+        0.0
     }
 
     /// The candidate itemset for `group` when the caller does not supply
@@ -115,26 +81,22 @@ pub trait PreferenceProvider {
     }
 }
 
+/// Whether `items` ascend strictly by id, as
+/// [`PreferenceProvider::support`] requires.
+fn strictly_ascending(items: &[ItemId]) -> bool {
+    items.windows(2).all(|w| w[0] < w[1])
+}
+
 impl PreferenceProvider for UserCfModel<'_> {
     fn apref(&self, u: UserId, i: ItemId) -> f64 {
         self.predict(u, i)
     }
 
-    /// Neighbour-row scatter: one position lookup per neighbour rating
-    /// plus `O(m)` to finish, instead of `m·(k + 1)` binary-searched
-    /// matrix probes for `k` neighbours; bit-identical to per-item
-    /// [`UserCfModel::predict`].
-    fn fill_aprefs(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
-        debug_assert_eq!(items.len(), out.len());
-        // The scatter addresses itemset positions by id, which needs
-        // strictly ascending ids; other itemsets take per-item `predict`.
-        if items.windows(2).any(|w| w[0] >= w[1]) {
-            for (d, &i) in items.iter().enumerate() {
-                out[d] = self.predict(u, i);
-            }
-            return;
-        }
-        self.scatter_predictions(u, items, out);
+    /// The positions `u` or a weighted neighbour rated, by neighbour-row
+    /// scatter; the default is `u`'s no-neighbour blend.
+    fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
+        debug_assert!(strictly_ascending(items), "support needs ascending items");
+        self.scatter_support(u, items, out)
     }
 
     fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
@@ -156,41 +118,16 @@ impl PreferenceProvider for RawRatings<'_> {
         Some(candidate_items(self.0, group))
     }
 
-    /// Walk `u`'s rating row once (`O(r log m + m)`) instead of binary
-    /// searching it per item (`O(m log r)`) — the row is usually a few
-    /// dozen entries while serving itemsets run to thousands.
-    fn fill_aprefs(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
-        debug_assert_eq!(items.len(), out.len());
-        // The row walk scatters by itemset position, which is only
-        // correct when positions are unambiguous (strictly ascending
-        // ids). Arbitrary itemsets take the generic per-item path.
-        if items.windows(2).any(|w| w[0] >= w[1]) {
-            for (d, &i) in items.iter().enumerate() {
-                out[d] = self.apref(u, i);
-            }
-            return;
-        }
-        out.fill(0.0);
-        for &(item, value) in self.0.user_ratings(u) {
-            if let Ok(d) = items.binary_search(&item) {
-                out[d] = f64::from(value);
-            }
-        }
-    }
-
-    /// A rating row is the sparse structure itself: one pass over it,
-    /// `O(r log m)`, touching nothing per unrated item.
-    fn sparse_aprefs(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> bool {
-        debug_assert!(
-            items.windows(2).all(|w| w[0] < w[1]),
-            "sparse_aprefs requires a strictly ascending itemset"
-        );
+    /// The rated positions, from one pass over `u`'s rating row
+    /// (`O(r log m)`, nothing per unrated item); the default is `+0.0`.
+    fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
+        debug_assert!(strictly_ascending(items), "support needs ascending items");
         for &(item, value) in self.0.user_ratings(u) {
             if let Ok(d) = items.binary_search(&item) {
                 out.push((d as u32, f64::from(value)));
             }
         }
-        true
+        0.0
     }
 }
 
@@ -264,6 +201,38 @@ pub fn candidate_items(matrix: &RatingMatrix, group: &Group) -> Vec<ItemId> {
     matrix.items().filter(|i| !rated[i.idx()]).collect()
 }
 
+/// The sorted preference list `PL_u` over any itemset, rejecting
+/// non-finite scores instead of panicking later in a sort comparator —
+/// the reference the segment builder is checked against, and the
+/// baselines' "one provider call + full sort" per user.
+///
+/// One [`support`](PreferenceProvider::support) call over the sorted,
+/// deduplicated itemset is expanded densely; each item of `items` then
+/// takes its position's score (so duplicates repeat), and
+/// [`PreferenceList::from_entries`] sorts the entries.
+pub fn preference_list<P: PreferenceProvider + ?Sized>(
+    provider: &P,
+    u: UserId,
+    items: &[ItemId],
+) -> Result<PreferenceList, NonFiniteScore> {
+    let mut distinct = items.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let mut support = Vec::new();
+    let default = provider.support(u, &distinct, &mut support);
+    let mut scores = vec![default; distinct.len()];
+    for (d, s) in support {
+        scores[d as usize] = s;
+    }
+    let entries = if distinct == items {
+        distinct.into_iter().zip(scores).collect()
+    } else {
+        let score = |i: &ItemId| scores[distinct.binary_search(i).expect("item is in the set")];
+        items.iter().map(|i| (*i, score(i))).collect()
+    };
+    PreferenceList::from_entries(u, entries)
+}
+
 /// Build the `PL_u` lists for every group member over a shared candidate
 /// item set, rejecting non-finite scores at ingestion.
 pub fn group_preference_lists<P: PreferenceProvider + ?Sized>(
@@ -274,7 +243,7 @@ pub fn group_preference_lists<P: PreferenceProvider + ?Sized>(
     group
         .members()
         .iter()
-        .map(|&u| provider.preference_list(u, items))
+        .map(|&u| preference_list(provider, u, items))
         .collect()
 }
 
@@ -289,9 +258,7 @@ mod tests {
         let ml = MovieLensConfig::small().generate();
         let model = UserCfModel::fit(&ml.matrix, CfConfig::default());
         let items: Vec<ItemId> = ml.matrix.items().take(100).collect();
-        let pl = model
-            .preference_list(UserId(3), &items)
-            .expect("CF scores are finite");
+        let pl = preference_list(&model, UserId(3), &items).expect("CF scores are finite");
         assert_eq!(pl.len(), 100);
         for w in pl.entries.windows(2) {
             assert!(w[0].1 >= w[1].1);

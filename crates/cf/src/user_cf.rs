@@ -16,16 +16,19 @@
 //!   [`user_similarity`](crate::user_similarity)'s merge-join uses, with
 //!   contributions summed in the same item order, so the scores are
 //!   bit-identical to the pairwise path.
-//! * **Scatter fill.** [`PreferenceProvider::fill_aprefs`] walks each
+//! * **Scatter support.** [`PreferenceProvider::support`] walks each
 //!   neighbour's rating row once, in neighbour-list order, and scatters
-//!   its weighted deviation into per-position sums; every position is
-//!   then finished by the helper [`UserCfModel::predict`] uses. Each
-//!   position receives its terms in the order `predict` adds them, so the
-//!   filled column equals per-item `predict` bit for bit. A rated item's
+//!   its weighted deviation into per-position sums. It then emits the
+//!   positions `u` rated and those a neighbour with non-zero weight
+//!   rated; each is finished by the helper [`UserCfModel::predict`]
+//!   uses. Every other position scores the default, `u`'s no-neighbour
+//!   blend, which is what `predict` computes there. Each position
+//!   receives its terms in the order `predict` adds them, so support
+//!   plus default equal per-item `predict` bit for bit. A rated item's
 //!   position comes from a catalog-indexed table when the neighbours'
 //!   ratings outnumber the catalog, and from a binary search otherwise.
 //!
-//! [`PreferenceProvider::fill_aprefs`]: crate::PreferenceProvider::fill_aprefs
+//! [`PreferenceProvider::support`]: crate::PreferenceProvider::support
 
 use crate::similarity::{self, Similarity};
 use greca_dataset::{ItemId, RatingMatrix, UserId};
@@ -148,18 +151,17 @@ impl<'a> UserCfModel<'a> {
         self.blend(u, num, den)
     }
 
-    /// Fill `out[d] = predict(u, items[d])` for a strictly ascending
-    /// itemset by neighbour-row scatter: each neighbour's row is walked
-    /// once, in neighbour-list order, adding `sim * (r - mean_v)` and
-    /// `|sim|` at the positions it rated. Every position thus receives
-    /// `predict`'s terms in `predict`'s order and is finished by the same
-    /// [`blend`](Self::blend), so the column is bit-identical to per-item
-    /// `predict`.
-    pub(crate) fn scatter_predictions(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        // `out` accumulates the numerators.
-        out.fill(0.0);
-        let mut den = vec![0.0f64; items.len()];
+    /// `u`'s support over a strictly ascending itemset, by neighbour-row
+    /// scatter (see the module docs): the observed rating at every
+    /// position `u` rated, and the [`blend`](Self::blend) of the sums at
+    /// every other position with a positive weight sum. Returns the
+    /// blend of empty sums, every remaining position's `predict`.
+    pub(crate) fn scatter_support(
+        &self,
+        u: UserId,
+        items: &[ItemId],
+        out: &mut Vec<(u32, f64)>,
+    ) -> f64 {
         let neighbors = &self.neighbors[u.idx()];
         // Locate a rated item's position with a catalog-indexed table
         // when the neighbours' ratings outnumber the catalog (building it
@@ -182,23 +184,32 @@ impl<'a> UserCfModel<'a> {
             Some(&d) => (d != u32::MAX).then_some(d as usize),
             None => items.binary_search(&item).ok(),
         };
+        // `(numerator, weight)` sums per position.
+        let mut sums = vec![(0.0f64, 0.0f64); items.len()];
         for &(v, sim) in neighbors {
             let mean_v = self.user_means[v.idx()];
             for &(item, r) in self.matrix.user_ratings(v) {
                 if let Some(d) = position(item) {
-                    out[d] += sim * (r as f64 - mean_v);
-                    den[d] += sim.abs();
+                    sums[d].0 += sim * (r as f64 - mean_v);
+                    sums[d].1 += sim.abs();
                 }
             }
         }
-        for (num, &den) in out.iter_mut().zip(&den) {
-            *num = self.blend(u, *num, den);
-        }
-        for &(item, r) in self.matrix.user_ratings(u) {
-            if let Some(d) = position(item) {
-                out[d] = self.observed(r);
+        // `u`'s row ascends by item, so its positions ascend too.
+        let mut own = self
+            .matrix
+            .user_ratings(u)
+            .iter()
+            .filter_map(|&(item, r)| position(item).map(|d| (d, r)))
+            .peekable();
+        for (d, &(num, den)) in sums.iter().enumerate() {
+            if let Some((_, r)) = own.next_if(|&(p, _)| p == d) {
+                out.push((d as u32, self.observed(r)));
+            } else if den > 0.0 {
+                out.push((d as u32, self.blend(u, num, den)));
             }
         }
+        self.blend(u, 0.0, 0.0)
     }
 
     /// The preference for an item `u` rated: the observed rating, clamped.

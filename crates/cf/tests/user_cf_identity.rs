@@ -1,7 +1,7 @@
-//! Bit-identity of the user-CF gather fit and scatter fill.
+//! Bit-identity of the user-CF gather fit and scatter support.
 //!
 //! `UserCfModel::fit_for` scores each user's co-raters from one pass over
-//! the item postings, and `fill_aprefs` fills a prediction column by
+//! the item postings, and `support` emits a column's support by
 //! scattering neighbour rows. Both compute the same function as the
 //! pairwise path in a different loop order, so they must agree with it
 //! bit for bit. [`reference`] keeps that pairwise path here as the oracle:
@@ -10,12 +10,18 @@
 //! and a per-item prediction that probes the matrix once per neighbour.
 //!
 //! Neighbours are compared by id, by `to_bits()` of the similarity and by
-//! list order; predictions by `to_bits()`. Coverage: seeded random
+//! list order; per-item predictions by `to_bits()`. Supports go through
+//! the shared provider contract check, against per-item `apref`, for
+//! user CF, raw ratings and the trait's default. Coverage: seeded random
 //! matrices under all three measures, with empty rows, users without
 //! neighbours, clamp-hitting predictions, partial fits, and itemsets that
-//! are ascending, non-ascending, or reach past the catalog.
+//! are ascending, non-ascending, or reach past the catalog (supports run
+//! over each itemset's sorted, deduplicated form).
 
-use greca_cf::{user_similarity, CfConfig, PreferenceProvider, Similarity, UserCfModel};
+use greca_bench::contract::assert_support_contract;
+use greca_cf::{
+    user_similarity, CfConfig, PreferenceProvider, RawRatings, Similarity, UserCfModel,
+};
 use greca_dataset::{ItemId, RatingMatrix, RatingMatrixBuilder, UserId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -140,7 +146,16 @@ fn random_config(rng: &mut StdRng, similarity: Similarity) -> CfConfig {
     }
 }
 
-/// Itemsets the fill must handle: the catalog, a random ascending
+/// A provider with only `apref`, so its support is the trait's default.
+struct PerItem<'a>(&'a UserCfModel<'a>);
+
+impl PreferenceProvider for PerItem<'_> {
+    fn apref(&self, u: UserId, i: ItemId) -> f64 {
+        self.0.predict(u, i)
+    }
+}
+
+/// Itemsets the predictions must handle: the catalog, a random ascending
 /// subset, ids past the catalog, and non-ascending orders (reversed,
 /// shuffled with duplicates).
 fn itemsets(rng: &mut StdRng, num_items: usize) -> Vec<Vec<ItemId>> {
@@ -213,19 +228,18 @@ fn check_seed(seed: u64, similarity: Similarity, cov: &mut Coverage) {
                 .iter()
                 .map(|&i| reference::predict(&m, &cfg, &means, &want, u, i).to_bits())
                 .collect();
-            let per_item: Vec<u64> = items
-                .iter()
-                .map(|&i| model.predict(u, i).to_bits())
-                .collect();
-            assert_eq!(per_item, expect, "predict differs: {ctx}, items {items:?}");
-            let mut out = vec![f64::NAN; items.len()];
-            model.fill_aprefs(u, items, &mut out);
-            let filled: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(
-                filled, expect,
-                "fill_aprefs differs: {ctx}, items {items:?}"
-            );
-            for (&i, &s) in items.iter().zip(&out) {
+            let per_item: Vec<f64> = items.iter().map(|&i| model.predict(u, i)).collect();
+            let bits: Vec<u64> = per_item.iter().map(|s| s.to_bits()).collect();
+            assert_eq!(bits, expect, "predict differs: {ctx}, items {items:?}");
+            let mut distinct = items.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let providers: [&dyn PreferenceProvider; 3] =
+                [&model, &RawRatings(&m), &PerItem(&model)];
+            for provider in providers {
+                assert_support_contract(provider, u, &distinct, m.num_items());
+            }
+            for (&i, &s) in items.iter().zip(&per_item) {
                 let raw = reference::predict(&m, &unclamped, &means, &want, u, i);
                 cov.clamped += (raw != s) as usize;
             }
@@ -236,7 +250,7 @@ fn check_seed(seed: u64, similarity: Similarity, cov: &mut Coverage) {
 }
 
 #[test]
-fn gather_fit_and_scatter_fill_match_the_pairwise_oracle() {
+fn gather_fit_and_scatter_support_match_the_pairwise_oracle() {
     for similarity in [Similarity::Cosine, Similarity::Pearson, Similarity::Jaccard] {
         let mut cov = Coverage::default();
         for seed in 0..300 {
@@ -273,11 +287,14 @@ fn full_fit_matches_the_oracle_on_a_generated_world() {
         for u in m.users().step_by(7) {
             let want = reference::neighbors(m, &cfg, u);
             assert_neighbors_identical(model.neighbors(u), &want, &format!("{similarity:?} {u}"));
-            let mut out = vec![0.0; items.len()];
-            model.fill_aprefs(u, &items, &mut out);
-            for (&i, &s) in items.iter().zip(&out) {
+            assert_support_contract(&model, u, &items, m.num_items());
+            for &i in &items {
                 let r = reference::predict(m, &cfg, &means, &want, u, i);
-                assert_eq!(s.to_bits(), r.to_bits(), "{similarity:?} {u} {i}");
+                assert_eq!(
+                    model.predict(u, i).to_bits(),
+                    r.to_bits(),
+                    "{similarity:?} {u} {i}"
+                );
             }
         }
     }

@@ -149,24 +149,15 @@ impl PreferenceProvider for EpochProvider {
         }
     }
 
-    /// Fits `u`'s neighbourhood once for the whole itemset (per-item
-    /// [`apref`](PreferenceProvider::apref) would refit it per item) and
-    /// takes the model's batched fill; list builds come through here too.
-    fn fill_aprefs(&self, u: UserId, items: &[ItemId], out: &mut [f64]) {
+    /// Delegates to the epoch's model; user CF fits `u`'s neighbourhood
+    /// once for the whole itemset (per-item
+    /// [`apref`](PreferenceProvider::apref) would refit it per item).
+    fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
         match self.model {
-            LiveModel::Raw => RawRatings(&self.matrix).fill_aprefs(u, items, out),
+            LiveModel::Raw => RawRatings(&self.matrix).support(u, items, out),
             LiveModel::UserCf(cfg) => {
-                UserCfModel::fit_for(&self.matrix, cfg, &[u]).fill_aprefs(u, items, out)
+                UserCfModel::fit_for(&self.matrix, cfg, &[u]).support(u, items, out)
             }
-        }
-    }
-
-    /// Raw ratings enumerate their rating row; user-CF predictions have
-    /// no sparse structure.
-    fn sparse_aprefs(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> bool {
-        match self.model {
-            LiveModel::Raw => RawRatings(&self.matrix).sparse_aprefs(u, items, out),
-            LiveModel::UserCf(_) => false,
         }
     }
 
@@ -1656,33 +1647,21 @@ mod tests {
     }
 
     #[test]
-    fn epoch_provider_batched_paths_equal_per_item_apref() {
+    fn epoch_provider_keeps_the_support_contract() {
         let (matrix, _, _) = world();
-        let orders: [Vec<ItemId>; 2] = [
-            (0..7).map(ItemId).collect(),
-            [4, 0, 2, 2, 6].into_iter().map(ItemId).collect(),
-        ];
+        let catalog: Vec<ItemId> = (0..5).map(ItemId).collect();
         for model in [LiveModel::Raw, LiveModel::UserCf(CfConfig::default())] {
             let provider = EpochProvider {
                 matrix: Arc::new(matrix.clone()),
                 model,
             };
             for u in matrix.users() {
-                for items in &orders {
-                    let want: Vec<u64> = items
-                        .iter()
-                        .map(|&i| provider.apref(u, i).to_bits())
-                        .collect();
-                    let mut out = vec![f64::NAN; items.len()];
-                    provider.fill_aprefs(u, items, &mut out);
-                    let got: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
-                    assert_eq!(got, want, "{model:?} {u} {items:?}");
-                    let list = provider.preference_list(u, items).unwrap();
-                    let entries: Vec<(ItemId, f64)> =
-                        items.iter().map(|&i| (i, provider.apref(u, i))).collect();
-                    assert_eq!(
-                        list,
-                        greca_cf::PreferenceList::from_entries(u, entries).unwrap()
+                for items in [&catalog[..], &catalog[2..5], &[]] {
+                    greca_bench::contract::assert_support_contract(
+                        &provider,
+                        u,
+                        items,
+                        matrix.num_items(),
                     );
                 }
             }

@@ -18,8 +18,8 @@
 //! Every preference column a query reads is a [`SegmentHandle`], one
 //! per member. A *cold* engine ([`GrecaEngine::new`]) derives each
 //! member's column over the query's itemset with the substrate's
-//! segment builder — one batched provider call and a sort of the
-//! positive head per member. A *warm* engine ([`GrecaEngine::warm`])
+//! segment builder — one `support` call and a sort of that support per
+//! member. A *warm* engine ([`GrecaEngine::warm`])
 //! owns an `Arc<`[`Substrate`]`>` of precomputed sorted segments; its
 //! `prepare()` takes their handles (or one order-preserving filter pass
 //! for subset itemsets) — no per-user sort, no provider calls — and

@@ -33,10 +33,12 @@
 //!   `std::thread`s over contiguous user shards
 //!   ([`BuildOptions::threads`]) and merged in user order, so the
 //!   result is bit-identical to a sequential build regardless of
-//!   thread count. Each shard reuses one scratch buffer and exploits the
-//!   provider contract (`apref ≥ 0`): only positive-score entries are
-//!   sorted, the zero tail is emitted in id order without comparisons —
-//!   the order a full sort would produce anyway.
+//!   thread count. Each shard reuses one scratch buffer. A column is
+//!   its provider's support plus a default
+//!   ([`PreferenceProvider::support`]): only the support entries are
+//!   sorted, and every other position is written in id order at the
+//!   default, without comparisons — the order a full sort would
+//!   produce anyway.
 //! * **Quantized scores** — a resident segment stores `u16` codes plus
 //!   a per-list dictionary of the original `f64` bit patterns whenever
 //!   that is smaller than one `f64` per item, so dequantized views are
@@ -253,7 +255,7 @@ enum SegmentSlot {
 /// A handle aliases a resident dense segment, owns the dequantized
 /// column of a coded one, or owns a column derived for it: a lazy slot's
 /// or a cold itemset's (by the segment builder, bit-identical to sorting
-/// `PreferenceProvider::preference_list`), a subset filter's, or a
+/// `greca_cf::preference_list`), a subset filter's, or a
 /// hand-built list's. It keeps whatever [`SegmentHandle::view`]'s slices
 /// borrow alive for its lifetime; clones share those buffers.
 #[derive(Debug, Clone)]
@@ -270,22 +272,35 @@ pub struct SegmentHandle {
 impl SegmentHandle {
     /// `u`'s column over `items`, derived by the segment builder — the
     /// one routine behind a lazy slot and a cold itemset. The builder
-    /// writes the zero tail in itemset order, which must be id order, so
-    /// a non-ascending itemset is sorted first, keeping duplicates.
+    /// needs a strictly ascending itemset, so any other is sorted and
+    /// deduplicated first; each duplicated id is then repeated in place.
+    /// Copies of one id carry one score, so they sit next to each other
+    /// in the reference order too.
     pub(crate) fn derive(
         provider: &(dyn PreferenceProvider + Sync + '_),
         u: UserId,
         items: &[ItemId],
     ) -> Result<SegmentHandle, QueryError> {
         let mut scratch = SegmentScratch::default();
-        let columns = if strictly_ascending(items) {
-            build_one_segment(provider, u, items, true, &mut scratch)?
-        } else {
-            let mut sorted = items.to_vec();
-            sorted.sort_unstable();
-            let sparse = strictly_ascending(&sorted);
-            build_one_segment(provider, u, &sorted, sparse, &mut scratch)?
-        };
+        if strictly_ascending(items) {
+            let columns = build_one_segment(provider, u, items, &mut scratch)?;
+            return Ok(SegmentHandle::derived(columns));
+        }
+        let mut sorted = items.to_vec();
+        sorted.sort_unstable();
+        let mut distinct = sorted.clone();
+        distinct.dedup();
+        let (ids, scores) = build_one_segment(provider, u, &distinct, &mut scratch)?;
+        let mut columns = (
+            Vec::with_capacity(items.len()),
+            Vec::with_capacity(items.len()),
+        );
+        for (id, s) in ids.into_iter().zip(scores) {
+            let copies =
+                sorted.partition_point(|i| i.0 <= id) - sorted.partition_point(|i| i.0 < id);
+            columns.0.extend(std::iter::repeat_n(id, copies));
+            columns.1.extend(std::iter::repeat_n(s, copies));
+        }
         Ok(SegmentHandle::derived(columns))
     }
 
@@ -539,7 +554,7 @@ impl Substrate {
             if let Some(idx) = self.user_index(u) {
                 if matches!(self.segments[idx], SegmentSlot::Resident(_)) {
                     segments[idx] = SegmentSlot::Resident(PrefSegment::resident(
-                        build_one_segment(provider, u, &self.layout.items, true, &mut scratch)?,
+                        build_one_segment(provider, u, &self.layout.items, &mut scratch)?,
                     ));
                 }
             }
@@ -757,15 +772,13 @@ fn reject_non_finite_affinity(population: &PopulationAffinity) -> Result<(), Que
     Ok(())
 }
 
-/// Reusable per-worker scratch for segment construction: one provider
-/// score per dense item position (sized by the first dense build), the
-/// index buffer the sort runs over and the sparse head — no per-user
-/// allocations.
+/// Reusable per-worker scratch for segment construction: the provider's
+/// support entries and their positions in ascending order — no per-user
+/// allocations beyond the output columns.
 #[derive(Default)]
 struct SegmentScratch {
-    scores: Vec<f64>,
-    idx: Vec<u32>,
-    head: Vec<(u32, f64)>,
+    support: Vec<(u32, f64)>,
+    positions: Vec<u32>,
 }
 
 /// Whether `items` ascend strictly by id.
@@ -773,130 +786,90 @@ fn strictly_ascending(items: &[ItemId]) -> bool {
     items.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Build one user's sorted columns: fill scores from the provider,
-/// order entries by (score descending, item id ascending). `items` must
-/// ascend by id; `sparse` (the provider's sparse path) only when they
-/// ascend strictly, as [`PreferenceProvider::sparse_aprefs`] requires.
+/// Build `u`'s column over `items` (strictly ascending by id) from one
+/// [`PreferenceProvider::support`] call: entries ordered by (score
+/// descending, item id ascending), bit-identical to sorting
+/// `greca_cf::preference_list(provider, u, items)` — ties, `±0.0` and
+/// negative scores included.
 ///
-/// Ordering is bit-identical to
-/// `provider.preference_list(u, items)?.into_sorted_columns()` at a
-/// fraction of the cost: since the provider contract demands
-/// `apref ≥ 0`, only positive entries need comparisons; the `±0.0` tail
-/// is emitted in id order (exactly where a full sort would put it, in
-/// the order its ties resolve). A contract-violating negative score
-/// falls back to the full sort so the equivalence holds for *any*
-/// finite input.
+/// 1. Validate the support entries and the default. Positions ascend,
+///    so the first non-finite value found is the first bad item by id.
+/// 2. Sort the support by (score descending, position ascending).
+/// 3. Emit the support entries that compare above the default.
+/// 4. Merge the entries that compare equal to it (`partial_cmp`, so
+///    `±0.0` tie) with the implicit default run by position, which is
+///    id order; then emit the entries below it.
 fn build_one_segment(
     provider: &(dyn PreferenceProvider + Sync + '_),
     u: UserId,
     items: &[ItemId],
-    sparse: bool,
     scratch: &mut SegmentScratch,
 ) -> Result<(Vec<u32>, Vec<f64>), QueryError> {
+    debug_assert!(strictly_ascending(items));
     let m = items.len();
-    // Sparse fast path: a provider that can enumerate its nonzero
-    // entries lets us skip the dense column entirely — no `O(m)` zero
-    // fill, no `O(m)` validation scan, no `O(m)` index buffer. Only a
-    // head of `r ≪ m` entries is touched; the tail is synthesized in id
-    // order. A `-0.0` or negative entry (which the sparse tail cannot
-    // represent bit-exactly) falls back to the dense path below.
-    scratch.head.clear();
-    if sparse && provider.sparse_aprefs(u, items, &mut scratch.head) {
-        let mut dense_fallback = false;
-        for &(d, s) in &scratch.head {
-            if !s.is_finite() {
-                return Err(QueryError::from(NonFiniteScore {
-                    user: u,
-                    item: items[d as usize],
-                    value: s,
-                }));
-            }
-            dense_fallback |= !(s > 0.0 || s.to_bits() == 0);
-        }
-        if !dense_fallback {
-            return Ok(build_from_sparse_head(items, scratch));
-        }
-    }
-    // One batched (virtual) provider call per user, then validate the
-    // filled column — sparse providers fill it in `O(r + m)`.
-    scratch.scores.resize(m, 0.0);
-    provider.fill_aprefs(u, items, &mut scratch.scores);
-    let mut any_negative = false;
-    for (d, &s) in scratch.scores.iter().enumerate() {
-        if !s.is_finite() {
-            return Err(QueryError::from(NonFiniteScore {
-                user: u,
-                item: items[d],
-                value: s,
-            }));
-        }
-        any_negative |= s < 0.0;
-    }
-    let scores = &scratch.scores;
-    scratch.idx.clear();
-    if any_negative {
-        scratch.idx.extend(0..m as u32);
-        scratch.idx.sort_unstable_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("validated finite above")
-                .then_with(|| a.cmp(&b))
-        });
-    } else {
-        // Positive head, sorted; ±0.0 tail in id order (items are id-
-        // ascending, so dense order *is* id order).
-        scratch
-            .idx
-            .extend((0..m as u32).filter(|&d| scores[d as usize] > 0.0));
-        scratch.idx.sort_unstable_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("validated finite above")
-                .then_with(|| a.cmp(&b))
-        });
-        scratch
-            .idx
-            .extend((0..m as u32).filter(|&d| scores[d as usize] <= 0.0));
-    }
-    let ids: Vec<u32> = scratch.idx.iter().map(|&d| items[d as usize].0).collect();
-    let ordered: Vec<f64> = scratch.idx.iter().map(|&d| scores[d as usize]).collect();
-    Ok((ids, ordered))
-}
+    let support = &mut scratch.support;
+    support.clear();
+    let default = provider.support(u, items, support);
 
-/// Assemble a segment from a validated sparse head (`scratch.head`,
-/// ascending dense index, all entries `> 0.0` or exactly `+0.0`):
-/// strictly positive entries sort by (score descending, id ascending);
-/// every other position — explicit `+0.0` entries and the implicit
-/// unrated remainder alike — is the tail, emitted in id order. This is
-/// bit-identical to the dense path over the equivalent column: the head
-/// uses the same comparator, and the tail positions are exactly those
-/// the dense path's `!(s > 0.0)` filter would keep, in the same order.
-fn build_from_sparse_head(items: &[ItemId], scratch: &mut SegmentScratch) -> (Vec<u32>, Vec<f64>) {
-    let m = items.len();
-    scratch.head.retain(|&(_, s)| s > 0.0);
-    // Ascending head indices double as the tail's skip list; save them
-    // before the score sort destroys the order.
-    scratch.idx.clear();
-    scratch.idx.extend(scratch.head.iter().map(|&(d, _)| d));
-    scratch.head.sort_unstable_by(|a, b| {
+    let mut bad = support.iter().copied().find(|&(_, s)| !s.is_finite());
+    if !default.is_finite() {
+        // The default is read only if some position is not in the
+        // support; the first such position is the first gap.
+        let gap = (0..)
+            .zip(support.iter())
+            .position(|(k, &(d, _))| d != k)
+            .unwrap_or(support.len());
+        if gap < m && bad.is_none_or(|(d, _)| gap < d as usize) {
+            bad = Some((gap as u32, default));
+        }
+    }
+    if let Some((d, value)) = bad {
+        return Err(QueryError::from(NonFiniteScore {
+            user: u,
+            item: items[d as usize],
+            value,
+        }));
+    }
+
+    scratch.positions.clear();
+    scratch.positions.extend(support.iter().map(|&(d, _)| d));
+    support.sort_unstable_by(|a, b| {
         b.1.partial_cmp(&a.1)
-            .expect("validated finite by caller")
+            .expect("validated finite above")
             .then_with(|| a.0.cmp(&b.0))
     });
+    // The sort leaves the entries above, equal to and below the default
+    // contiguous, in that order.
+    let above = support.partition_point(|&(_, s)| s > default);
+    let below = support.partition_point(|&(_, s)| s >= default);
+
     let mut ids: Vec<u32> = Vec::with_capacity(m);
-    ids.extend(scratch.head.iter().map(|&(d, _)| items[d as usize].0));
-    let mut skip = scratch.idx.iter().copied().peekable();
-    for d in 0..m as u32 {
-        if skip.peek() == Some(&d) {
-            skip.next();
-            continue;
-        }
+    let mut scores: Vec<f64> = Vec::with_capacity(m);
+    for &(d, s) in &support[..above] {
         ids.push(items[d as usize].0);
+        scores.push(s);
     }
-    let mut ordered: Vec<f64> = Vec::with_capacity(m);
-    ordered.extend(scratch.head.iter().map(|&(_, s)| s));
-    ordered.resize(m, 0.0);
-    (ids, ordered)
+    // The default run fills the gaps between support positions; an
+    // entry equal to the default keeps its place (and its bits) there.
+    let mut equal = support[above..below].iter().peekable();
+    let mut next = 0;
+    for &p in &scratch.positions {
+        let p = p as usize;
+        ids.extend(items[next..p].iter().map(|i| i.0));
+        scores.resize(ids.len(), default);
+        if let Some(&(_, s)) = equal.next_if(|&&(d, _)| d as usize == p) {
+            ids.push(items[p].0);
+            scores.push(s);
+        }
+        next = p + 1;
+    }
+    ids.extend(items[next..].iter().map(|i| i.0));
+    scores.resize(ids.len(), default);
+    for &(d, s) in &support[below..] {
+        ids.push(items[d as usize].0);
+        scores.push(s);
+    }
+    Ok((ids, scores))
 }
 
 /// Build resident segments for `users` over `threads` contiguous user
@@ -914,7 +887,7 @@ fn build_segments_sharded(
         return users
             .iter()
             .map(|&u| {
-                build_one_segment(provider, u, items, true, &mut scratch).map(PrefSegment::resident)
+                build_one_segment(provider, u, items, &mut scratch).map(PrefSegment::resident)
             })
             .collect();
     }
@@ -929,7 +902,7 @@ fn build_segments_sharded(
                     shard
                         .iter()
                         .map(|&u| {
-                            build_one_segment(provider, u, items, true, &mut scratch)
+                            build_one_segment(provider, u, items, &mut scratch)
                                 .map(PrefSegment::resident)
                         })
                         .collect()
@@ -1018,10 +991,9 @@ mod tests {
         };
         let (seq, par) = (build(1), build(3));
         for u in 0..3 {
-            // Bit-identical across thread counts and vs. the legacy
-            // per-user preference_list path.
-            let legacy = raw
-                .preference_list(UserId(u as u32), &items)
+            // Bit-identical across thread counts and vs. the per-user
+            // reference list.
+            let legacy = greca_cf::preference_list(&raw, UserId(u as u32), &items)
                 .unwrap()
                 .into_sorted_columns();
             let (hs, hp) = (

@@ -3,19 +3,24 @@
 //! A column the substrate does not serve — every column of an engine
 //! with no substrate, and every column of a warm engine's query over a
 //! foreign or duplicated item — is derived by the substrate's segment
-//! builder. The reference shares none of that code: each member's list
-//! is `PreferenceProvider::preference_list` (sorted by
+//! builder from the provider's support plus its default. The reference
+//! shares none of the builder's code: each member's list is
+//! `greca_cf::preference_list` (the support expanded densely, sorted by
 //! `PreferenceList::from_entries`), laid out by
 //! `MaterializedInputs::build` and run by the kernel directly.
 //!
 //! Coverage: score tables with ties, `+0.0`, `-0.0` and negative
-//! scores; raw ratings (the provider's sparse path); ascending,
-//! shuffled and duplicated itemsets, with items outside a warm
-//! engine's universe; non-finite scores, which both sides reject with
-//! the same error variant. Over an ascending itemset the error is the
-//! same too; over another, a member with two bad items may report a
-//! different one (the builder reports the first by id, the reference
-//! the first in itemset order).
+//! scores, served three ways — every position in the support (the
+//! trait's default), raw ratings (rated positions, default `+0.0`, the
+//! default run at the tail), and a support that omits every position
+//! scoring a drawn default, which puts the default run anywhere in the
+//! order, tied with support entries by id; ascending, shuffled and
+//! duplicated itemsets, with items outside a warm engine's universe;
+//! non-finite scores, in the support or as the default, which both
+//! sides reject with the same error variant. Over an ascending itemset
+//! the error is the same too; over another, a member with two bad items
+//! may report a different one (the builder reports the first by id, the
+//! reference the first in itemset order).
 
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::{group_preference_lists, PreferenceProvider, RawRatings};
@@ -34,6 +39,30 @@ struct Table(Vec<Vec<f64>>);
 impl PreferenceProvider for Table {
     fn apref(&self, u: UserId, i: ItemId) -> f64 {
         self.0[u.idx()][i.idx()]
+    }
+}
+
+/// `table`'s scores, with a support that omits every position whose
+/// score has the default's bits.
+#[derive(Debug, Clone)]
+struct Defaulted {
+    table: Table,
+    default: f64,
+}
+
+impl PreferenceProvider for Defaulted {
+    fn apref(&self, u: UserId, i: ItemId) -> f64 {
+        self.table.apref(u, i)
+    }
+
+    fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
+        for (d, &i) in (0..).zip(items) {
+            let s = self.apref(u, i);
+            if s.to_bits() != self.default.to_bits() {
+                out.push((d, s));
+            }
+        }
+        self.default
     }
 }
 
@@ -59,24 +88,31 @@ struct Instance {
     items: Vec<u32>,
     /// Sort and dedup `items` first (the substrate-served shape).
     ascending: bool,
-    /// Turn the table into raw ratings (nonzero ⇒ rated) instead.
-    raw: bool,
+    /// How the table is served: 0 per item (the trait's default
+    /// support), 1 as raw ratings (positive ⇒ rated), 2 as
+    /// [`Defaulted`] at `default`.
+    arm: u8,
+    /// The [`Defaulted`] arm's default.
+    default: f64,
 }
 
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     (2usize..=4, 1usize..=24).prop_flat_map(|(n, m)| {
-        let row = collection::vec((0u8..6, 1u32..5).prop_map(score_of), CATALOG as usize + 2);
+        let score = || (0u8..6, 1u32..5).prop_map(score_of);
+        let row = collection::vec(score(), CATALOG as usize + 2);
         (
             collection::vec(row, n),
             collection::vec(0u32..CATALOG + 2, m),
             any::<bool>(),
-            any::<bool>(),
+            0u8..3,
+            score(),
         )
-            .prop_map(|(table, items, ascending, raw)| Instance {
+            .prop_map(|(table, items, ascending, arm, default)| Instance {
                 table,
                 items,
                 ascending,
-                raw,
+                arm,
+                default,
             })
     })
 }
@@ -175,8 +211,17 @@ proptest! {
             }
             b.build()
         };
-        let (table, raw) = (Table(inst.table.clone()), RawRatings(&matrix));
-        let provider: &(dyn PreferenceProvider + Sync) = if inst.raw { &raw } else { &table };
+        let table = Table(inst.table.clone());
+        let raw = RawRatings(&matrix);
+        let defaulted = Defaulted {
+            table: table.clone(),
+            default: inst.default,
+        };
+        let provider: &(dyn PreferenceProvider + Sync) = match inst.arm {
+            0 => &table,
+            1 => &raw,
+            _ => &defaulted,
+        };
         let want = reference(provider, &pop, &group, &items).expect("finite scores");
 
         let cold_engine = GrecaEngine::new(provider, &pop);
@@ -203,9 +248,9 @@ proptest! {
         let n = inst.table.len();
         let mut table = inst.table.clone();
         let mut items: Vec<ItemId> = inst.items.iter().map(|&i| ItemId(i)).collect();
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         for &(user, item, kind) in &bad {
-            table[user % n][item as usize] =
-                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind as usize];
+            table[user % n][item as usize] = non_finite[kind as usize];
             items.push(ItemId(item));
         }
         if inst.ascending {
@@ -214,9 +259,17 @@ proptest! {
         }
         let pop = population(n);
         let group = Group::new((0..n as u32).map(UserId).collect()).unwrap();
-        let provider = Table(table);
-        let want = reference(&provider, &pop, &group, &items).map(|_| ());
-        let got = prepare(&GrecaEngine::new(&provider, &pop), &group, &items).map(|_| ());
+        // Arm 2 makes the first bad value the default, so the builder
+        // finds it in the default run rather than in the support.
+        let table = Table(table);
+        let defaulted = Defaulted {
+            table: table.clone(),
+            default: non_finite[bad[0].2 as usize],
+        };
+        let provider: &(dyn PreferenceProvider + Sync) =
+            if inst.arm == 2 { &defaulted } else { &table };
+        let want = reference(provider, &pop, &group, &items).map(|_| ());
+        let got = prepare(&GrecaEngine::new(provider, &pop), &group, &items).map(|_| ());
         prop_assert!(
             matches!(want, Err(QueryError::NonFiniteScore { .. })),
             "reference: {:?}",

@@ -6,7 +6,7 @@
 //! group". (The intermediate bound values 13.02 / 14.2 in §3.2 are not
 //! reproducible from the published formulas — the authors note they
 //! "ignore normalization and final averaging" — so we assert the
-//! algorithmic outcomes, not those constants; see EXPERIMENTS.md.)
+//! algorithmic outcomes, not those constants.)
 
 use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::PreferenceList;

@@ -21,7 +21,7 @@
 //! questions as Figures 1–3: does including affinity/time/consensus
 //! machinery recover satisfaction that ablated variants leave behind?
 //! Absolute percentages are not comparable to the human study; the win
-//! ordering is (see EXPERIMENTS.md).
+//! ordering is, so that is what the figures compare.
 
 pub mod metrics;
 pub mod oracle;

@@ -5,7 +5,7 @@
 //! same catalog shape ratios) so the whole suite stays test-sized; the
 //! full populations are exercised by the `world_scale` bench.
 
-use greca_cf::PreferenceProvider;
+use greca_cf::preference_list;
 use greca_core::{BuildOptions, Substrate};
 use greca_dataset::UserId;
 use greca_worldgen::{GenWorld, Tier, WorldSpec, ALL_TIERS};
@@ -178,8 +178,7 @@ fn quantized_substrate_is_bit_identical_at_study_shape() {
     )
     .unwrap();
     for (idx, &u) in all.iter().enumerate() {
-        let (ids, scores) = provider
-            .preference_list(u, &items)
+        let (ids, scores) = preference_list(&provider, u, &items)
             .unwrap()
             .into_sorted_columns();
         let hq = quant.segment_handle(&provider, idx).unwrap();

@@ -4,10 +4,10 @@
 #
 # Every relative link target `[text](path)` must exist on disk
 # (anchors are stripped; external http(s)/mailto links are skipped —
-# this runs in CI without network access). Every backticked `*.md` name
-# in crates/, src/ or tests/ must name a file relative to the repo root
-# or to the citing file. Grep-based on purpose: no dependencies, so the
-# docs can't rot silently.
+# this runs in CI without network access). Every `*.md` name in
+# crates/, src/, tests/ or examples/, backticked or not, must name a
+# file relative to the repo root or to the citing file. Grep-based on
+# purpose: no dependencies, so the docs can't rot silently.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -34,13 +34,13 @@ done
 while IFS= read -r hit; do
     f="${hit%%:*}"
     name="${hit#*:}"
-    name="${name//\`/}"
     checked=$((checked + 1))
     if [ ! -e "$root/$name" ] && [ ! -e "$(dirname "$f")/$name" ]; then
         echo "BROKEN: $f cites $name" >&2
         status=1
     fi
-done < <(grep -roE --exclude-dir=target '`[^` ]+\.md`' "$root/crates" "$root/src" "$root/tests")
+done < <(grep -roE --exclude-dir=target '[A-Za-z0-9_./-]+\.md\b' \
+    "$root/crates" "$root/src" "$root/tests" "$root/examples")
 
 if [ "$status" -eq 0 ]; then
     echo "ok: $checked relative markdown link(s) and citation(s) resolve"
