@@ -14,6 +14,13 @@
 //! * **truth identity** — every rule's returned itemset carries exact
 //!   scores matching the `StoppingRule::Exhaustive` oracle's top-k.
 //!
+//! A `default_run` section times the served default itemset's shape:
+//! each group over the catalog minus its members' rated items, scored
+//! by raw ratings, so every preference column is one default run and
+//! the kernel reads a few entries of each. It runs under the same two
+//! gates and records the recycled workspace's bytes, which follow the
+//! items read, not the itemset.
+//!
 //! Emits `BENCH_greca_kernel.json` with an `identical` flag CI asserts,
 //! plus a generous latency sanity budget in `--quick` mode (catching
 //! kernel regressions without a flaky perf gate).
@@ -23,7 +30,8 @@
 
 use greca_bench::harness::{banner, Report, Stamp};
 use greca_bench::{PerfSettings, PerfWorld};
-use greca_core::{BuildOptions, GrecaScratch, PreparedQuery, StoppingRule};
+use greca_cf::RawRatings;
+use greca_core::{BuildOptions, GrecaEngine, GrecaScratch, PreparedQuery, StoppingRule};
 use std::time::Instant;
 
 /// Latency budget (ms/query) for the served GRECA configuration in
@@ -109,7 +117,6 @@ fn main() {
             identical &= matches_truth(&p, &reused, settings.k);
         }
     }
-    report.record("identical", identical);
 
     // Latency rows: each rule over all groups × rounds, one recycled
     // scratch (the serving shape).
@@ -140,6 +147,58 @@ fn main() {
                 .record("sa_percent_mean", sa_sum / runs);
         });
     }
+
+    // The default-run shape: raw ratings over each group's candidate
+    // set, on a workspace of its own so its bytes show this shape.
+    let world = pw.world();
+    let raw = RawRatings(&world.movielens.matrix);
+    let engine = GrecaEngine::new(&raw, &world.population);
+    let defaulted: Vec<PreparedQuery> = groups
+        .iter()
+        .map(|g| {
+            engine
+                .query(g)
+                .period(world.last_period())
+                .affinity(settings.mode)
+                .consensus(settings.consensus)
+                .normalize_rpref(false)
+                .top(settings.k)
+                .prepare()
+                .expect("experiment settings form valid queries")
+        })
+        .collect();
+    let mut run_scratch = GrecaScratch::new();
+    for p in &defaulted {
+        let reused = p.run_with_scratch(&mut run_scratch);
+        identical &= p.run_with_scratch(&mut GrecaScratch::new()) == reused;
+        identical &= matches_truth(p, &reused, settings.k);
+    }
+    let mut sa_sum = 0.0;
+    let start = Instant::now();
+    for _ in 0..rounds {
+        for p in &defaulted {
+            sa_sum += p.run_with_scratch(&mut run_scratch).stats.sa_percent();
+        }
+    }
+    let runs = (rounds * defaulted.len()) as f64;
+    let candidates = defaulted
+        .iter()
+        .map(|p| p.inputs().num_items)
+        .sum::<usize>();
+    report.section("default_run", |r| {
+        r.record("stopping", "greca")
+            .record(
+                "mean_candidate_items",
+                candidates as f64 / defaulted.len() as f64,
+            )
+            .record(
+                "mean_latency_ms",
+                start.elapsed().as_secs_f64() * 1e3 / runs,
+            )
+            .record("sa_percent_mean", sa_sum / runs)
+            .record("workspace_bytes", run_scratch.memory_bytes());
+    });
+    report.record("identical", identical);
 
     assert!(
         identical,

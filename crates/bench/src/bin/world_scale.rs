@@ -7,13 +7,14 @@
 //!   baseline path (one `greca_cf::preference_list` call — one provider
 //!   call plus a full-column sort — and fresh allocations per user,
 //!   sequentially) vs the sharded [`Substrate::build_with`] builder
-//!   (a sort of the provider's support, the default run written in id
-//!   order, `u16` code storage, `build_workers` workers). The
-//!   baseline's sorted columns are the bit-identity reference;
+//!   (a sort of the provider's support, the default run left implicit,
+//!   `u16` code storage, `build_workers` workers). The baseline's
+//!   sorted columns are the bit-identity reference;
 //! * **bytes/user** — the dense representation (a `u32` id + an `f64`
-//!   score per item, 12 B × items) vs the substrate's stored columns,
-//!   with the saving percentage and whether the substrate's dequantized
-//!   columns are bit-identical to the baseline's;
+//!   score per item, 12 B × items) vs the substrate's stored columns
+//!   (support entries plus the ids the default run skips), with
+//!   the saving percentage and whether the substrate's columns read
+//!   back bit-identical to the baseline's;
 //! * **warm query p50** — µs per query over an overlapping-membership
 //!   group workload against the substrate;
 //! * **ingest-to-visibility** — wall time for a post-horizon rating
@@ -123,11 +124,12 @@ fn measure(tier: Tier, row: &mut Section) -> usize {
     for (&u, (ids, scores)) in eager.iter().zip(&baseline) {
         let idx = quant.user_index(u).expect("eager users are covered");
         let h = quant.segment_handle(&provider, idx).expect("resident");
-        quant_identical &= h.ids() == &ids[..]
-            && h.scores()
+        let view = h.view(0);
+        quant_identical &= view.len() == ids.len()
+            && view
                 .iter()
-                .zip(scores)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+                .zip(ids.iter().zip(scores))
+                .all(|((id, s), (&want_id, want))| id == want_id && s.to_bits() == want.to_bits());
     }
     row.record("quant_identical", quant_identical);
 

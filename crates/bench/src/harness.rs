@@ -264,8 +264,8 @@ pub struct PrepareSplit {
     /// against.
     pub build_ms_single: f64,
     /// The same segments through `Substrate::build_with`'s sharded
-    /// builder (scratch reuse; only the provider's support is sorted,
-    /// the default run is written in id order; `build_threads`
+    /// builder (scratch reuse; only the provider's support is sorted and
+    /// stored, the default run stays implicit; `build_threads`
     /// workers). Bit-identical output to the baseline path.
     pub build_ms_parallel: f64,
     /// Worker threads the sharded build actually ran with on this host

@@ -35,22 +35,26 @@
 //!
 //! ## The allocation-free kernel
 //!
-//! The execution core is engineered like a classic NRA/TA inner loop:
-//! item state lives in a **dense arena** indexed by the item's position
-//! in the first preference list (the substrate's contiguous layout on
-//! the warm path) instead of a hash map; bound maintenance is
-//! **incremental** (pair envelopes refresh only when an affinity list
-//! was read, versioned by bitwise change; fully-resolved items skip
-//! recomputation; under no-disagreement consensus only the
-//! cursor-driven UB chain recomputes); the k-th lower bound comes from
-//! a **bounded binary heap** rather than a full sort; and all working
-//! memory lives in a reusable [`GrecaScratch`] workspace. Each thread
-//! keeps one (see "The thread's workspace" below), so a long-lived
-//! serving thread's kernel allocates nothing in steady state. Every
-//! shortcut preserves **bit-identical**
-//! results — same itemsets, bounds, access counts, sweeps and stop
-//! reasons as the straightforward implementation, which survives
-//! verbatim as the oracle in `tests/kernel_identity.rs`.
+//! The execution core is engineered like a classic NRA/TA inner loop,
+//! and sized by what it reads, not by the itemset. An item gets its
+//! state — a slot and its `n` apref cells — at its first read, through
+//! a direct-indexed id → slot map; the next run unmaps only the ids this
+//! run read, never the whole map, so a run's work and arena are
+//! `O(items read)`. (The buffer never holds an unread item: the
+//! threshold bounds them all.) A preference list's default run is
+//! read through a per-list cursor in the workspace, `O(1)` per read
+//! amortized. Bound maintenance is **incremental** (pair envelopes
+//! refresh only when an affinity list was read, versioned by bitwise
+//! change; fully-resolved items skip recomputation; under
+//! no-disagreement consensus only the cursor-driven UB chain
+//! recomputes); the k-th lower bound comes from a **bounded binary
+//! heap** rather than a full sort; and all working memory lives in a
+//! reusable [`GrecaScratch`] workspace. Each thread keeps one (see "The
+//! thread's workspace" below), so a long-lived serving thread's kernel
+//! allocates nothing in steady state. Every shortcut preserves
+//! **bit-identical** results — same itemsets, bounds, access counts,
+//! sweeps and stop reasons as the straightforward implementation, which
+//! survives verbatim as the oracle in `tests/kernel_identity.rs`.
 //!
 //! ## The thread's workspace
 //!
@@ -67,7 +71,7 @@
 
 use crate::access::AccessStats;
 use crate::interval::Interval;
-use crate::lists::{GrecaInputs, ListKind};
+use crate::lists::{GrecaInputs, ListKind, RunCursor};
 use crate::score::BoundScorer;
 use greca_consensus::ConsensusFunction;
 use greca_dataset::ItemId;
@@ -174,10 +178,9 @@ impl TopKResult {
     }
 }
 
-/// Per-item state of the dense arena: one slot per candidate item,
-/// indexed by the item's position in the first preference list (the
-/// substrate's contiguous layout on the warm path). `Copy` so the hot
-/// loops read and write it by value.
+/// Per-item state of the arena: one slot per item the run has read,
+/// handed out at its first read in read order. `Copy` so the hot loops
+/// read and write it by value.
 #[derive(Debug, Clone, Copy)]
 struct SlotMeta {
     /// The item id this slot stands for.
@@ -188,8 +191,6 @@ struct SlotMeta {
     aff_version: u32,
     /// Check-counter stamp marking membership in the current top-k.
     topk_stamp: u32,
-    /// Whether any preference list has surfaced this item yet.
-    buffered: bool,
     /// Pruned by the buffer condition (ignored if re-encountered).
     pruned: bool,
     /// A new apref component landed since the bounds were computed.
@@ -198,9 +199,10 @@ struct SlotMeta {
     bounds: Interval,
 }
 
-/// Reusable workspace of the GRECA kernel: the dense item arena, cursor
-/// state, pair-envelope cache and the bounded top-k heap, all allocated
-/// once and recycled across runs.
+/// Reusable workspace of the GRECA kernel: the item arena, cursor state,
+/// pair-envelope cache and the bounded top-k heap, all allocated once
+/// and recycled across runs. The arena and its id → slot map grow with
+/// the items a run reads, not with the itemset.
 ///
 /// A scratch value is plain memory — it carries no results between runs
 /// (every buffer is re-initialized by the next
@@ -211,9 +213,10 @@ struct SlotMeta {
 /// [`greca_topk_with`].
 #[derive(Debug, Default)]
 pub struct GrecaScratch {
-    /// Item id → arena slot (direct-indexed; rebuilt per run).
+    /// Item id → arena slot, [`NO_SLOT`] for an item the run has not
+    /// read; direct-indexed, grown to the largest id read.
     slot_of: Vec<u32>,
-    /// One slot per candidate item.
+    /// One slot per item read so far.
     slots: Vec<SlotMeta>,
     /// Flattened seen aprefs `[slot · n + member]`; NaN = unseen (scores
     /// are validated finite at ingestion).
@@ -223,6 +226,8 @@ pub struct GrecaScratch {
     touched: Vec<u32>,
     /// Next read position per list (round-robin list order).
     positions: Vec<usize>,
+    /// Default-run cursor per preference list.
+    run_cursors: Vec<RunCursor>,
     /// Last read score per list (round-robin list order).
     cursors: Vec<f64>,
     /// Round-robin index of each period's first list.
@@ -279,6 +284,7 @@ impl GrecaScratch {
             + vec_bytes(&self.aprefs)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.positions)
+            + vec_bytes(&self.run_cursors)
             + vec_bytes(&self.cursors)
             + vec_bytes(&self.period_base)
             + vec_bytes(&self.pair_static)
@@ -298,6 +304,43 @@ impl GrecaScratch {
             + vec_bytes(&self.ranked)
     }
 
+    /// Forget the previous run's items: unmap their ids, never the
+    /// whole map, so the reset costs the items that run read.
+    fn reset_slots(&mut self) {
+        for meta in &self.slots {
+            self.slot_of[meta.id as usize] = NO_SLOT;
+        }
+        self.slots.clear();
+        self.aprefs.clear();
+        self.touched.clear();
+    }
+
+    /// The slot of item `id`, handing it one (with `n` unseen aprefs) at
+    /// its first read. Returns the slot and whether it is new.
+    #[inline]
+    fn slot_for(&mut self, id: u32, n: usize) -> (usize, bool) {
+        let i = id as usize;
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, NO_SLOT);
+        }
+        if self.slot_of[i] != NO_SLOT {
+            return (self.slot_of[i] as usize, false);
+        }
+        let slot = self.slots.len();
+        self.slot_of[i] = slot as u32;
+        self.slots.push(SlotMeta {
+            id,
+            unseen: n as u32,
+            aff_version: 0,
+            topk_stamp: 0,
+            pruned: false,
+            stale: false,
+            bounds: Interval::exact(0.0),
+        });
+        self.aprefs.resize(self.aprefs.len() + n, f64::NAN);
+        (slot, true)
+    }
+
     /// Grow retained capacity to at least `bytes` — test hook for the
     /// thread slot's byte budget.
     #[cfg(test)]
@@ -308,9 +351,11 @@ impl GrecaScratch {
 }
 
 /// Bytes of capacity a thread may keep in its workspace between runs.
-/// One huge-query workspace (an arena sized to a 100k-item itemset) is
-/// worth keeping; a larger one is dropped after its run instead — it is
-/// pure derived state and rebuilds on demand.
+/// The arena grows with the items a run reads (tens of bytes each) and
+/// the id → slot map with the largest id read (4 B per id), so a
+/// workspace past this budget is a run that read a huge share of a
+/// huge itemset; it is dropped after its run instead — it is pure
+/// derived state and rebuilds on demand.
 pub(crate) const WORKSPACE_BYTE_BUDGET: usize = 32 << 20;
 
 thread_local! {
@@ -342,6 +387,9 @@ pub(crate) fn thread_workspace_bytes() -> Option<usize> {
         bytes
     })
 }
+
+/// Sentinel for "not read this run" in the id → slot map.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Whether `a` ranks strictly *worse* than `b` under the buffer
 /// condition's `(LB descending, id ascending)` order.
@@ -428,6 +476,8 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
 
         // Re-initialize every scratch buffer for this run (capacity is
         // retained; no allocation after the first run at this shape).
+        // Items get their slots as the run reads them.
+        scratch.reset_slots();
         scratch.positions.clear();
         scratch.cursors.clear();
         for list in inputs.all_lists() {
@@ -436,6 +486,10 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
             // entry; +∞ would also be sound but needlessly loose.
             scratch.cursors.push(list.first_score().unwrap_or(0.0));
         }
+        scratch.run_cursors.clear();
+        scratch
+            .run_cursors
+            .resize(inputs.pref_lists.len(), RunCursor::default());
         scratch.period_base.clear();
         let mut base = static_base + inputs.static_lists.len();
         for lists in &inputs.period_lists {
@@ -453,36 +507,7 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
         scorer.fill_pair_index(&mut scratch.pair_index);
         scratch.pref_cursors.clear();
         scratch.pref_cursors.resize(n, 0.0);
-        scratch.touched.clear();
         scratch.heap.clear();
-
-        // The dense arena: one slot per candidate item, in first-list
-        // order (the substrate's contiguous layout on the warm path).
-        // All preference lists rank the same itemset, so the first list
-        // enumerates every id.
-        scratch.slots.clear();
-        if let Some(first) = inputs.pref_lists.first() {
-            let max_id = first.ids.iter().copied().max().map_or(0, |i| i as usize);
-            if scratch.slot_of.len() <= max_id {
-                scratch.slot_of.resize(max_id + 1, 0);
-            }
-            scratch.slots.reserve(first.len());
-            for (slot, &id) in first.ids.iter().enumerate() {
-                scratch.slot_of[id as usize] = slot as u32;
-                scratch.slots.push(SlotMeta {
-                    id,
-                    unseen: n as u32,
-                    aff_version: 0,
-                    topk_stamp: 0,
-                    buffered: false,
-                    pruned: false,
-                    stale: false,
-                    bounds: Interval::exact(0.0),
-                });
-            }
-        }
-        scratch.aprefs.clear();
-        scratch.aprefs.resize(scratch.slots.len() * n, f64::NAN);
 
         Kernel {
             inputs,
@@ -510,7 +535,7 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
         for list in &self.inputs.pref_lists {
             let pos = self.scratch.positions[li];
             if pos < list.len() {
-                let (id, score) = list.entry(pos);
+                let (id, score) = list.read(pos, &mut self.scratch.run_cursors[li]);
                 self.scratch.positions[li] = pos + 1;
                 self.scratch.cursors[li] = score;
                 self.stats.record_sa();
@@ -519,21 +544,13 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
                     unreachable!("preference lists carry Preference kinds");
                 };
                 let sc = &mut *self.scratch;
-                let slot = sc.slot_of[id as usize] as usize;
+                let (slot, first_read) = sc.slot_for(id, n);
+                if first_read {
+                    sc.touched.push(slot as u32);
+                    self.live_count += 1;
+                }
                 let meta = &mut sc.slots[slot];
-                // Hard assert (one predictable compare per read): a
-                // member list ranking an item absent from list 0 would
-                // otherwise silently write into another item's slot.
-                assert_eq!(
-                    meta.id, id,
-                    "preference lists must rank the same itemset (id {id} missing from list 0)"
-                );
                 if !meta.pruned {
-                    if !meta.buffered {
-                        meta.buffered = true;
-                        sc.touched.push(slot as u32);
-                        self.live_count += 1;
-                    }
                     let cell = &mut sc.aprefs[slot * n + member as usize];
                     if cell.is_nan() {
                         meta.unseen -= 1;
@@ -918,13 +935,15 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
 /// the TA and naive-scan baselines live in `greca_bench::baselines`).
 ///
 /// Every preference list must rank the same itemset (§2.4 poses the
-/// problem over one shared itemset `I`; [`MaterializedInputs::build`]
-/// and the warm path both guarantee it) — a hand-assembled
-/// [`GrecaInputs`] violating this panics rather than mis-attributing
-/// components. The kernel's id→slot table is direct-indexed, so peak
-/// memory is `O(max raw item id)` — the same layout contract as
-/// [`crate::substrate::Substrate`]'s dense item map; remap pathologically
-/// sparse id spaces before building lists.
+/// problem over one shared itemset `I`). [`MaterializedInputs::build`]
+/// and every preparation check it where they bundle the columns; the
+/// kernel does not, so over a hand-assembled [`GrecaInputs`] that
+/// breaks it the returned top-k is unspecified. The kernel's arena is
+/// `O(items read)` — one slot and `n` apref cells per item — whatever
+/// the itemset's size; its id → slot map is direct-indexed, 4 B per id
+/// up to the largest id read (the same layout contract as
+/// [`crate::substrate::Substrate`]'s dense item map), so remap
+/// pathologically sparse id spaces before building lists.
 ///
 /// Runs on the calling thread's [`GrecaScratch`] (module docs, "The
 /// thread's workspace"); [`greca_topk_with`] takes a caller-owned one.

@@ -17,27 +17,34 @@
 //!
 //! ## View vs. owned storage
 //!
-//! The algorithms (`greca`, `ta`, `naive`) never touch owned storage:
-//! they execute over [`GrecaInputs`], a bundle of [`ListView`]s —
-//! borrowed, columnar `(ids, scores)` slices with no lifecycle of their
-//! own. Two storage shapes produce those views:
+//! The algorithms (GRECA here, TA and the naive scan in
+//! `greca_bench::baselines`) never touch owned storage: they execute
+//! over [`GrecaInputs`], a bundle of [`ListView`]s — borrowed slices
+//! with no lifecycle of their own. A view is a list's explicit *support*
+//! entries, columnar `(ids, scores)`, plus, for a preference column, an
+//! implicit *default run* over the column's shared itemset. Two storage
+//! shapes produce those views:
 //!
-//! * [`SortedList`] — owned columnar buffers, built by sorting (the
-//!   cold path, and the hand-built-table path of the running example);
-//!   [`MaterializedInputs`] bundles one query's worth of them as the
-//!   independent reference the tests check prepared queries against;
-//! * [`crate::substrate::Substrate`] — engine-lifetime shared buffers,
-//!   precomputed once and sliced per query (the warm path).
+//! * [`SortedList`] — owned columnar buffers, every entry explicit,
+//!   built by sorting (the affinity lists, and the hand-built tables of
+//!   the running example); [`MaterializedInputs`] bundles one query's
+//!   worth of them as the independent reference the tests check
+//!   prepared queries against;
+//! * [`SegmentHandle`](crate::substrate::SegmentHandle) — a preference
+//!   column stored as its support plus a default run, shared from the
+//!   [`Substrate`](crate::substrate::Substrate) or derived per itemset.
 //!
-//! Keeping views slice-backed is what makes the warm path copy-free per
-//! query: a full-universe query's preference "lists" are the
-//! substrate's id columns and shared score columns (coded columns are
-//! dequantized once per epoch, not per query), and per-query state shrinks
+//! Keeping views slice-backed is what makes preparation copy-free: a
+//! full-universe query's preference lists are the substrate's support
+//! columns (a coded column's support is dequantized once per arena, not
+//! per query) over the universe itemset, and a column over a default
+//! itemset costs its support, not its itemset. Per-query state shrinks
 //! to cursors plus the interval bookkeeping in [`crate::interval`] /
 //! [`crate::score`].
 
 use greca_affinity::GroupAffinity;
 use greca_cf::PreferenceList;
+use greca_dataset::ItemId;
 
 /// What a list contains (and thus what its entry ids mean).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,67 +90,211 @@ impl std::fmt::Display for NonFiniteEntry {
 
 impl std::error::Error for NonFiniteEntry {}
 
-/// A borrowed, read-only view of one sorted list: columnar `(ids,
-/// scores)` slices. This is the only shape the algorithms consume;
-/// copying a view copies two fat pointers, never entries.
+/// The implicit part of a preference list: every item of the itemset
+/// `items` whose id `skip` does not hold, in ascending id, each scoring
+/// `default` unless the list's equal entries hold its id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DefaultRun<'a> {
+    /// The list's itemset, ascending by id.
+    pub(crate) items: &'a [ItemId],
+    /// Ascending ids of the support entries above and below the
+    /// default, all in `items`, which the run passes over.
+    pub(crate) skip: &'a [u32],
+    /// The score of every run entry that is not an equal entry.
+    pub(crate) default: f64,
+}
+
+impl DefaultRun<'_> {
+    /// No run: a list whose entries are all explicit.
+    const NONE: DefaultRun<'static> = DefaultRun {
+        items: &[],
+        skip: &[],
+        default: 0.0,
+    };
+}
+
+/// Where a sequential reader stands in a list's default run: the next
+/// itemset position, the next `skip` id and the next equal entry.
+/// Each read moves them forward, so reading a whole run costs
+/// `O(itemset)` in all, `O(1)` per read amortized.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RunCursor {
+    item: usize,
+    skip: usize,
+    equal: usize,
+}
+
+/// A borrowed, read-only view of one sorted list. This is the only
+/// shape the algorithms consume; copying a view copies a few slices,
+/// never entries.
+///
+/// A list is its *support* — explicit `(id, score)` entries in list
+/// order — and, for a preference column, an implicit *default run*
+/// (see [`SegmentHandle`](crate::substrate::SegmentHandle)). The
+/// support splits three ways around the run: the entries above the
+/// provider's default come first, then the run region, then the entries
+/// below the default. The run region holds every itemset item not in
+/// the support, at the default, merged by id with the support entries
+/// that compare equal to the default (which keep their own bits). A
+/// list without a run holds every entry in its support. Reading a run
+/// entry is a sequential access like any other: [`ListView::len`] and
+/// `%SA` count it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ListView<'a> {
     /// What the entries mean.
     pub kind: ListKind,
-    /// Entry ids, aligned with `scores`.
-    pub ids: &'a [u32],
-    /// Entry scores, descending.
-    pub scores: &'a [f64],
+    /// Support entry ids, aligned with `scores`.
+    ids: &'a [u32],
+    /// Support entry scores: descending in list order.
+    scores: &'a [f64],
+    /// `ids[..above]` precede the run region.
+    above: usize,
+    /// `ids[above..below]` sit inside it in ascending id; `ids[below..]`
+    /// follow it.
+    below: usize,
+    run: DefaultRun<'a>,
 }
 
 impl<'a> ListView<'a> {
-    /// Wrap aligned columnar slices.
+    /// A list whose entries are all explicit: aligned columnar slices.
     #[inline]
     pub fn new(kind: ListKind, ids: &'a [u32], scores: &'a [f64]) -> Self {
         debug_assert_eq!(ids.len(), scores.len(), "columns must align");
-        ListView { kind, ids, scores }
+        ListView {
+            kind,
+            ids,
+            scores,
+            above: ids.len(),
+            below: ids.len(),
+            run: DefaultRun::NONE,
+        }
+    }
+
+    /// A list of support entries (`ids[..above]` above the default,
+    /// `ids[above..below]` equal to it in ascending id, the rest below
+    /// it) around a default run.
+    pub(crate) fn with_run(
+        kind: ListKind,
+        (ids, scores): (&'a [u32], &'a [f64]),
+        (above, below): (usize, usize),
+        run: DefaultRun<'a>,
+    ) -> Self {
+        debug_assert_eq!(ids.len(), scores.len(), "columns must align");
+        debug_assert!(above <= below && below <= ids.len());
+        debug_assert!(run.skip.len() + (below - above) <= run.items.len());
+        ListView {
+            kind,
+            ids,
+            scores,
+            above,
+            below,
+            run,
+        }
+    }
+
+    /// Entries of the run region: the itemset minus the skipped ids
+    /// (the equal entries included).
+    #[inline]
+    fn run_len(&self) -> usize {
+        self.run.items.len() - self.run.skip.len()
     }
 
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ids.len() - (self.below - self.above) + self.run_len()
     }
 
     /// Whether the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
-    /// The `(id, score)` entry at `pos`.
-    #[inline]
+    /// The score of run-region item `id`: its equal entry's, or the
+    /// default.
+    fn run_score(&self, id: u32) -> f64 {
+        let equal = &self.ids[self.above..self.below];
+        match equal.binary_search(&id) {
+            Ok(e) => self.scores[self.above + e],
+            Err(_) => self.run.default,
+        }
+    }
+
+    /// The `(id, score)` entry at `pos`: `O(1)` in the support,
+    /// `O(log support · log itemset)` in the run region (a search over
+    /// the skipped ids). The kernel reads a long run sequentially,
+    /// through a run cursor, instead; [`ListView::iter`] does too.
     pub fn entry(&self, pos: usize) -> (u32, f64) {
-        (self.ids[pos], self.scores[pos])
+        if pos < self.above {
+            return (self.ids[pos], self.scores[pos]);
+        }
+        let j = pos - self.above;
+        let run_len = self.run_len();
+        if j >= run_len {
+            let k = self.below + (j - run_len);
+            return (self.ids[k], self.scores[k]);
+        }
+        // `skip[i]`'s itemset position minus `i` counts the run entries
+        // before it, so the j-th run entry sits `j` plus the skips it
+        // passes into the itemset.
+        let (items, skip) = (self.run.items, self.run.skip);
+        let position = |id: u32| items.partition_point(|i| i.0 < id);
+        let (mut lo, mut hi) = (0, skip.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if position(skip[mid]) - mid <= j {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let id = items[j + lo].0;
+        (id, self.run_score(id))
+    }
+
+    /// The entry at `pos` for a reader that reads positions `0, 1, 2, …`
+    /// in turn with one `cursor` (fresh at position 0): support entries
+    /// in `O(1)`, run entries in `O(1)` amortized.
+    #[inline]
+    pub(crate) fn read(&self, pos: usize, cursor: &mut RunCursor) -> (u32, f64) {
+        if pos < self.above || pos - self.above >= self.run_len() {
+            return self.entry(pos);
+        }
+        let items = self.run.items;
+        let mut id = items[cursor.item].0;
+        while self.run.skip.get(cursor.skip) == Some(&id) {
+            cursor.skip += 1;
+            cursor.item += 1;
+            id = items[cursor.item].0;
+        }
+        cursor.item += 1;
+        let e = self.above + cursor.equal;
+        if e < self.below && self.ids[e] == id {
+            cursor.equal += 1;
+            (id, self.scores[e])
+        } else {
+            (id, self.run.default)
+        }
     }
 
     /// Score of the first (largest) entry, if any.
     #[inline]
     pub fn first_score(&self) -> Option<f64> {
-        self.scores.first().copied()
+        (!self.is_empty()).then(|| self.entry(0).1)
     }
 
     /// Score of the last (smallest) entry, if any.
     #[inline]
     pub fn last_score(&self) -> Option<f64> {
-        self.scores.last().copied()
+        self.len().checked_sub(1).map(|pos| self.entry(pos).1)
     }
 
     /// Iterate `(id, score)` entries in list order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
-        self.ids.iter().copied().zip(self.scores.iter().copied())
-    }
-
-    /// Whether any entry carries `id` (affinity lists are tiny — ≤ n−1
-    /// entries — so a linear probe beats a side index).
-    #[inline]
-    pub fn contains_id(&self, id: u32) -> bool {
-        self.ids.contains(&id)
+        let view = *self;
+        let mut cursor = RunCursor::default();
+        (0..view.len()).map(move |pos| view.read(pos, &mut cursor))
     }
 }
 
@@ -203,22 +354,6 @@ impl SortedList {
     pub fn as_view(&self) -> ListView<'_> {
         ListView::new(self.kind, &self.ids, &self.scores)
     }
-
-    /// Iterate `(id, score)` entries in list order.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.as_view().iter()
-    }
-}
-
-/// A read cursor over one list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Cursor {
-    /// Next entry index to read.
-    pub pos: usize,
-    /// Value of the last entry read; upper-bounds all unread entries.
-    /// Starts at `+∞` conceptually; we store the first entry's score
-    /// until a read happens (sound: entries are sorted descending).
-    pub bound: f64,
 }
 
 /// How affinity lists are laid out (§3.1 discusses both; the decomposed
@@ -278,10 +413,12 @@ impl<'a> GrecaInputs<'a> {
     /// affinity kind under either [`ListLayout`]; the derivation simply
     /// records where).
     ///
-    /// Contract: every preference list ranks the same itemset (the
-    /// execution kernel indexes its arena by list 0's ids and panics on
-    /// an id the other lists don't share), and affinity entry ids are
-    /// group pair indices `< num_pairs`.
+    /// Contract: every preference list ranks the same itemset, and
+    /// affinity entry ids are group pair indices `< num_pairs`. The
+    /// kernel does not check the first: the places that bundle columns
+    /// do ([`MaterializedInputs::build`], and every preparation in
+    /// `crate::query`). Over lists that break it a run still returns,
+    /// but its top-k is unspecified.
     pub fn assemble(
         pref_lists: Vec<ListView<'a>>,
         static_lists: Vec<ListView<'a>>,
@@ -292,14 +429,14 @@ impl<'a> GrecaInputs<'a> {
     ) -> Self {
         let mut static_list_of_pair = vec![NO_LIST; num_pairs];
         for (off, l) in static_lists.iter().enumerate() {
-            for &pair in l.ids {
+            for (pair, _) in l.iter() {
                 static_list_of_pair[pair as usize] = off as u32;
             }
         }
         let mut period_list_of_pair = vec![NO_LIST; num_pairs * period_lists.len()];
         for (p, lists) in period_lists.iter().enumerate() {
             for (off, l) in lists.iter().enumerate() {
-                for &pair in l.ids {
+                for (pair, _) in l.iter() {
                     period_list_of_pair[p * num_pairs + pair as usize] = off as u32;
                 }
             }
@@ -395,6 +532,7 @@ impl MaterializedInputs {
     ///
     /// All preference lists must rank the same candidate item set; this
     /// is how §2.4's problem statement is posed (one itemset `I`).
+    /// Panics otherwise.
     pub fn build(
         pref_lists: &[PreferenceList],
         affinity: &GroupAffinity,
@@ -402,10 +540,7 @@ impl MaterializedInputs {
     ) -> Result<Self, NonFiniteEntry> {
         let n = affinity.members().len();
         assert_eq!(pref_lists.len(), n, "one preference list per group member");
-        let num_items = pref_lists.first().map_or(0, |l| l.len());
-        for l in pref_lists {
-            assert_eq!(l.len(), num_items, "preference lists must align");
-        }
+        let num_items = common_itemset(pref_lists).len();
         let plists: Vec<SortedList> = pref_lists
             .iter()
             .enumerate()
@@ -448,6 +583,26 @@ impl MaterializedInputs {
     pub fn total_entries(&self) -> u64 {
         self.views().total_entries()
     }
+}
+
+/// The itemset every list of `pref_lists` ranks, ascending. Panics
+/// unless all of them rank the same one: lists of different lengths
+/// "must align", lists over different ids "must rank the same itemset".
+pub(crate) fn common_itemset(pref_lists: &[PreferenceList]) -> Vec<ItemId> {
+    let sorted_ids = |l: &PreferenceList| {
+        let mut ids: Vec<ItemId> = l.entries.iter().map(|&(i, _)| i).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let itemset = pref_lists.first().map_or_else(Vec::new, sorted_ids);
+    for l in pref_lists {
+        assert_eq!(l.len(), itemset.len(), "preference lists must align");
+        assert!(
+            sorted_ids(l) == itemset,
+            "preference lists must rank the same itemset"
+        );
+    }
+    itemset
 }
 
 /// Both affinity list sets (static + per-period) for one group view —
@@ -564,7 +719,7 @@ mod tests {
     fn sorted_list_sorts_desc_with_id_ties() {
         let l =
             SortedList::new(ListKind::StaticAffinity, vec![(2, 0.5), (0, 0.5), (1, 0.9)]).unwrap();
-        let ids: Vec<u32> = l.as_view().ids.to_vec();
+        let ids: Vec<u32> = l.as_view().iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 0, 2]);
     }
 
@@ -589,7 +744,6 @@ mod tests {
         assert_eq!(v.entry(0), (1, 0.75));
         assert_eq!(v.first_score(), Some(0.75));
         assert_eq!(v.last_score(), Some(0.25));
-        assert!(v.contains_id(7) && !v.contains_id(2));
         assert_eq!(v.iter().collect::<Vec<_>>(), vec![(1, 0.75), (7, 0.25)]);
     }
 
@@ -644,13 +798,11 @@ mod tests {
             let inputs = build(AffinityMode::Discrete, layout);
             let views = inputs.views();
             for pair in 0..views.num_pairs {
-                let scanned = views
-                    .static_lists
-                    .iter()
-                    .position(|l| l.contains_id(pair as u32));
+                let holds = |l: &ListView<'_>| l.iter().any(|(id, _)| id == pair as u32);
+                let scanned = views.static_lists.iter().position(holds);
                 assert_eq!(views.static_list_of(pair), scanned, "{layout:?} static");
                 for (p, lists) in views.period_lists.iter().enumerate() {
-                    let scanned = lists.iter().position(|l| l.contains_id(pair as u32));
+                    let scanned = lists.iter().position(holds);
                     assert_eq!(
                         views.period_list_of(p, pair),
                         scanned,
@@ -674,9 +826,8 @@ mod tests {
     fn affinity_lists_sorted_desc() {
         let inputs = build(AffinityMode::Discrete, ListLayout::Single);
         for l in inputs.views().all_lists() {
-            for w in l.scores.windows(2) {
-                assert!(w[0] >= w[1]);
-            }
+            let scores: Vec<f64> = l.iter().map(|(_, s)| s).collect();
+            assert!(scores.windows(2).all(|w| w[0] >= w[1]));
         }
     }
 
@@ -690,5 +841,48 @@ mod tests {
             &affinity(AffinityMode::Discrete),
             ListLayout::Decomposed,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "must rank the same itemset")]
+    fn pref_lists_over_different_ids_rejected() {
+        let mut lists = pls();
+        lists[1].entries[2].0 = ItemId(7);
+        let _ = MaterializedInputs::build(
+            &lists,
+            &affinity(AffinityMode::Discrete),
+            ListLayout::Decomposed,
+        );
+    }
+
+    /// A run view reads, entry by entry, like the explicit list it
+    /// stands for: by position, sequentially and through `iter`.
+    #[test]
+    fn a_default_run_reads_like_its_explicit_list() {
+        let items: Vec<ItemId> = [1, 3, 4, 6, 8, 9].map(ItemId).to_vec();
+        // Above the default: 8, 3. Equal to it: 6 (its own `-0.0`).
+        // Below it: 9. The run skips 3, 8 and 9.
+        let (ids, scores) = ([8, 3, 6, 9], [5.0, 2.0, -0.0, -1.0]);
+        let skip = [3, 8, 9];
+        let run = DefaultRun {
+            items: &items,
+            skip: &skip,
+            default: 0.0,
+        };
+        let kind = ListKind::Preference { member: 0 };
+        let v = ListView::with_run(kind, (&ids, &scores), (2, 3), run);
+        let want = [(8, 5.0), (3, 2.0), (1, 0.0), (4, 0.0), (6, -0.0), (9, -1.0)];
+        let bits = |e: &[(u32, f64)]| e.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+        assert_eq!(v.len(), want.len());
+        let by_pos: Vec<(u32, f64)> = (0..v.len()).map(|p| v.entry(p)).collect();
+        assert_eq!(bits(&by_pos), bits(&want));
+        assert_eq!(bits(&v.iter().collect::<Vec<_>>()), bits(&want));
+        assert_eq!(v.first_score(), Some(5.0));
+        assert_eq!(v.last_score(), Some(-1.0));
+        // A run with no support is the itemset in id order.
+        let bare = ListView::with_run(kind, (&[], &[]), (0, 0), DefaultRun { skip: &[], ..run });
+        let ids: Vec<u32> = bare.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 3, 4, 6, 8, 9]);
+        assert_eq!(bare.entry(4), (8, 0.0));
     }
 }

@@ -41,7 +41,7 @@
 use crate::access::{AccessStats, Aggregate};
 use crate::greca::TopKResult;
 use crate::query::{lock_unpoisoned, GroupQuery, QueryError, QueryKey};
-use crate::substrate::SegmentHandle;
+use crate::substrate::{Itemset, SegmentHandle};
 use greca_dataset::UserId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,10 +53,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// arena.
 const SHARED_STATE_CAP: usize = 8_192;
 
-/// Column bytes ([`SharedMemberState::memory_bytes`]) a
+/// Column and itemset bytes ([`SharedMemberState::memory_bytes`]) a
 /// [`SharedMemberState`] retains before it self-flushes wholesale. A
-/// cold column over a 120,000-item catalog holds ~1.4 MB, so the entry
-/// cap alone would let a read-only epoch's arena grow to gigabytes.
+/// column costs its support, but a user-CF column's support can span
+/// its whole itemset, and a 120,000-item itemset holds ~0.5 MB, so the
+/// entry cap alone would let a read-only epoch's arena grow to
+/// gigabytes.
 const SHARED_STATE_BYTE_BUDGET: usize = 64 << 20;
 
 /// What the planner found in (and did with) one wave.
@@ -111,6 +113,30 @@ pub(crate) enum MemberScope {
 type MemberKey = (UserId, MemberScope);
 type SharedEntry = Result<SegmentHandle, QueryError>;
 
+/// What a [`SharedMemberState`] holds: member columns, and the itemsets
+/// they rank, one per scope, which every column over it shares.
+#[derive(Debug, Default)]
+struct Arena {
+    columns: HashMap<MemberKey, Arc<OnceLock<SharedEntry>>>,
+    itemsets: HashMap<MemberScope, Itemset>,
+}
+
+impl Arena {
+    /// Before inserting a new entry: flush everything once the arena
+    /// holds `SHARED_STATE_CAP` columns or `SHARED_STATE_BYTE_BUDGET`
+    /// bytes. Entries are derived state: dropping them only costs
+    /// re-resolution.
+    fn make_room(&mut self, retained: &AtomicUsize) {
+        if self.columns.len() >= SHARED_STATE_CAP
+            || retained.load(Ordering::Relaxed) >= SHARED_STATE_BYTE_BUDGET
+        {
+            self.columns.clear();
+            self.itemsets.clear();
+            retained.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 /// The shared member-state arena of one batch wave or served epoch.
 ///
 /// Maps `(user, scope)` to that member's resolved preference column,
@@ -130,13 +156,16 @@ type SharedEntry = Result<SegmentHandle, QueryError>;
 /// so a wave of queries hitting the same broken member pays one
 /// provider round-trip, not one per query.
 ///
+/// It also holds each itemset scope's ids, which every column over that
+/// itemset shares: a resolved candidate set is moved in, not copied.
+///
 /// The arena flushes wholesale once it holds 8,192 entries or 64 MiB of
-/// columns ([`SharedMemberState::memory_bytes`]).
+/// columns and itemsets ([`SharedMemberState::memory_bytes`]).
 #[derive(Debug, Default)]
 pub struct SharedMemberState {
-    entries: Mutex<HashMap<MemberKey, Arc<OnceLock<SharedEntry>>>>,
-    /// Bytes of the columns resolved since the last flush
-    /// ([`SegmentHandle::owned_bytes`]).
+    arena: Mutex<Arena>,
+    /// Bytes of the columns ([`SegmentHandle::owned_bytes`]) and
+    /// itemsets resolved since the last flush.
     retained: AtomicUsize,
     resolved: AtomicU64,
     reused: AtomicU64,
@@ -160,18 +189,16 @@ impl SharedMemberState {
     ) -> SharedEntry {
         let key = (user, scope);
         let cell = {
-            let mut map = lock_unpoisoned(&self.entries);
-            if !map.contains_key(&key)
-                && (map.len() >= SHARED_STATE_CAP
-                    || self.retained.load(Ordering::Relaxed) >= SHARED_STATE_BYTE_BUDGET)
-            {
-                // Wholesale self-flush, like the engine's affinity
-                // cache: entries are derived state, dropping them only
-                // costs re-resolution.
-                map.clear();
-                self.retained.store(0, Ordering::Relaxed);
+            let mut arena = lock_unpoisoned(&self.arena);
+            if !arena.columns.contains_key(&key) {
+                arena.make_room(&self.retained);
             }
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
+            Arc::clone(
+                arena
+                    .columns
+                    .entry(key)
+                    .or_insert_with(|| Arc::new(OnceLock::new())),
+            )
         };
         let mut initialized_here = false;
         let entry = cell.get_or_init(|| {
@@ -188,10 +215,28 @@ impl SharedMemberState {
             self.reused.fetch_add(1, Ordering::Relaxed);
             if let Ok(handle) = entry {
                 self.reused_prefix_items
-                    .fetch_add(handle.ids().len() as u64, Ordering::Relaxed);
+                    .fetch_add(handle.view(0).len() as u64, Ordering::Relaxed);
             }
         }
         entry.clone()
+    }
+
+    /// The itemset of `scope`, shared by every column over it: the one
+    /// held, or `init`'s, which is then held. `init` runs outside the
+    /// arena's lock. After a flush, columns resolved before it may hold
+    /// another copy of the same ids.
+    pub(crate) fn itemset(&self, scope: MemberScope, init: impl FnOnce() -> Itemset) -> Itemset {
+        if let Some(itemset) = lock_unpoisoned(&self.arena).itemsets.get(&scope) {
+            return itemset.clone();
+        }
+        let fresh = init();
+        let mut arena = lock_unpoisoned(&self.arena);
+        if !arena.itemsets.contains_key(&scope) {
+            arena.make_room(&self.retained);
+            self.retained
+                .fetch_add(fresh.data_bytes(), Ordering::Relaxed);
+        }
+        arena.itemsets.entry(scope).or_insert(fresh).clone()
     }
 
     /// Distinct member-list resolutions performed so far.
@@ -209,14 +254,15 @@ impl SharedMemberState {
         self.reused_prefix_items.load(Ordering::Relaxed)
     }
 
-    /// Entries currently held.
+    /// Member columns currently held.
     pub fn entries(&self) -> usize {
-        lock_unpoisoned(&self.entries).len()
+        lock_unpoisoned(&self.arena).columns.len()
     }
 
     /// Approximate bytes retained by the arena: the columns its handles
-    /// dequantized or derived since the last flush (a handle's aliased
-    /// substrate segment is not counted).
+    /// dequantized or derived, and the itemsets they rank, since the
+    /// last flush (a handle's aliased substrate segment and the
+    /// substrate's universe are not counted).
     pub fn memory_bytes(&self) -> usize {
         self.retained.load(Ordering::Relaxed)
     }
@@ -495,21 +541,29 @@ mod tests {
     use super::*;
     use crate::query::GrecaEngine;
     use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
-    use greca_dataset::{Group, ItemId, RatingMatrixBuilder};
+    use greca_dataset::{Group, ItemId};
+
+    /// Scores 2 for item 0 and 1 for every other item: every position
+    /// is in the support, so each cold column holds every entry
+    /// explicitly, 12 B per item.
+    struct Flat;
+
+    impl greca_cf::PreferenceProvider for Flat {
+        fn apref(&self, _: UserId, i: ItemId) -> f64 {
+            if i.0 == 0 {
+                2.0
+            } else {
+                1.0
+            }
+        }
+    }
 
     #[test]
     fn an_arena_past_its_byte_budget_flushes_and_stays_identical() {
-        // Every cold column over 300,000 items holds 12 B per item.
         const M: u32 = 300_000;
         let users: Vec<UserId> = (0..32).map(UserId).collect();
-        let mut b = RatingMatrixBuilder::new(users.len(), M as usize);
-        for &u in &users {
-            b.rate(u, ItemId(u.0 * 7919), 4.0, 0);
-        }
-        let matrix = b.build();
-        let raw = greca_cf::RawRatings(&matrix);
         let pop = PopulationAffinity::new_static_only(&TableAffinitySource::new(), &users);
-        let engine = GrecaEngine::new(&raw, &pop);
+        let engine = GrecaEngine::new(&Flat, &pop);
         let items: Vec<ItemId> = (0..M).map(ItemId).collect();
         let arena = SharedMemberState::new();
         let mut flushed = false;

@@ -27,9 +27,10 @@
 //! uncovered user, a foreign or duplicated item). The two differ only
 //! in where the preference columns come from: both sort the group's
 //! affinity lists (≤ n−1 entries each, §4.1.2) from its
-//! [`GroupAffinity`] view, and both produce bit-identical results. The
-//! engine also keeps a small keyed cache of [`GroupAffinity`] views so
-//! repeat groups skip the view computation.
+//! [`GroupAffinity`] view, and both produce bit-identical results.
+//! Either way a column is its support plus an implicit default run over
+//! the itemset all members share, so a cold column over a 100,000-item
+//! default itemset costs its support, not its itemset.
 //!
 //! A prepared query runs GRECA under any [`StoppingRule`] and exposes
 //! its inputs, so the §3.1/§4.2 comparison set (`greca_bench::baselines`)
@@ -43,10 +44,11 @@ use crate::greca::{
     greca_topk_with, with_thread_scratch, GrecaConfig, GrecaScratch, StoppingRule, TopKResult,
 };
 use crate::lists::{
-    group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry, SortedList,
+    common_itemset, group_affinity_list_sets, GrecaInputs, ListKind, ListLayout, NonFiniteEntry,
+    SortedList,
 };
 use crate::plan::{run_batch, BatchResult, MemberScope, SharedMemberState};
-use crate::substrate::{ItemCoverage, SegmentHandle, Substrate};
+use crate::substrate::{ItemCoverage, Itemset, SegmentHandle, Substrate};
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity};
 use greca_cf::{PreferenceList, PreferenceProvider};
 use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind, GroupScorer};
@@ -552,10 +554,16 @@ impl<'q> GroupQuery<'q> {
     /// in group size and itemset length; no allocation beyond the
     /// member copy, no sorting.
     pub fn cache_key(&self) -> QueryKey {
+        self.key_with_fingerprint(itemset_fingerprint(self.items))
+    }
+
+    /// [`cache_key`](Self::cache_key) with the itemset's fingerprint
+    /// already computed.
+    fn key_with_fingerprint(&self, items_fp: u128) -> QueryKey {
         QueryKey {
             members: self.group.members().to_vec(),
             items_len: self.items.len(),
-            items_fp: itemset_fingerprint(self.items),
+            items_fp,
             period: self.effective_period(),
             mode: ModeKey::from(self.mode),
             layout: self.layout,
@@ -638,26 +646,29 @@ impl<'q> GroupQuery<'q> {
     pub fn prepare_shared(&self, shared: &SharedMemberState) -> Result<PreparedQuery, QueryError> {
         let _prepare = crate::obs::phase(crate::obs::Phase::Prepare);
         self.validate()?;
-        let resolved: Vec<ItemId>;
-        let items: &[ItemId] = if self.items.is_empty() {
-            resolved = self
-                .engine
-                .provider
-                .candidate_items(self.group)
-                .ok_or(QueryError::EmptyItemset)?;
-            &resolved
+        let resolved = if self.items.is_empty() {
+            let candidates = self.engine.provider.candidate_items(self.group);
+            Some(candidates.ok_or(QueryError::EmptyItemset)?)
         } else {
-            self.items
+            None
         };
+        let items = resolved.as_deref().unwrap_or(self.items);
         if items.is_empty() {
             return Err(QueryError::EmptyItemset);
         }
         // Itemset-scoped columns are keyed the way `QueryKey` identifies
         // itemsets, over the *resolved* itemset, so a defaulted (empty)
         // itemset keys by what it actually resolved to.
-        let itemset = MemberScope::Itemset {
+        let fp = itemset_fingerprint(items);
+        let scope = MemberScope::Itemset {
             len: items.len(),
-            fp: itemset_fingerprint(items),
+            fp,
+        };
+        // The key fingerprints the itemset as given; a given one was
+        // just fingerprinted.
+        let key = match resolved {
+            Some(_) => self.cache_key(),
+            None => self.key_with_fingerprint(fp),
         };
         let period = self.effective_period();
         let affinity = Arc::new(
@@ -665,23 +676,62 @@ impl<'q> GroupQuery<'q> {
                 .population
                 .group_view(self.group, period, self.mode),
         );
+        let members = self.group.members();
+        // The substrate serves the query iff it covers every member and
+        // every item, each once; otherwise every column is derived cold.
+        let coverage = self.engine.substrate.as_deref().and_then(|substrate| {
+            let covered = members.iter().all(|&u| substrate.user_index(u).is_some());
+            covered
+                .then(|| substrate.item_coverage(items))
+                .flatten()
+                .map(|coverage| (substrate, coverage))
+        });
+        // The columns of one itemset share its ids: the arena's, or the
+        // resolved candidate set moved in.
+        let itemset = || {
+            shared.itemset(scope, || {
+                Itemset::new(resolved.unwrap_or_else(|| self.items.to_vec()))
+            })
+        };
 
         let provider = self.engine.provider;
-        let warm = match &self.engine.substrate {
-            Some(substrate) => {
-                warm_columns(provider, substrate, self.group, items, (shared, itemset))?
+        let is_warm = coverage.is_some();
+        let prefs: Vec<SegmentHandle> = match coverage {
+            Some((substrate, coverage)) => {
+                let universe: Vec<SegmentHandle> = members
+                    .iter()
+                    .map(|&u| {
+                        let i = substrate.user_index(u).expect("covered above");
+                        shared.resolve(u, MemberScope::Universe, || {
+                            substrate.segment_handle(provider, i)
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                match coverage {
+                    ItemCoverage::Full => universe,
+                    ItemCoverage::Subset(mask) => {
+                        let itemset = itemset();
+                        members
+                            .iter()
+                            .zip(&universe)
+                            .map(|(&u, h)| {
+                                shared.resolve(u, scope, || {
+                                    Ok(substrate.filtered_handle(h, &mask, &itemset))
+                                })
+                            })
+                            .collect::<Result<_, _>>()?
+                    }
+                }
             }
-            None => None,
-        };
-        let is_warm = warm.is_some();
-        let prefs = match warm {
-            Some(prefs) => prefs,
-            None => self
-                .group
-                .members()
-                .iter()
-                .map(|&u| shared.resolve(u, itemset, || SegmentHandle::derive(provider, u, items)))
-                .collect::<Result<_, _>>()?,
+            None => {
+                let itemset = itemset();
+                members
+                    .iter()
+                    .map(|&u| {
+                        shared.resolve(u, scope, || SegmentHandle::derive(provider, u, &itemset))
+                    })
+                    .collect::<Result<_, _>>()?
+            }
         };
         Ok(PreparedQuery {
             inputs: PreparedInputs::new(prefs, &affinity, self.layout)?,
@@ -691,7 +741,7 @@ impl<'q> GroupQuery<'q> {
             consensus: self.consensus,
             k: self.k,
             stopping: self.stopping,
-            key: Some(self.cache_key()),
+            key: Some(key),
         })
     }
 
@@ -726,50 +776,6 @@ impl<'q> GroupQuery<'q> {
     }
 }
 
-/// Warm selection of the members' preference columns from the
-/// substrate: segment handles for a full-universe itemset, filtered
-/// handles for a strict subset. Returns `Ok(None)` when the substrate
-/// cannot serve this query (an uncovered user, a foreign or duplicated
-/// item) and the caller should derive every column cold.
-///
-/// Handles resolve through the shared arena, so a member's segment is
-/// dequantized (or its lazy column derived) and filtered once per arena,
-/// however many groups it appears in.
-fn warm_columns(
-    provider: &(dyn PreferenceProvider + Sync + '_),
-    substrate: &Substrate,
-    group: &Group,
-    items: &[ItemId],
-    (shared, itemset): (&SharedMemberState, MemberScope),
-) -> Result<Option<Vec<SegmentHandle>>, QueryError> {
-    let Some(coverage) = substrate.item_coverage(items) else {
-        return Ok(None);
-    };
-    let mut handles: Vec<SegmentHandle> = Vec::with_capacity(group.members().len());
-    for &u in group.members() {
-        let Some(i) = substrate.user_index(u) else {
-            return Ok(None);
-        };
-        handles.push(shared.resolve(u, MemberScope::Universe, || {
-            substrate.segment_handle(provider, i)
-        })?);
-    }
-    let ItemCoverage::Subset(mask) = coverage else {
-        return Ok(Some(handles));
-    };
-    group
-        .members()
-        .iter()
-        .zip(&handles)
-        .map(|(&u, h)| {
-            shared.resolve(u, itemset, || {
-                Ok(substrate.filtered_handle(h, &mask, items.len()))
-            })
-        })
-        .collect::<Result<_, _>>()
-        .map(Some)
-}
-
 /// A prepared query's kernel inputs: one [`SegmentHandle`] per member
 /// plus the group's affinity lists, sorted per query from its
 /// [`GroupAffinity`] view (tiny: ≤ n−1 entries each). Handles are
@@ -788,7 +794,8 @@ struct PreparedInputs {
 
 impl PreparedInputs {
     /// Attach the group's affinity lists to its members' preference
-    /// columns, which must all rank the same itemset.
+    /// columns, which must all rank the same itemset: `O(n)` for the
+    /// columns of one preparation, which share it. Panics otherwise.
     fn new(
         prefs: Vec<SegmentHandle>,
         affinity: &GroupAffinity,
@@ -800,11 +807,11 @@ impl PreparedInputs {
             num_members,
             "one preference list per group member"
         );
-        let num_items = prefs.first().map_or(0, |h| h.ids().len());
         assert!(
-            prefs.iter().all(|h| h.ids().len() == num_items),
-            "preference lists must align"
+            prefs.windows(2).all(|w| w[0].ranks_same_itemset(&w[1])),
+            "preference lists must rank the same itemset"
         );
+        let num_items = prefs.first().map_or(0, |h| h.view(0).len());
         let (static_lists, period_lists) = group_affinity_list_sets(affinity, layout)?;
         Ok(PreparedInputs {
             prefs,
@@ -872,12 +879,13 @@ impl PreparedQuery {
         layout: ListLayout,
         normalize_rpref: bool,
     ) -> Result<Self, QueryError> {
+        let itemset = Itemset::new(common_itemset(pref_lists));
         let prefs = pref_lists
             .iter()
             .map(|l| {
                 let entries = l.entries.iter().map(|&(i, s)| (i.0, s)).collect();
                 SortedList::new(ListKind::Preference { member: 0 }, entries)
-                    .map(|list| SegmentHandle::derived(list.into_columns()))
+                    .map(|list| SegmentHandle::listed(&itemset, list.into_columns()))
             })
             .collect::<Result<_, NonFiniteEntry>>()?;
         let inputs = PreparedInputs::new(prefs, &affinity, layout)?;
@@ -1223,6 +1231,67 @@ mod tests {
             .run_with_scratch(&mut GrecaScratch::new());
         assert_eq!(query().items(&items).run().unwrap(), fresh);
         assert!(thread_workspace_bytes().is_some_and(|b| b <= WORKSPACE_BYTE_BUDGET));
+    }
+
+    #[test]
+    #[should_panic(expected = "must rank the same itemset")]
+    fn hand_built_lists_over_different_ids_are_rejected() {
+        let (_, pop, _) = world();
+        let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
+        let affinity = pop.group_view(&group, 0, AffinityMode::Discrete);
+        let list = |user, ids: [u32; 2]| {
+            PreferenceList::from_entries(user, ids.iter().map(|&i| (ItemId(i), 1.0)).collect())
+                .unwrap()
+        };
+        let lists = [list(UserId(0), [0, 1]), list(UserId(1), [0, 2])];
+        let _ = PreparedQuery::from_parts(affinity, &lists, ListLayout::Decomposed, true);
+    }
+
+    /// A served worker's memory follows what its queries read: one
+    /// default-itemset query over a 120,000-item catalog, on the
+    /// thread's workspace and an epoch-style arena, keeps well under
+    /// 1 MiB in each — the arena holds the itemset's ids and each
+    /// member's rated entries, the workspace the items the kernel read.
+    #[test]
+    fn a_workers_memory_is_bounded_by_what_it_touched() {
+        const M: u32 = 120_000;
+        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        let mut b = RatingMatrixBuilder::new(users.len(), M as usize);
+        for &u in &users {
+            for r in 0..20 {
+                b.rate(u, ItemId(u.0 * 7_919 + r * 4_001), 4.0, 0);
+            }
+        }
+        let matrix = b.build();
+        let raw = RawRatings(&matrix);
+        let mut src = TableAffinitySource::new();
+        src.set_static(UserId(0), UserId(1), 0.6)
+            .set_static(UserId(2), UserId(5), 0.3);
+        let pop = PopulationAffinity::new_static_only(&src, &users);
+        // Warm over a small universe: the default itemset is foreign to
+        // it, so every column is derived cold, as on a served miss.
+        let universe: Vec<ItemId> = (0..500).map(ItemId).collect();
+        let engine = GrecaEngine::warm(&raw, &pop, &universe).unwrap();
+        let group = Group::new(users.clone()).unwrap();
+        let arena = SharedMemberState::new();
+        let query = engine.query(&group).affinity(AffinityMode::StaticOnly);
+        let top = query.run_shared(&arena).unwrap();
+        assert_eq!(
+            top,
+            query
+                .prepare()
+                .unwrap()
+                .run_with_scratch(&mut GrecaScratch::new())
+        );
+        let candidates = raw.candidate_items(&group).unwrap().len();
+        assert!(candidates > 100_000, "{candidates} candidates");
+        let workspace = crate::greca::thread_workspace_bytes().expect("workspace kept");
+        assert!(workspace < 1 << 20, "thread workspace: {workspace} bytes");
+        assert!(
+            arena.memory_bytes() < 1 << 20,
+            "arena: {} bytes",
+            arena.memory_bytes()
+        );
     }
 
     #[test]

@@ -9,12 +9,25 @@
 //! shared** inverted lists; this module is that storage layer. For
 //! every serving user it holds the score-descending preference list
 //! over the item universe, computed once from any [`PreferenceProvider`]
-//! and stored as one columnar `(ids, scores)` segment per user, each
-//! behind its own `Arc`.
+//! and stored as one segment per user, each behind its own `Arc`.
+//!
+//! A segment is **support-sparse**: it stores the provider's support
+//! ([`PreferenceProvider::support`]) — the entries above and below the
+//! provider's default, sorted, as columnar `(ids, scores)` — plus the
+//! layout of an implicit *default run*: every other universe item, in
+//! ascending id, at the default, placed where the default falls in the
+//! order (support entries equal to it keep their own bits inside the
+//! run, at their id). The universe's ids are stored once and shared by
+//! every segment. So a column costs `O(support)`, not `O(universe)`:
+//! under raw ratings a user's column is their rated items. A column
+//! whose run would be shorter than the ids it skips stores every
+//! entry explicitly instead, so no column is larger than its explicit
+//! form.
+//!
 //! A query whose itemset *is* the universe borrows its members'
 //! segments as [`ListView`]s — no sorts, no provider calls. A
-//! strict-subset itemset is filtered in one order-preserving pass
-//! (still no sort, no provider calls).
+//! strict-subset itemset is filtered in one order-preserving pass over
+//! each support (still no sort, no provider calls).
 //!
 //! The substrate stores no affinity. §4.1.2's per-group affinity lists
 //! hold at most `n−1` pairs each, and static values are renormalized per
@@ -33,17 +46,15 @@
 //!   `std::thread`s over contiguous user shards
 //!   ([`BuildOptions::threads`]) and merged in user order, so the
 //!   result is bit-identical to a sequential build regardless of
-//!   thread count. Each shard reuses one scratch buffer. A column is
-//!   its provider's support plus a default
-//!   ([`PreferenceProvider::support`]): only the support entries are
-//!   sorted, and every other position is written in id order at the
-//!   default, without comparisons — the order a full sort would
-//!   produce anyway.
-//! * **Quantized scores** — a resident segment stores `u16` codes plus
-//!   a per-list dictionary of the original `f64` bit patterns whenever
-//!   that is smaller than one `f64` per item, so dequantized views are
-//!   **bit-identical** to the scores the provider produced. The choice
-//!   is made per column from its data: a column with more than
+//!   thread count. Each shard reuses one scratch buffer. Only the
+//!   support entries are sorted and written; the default run is never
+//!   written, as its id order is the order a full sort would produce.
+//! * **Quantized scores** — a resident segment stores its support
+//!   scores as `u16` codes plus a per-list dictionary of the original
+//!   `f64` bit patterns whenever that is smaller than one `f64` per
+//!   entry, so dequantized views are **bit-identical** to the scores
+//!   the provider produced. The choice is made per column from its
+//!   data: a column with more than
 //!   [`QUANT_LEVELS`] distinct values, or too few entries per distinct
 //!   value for the codes to pay for the dictionary, stays dense.
 //! * **Lazy slots** — users listed as *lazy* in
@@ -54,7 +65,8 @@
 //!
 //! All three compose: queries go through [`Substrate::segment_handle`],
 //! which yields a [`SegmentHandle`] owning whatever its views borrow — the
-//! shared segment, plus the dequantized or derived column it made. The
+//! shared segment and universe, plus the dequantized support or derived
+//! column it made. The
 //! substrate keeps no cache of those columns: the caller's
 //! [`SharedMemberState`](crate::plan::SharedMemberState) (one per batch
 //! wave, or per live epoch) is the one place a handle is reused.
@@ -77,7 +89,7 @@
 //! new *epoch* that in-flight queries, pinned to the previous epoch's
 //! `Arc`s, never observe mid-read.
 
-use crate::lists::{ListKind, ListView, NonFiniteEntry};
+use crate::lists::{DefaultRun, ListKind, ListView, NonFiniteEntry};
 use crate::query::QueryError;
 use greca_affinity::PopulationAffinity;
 use greca_cf::{NonFiniteScore, PreferenceProvider};
@@ -130,11 +142,14 @@ impl BuildOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// The universe layout: user and item id maps (users, dense user
-    /// positions, items, dense item positions).
+    /// positions, items, dense item positions). The item ids are every
+    /// resident segment's itemset, stored once.
     pub universe_bytes: usize,
-    /// Per-user **resident** preference segments: `ids (u32)` plus
-    /// either `scores (f64)` or `codes (u16) + score dictionary` — the
-    /// stored form. Lazy slots contribute nothing.
+    /// Per-user **resident** preference segments in their stored form:
+    /// the support's `ids (u32)`, its `scores (f64)` or its `codes
+    /// (u16)` with their score dictionary, and the `u32` ids the default
+    /// run skips. The default run itself costs nothing. Lazy
+    /// slots contribute nothing.
     pub pref_bytes: usize,
 }
 
@@ -210,8 +225,127 @@ fn quantize(scores: Vec<f64>) -> ScoreStore {
     ScoreStore::Quantized { codes, dict }
 }
 
-/// One user's precomputed preference columns: the score-descending
-/// `(ids, scores)` list over the substrate's item universe.
+/// The item ids a preference column ranks, ascending, behind an `Arc`
+/// that every column over them shares: the substrate's universe, or one
+/// query's itemset. A default run is enumerated from it, and two columns
+/// rank the same itemset when they share it.
+#[derive(Debug, Clone)]
+pub(crate) struct Itemset {
+    ids: Arc<Vec<ItemId>>,
+    /// Whether no id repeats (the segment builder's precondition).
+    distinct: bool,
+}
+
+impl Itemset {
+    /// `ids` in ascending order: moved, not copied, and sorted only if
+    /// they do not ascend already.
+    pub(crate) fn new(mut ids: Vec<ItemId>) -> Itemset {
+        let mut distinct = strictly_ascending(&ids);
+        if !distinct {
+            ids.sort_unstable();
+            distinct = strictly_ascending(&ids);
+        }
+        Itemset {
+            ids: Arc::new(ids),
+            distinct,
+        }
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn ids(&self) -> &[ItemId] {
+        &self.ids
+    }
+
+    /// Whether both hold the same ids: one pointer compare when they
+    /// share their allocation, as the columns of one preparation do.
+    pub(crate) fn same_as(&self, other: &Itemset) -> bool {
+        Arc::ptr_eq(&self.ids, &other.ids) || self.ids == other.ids
+    }
+
+    /// Bytes of the id column.
+    pub(crate) fn data_bytes(&self) -> usize {
+        std::mem::size_of_val(self.ids.as_slice())
+    }
+}
+
+/// Where a column's default run sits among its support entries.
+#[derive(Debug)]
+struct RunLayout {
+    /// `ids[..above]` score above the default.
+    above: usize,
+    /// `ids[above..below]` compare equal to it (ascending id, own bits);
+    /// `ids[below..]` score below it.
+    below: usize,
+    /// Ascending ids of the entries above and below the default, which
+    /// the run passes over.
+    skip: Vec<u32>,
+    /// The provider's default score.
+    default: f64,
+}
+
+/// One preference column as the segment builder leaves it, before its
+/// scores are stored: support entries in list order, and the run's
+/// layout (`None` when every entry is explicit).
+struct Column {
+    ids: Vec<u32>,
+    scores: Vec<f64>,
+    run: Option<RunLayout>,
+}
+
+impl Column {
+    /// The column as a list view over its itemset `items`.
+    fn view<'a>(&'a self, items: &'a [ItemId]) -> ListView<'a> {
+        let kind = ListKind::Preference { member: 0 };
+        list_view(kind, (&self.ids, &self.scores), self.run.as_ref(), items)
+    }
+
+    /// The column in its smaller stored form. A run costs its skipped
+    /// ids (4 B each) and saves one explicit entry per run item,
+    /// so a run shorter than its skip list is written out: the column
+    /// then holds every entry explicitly, as a column without a run
+    /// does. Either way a column never stores more than its explicit
+    /// form.
+    fn settled(self, items: &[ItemId]) -> Column {
+        match &self.run {
+            Some(run) if run.skip.len() > items.len() - self.ids.len() => {
+                let (ids, scores) = self.view(items).iter().unzip();
+                Column {
+                    ids,
+                    scores,
+                    run: None,
+                }
+            }
+            _ => self,
+        }
+    }
+}
+
+/// A preference view over support columns, a run layout and the
+/// itemset the run is enumerated from.
+fn list_view<'a>(
+    kind: ListKind,
+    columns: (&'a [u32], &'a [f64]),
+    run: Option<&'a RunLayout>,
+    items: &'a [ItemId],
+) -> ListView<'a> {
+    match run {
+        None => ListView::new(kind, columns.0, columns.1),
+        Some(run) => ListView::with_run(
+            kind,
+            columns,
+            (run.above, run.below),
+            DefaultRun {
+                items,
+                skip: &run.skip,
+                default: run.default,
+            },
+        ),
+    }
+}
+
+/// One user's stored preference column over an itemset: its support
+/// entries in list order, scores dense or coded, and its default run's
+/// layout.
 ///
 /// Segments are the unit of structural sharing for
 /// [`Substrate::rebuild_dirty`]: each lives behind its own `Arc`, so an
@@ -219,24 +353,31 @@ fn quantize(scores: Vec<f64>) -> ScoreStore {
 /// every clean segment (a pointer copy, not a column copy).
 #[derive(Debug)]
 struct PrefSegment {
-    /// Item ids, sorted by score descending (ties by item id).
+    /// Support item ids in list order.
     ids: Vec<u32>,
     /// Scores aligned with `ids` (dense or quantized).
     store: ScoreStore,
+    /// `None` when `ids` holds every entry.
+    run: Option<RunLayout>,
 }
 
 impl PrefSegment {
-    /// A resident segment over sorted `(ids, scores)` columns, its
-    /// scores stored by [`quantize`].
-    fn resident((ids, scores): (Vec<u32>, Vec<f64>)) -> Arc<Self> {
+    /// A resident segment, its scores stored by [`quantize`].
+    fn resident(column: Column) -> Arc<Self> {
         Arc::new(PrefSegment {
-            ids,
-            store: quantize(scores),
+            ids: column.ids,
+            store: quantize(column.scores),
+            run: column.run,
         })
     }
 
     fn data_bytes(&self) -> usize {
-        std::mem::size_of_val(self.ids.as_slice()) + self.store.data_bytes()
+        std::mem::size_of_val(self.ids.as_slice())
+            + self.store.data_bytes()
+            + self
+                .run
+                .as_ref()
+                .map_or(0, |run| std::mem::size_of_val(run.skip.as_slice()))
     }
 }
 
@@ -249,20 +390,32 @@ enum SegmentSlot {
     Lazy,
 }
 
-/// An owned reference to one user's preference columns — the one type
+/// An owned reference to one user's preference column — the one type
 /// of every preference column a prepared query reads.
 ///
-/// A handle aliases a resident dense segment, owns the dequantized
-/// column of a coded one, or owns a column derived for it: a lazy slot's
-/// or a cold itemset's (by the segment builder, bit-identical to sorting
-/// `greca_cf::preference_list`), a subset filter's, or a
+/// A column is its provider's *support* — the entries above and below
+/// the provider's default, sorted — plus an implicit *default run*: the
+/// handle's itemset minus the support positions, in ascending id, at the
+/// default. The run sits where the default falls in the sorted order;
+/// support entries that compare equal to the default keep their own
+/// bits at their id inside it. So a column over a 100,000-item default
+/// itemset costs its support, not its itemset: the itemset is shared
+/// behind an `Arc` by every column over it. A column whose run would be
+/// shorter than the list of ids it skips holds every entry explicitly
+/// instead (see `Column::settled`).
+///
+/// A handle aliases a resident segment (owning the dequantized support
+/// scores of a coded one), or owns a column derived for it: a lazy
+/// slot's or a cold itemset's (by the segment builder, bit-identical to
+/// sorting `greca_cf::preference_list`), a subset filter's, or a
 /// hand-built list's. It keeps whatever [`SegmentHandle::view`]'s slices
 /// borrow alive for its lifetime; clones share those buffers.
 #[derive(Debug, Clone)]
 pub struct SegmentHandle {
+    itemset: Itemset,
     seg: Arc<PrefSegment>,
-    /// `Some` iff the segment is quantized: the dense `f64` buffer the
-    /// views borrow from.
+    /// `Some` iff the segment is quantized: the dense `f64` support
+    /// scores the views borrow from.
     dequant: Option<Arc<Vec<f64>>>,
     /// Whether `seg` was derived for this handle rather than aliased
     /// from the substrate.
@@ -270,61 +423,68 @@ pub struct SegmentHandle {
 }
 
 impl SegmentHandle {
-    /// `u`'s column over `items`, derived by the segment builder — the
+    /// `u`'s column over `itemset`, derived by the segment builder — the
     /// one routine behind a lazy slot and a cold itemset. The builder
-    /// needs a strictly ascending itemset, so any other is sorted and
-    /// deduplicated first; each duplicated id is then repeated in place.
-    /// Copies of one id carry one score, so they sit next to each other
-    /// in the reference order too.
+    /// needs distinct ids, so an itemset with repeats is built over its
+    /// distinct ids and each repeated id is then written out in place,
+    /// every entry explicit. Copies of one id carry one score, so they
+    /// sit next to each other in the reference order too.
     pub(crate) fn derive(
         provider: &(dyn PreferenceProvider + Sync + '_),
         u: UserId,
-        items: &[ItemId],
+        itemset: &Itemset,
     ) -> Result<SegmentHandle, QueryError> {
         let mut scratch = SegmentScratch::default();
-        if strictly_ascending(items) {
-            let columns = build_one_segment(provider, u, items, &mut scratch)?;
-            return Ok(SegmentHandle::derived(columns));
+        let sorted = itemset.ids();
+        if itemset.distinct {
+            let column = build_one_segment(provider, u, sorted, &mut scratch)?;
+            return Ok(SegmentHandle::derived(itemset, column));
         }
-        let mut sorted = items.to_vec();
-        sorted.sort_unstable();
-        let mut distinct = sorted.clone();
+        let mut distinct = sorted.to_vec();
         distinct.dedup();
-        let (ids, scores) = build_one_segment(provider, u, &distinct, &mut scratch)?;
-        let mut columns = (
-            Vec::with_capacity(items.len()),
-            Vec::with_capacity(items.len()),
+        let column = build_one_segment(provider, u, &distinct, &mut scratch)?;
+        let (mut ids, mut scores) = (
+            Vec::with_capacity(sorted.len()),
+            Vec::with_capacity(sorted.len()),
         );
-        for (id, s) in ids.into_iter().zip(scores) {
+        for (id, s) in column.view(&distinct).iter() {
             let copies =
                 sorted.partition_point(|i| i.0 <= id) - sorted.partition_point(|i| i.0 < id);
-            columns.0.extend(std::iter::repeat_n(id, copies));
-            columns.1.extend(std::iter::repeat_n(s, copies));
+            ids.extend(std::iter::repeat_n(id, copies));
+            scores.extend(std::iter::repeat_n(s, copies));
         }
-        Ok(SegmentHandle::derived(columns))
+        Ok(SegmentHandle::listed(itemset, (ids, scores)))
     }
 
-    /// A handle owning score-descending (ties by id) columns that no
-    /// substrate stores. They are kept dense: coded, the handle would
-    /// hold the codes *and* their dequantized copy.
-    pub(crate) fn derived((ids, scores): (Vec<u32>, Vec<f64>)) -> SegmentHandle {
+    /// A handle owning score-descending (ties by id) columns over
+    /// `itemset`, every entry explicit, that no substrate stores.
+    pub(crate) fn listed(itemset: &Itemset, (ids, scores): (Vec<u32>, Vec<f64>)) -> SegmentHandle {
+        let column = Column {
+            ids,
+            scores,
+            run: None,
+        };
+        SegmentHandle::derived(itemset, column)
+    }
+
+    /// A handle owning a column that no substrate stores. Its scores are
+    /// kept dense: coded, the handle would hold the codes *and* their
+    /// dequantized copy.
+    fn derived(itemset: &Itemset, column: Column) -> SegmentHandle {
         SegmentHandle {
+            itemset: itemset.clone(),
             seg: Arc::new(PrefSegment {
-                ids,
-                store: ScoreStore::Dense(scores),
+                ids: column.ids,
+                store: ScoreStore::Dense(column.scores),
+                run: column.run,
             }),
             dequant: None,
             derived: true,
         }
     }
 
-    /// Item ids, score-descending (ties by id).
-    pub fn ids(&self) -> &[u32] {
-        &self.seg.ids
-    }
-
-    /// Scores aligned with [`SegmentHandle::ids`].
-    pub fn scores(&self) -> &[f64] {
+    /// Support scores aligned with the segment's ids.
+    fn scores(&self) -> &[f64] {
         match (&self.dequant, &self.seg.store) {
             (Some(d), _) => d,
             (None, ScoreStore::Dense(s)) => s,
@@ -334,15 +494,30 @@ impl SegmentHandle {
         }
     }
 
-    /// The columns as a preference [`ListView`] labeled as group member
-    /// `member`.
+    /// The column as a preference [`ListView`] labeled as group member
+    /// `member`: score-descending, ties by id, over the handle's whole
+    /// itemset.
     pub fn view(&self, member: u32) -> ListView<'_> {
-        ListView::new(ListKind::Preference { member }, self.ids(), self.scores())
+        list_view(
+            ListKind::Preference { member },
+            (&self.seg.ids, self.scores()),
+            self.seg.run.as_ref(),
+            self.itemset.ids(),
+        )
+    }
+
+    /// Whether both columns rank the same itemset — `O(1)` for the
+    /// columns of one preparation, which share it.
+    pub(crate) fn ranks_same_itemset(&self, other: &SegmentHandle) -> bool {
+        self.itemset.same_as(&other.itemset)
     }
 
     /// Bytes this handle holds beyond the substrate's stored segments:
-    /// the dequantized score column, or the whole derived column (0 for
-    /// a dense resident segment).
+    /// the dequantized support scores of a coded segment, or the whole
+    /// derived column — support ids, scores and the ids the run
+    /// skips (0 for a dense resident segment). The itemset is shared
+    /// and counted by its owner: the substrate's universe layout, or the
+    /// [`SharedMemberState`](crate::plan::SharedMemberState) arena.
     pub fn owned_bytes(&self) -> usize {
         let dequant = self
             .dequant
@@ -367,12 +542,13 @@ struct UniverseLayout {
     users: Vec<UserId>,
     /// `users` position by user id.
     user_pos: Vec<Option<u32>>,
-    /// The item universe (sorted, deduplicated).
-    items: Vec<ItemId>,
+    /// The item universe (sorted, deduplicated): every resident
+    /// column's itemset.
+    items: Itemset,
     /// Dense position in `items` by item id ([`NOT_AN_ITEM`] if absent),
     /// so per-query coverage masks are `O(m)`, not `O(max item id)`.
     item_dense: Vec<u32>,
-    /// Entries per preference segment (= `items.len()`).
+    /// Entries per preference column (= `items.len()`).
     m: usize,
 }
 
@@ -467,16 +643,17 @@ impl Substrate {
         let mut items: Vec<ItemId> = items.to_vec();
         items.sort_unstable();
         items.dedup();
-        let m = items.len();
+        let items = Itemset::new(items);
+        let m = items.ids().len();
 
         let max_user = users.last().map_or(0, |u| u.idx());
         let mut user_pos = vec![None; max_user + 1];
         for (pos, &u) in users.iter().enumerate() {
             user_pos[u.idx()] = Some(pos as u32);
         }
-        let max_item = items.last().map_or(0, |i| i.0 as usize);
+        let max_item = items.ids().last().map_or(0, |i| i.0 as usize);
         let mut item_dense = vec![NOT_AN_ITEM; max_item + 1];
-        for (dense, &i) in items.iter().enumerate() {
+        for (dense, &i) in items.ids().iter().enumerate() {
             item_dense[i.0 as usize] = dense as u32;
         }
 
@@ -494,7 +671,7 @@ impl Substrate {
             .collect();
         let built = build_segments_sharded(
             provider,
-            &items,
+            items.ids(),
             &eager_list,
             opts.workers_for(eager_list.len()),
         )?;
@@ -554,7 +731,7 @@ impl Substrate {
             if let Some(idx) = self.user_index(u) {
                 if matches!(self.segments[idx], SegmentSlot::Resident(_)) {
                     segments[idx] = SegmentSlot::Resident(PrefSegment::resident(
-                        build_one_segment(provider, u, &self.layout.items, &mut scratch)?,
+                        build_one_segment(provider, u, self.layout.items.ids(), &mut scratch)?,
                     ));
                 }
             }
@@ -585,7 +762,7 @@ impl Substrate {
 
     /// The item universe (sorted, deduplicated).
     pub fn items(&self) -> &[ItemId] {
-        &self.layout.items
+        self.layout.items.ids()
     }
 
     /// Number of items per preference segment.
@@ -617,10 +794,14 @@ impl Substrate {
     ///   list, user-position map, item list, dense item map). Fixed at
     ///   build time; shared across every epoch of a live engine.
     /// * `pref_bytes` — the **resident** preference segments in their
-    ///   stored representation: `u32` id + `f64` score columns for a
-    ///   dense segment (12 B/item), `u32` id + `u16` code columns plus
-    ///   the per-list score dictionary for a quantized one (6 B/item +
-    ///   table, always less than 12 B/item). Lazy slots contribute 0.
+    ///   stored representation, per support entry: a `u32` id plus an
+    ///   `f64` score (12 B) for a dense segment, or a `u32` id plus a
+    ///   `u16` code (6 B) and the per-list score dictionary for a
+    ///   quantized one; plus 4 B per id the default run skips (an entry
+    ///   above or below the default). The default run costs
+    ///   nothing. A segment that stores every entry explicitly has no
+    ///   skipped ids, so no segment exceeds its explicit form.
+    ///   Lazy slots contribute 0.
     ///
     /// Columns a [`SegmentHandle`] dequantizes or derives belong to the
     /// handle, not the substrate (see [`SegmentHandle::owned_bytes`]).
@@ -629,7 +810,7 @@ impl Substrate {
         let layout = &self.layout;
         let universe_bytes = layout.users.len() * size_of::<UserId>()
             + layout.user_pos.len() * size_of::<Option<u32>>()
-            + layout.items.len() * size_of::<ItemId>()
+            + layout.items.data_bytes()
             + layout.item_dense.len() * size_of::<u32>();
         MemoryFootprint {
             universe_bytes,
@@ -686,9 +867,9 @@ impl Substrate {
         }
     }
 
-    /// An owned handle to the user's preference columns: a resident
-    /// dense segment is handed out directly (zero copies), a resident
-    /// quantized segment is dequantized into the handle, and a lazy
+    /// An owned handle to the user's preference column over the
+    /// universe: a resident segment is handed out directly (its coded
+    /// support scores, if any, dequantized into the handle), and a lazy
     /// slot's column is derived from `provider` into the handle. Nothing
     /// is cached here; callers that read a user more than once reuse the
     /// handle (see [`SharedMemberState`](crate::plan::SharedMemberState)).
@@ -699,6 +880,7 @@ impl Substrate {
     ) -> Result<SegmentHandle, QueryError> {
         match &self.segments[user_idx] {
             SegmentSlot::Resident(seg) => Ok(SegmentHandle {
+                itemset: self.layout.items.clone(),
                 seg: Arc::clone(seg),
                 dequant: match &seg.store {
                     ScoreStore::Dense(_) => None,
@@ -714,28 +896,56 @@ impl Substrate {
         }
     }
 
-    /// The handle's columns filtered to a subset itemset (`mask` by
-    /// dense item position, `len` items), preserving the sorted order —
-    /// one linear pass, no sort, no provider calls. The result depends
-    /// only on the segment and the mask, so one filtered handle serves
-    /// every group the user is in.
+    /// The handle's column filtered to a subset `itemset` of the
+    /// universe (`mask` by dense item position), preserving the sorted
+    /// order: one pass over the support and its skipped ids — no sort,
+    /// no provider calls. A column without a run is filtered entry by entry. The
+    /// result depends only on the segment and the itemset, so one
+    /// filtered handle serves every group the user is in.
     pub(crate) fn filtered_handle(
         &self,
         handle: &SegmentHandle,
         mask: &[bool],
-        len: usize,
+        itemset: &Itemset,
     ) -> SegmentHandle {
-        let mut ids = Vec::with_capacity(len);
-        let mut scores = Vec::with_capacity(len);
-        for (&id, &score) in handle.ids().iter().zip(handle.scores()) {
-            // Segment ids always belong to the universe; the dense
-            // lookup cannot miss.
-            if mask[self.layout.item_dense[id as usize] as usize] {
-                ids.push(id);
-                scores.push(score);
+        // Column ids always belong to the universe; the dense lookup
+        // cannot miss.
+        let keep = |id: u32| mask[self.layout.item_dense[id as usize] as usize];
+        let (ids, scores) = (&handle.seg.ids, handle.scores());
+        let mut column = Column {
+            ids: Vec::with_capacity(ids.len().min(itemset.ids().len())),
+            scores: Vec::with_capacity(ids.len().min(itemset.ids().len())),
+            run: None,
+        };
+        let Some(run) = &handle.seg.run else {
+            for (&id, &s) in ids.iter().zip(scores) {
+                if keep(id) {
+                    column.ids.push(id);
+                    column.scores.push(s);
+                }
             }
-        }
-        SegmentHandle::derived((ids, scores))
+            return SegmentHandle::derived(itemset, column);
+        };
+        let mut filter = |range: std::ops::Range<usize>| {
+            for k in range {
+                if keep(ids[k]) {
+                    column.ids.push(ids[k]);
+                    column.scores.push(scores[k]);
+                }
+            }
+            column.ids.len()
+        };
+        let above = filter(0..run.above);
+        let below = filter(run.above..run.below);
+        filter(run.below..ids.len());
+        let skip = run.skip.iter().copied().filter(|&id| keep(id)).collect();
+        column.run = Some(RunLayout {
+            above,
+            below,
+            skip,
+            default: run.default,
+        });
+        SegmentHandle::derived(itemset, column.settled(itemset.ids()))
     }
 }
 
@@ -790,21 +1000,23 @@ fn strictly_ascending(items: &[ItemId]) -> bool {
 /// [`PreferenceProvider::support`] call: entries ordered by (score
 /// descending, item id ascending), bit-identical to sorting
 /// `greca_cf::preference_list(provider, u, items)` — ties, `±0.0` and
-/// negative scores included.
+/// negative scores included. Only the support is written; the default
+/// run stays implicit.
 ///
 /// 1. Validate the support entries and the default. Positions ascend,
 ///    so the first non-finite value found is the first bad item by id.
-/// 2. Sort the support by (score descending, position ascending).
-/// 3. Emit the support entries that compare above the default.
-/// 4. Merge the entries that compare equal to it (`partial_cmp`, so
-///    `±0.0` tie) with the implicit default run by position, which is
-///    id order; then emit the entries below it.
+/// 2. Sort the support by (score descending, position ascending): the
+///    entries above, equal to (`partial_cmp`, so `±0.0` tie) and below
+///    the default end up contiguous, the equal ones in id order.
+/// 3. The run skips the ids of the entries above and below; the
+///    equal ones stay in it, at their own bits, merged by id.
+/// 4. Settle the column in its smaller stored form.
 fn build_one_segment(
     provider: &(dyn PreferenceProvider + Sync + '_),
     u: UserId,
     items: &[ItemId],
     scratch: &mut SegmentScratch,
-) -> Result<(Vec<u32>, Vec<f64>), QueryError> {
+) -> Result<Column, QueryError> {
     debug_assert!(strictly_ascending(items));
     let m = items.len();
     let support = &mut scratch.support;
@@ -838,38 +1050,26 @@ fn build_one_segment(
             .expect("validated finite above")
             .then_with(|| a.0.cmp(&b.0))
     });
-    // The sort leaves the entries above, equal to and below the default
-    // contiguous, in that order.
     let above = support.partition_point(|&(_, s)| s > default);
     let below = support.partition_point(|&(_, s)| s >= default);
-
-    let mut ids: Vec<u32> = Vec::with_capacity(m);
-    let mut scores: Vec<f64> = Vec::with_capacity(m);
-    for &(d, s) in &support[..above] {
-        ids.push(items[d as usize].0);
-        scores.push(s);
-    }
-    // The default run fills the gaps between support positions; an
-    // entry equal to the default keeps its place (and its bits) there.
-    let mut equal = support[above..below].iter().peekable();
-    let mut next = 0;
-    for &p in &scratch.positions {
-        let p = p as usize;
-        ids.extend(items[next..p].iter().map(|i| i.0));
-        scores.resize(ids.len(), default);
-        if let Some(&(_, s)) = equal.next_if(|&&(d, _)| d as usize == p) {
-            ids.push(items[p].0);
-            scores.push(s);
-        }
-        next = p + 1;
-    }
-    ids.extend(items[next..].iter().map(|i| i.0));
-    scores.resize(ids.len(), default);
-    for &(d, s) in &support[below..] {
-        ids.push(items[d as usize].0);
-        scores.push(s);
-    }
-    Ok((ids, scores))
+    let mut equal = support[above..below].iter().map(|&(d, _)| d).peekable();
+    let skip = scratch
+        .positions
+        .iter()
+        .filter(|&&p| equal.next_if_eq(&p).is_none())
+        .map(|&p| items[p as usize].0)
+        .collect();
+    let column = Column {
+        ids: support.iter().map(|&(d, _)| items[d as usize].0).collect(),
+        scores: support.iter().map(|&(_, s)| s).collect(),
+        run: Some(RunLayout {
+            above,
+            below,
+            skip,
+            default,
+        }),
+    };
+    Ok(column.settled(items))
 }
 
 /// Build resident segments for `users` over `threads` contiguous user
@@ -956,6 +1156,16 @@ mod tests {
         scores.iter().map(|s| s.to_bits()).collect()
     }
 
+    /// A handle's ids in list order.
+    fn ids(h: &SegmentHandle) -> Vec<u32> {
+        h.view(0).iter().map(|(id, _)| id).collect()
+    }
+
+    /// A handle's scores in list order.
+    fn scores(h: &SegmentHandle) -> Vec<f64> {
+        h.view(0).iter().map(|(_, s)| s).collect()
+    }
+
     #[test]
     fn segments_are_sorted() {
         let (matrix, pop, _tl) = world();
@@ -966,17 +1176,14 @@ mod tests {
         assert_eq!(sub.num_items(), 4);
         for u in 0..3 {
             let h = sub.segment_handle(&raw, u).unwrap();
-            let v = h.view(u as u32);
-            assert_eq!(v.len(), 4);
-            for w in v.scores.windows(2) {
-                assert!(w[0] >= w[1]);
-            }
+            assert_eq!(h.view(u as u32).len(), 4);
+            assert!(scores(&h).windows(2).all(|w| w[0] >= w[1]));
         }
         // User 0: rated items 0 (5.0) and 2 (3.0); 1, 3 unrated → 0.0,
         // tie-broken by id.
         let h0 = sub.segment_handle(&raw, 0).unwrap();
-        assert_eq!(h0.ids(), &[0, 2, 1, 3]);
-        assert_eq!(h0.scores(), &[5.0, 3.0, 0.0, 0.0]);
+        assert_eq!(ids(&h0), &[0, 2, 1, 3]);
+        assert_eq!(scores(&h0), &[5.0, 3.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -1000,10 +1207,10 @@ mod tests {
                 seq.segment_handle(&raw, u).unwrap(),
                 par.segment_handle(&raw, u).unwrap(),
             );
-            assert_eq!(hs.ids(), hp.ids());
-            assert_eq!(bits(hs.scores()), bits(hp.scores()));
-            assert_eq!(hs.ids(), &legacy.0[..]);
-            assert_eq!(bits(hs.scores()), bits(&legacy.1));
+            assert_eq!(ids(&hs), ids(&hp));
+            assert_eq!(bits(&scores(&hs)), bits(&scores(&hp)));
+            assert_eq!(ids(&hs), &legacy.0[..]);
+            assert_eq!(bits(&scores(&hs)), bits(&legacy.1));
         }
     }
 
@@ -1031,10 +1238,10 @@ mod tests {
         for (idx, &u) in users.iter().enumerate() {
             let entries = items.iter().map(|&i| (i.0, provider.apref(u, i))).collect();
             let reference = SortedList::new(ListKind::Preference { member: 0 }, entries).unwrap();
-            let reference = reference.as_view();
+            let (want_ids, want_scores): (Vec<u32>, Vec<f64>) = reference.as_view().iter().unzip();
             let h = sub.segment_handle(provider, idx).unwrap();
-            assert_eq!(h.ids(), reference.ids, "user {u:?}");
-            assert_eq!(bits(h.scores()), bits(reference.scores), "user {u:?}");
+            assert_eq!(ids(&h), want_ids, "user {u:?}");
+            assert_eq!(bits(&scores(&h)), bits(&want_scores), "user {u:?}");
         }
         assert!(sub.pref_bytes() <= 12 * users.len() * items.len());
         sub
@@ -1055,9 +1262,11 @@ mod tests {
         let items: Vec<ItemId> = stars.items().collect();
         let sub = assert_segments_match_sorted_lists(&RawRatings(&stars), &items, &users);
         assert!(sub.pref_bytes() < 12 * users.len() * items.len());
-        // A handle over a coded column owns its dequantized copy.
+        // A handle over a coded column owns the dequantized copy of its
+        // support — user 0's 14 rated entries — not of its default run.
         let h = sub.segment_handle(&RawRatings(&stars), 0).unwrap();
-        assert_eq!(h.owned_bytes(), 8 * items.len());
+        assert_eq!(stars.user_ratings(UserId(0)).len(), 14);
+        assert_eq!(h.owned_bytes(), 8 * 14);
 
         // User-CF predictions over the same matrix.
         let cf = greca_cf::UserCfModel::fit(&stars, greca_cf::CfConfig::default());
@@ -1128,7 +1337,7 @@ mod tests {
         .unwrap();
         assert_eq!(sub.users(), &[UserId(0), UserId(3)]);
         let h = sub.segment_handle(&raw, 1).unwrap();
-        assert_eq!(h.view(0).ids, &[1, 2, 0, 3]);
+        assert_eq!(ids(&h), &[1, 2, 0, 3]);
     }
 
     #[test]
@@ -1164,10 +1373,12 @@ mod tests {
         mask[0] = true;
         mask[3] = true;
         let h = sub.segment_handle(&raw, 0).unwrap();
-        let f = sub.filtered_handle(&h, &mask, 2);
-        assert_eq!(f.ids(), &[0, 3]);
-        assert_eq!(f.scores(), &[5.0, 0.0]);
-        assert_eq!(f.owned_bytes(), 2 * 12);
+        let f = sub.filtered_handle(&h, &mask, &Itemset::new(vec![ItemId(0), ItemId(3)]));
+        assert_eq!(ids(&f), &[0, 3]);
+        assert_eq!(scores(&f), &[5.0, 0.0]);
+        // Item 0 is the support (a `u32` id, an `f64` score and its
+        // skipped id); item 3 is the default run.
+        assert_eq!(f.owned_bytes(), 4 + 8 + 4);
     }
 
     #[test]
@@ -1178,18 +1389,18 @@ mod tests {
         let sub = Substrate::build(&raw, &pop, &items).unwrap();
         let fp = sub.memory_footprint();
         assert_eq!(fp.pref_bytes, sub.pref_bytes());
-        // Users 0 and 2 hold three distinct scores in four entries, so
-        // they stay dense: 4 × (u32 id + f64 score) each. User 1 holds
-        // two and is coded: 4 ids + 4 `u16` codes + 2 `f64` values.
-        assert_eq!(fp.pref_bytes, 48 + (16 + 8 + 16) + 48);
+        // Each column stores its rated entries only — a `u32` id, an
+        // `f64` score (too few entries to code) and the `u32` id the
+        // default run skips — two for users 0 and 2, one for user 1.
+        assert_eq!(fp.pref_bytes, 2 * 16 + 16 + 2 * 16);
         // 3 user ids + 3 `Option<u32>` positions, 4 item ids + 4 dense
         // positions.
         assert_eq!(fp.universe_bytes, 3 * 4 + 3 * 8 + 4 * 4 + 4 * 4);
         assert_eq!(fp.total(), fp.universe_bytes + fp.pref_bytes);
-        // Reading a coded segment leaves the substrate's footprint alone:
-        // the dequantized column belongs to the handle.
+        // Reading a dense segment leaves the substrate's footprint alone
+        // and owns nothing: the handle aliases it.
         let h1 = sub.segment_handle(&raw, 1).unwrap();
-        assert_eq!(h1.owned_bytes(), 4 * 8);
+        assert_eq!(h1.owned_bytes(), 0);
         assert_eq!(sub.memory_footprint(), fp);
     }
 
@@ -1227,8 +1438,8 @@ mod tests {
                 a.segment_handle(&raw, u).unwrap(),
                 b.segment_handle(&raw, u).unwrap(),
             );
-            assert_eq!(ha.ids(), hb.ids());
-            assert_eq!(bits(ha.scores()), bits(hb.scores()));
+            assert_eq!(ids(&ha), ids(&hb));
+            assert_eq!(bits(&scores(&ha)), bits(&scores(&hb)));
         }
     }
 
@@ -1254,13 +1465,13 @@ mod tests {
         // Dirty user: fresh segment with the new ordering.
         assert!(!sub.shares_segment_with(&next, UserId(1)));
         let h1 = next.segment_handle(&next_raw, 1).unwrap();
-        assert_eq!(h1.ids(), &[3, 1, 0, 2]);
-        assert_eq!(h1.scores(), &[5.0, 4.0, 0.0, 0.0]);
+        assert_eq!(ids(&h1), &[3, 1, 0, 2]);
+        assert_eq!(scores(&h1), &[5.0, 4.0, 0.0, 0.0]);
         // Clean users: the same allocations, not copies.
         assert!(sub.shares_segment_with(&next, UserId(0)));
         assert!(sub.shares_segment_with(&next, UserId(2)));
         // The old epoch still serves its original view.
-        assert_eq!(sub.segment_handle(&raw, 1).unwrap().ids(), &[1, 0, 2, 3]);
+        assert_eq!(ids(&sub.segment_handle(&raw, 1).unwrap()), &[1, 0, 2, 3]);
         // The rebuilt substrate equals a cold build from the new matrix.
         let cold = Substrate::build(&next_raw, &pop, &items).unwrap();
         for u in 0..3 {
@@ -1268,8 +1479,8 @@ mod tests {
                 next.segment_handle(&next_raw, u).unwrap(),
                 cold.segment_handle(&next_raw, u).unwrap(),
             );
-            assert_eq!(hn.ids(), hc.ids());
-            assert_eq!(bits(hn.scores()), bits(hc.scores()));
+            assert_eq!(ids(&hn), ids(&hc));
+            assert_eq!(bits(&scores(&hn)), bits(&scores(&hc)));
         }
     }
 
@@ -1310,8 +1521,8 @@ mod tests {
                     rebuilt.segment_handle(after, idx).unwrap(),
                     built.segment_handle(after, idx).unwrap(),
                 );
-                assert_eq!(hr.ids(), hb.ids(), "{u:?}");
-                assert_eq!(bits(hr.scores()), bits(hb.scores()), "{u:?}");
+                assert_eq!(ids(&hr), ids(&hb), "{u:?}");
+                assert_eq!(bits(&scores(&hr)), bits(&scores(&hb)), "{u:?}");
             }
         }
     }
@@ -1330,14 +1541,17 @@ mod tests {
         // Every access derives a column bit-identical to the eager
         // build's, owned by the handle.
         for _ in 0..2 {
-            for u in 0..users.len() {
+            for (u, &user) in users.iter().enumerate() {
                 let (he, hl) = (
                     eager.segment_handle(&raw, u).unwrap(),
                     lazy.segment_handle(&raw, u).unwrap(),
                 );
-                assert_eq!(hl.ids(), he.ids());
-                assert_eq!(bits(hl.scores()), bits(he.scores()));
-                assert_eq!(hl.owned_bytes(), 12 * items.len());
+                assert_eq!(ids(&hl), ids(&he));
+                assert_eq!(bits(&scores(&hl)), bits(&scores(&he)));
+                // Per rated entry: a `u32` id, an `f64` score and the
+                // `u32` id the default run skips.
+                let rated = matrix.user_ratings(user).len();
+                assert_eq!(hl.owned_bytes(), 16 * rated);
             }
         }
         assert_eq!(lazy.memory_footprint().pref_bytes, 0, "no cache");
@@ -1351,10 +1565,10 @@ mod tests {
         let next_raw = RawRatings(&next_matrix);
         let next = lazy.rebuild_dirty(&next_raw, &[UserId(1)]).unwrap();
         assert_eq!(
-            next.segment_handle(&next_raw, 1).unwrap().ids(),
+            ids(&next.segment_handle(&next_raw, 1).unwrap()),
             &[3, 1, 0, 2]
         );
-        assert_eq!(lazy.segment_handle(&raw, 1).unwrap().ids(), &[1, 0, 2, 3]);
+        assert_eq!(ids(&lazy.segment_handle(&raw, 1).unwrap()), &[1, 0, 2, 3]);
     }
 
     #[test]

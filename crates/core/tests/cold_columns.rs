@@ -26,8 +26,8 @@ use greca_affinity::{AffinityMode, PopulationAffinity, TableAffinitySource};
 use greca_cf::{group_preference_lists, PreferenceProvider, RawRatings};
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    greca_topk_with, GrecaConfig, GrecaEngine, GrecaScratch, ListLayout, MaterializedInputs,
-    PreparedQuery, QueryError, TopKResult,
+    greca_topk_with, GrecaConfig, GrecaEngine, GrecaScratch, ListLayout, ListView,
+    MaterializedInputs, PreparedQuery, QueryError, TopKResult,
 };
 use greca_dataset::{Granularity, Group, ItemId, RatingMatrixBuilder, Timeline, UserId};
 use proptest::prelude::*;
@@ -175,11 +175,10 @@ fn assert_columns_match(
 ) -> TestCaseResult {
     let (got, want) = (prepared.inputs(), reference.views());
     prop_assert_eq!(got.pref_lists.len(), want.pref_lists.len(), "{}", ctx);
+    let entries = |l: &ListView<'_>| l.iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
     for (g, w) in got.pref_lists.iter().zip(&want.pref_lists) {
         prop_assert_eq!(g.kind, w.kind, "{}", ctx);
-        prop_assert_eq!(g.ids, w.ids, "{}: ids", ctx);
-        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(g.scores), bits(w.scores), "{}: score bits", ctx);
+        prop_assert_eq!(entries(g), entries(w), "{}: ids and score bits", ctx);
     }
     if let Some(result) = result {
         prop_assert_eq!(&prepared.run(), result, "{}: results", ctx);

@@ -26,9 +26,12 @@
 //! Coverage: random instances over AffinityMode × ConsensusFunction ×
 //! ListLayout with k ∈ {1, paper default, |items|}; the degenerate
 //! shapes (singleton member, empty itemset, all-tied scores) as
-//! deterministic cases; and large itemsets (m ≈ 600 and 1,500) on which
+//! deterministic cases; large itemsets (m ≈ 600 and 1,500) on which
 //! the cadence stretches past one sweep, which the small random
-//! instances never reach.
+//! instances never reach; and engine-prepared columns that carry a
+//! default run — the whole column, its tail, or mid-order — which the
+//! kernel reads through its run cursors and the oracle entry by entry,
+//! both checked against the same lists written out.
 
 use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity, TableAffinitySource};
 use greca_cf::PreferenceList;
@@ -42,7 +45,8 @@ use proptest::prelude::*;
 use reference::CheckInterval;
 
 /// The pre-refactor GRECA implementation, verbatim (modulo the
-/// `list_contains_pair` helper being inlined below it, imports going
+/// `list_contains_pair` helper being inlined below it as a scan of the
+/// list's entries, imports going
 /// through the public API, the cadence being a test-local parameter and
 /// the run reporting the largest cadence stretch it reached). Do not
 /// "improve" this code: its whole value is being the behavioral
@@ -239,7 +243,7 @@ mod reference {
     }
 
     fn list_contains_pair(list: ListView<'_>, pair: usize) -> bool {
-        list.contains_id(pair as u32)
+        list.iter().any(|(id, _)| id == pair as u32)
     }
 
     /// Run GRECA on the given cadence. Also returns the largest number
@@ -818,4 +822,279 @@ fn scratch_reuse_is_observable_and_harmless() {
     );
     let reused = greca_topk_with(&views, &w.affinity, consensus, true, config, &mut scratch);
     assert_eq!(fresh, reused);
+}
+
+/// Preference columns with a default run, as an engine prepares them:
+/// the kernel reads them through its run cursors, and the oracle reads
+/// them entry by entry; both must equal the oracle over the same lists
+/// written out by `MaterializedInputs::build` — items, `lb`/`ub` bits,
+/// SA, RA, sweeps and stop reason, under every stopping rule.
+mod default_runs {
+    use super::*;
+    use greca_cf::{group_preference_lists, PreferenceProvider, RawRatings};
+    use greca_core::{GrecaEngine, GrecaInputs, ListView, PreparedQuery, SharedMemberState};
+    use greca_dataset::RatingMatrixBuilder;
+
+    /// `table`'s scores, with a support that omits every position whose
+    /// score has the default's bits (the run then sits wherever the
+    /// default falls in the order).
+    struct Defaulted {
+        table: Vec<Vec<f64>>,
+        default: f64,
+    }
+
+    impl PreferenceProvider for Defaulted {
+        fn apref(&self, u: UserId, i: ItemId) -> f64 {
+            self.table[u.idx()][i.idx()]
+        }
+
+        fn support(&self, u: UserId, items: &[ItemId], out: &mut Vec<(u32, f64)>) -> f64 {
+            for (d, &i) in (0..).zip(items) {
+                let s = self.apref(u, i);
+                if s.to_bits() != self.default.to_bits() {
+                    out.push((d, s));
+                }
+            }
+            self.default
+        }
+    }
+
+    /// One instance: an `n`-member group over a `catalog`-item world.
+    #[derive(Debug, Clone)]
+    pub(super) struct RunInstance {
+        n: usize,
+        catalog: usize,
+        /// `[user][item]`: a star rating (> 0) or unrated (0).
+        stars: Vec<Vec<u8>>,
+        /// `[user][item]`: a score level; 0 to 9 take the default.
+        levels: Vec<Vec<u8>>,
+        /// Level of the [`Defaulted`] arm's default.
+        default_level: u8,
+        /// Static and per-period pair affinities.
+        static_raw: Vec<f64>,
+        periodic_raw: Vec<Vec<f64>>,
+        mode_sel: u8,
+        consensus_sel: u8,
+        layout_single: bool,
+    }
+
+    pub(super) fn run_instance_strategy() -> impl Strategy<Value = RunInstance> {
+        (2usize..=4, 6usize..=40).prop_flat_map(|(n, catalog)| {
+            let row = |hi: u8| proptest::collection::vec(0u8..hi, catalog);
+            (
+                Just(n),
+                Just(catalog),
+                proptest::collection::vec(row(11), n),
+                proptest::collection::vec(row(16), n),
+                0u8..6,
+                proptest::collection::vec(0.0f64..3.0, num_pairs(n)),
+                proptest::collection::vec(proptest::collection::vec(0.0f64..4.0, num_pairs(n)), 2),
+                0u8..4,
+                0u8..5,
+                any::<bool>(),
+            )
+                .prop_map(
+                    |(
+                        n,
+                        catalog,
+                        stars,
+                        levels,
+                        default_level,
+                        static_raw,
+                        periodic_raw,
+                        mode_sel,
+                        consensus_sel,
+                        layout_single,
+                    )| RunInstance {
+                        n,
+                        catalog,
+                        stars,
+                        levels,
+                        default_level,
+                        static_raw,
+                        periodic_raw,
+                        mode_sel,
+                        consensus_sel,
+                        layout_single,
+                    },
+                )
+        })
+    }
+
+    fn population(inst: &RunInstance) -> PopulationAffinity {
+        let users: Vec<UserId> = (0..inst.n as u32).map(UserId).collect();
+        let mut src = TableAffinitySource::new();
+        let tl = Timeline::discretize(0, 200, Granularity::Custom(100)).unwrap();
+        let mut pair = 0;
+        for i in 0..inst.n {
+            for j in (i + 1)..inst.n {
+                src.set_static(users[i], users[j], inst.static_raw[pair]);
+                for (p, raw) in inst.periodic_raw.iter().enumerate() {
+                    src.set_periodic(users[i], users[j], tl.periods()[p].start, raw[pair]);
+                }
+                pair += 1;
+            }
+        }
+        PopulationAffinity::build(&src, &users, &tl)
+    }
+
+    /// Kernel over `runs` and oracle over `runs` both equal the oracle
+    /// over `explicit`, at every stopping rule; lower and upper bounds
+    /// compare bit for bit.
+    fn assert_runs_identical(
+        runs: &GrecaInputs<'_>,
+        explicit: &GrecaInputs<'_>,
+        prepared: &PreparedQuery,
+        k: usize,
+        scratch: &mut GrecaScratch,
+    ) {
+        let (affinity, consensus) = (prepared.affinity(), prepared.consensus_function());
+        let normalize = prepared.normalize_rpref();
+        let bits = |r: &TopKResult| {
+            r.items
+                .iter()
+                .map(|t| (t.item, t.lb.to_bits(), t.ub.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for stopping in ALL_STOPPING {
+            let config = GrecaConfig::top(k).stopping(stopping);
+            let oracle = |inputs: &GrecaInputs<'_>| {
+                let adaptive = CheckInterval::Adaptive;
+                reference::greca_topk(inputs, affinity, consensus, normalize, config, adaptive).0
+            };
+            let want = oracle(explicit);
+            let got = greca_topk_with(runs, affinity, consensus, normalize, config, scratch);
+            let label = format!("{stopping:?} k={k} consensus={}", consensus.label());
+            assert_eq!(got, want, "kernel over default runs: {label}");
+            assert_eq!(bits(&got), bits(&want), "kernel bound bits: {label}");
+            let read = oracle(runs);
+            assert_eq!(read, want, "oracle over default runs: {label}");
+            assert_eq!(bits(&read), bits(&want), "oracle bound bits: {label}");
+        }
+    }
+
+    /// Prepare `items` (the candidate set when empty) for the whole
+    /// group on `engine`; check it against the explicit lists for every
+    /// `k`. Returns the itemset size and the bytes the preparation's
+    /// arena retained.
+    fn check(
+        engine: &GrecaEngine<'_>,
+        provider: &dyn PreferenceProvider,
+        inst: &RunInstance,
+        items: &[ItemId],
+        scratch: &mut GrecaScratch,
+    ) -> (usize, usize) {
+        let group = Group::new((0..inst.n as u32).map(UserId).collect()).unwrap();
+        let layout = if inst.layout_single {
+            ListLayout::Single
+        } else {
+            ListLayout::Decomposed
+        };
+        let arena = SharedMemberState::new();
+        let prepared = engine
+            .query(&group)
+            .items(items)
+            .affinity(mode_of(inst.mode_sel))
+            .layout(layout)
+            .consensus(consensus_of(inst.consensus_sel))
+            .prepare_shared(&arena)
+            .expect("finite scores");
+        let resolved = if items.is_empty() {
+            provider.candidate_items(&group).expect("a catalog")
+        } else {
+            items.to_vec()
+        };
+        let lists = group_preference_lists(provider, &group, &resolved).expect("finite");
+        let explicit =
+            MaterializedInputs::build(&lists, prepared.affinity(), layout).expect("finite");
+        let entries =
+            |l: &ListView<'_>| l.iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+        let (runs, lists) = (prepared.inputs(), explicit.views());
+        for (got, want) in runs.pref_lists.iter().zip(&lists.pref_lists) {
+            assert_eq!(entries(got), entries(want), "column entries and score bits");
+        }
+        let m = resolved.len();
+        for k in [1, 10.min(m.max(1)), m.max(1)] {
+            assert_runs_identical(&prepared.inputs(), &explicit.views(), &prepared, k, scratch);
+        }
+        (m, arena.memory_bytes())
+    }
+
+    pub(super) fn check_instance(inst: &RunInstance) {
+        let pop = population(inst);
+        let catalog: Vec<ItemId> = (0..inst.catalog as u32).map(ItemId).collect();
+        let mut scratch = GrecaScratch::new();
+
+        // Raw ratings over the group's candidate set: no member rated a
+        // candidate, so every column is one default run (the served
+        // default itemset's shape). Cold, and filtered from a warm
+        // engine's resident columns.
+        let stars = {
+            let mut b = RatingMatrixBuilder::new(inst.n, inst.catalog);
+            for (u, row) in inst.stars.iter().enumerate() {
+                for (i, &s) in row.iter().enumerate() {
+                    if (1..=5).contains(&s) {
+                        b.rate(UserId(u as u32), ItemId(i as u32), f32::from(s), 0);
+                    }
+                }
+            }
+            b.build()
+        };
+        let raw = RawRatings(&stars);
+        let group = Group::new((0..inst.n as u32).map(UserId).collect()).unwrap();
+        if !raw.candidate_items(&group).unwrap().is_empty() {
+            let cold = GrecaEngine::new(&raw, &pop);
+            let (m, bytes) = check(&cold, &raw, inst, &[], &mut scratch);
+            // The arena holds the itemset's ids and nothing per column.
+            assert_eq!(bytes, 4 * m, "every column is one default run");
+            let warm = GrecaEngine::warm(&raw, &pop, &catalog).expect("finite");
+            check(&warm, &raw, inst, &[], &mut scratch);
+        }
+        // The same ratings over the whole catalog: rated entries above
+        // the run, the run at the tail.
+        let warm = GrecaEngine::warm(&raw, &pop, &catalog).expect("finite");
+        check(&warm, &raw, inst, &catalog, &mut scratch);
+
+        // A default at a drawn level, mid-order: most levels take it,
+        // the rest score above or below it, `+0.0` and `-0.0` among them
+        // (equal to each other, distinct bits: at a `+0.0` default the
+        // `-0.0` entries sit inside the run).
+        let score = |level: u8| match level {
+            0..=9 => f64::from(inst.default_level) / 4.0,
+            10 => 0.0,
+            11 => -0.0,
+            l => f64::from(l - 10) / 2.0,
+        };
+        let defaulted = Defaulted {
+            table: inst
+                .levels
+                .iter()
+                .map(|row| row.iter().map(|&l| score(l)).collect())
+                .collect(),
+            default: score(0),
+        };
+        let cold = GrecaEngine::new(&defaulted, &pop);
+        let (m, bytes) = check(&cold, &defaulted, inst, &catalog, &mut scratch);
+        assert!(
+            bytes <= 4 * m + 12 * m * inst.n,
+            "a column never stores more than its explicit entries: {bytes} bytes"
+        );
+        let warm = GrecaEngine::warm(&defaulted, &pop, &catalog).expect("finite");
+        check(&warm, &defaulted, inst, &catalog, &mut scratch);
+        let odd: Vec<ItemId> = catalog.iter().copied().filter(|i| i.0 % 2 == 1).collect();
+        check(&warm, &defaulted, inst, &odd, &mut scratch);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Columns carrying a default run — the whole column (raw ratings
+    /// over a candidate set), a tail (raw ratings over the catalog) or
+    /// mid-order (a drawn default) — run bit-identically to the same
+    /// lists written out.
+    #[test]
+    fn default_run_columns_are_bit_identical(inst in default_runs::run_instance_strategy()) {
+        default_runs::check_instance(&inst);
+    }
 }

@@ -6,7 +6,7 @@
 //! full populations are exercised by the `world_scale` bench.
 
 use greca_cf::preference_list;
-use greca_core::{BuildOptions, Substrate};
+use greca_core::{BuildOptions, SegmentHandle, Substrate};
 use greca_dataset::UserId;
 use greca_worldgen::{GenWorld, Tier, WorldSpec, ALL_TIERS};
 
@@ -25,6 +25,11 @@ fn scaled(tier: Tier) -> WorldSpec {
     }
 }
 
+/// A column's entries in list order: ids and score bits.
+fn entries(h: &SegmentHandle) -> Vec<(u32, u64)> {
+    h.view(0).iter().map(|(i, s)| (i, s.to_bits())).collect()
+}
+
 /// Validity of one substrate over a generated world: finite scores,
 /// lists sorted by the strict (score desc, id asc) order, full item
 /// coverage per segment.
@@ -33,10 +38,9 @@ fn assert_valid_substrate(world: &GenWorld, substrate: &Substrate) {
     let m = substrate.num_items();
     for idx in 0..substrate.users().len() {
         let h = substrate.segment_handle(&provider, idx).unwrap();
-        let (ids, scores) = (h.ids(), h.scores());
+        let (ids, scores): (Vec<u32>, Vec<f64>) = h.view(0).iter().unzip();
         assert_eq!(ids.len(), m);
-        assert_eq!(scores.len(), m);
-        for s in scores {
+        for s in &scores {
             assert!(s.is_finite() && *s >= 0.0, "finite non-negative scores");
         }
         for i in 1..m {
@@ -52,7 +56,7 @@ fn assert_valid_substrate(world: &GenWorld, substrate: &Substrate) {
                 scores[i]
             );
         }
-        let mut sorted = ids.to_vec();
+        let mut sorted = ids;
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), m, "every universe item appears once");
@@ -140,11 +144,7 @@ fn identical_seeds_are_byte_reproducible_per_tier() {
                 sa.segment_handle(&a.provider(), idx).unwrap(),
                 sb.segment_handle(&b.provider(), idx).unwrap(),
             );
-            assert_eq!(ha.ids(), hb.ids());
-            let bits = |h: &greca_core::SegmentHandle| {
-                h.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(bits(&ha), bits(&hb));
+            assert_eq!(entries(&ha), entries(&hb));
         }
         // Streams and workloads reproduce as well.
         assert_eq!(a.rating_stream(40, 3), b.rating_stream(40, 3));
@@ -182,12 +182,12 @@ fn quantized_substrate_is_bit_identical_at_study_shape() {
             .unwrap()
             .into_sorted_columns();
         let hq = quant.segment_handle(&provider, idx).unwrap();
-        assert_eq!(hq.ids(), &ids[..]);
-        let (db, qb): (Vec<u64>, Vec<u64>) = (
-            scores.iter().map(|s| s.to_bits()).collect(),
-            hq.scores().iter().map(|s| s.to_bits()).collect(),
-        );
-        assert_eq!(db, qb);
+        let want: Vec<(u32, u64)> = ids
+            .iter()
+            .zip(&scores)
+            .map(|(&i, s)| (i, s.to_bits()))
+            .collect();
+        assert_eq!(entries(&hq), want);
     }
     // Dense storage is a `u32` id plus an `f64` score per entry.
     let dense_bytes = all.len() * items.len() * 12;
