@@ -8,9 +8,9 @@
 //!   whole population index (§1's maintenance claim).
 //!
 //! The stopping-check cadence is not ablated: the kernel runs one
-//! cadence, every sweep below 256 live items and up to every 32nd sweep
-//! above (`greca_core::greca` module docs). `greca_kernel` reports its
-//! latency and SA% per stopping rule.
+//! cadence, a check whenever the reads since the previous one reach the
+//! live items it visits (`greca_core::greca` module docs).
+//! `greca_kernel` reports its latency, SA% and checks per stopping rule.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use greca_affinity::{PopulationAffinity, SocialAffinitySource};

@@ -153,6 +153,8 @@ fn finish(scored: Vec<(ItemId, f64)>, stats: AccessStats, reason: StopReason) ->
             .collect(),
         stats,
         sweeps: 0,
+        checks: 0,
+        check_items: 0,
         stop_reason: reason,
     }
 }

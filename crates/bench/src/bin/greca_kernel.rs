@@ -14,6 +14,11 @@
 //! * **truth identity** — every rule's returned itemset carries exact
 //!   scores matching the `StoppingRule::Exhaustive` oracle's top-k.
 //!
+//! Every timed run is also held to the stopping cadence's guarantee
+//! (`greca-core`'s `greca` module docs): its checks visit no more live
+//! items than it read entries (`check_items ≤ sa`). Each row records
+//! the mean checks and check items per query beside its SA.
+//!
 //! A `default_run` section times the served default itemset's shape:
 //! each group over the catalog minus its members' rated items, scored
 //! by raw ratings, so every preference column is one default run and
@@ -21,9 +26,10 @@
 //! gates and records the recycled workspace's bytes, which follow the
 //! items read, not the itemset.
 //!
-//! Emits `BENCH_greca_kernel.json` with an `identical` flag CI asserts,
-//! plus a generous latency sanity budget in `--quick` mode (catching
-//! kernel regressions without a flaky perf gate).
+//! Emits `BENCH_greca_kernel.json` with the `identical` and
+//! `checks_within_reads` flags CI asserts, plus a generous latency
+//! sanity budget in `--quick` mode (catching kernel regressions without
+//! a flaky perf gate).
 //!
 //! Run with: `cargo run -p greca-bench --release --bin greca_kernel`
 //! (pass `--quick` for the small study world).
@@ -120,18 +126,22 @@ fn main() {
 
     // Latency rows: each rule over all groups × rounds, one recycled
     // scratch (the serving shape).
+    let mut checks_within_reads = true;
     let mut served_ms = f64::NAN;
     for (stopping, label) in RULES {
         let ruled: Vec<PreparedQuery> = prepared
             .iter()
             .map(|p| p.clone().stopping(stopping))
             .collect();
-        let mut sa_sum = 0.0;
+        let (mut sa_sum, mut checks, mut check_items) = (0.0, 0, 0);
         let start = Instant::now();
         for _ in 0..rounds {
             for p in &ruled {
                 let r = p.run_with_scratch(&mut scratch);
                 sa_sum += r.stats.sa_percent();
+                checks += r.checks;
+                check_items += r.check_items;
+                checks_within_reads &= r.check_items <= r.stats.sa;
             }
         }
         let runs = (rounds * prepared.len()) as f64;
@@ -144,7 +154,9 @@ fn main() {
         report.row("rows", |r| {
             r.record("stopping", label)
                 .record("mean_latency_ms", mean_latency_ms)
-                .record("sa_percent_mean", sa_sum / runs);
+                .record("sa_percent_mean", sa_sum / runs)
+                .record("checks_mean", checks as f64 / runs)
+                .record("check_items_mean", check_items as f64 / runs);
         });
     }
 
@@ -173,11 +185,15 @@ fn main() {
         identical &= p.run_with_scratch(&mut GrecaScratch::new()) == reused;
         identical &= matches_truth(p, &reused, settings.k);
     }
-    let mut sa_sum = 0.0;
+    let (mut sa_sum, mut checks, mut check_items) = (0.0, 0, 0);
     let start = Instant::now();
     for _ in 0..rounds {
         for p in &defaulted {
-            sa_sum += p.run_with_scratch(&mut run_scratch).stats.sa_percent();
+            let r = p.run_with_scratch(&mut run_scratch);
+            sa_sum += r.stats.sa_percent();
+            checks += r.checks;
+            check_items += r.check_items;
+            checks_within_reads &= r.check_items <= r.stats.sa;
         }
     }
     let runs = (rounds * defaulted.len()) as f64;
@@ -196,13 +212,21 @@ fn main() {
                 start.elapsed().as_secs_f64() * 1e3 / runs,
             )
             .record("sa_percent_mean", sa_sum / runs)
+            .record("checks_mean", checks as f64 / runs)
+            .record("check_items_mean", check_items as f64 / runs)
             .record("workspace_bytes", run_scratch.memory_bytes());
     });
-    report.record("identical", identical);
+    report
+        .record("identical", identical)
+        .record("checks_within_reads", checks_within_reads);
 
     assert!(
         identical,
         "kernel outputs must be bit-identical across scratch reuse and match the exhaustive truth"
+    );
+    assert!(
+        checks_within_reads,
+        "a run's stopping checks visited more live items than it read entries"
     );
     if quick {
         assert!(

@@ -21,7 +21,7 @@
 //! | `fig8`        | Figure 8      | %SA per consensus function                   |
 //! | `time_models` | §4.2.4        | continuous vs discrete %SA                   |
 //! | `engine_baseline` | `BENCH_engine.json` | GRECA/TA/naive latency + prepare split |
-//! | `greca_kernel` | `BENCH_greca_kernel.json` | kernel latency per stopping × cadence |
+//! | `greca_kernel` | `BENCH_greca_kernel.json` | kernel latency and checks per stopping rule |
 //! | `ingest_throughput` | `BENCH_ingest.json` | live-epoch publish vs full rebuild  |
 //! | `run_all`     | everything    | runs the full suite in sequence              |
 //!

@@ -19,19 +19,52 @@
 //! ## The stopping cadence
 //!
 //! Algorithm 1 tests its stopping conditions after every round-robin
-//! sweep. Each test refreshes the bound of every buffered item, so on a
-//! large buffer the test costs more than the sweep it follows. The
-//! kernel therefore checks once every `(live / 128).clamp(1, 32)` sweeps,
-//! where `live` is the number of buffered, unpruned items: every sweep,
-//! as in Algorithm 1, while fewer than 256 items are live, and at most
-//! every 32 sweeps on a large buffer. This is the one place the
-//! implementation departs from the paper's control flow. A condition is
-//! noticed at most 31 sweeps late, and late is still correct: bounds
-//! only tighten as lists are read, so an item that could be pruned at
-//! the missed check can still be pruned at the next one, and the
-//! returned itemset is still an exact top-k. The price is at most 31
-//! extra sweeps of sequential accesses; the access counts (SA%) of a
-//! query whose buffer stays below 256 items are Algorithm 1's exactly.
+//! sweep. A test — a *check* — makes up to three passes over the live
+//! (buffered, unpruned) items: the bound refresh, the k-th-lower-bound
+//! heap and the prune pass. On a large buffer one check costs more than
+//! the sweep it follows, so the kernel pays for each check out of
+//! reads: after a sweep, a check is due once the entries read since the
+//! previous check, over every list, reach the number of live items the
+//! check would visit. While the buffer holds no more items than one
+//! sweep reads, that is every sweep, as in Algorithm 1. This is the one
+//! place the implementation departs from the paper's control flow. The
+//! rule counts work, never time, so a run's accesses, sweeps and checks
+//! are a function of its inputs alone; [`TopKResult::checks`] and
+//! [`TopKResult::check_items`] report what the checks did. It gives two
+//! guarantees.
+//!
+//! **Check work never exceeds read work.** A check that visits `L` live
+//! items runs only once at least `L` entries were read since the
+//! previous check, and those reads pay for no other check. Summed over
+//! the run, `check_items ≤ stats.sa`: even a run that reads every list
+//! to the end spends no more passes' worth of items on its checks than
+//! the exhaustive scan reads, whatever its buffer.
+//!
+//! **SA stays close to Algorithm 1.** Reads only tighten bounds: every
+//! lower bound rises, every upper bound and the threshold fall. Whether
+//! a check at sweep `t` can stop therefore depends on the reads through
+//! `t` alone, not on which earlier sweeps were checked, and once it can
+//! stop it can at every later sweep (ties within the `1e-12` pruning
+//! tolerance aside). Let Algorithm 1's per-sweep check stop the `Greca`
+//! rule after sweep `T` and `SA₁` reads. The kernel checks on a subset
+//! of those sweeps, so it stops no earlier, and it stops at its first
+//! check at or after `T`. Unless that is `T` itself, the sweep before it
+//! was not due: the reads since the previous check (made before `T`,
+//! after fewer than `SA₁` reads) were fewer than the live items, which
+//! are at most `I`, the distinct items read by then. So
+//!
+//! ```text
+//! SA < SA₁ + I + w ≤ 2·SA₁ + N + w
+//! ```
+//!
+//! where `w` is the entries one sweep reads and `N` the items first
+//! read after sweep `T` (`I` counts each item once: those Algorithm 1
+//! read, at most `SA₁`, and those `N`). The kernel stops at most one
+//! buffer's worth of reads late, and late is still correct: an item
+//! that could be pruned at a skipped check can still be pruned at the
+//! next one, so the returned itemset is still an exact top-k. The
+//! `ThresholdOnly` rule, which never prunes, also stops no earlier, but
+//! a late check can find a buffer that has meanwhile outgrown `k`.
 //!
 //! ## The allocation-free kernel
 //!
@@ -78,8 +111,9 @@ use greca_dataset::ItemId;
 use std::cell::Cell;
 
 /// Early-termination policy. `Greca` and `ThresholdOnly` test their
-/// condition between sweeps, on the cadence the module docs describe
-/// ("The stopping cadence"); `Exhaustive` never tests.
+/// condition between sweeps, whenever the reads since the previous test
+/// pay for the live items it visits (module docs, "The stopping
+/// cadence"); `Exhaustive` never tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StoppingRule {
     /// Full GRECA: buffer condition with inter-item pruning, plus the
@@ -107,7 +141,8 @@ pub enum StopReason {
 }
 
 /// GRECA run configuration. The stopping-check cadence is not
-/// configurable: see the module docs ("The stopping cadence").
+/// configurable: it is set by the run's own reads (module docs, "The
+/// stopping cadence").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrecaConfig {
     /// Result size `k`.
@@ -167,6 +202,11 @@ pub struct TopKResult {
     pub stats: AccessStats,
     /// Number of full round-robin sweeps performed.
     pub sweeps: u64,
+    /// Stopping checks made (module docs, "The stopping cadence").
+    pub checks: u64,
+    /// Live items those checks visited, summed: never more than
+    /// `stats.sa`.
+    pub check_items: u64,
     /// What terminated the run.
     pub stop_reason: StopReason,
 }
@@ -461,6 +501,12 @@ struct Kernel<'a, 'b, 's> {
     pair_affs_ready: bool,
     /// Monotone counter stamping the current check's top-k slots.
     check_stamp: u32,
+    /// `stats.sa` when the previous check ran.
+    sa_at_check: u64,
+    /// Stopping checks made so far.
+    checks: u64,
+    /// Live items those checks visited, summed.
+    check_items: u64,
 }
 
 impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
@@ -523,7 +569,24 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
             affinity_dirty: false,
             pair_affs_ready: false,
             check_stamp: 0,
+            sa_at_check: 0,
+            checks: 0,
+            check_items: 0,
         }
+    }
+
+    /// The stopping cadence (module docs): a check is due once the
+    /// entries read since the previous one reach the live items it
+    /// visits. A due check is counted as made.
+    fn check_due(&mut self) -> bool {
+        let live = self.live_count as u64;
+        if self.stats.sa - self.sa_at_check < live {
+            return false;
+        }
+        self.sa_at_check = self.stats.sa;
+        self.checks += 1;
+        self.check_items += live;
+        true
     }
 
     /// One round-robin sweep: read one entry from every non-exhausted
@@ -921,6 +984,8 @@ impl<'a, 'b, 's> Kernel<'a, 'b, 's> {
                 .collect(),
             stats: self.stats,
             sweeps,
+            checks: self.checks,
+            check_items: self.check_items,
             stop_reason,
         }
     }
@@ -990,7 +1055,6 @@ pub fn greca_topk_with(
     let mut kernel = Kernel::new(inputs, scorer, scratch);
     let k = config.k.min(inputs.num_items.max(1));
     let mut sweeps: u64 = 0;
-    let mut since_check: u64 = 0;
     let mut stop_reason = StopReason::Exhausted;
 
     loop {
@@ -999,14 +1063,9 @@ pub fn greca_topk_with(
             break;
         }
         sweeps += 1;
-        since_check += 1;
-        // The stopping cadence (module docs): every sweep below 256 live
-        // items, stretching to every 32nd sweep on a large buffer.
-        let check_now = since_check >= (kernel.live_count as u64 / 128).clamp(1, 32);
-        if !check_now || matches!(config.stopping, StoppingRule::Exhaustive) {
+        if matches!(config.stopping, StoppingRule::Exhaustive) || !kernel.check_due() {
             continue;
         }
-        since_check = 0;
         kernel.refresh_bounds();
         if kernel.live_count < k {
             continue;

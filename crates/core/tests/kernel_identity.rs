@@ -10,16 +10,18 @@
 //!
 //! * [`reference`] — the pre-refactor `greca_topk` implementation,
 //!   kept here **verbatim** (HashMap item buffer, full bound recompute
-//!   per check, full LB sort). It keeps the stopping-check cadences the
-//!   crate once offered as a test-local [`reference::CheckInterval`]:
-//!   the kernel runs one cadence, which the reference runs as
-//!   `Adaptive`. Every kernel output is compared against that run with
-//!   full `TopKResult` equality, which is as mutation-resistant as it
-//!   gets: any behavioral drift in the kernel shows up as a concrete
-//!   field diff.
+//!   per check, full LB sort). It keeps two stopping-check cadences as
+//!   a test-local [`reference::CheckInterval`]: the kernel runs one
+//!   cadence, which the reference runs as `Amortized`. Every kernel
+//!   output is compared against that run with full `TopKResult`
+//!   equality (check counters included), which is as mutation-resistant
+//!   as it gets: any behavioral drift in the kernel shows up as a
+//!   concrete field diff. Every run's checks visit at most as many live
+//!   items as it read entries.
 //! * The reference's `EverySweep` cadence — Algorithm 1's per-sweep
-//!   check: the kernel may notice a stopping condition later, but never
-//!   earlier and never more than 31 sweeps later.
+//!   check: the `Greca` rule may notice a stopping condition later, but
+//!   never earlier, and within the bound `greca.rs`' module docs prove
+//!   (`SA₁ + I + w`: one buffer's worth of reads late).
 //! * `StoppingRule::Exhaustive` — the in-tree truth: the returned
 //!   itemset's exact scores must match the exhaustive run's top-k.
 //!
@@ -28,7 +30,7 @@
 //! shapes (singleton member, empty itemset, all-tied scores) as
 //! deterministic cases; large itemsets (m ≈ 600 and 1,500) on which
 //! the cadence stretches past one sweep, which the small random
-//! instances never reach; and engine-prepared columns that carry a
+//! instances seldom reach; and engine-prepared columns that carry a
 //! default run — the whole column, its tail, or mid-order — which the
 //! kernel reads through its run cursors and the oracle entry by entry,
 //! both checked against the same lists written out.
@@ -37,8 +39,8 @@ use greca_affinity::{AffinityMode, GroupAffinity, PopulationAffinity, TableAffin
 use greca_cf::PreferenceList;
 use greca_consensus::ConsensusFunction;
 use greca_core::{
-    greca_topk_with, GrecaConfig, GrecaScratch, ListLayout, MaterializedInputs, StoppingRule,
-    TopKResult,
+    greca_topk_with, GrecaConfig, GrecaInputs, GrecaScratch, ListLayout, MaterializedInputs,
+    StoppingRule, TopKResult,
 };
 use greca_dataset::{Granularity, Group, ItemId, Timeline, UserId};
 use proptest::prelude::*;
@@ -47,8 +49,9 @@ use reference::CheckInterval;
 /// The pre-refactor GRECA implementation, verbatim (modulo the
 /// `list_contains_pair` helper being inlined below it as a scan of the
 /// list's entries, imports going
-/// through the public API, the cadence being a test-local parameter and
-/// the run reporting the largest cadence stretch it reached). Do not
+/// through the public API, the cadence being a test-local parameter, the
+/// run counting its checks and the live items they visit, and the run
+/// reporting the largest cadence stretch it reached). Do not
 /// "improve" this code: its whole value is being the behavioral
 /// snapshot the kernel is measured against.
 mod reference {
@@ -65,9 +68,9 @@ mod reference {
     pub enum CheckInterval {
         /// After every full round-robin sweep (Algorithm 1 verbatim).
         EverySweep,
-        /// Every `(buffered items / 128).clamp(1, 32)` sweeps: the
-        /// kernel's one cadence.
-        Adaptive,
+        /// Once the entries read since the previous check reach the
+        /// buffered items the check visits: the kernel's one cadence.
+        Amortized,
     }
 
     #[derive(Debug, Clone)]
@@ -269,6 +272,9 @@ mod reference {
         let mut sweeps: u64 = 0;
         let mut since_check: u64 = 0;
         let mut max_stretch: u64 = 1;
+        let mut sa_at_check: u64 = 0;
+        let mut checks: u64 = 0;
+        let mut check_items: u64 = 0;
         let mut stop_reason = StopReason::Exhausted;
 
         loop {
@@ -280,9 +286,8 @@ mod reference {
             since_check += 1;
             let check_now = match check_interval {
                 CheckInterval::EverySweep => true,
-                CheckInterval::Adaptive => {
-                    let target = (state.items.len() as u64 / 128).clamp(1, 32);
-                    since_check >= target
+                CheckInterval::Amortized => {
+                    state.stats.sa - sa_at_check >= state.items.len() as u64
                 }
             };
             if !check_now || matches!(config.stopping, StoppingRule::Exhaustive) {
@@ -290,6 +295,9 @@ mod reference {
             }
             max_stretch = max_stretch.max(since_check);
             since_check = 0;
+            sa_at_check = state.stats.sa;
+            checks += 1;
+            check_items += state.items.len() as u64;
             state.refresh_bounds();
             if state.items.len() < k {
                 continue;
@@ -369,6 +377,8 @@ mod reference {
                 .collect(),
             stats: state.stats,
             sweeps,
+            checks,
+            check_items,
             stop_reason,
         };
         (result, max_stretch)
@@ -474,8 +484,10 @@ const ALL_STOPPING: [StoppingRule; 3] = [
 /// Assert full-result identity between the kernel (with the given
 /// shared, recycled scratch) and the reference on the kernel's cadence,
 /// for every StoppingRule at the given `k`; also sanity-check the
-/// returned itemset against the Exhaustive truth. Returns the kernel's
-/// `Greca`-rule result and the largest cadence stretch that run reached.
+/// returned itemset against the Exhaustive truth, the check work
+/// against the reads, and the `Greca` rule's accesses against
+/// Algorithm 1's per-sweep check. Returns the kernel's `Greca`-rule
+/// result and the largest cadence stretch that run reached.
 fn assert_identical(
     w: &World,
     consensus: ConsensusFunction,
@@ -492,14 +504,18 @@ fn assert_identical(
     let mut greca_run = None;
     for stopping in ALL_STOPPING {
         let config = GrecaConfig::top(k).stopping(stopping);
-        let (want, stretch) = reference(stopping, CheckInterval::Adaptive);
+        let (want, stretch) = reference(stopping, CheckInterval::Amortized);
         let got = greca_topk_with(&views, &w.affinity, consensus, normalize, config, scratch);
-        assert_eq!(
-            got,
-            want,
-            "kernel drifted from reference at {stopping:?} k={k} \
-             consensus={} normalize={normalize}",
+        let label = format!(
+            "{stopping:?} k={k} consensus={} normalize={normalize}",
             consensus.label()
+        );
+        assert_eq!(got, want, "kernel drifted from reference at {label}");
+        assert!(
+            got.check_items <= got.stats.sa,
+            "{label}: checks visited {} live items on {} reads",
+            got.check_items,
+            got.stats.sa
         );
         // Early stopping returns the same itemset the exhaustive
         // truth does (score ties may reorder; the exact LB multiset
@@ -520,10 +536,41 @@ fn assert_identical(
             }
         }
         if stopping == StoppingRule::Greca {
+            let (per_sweep, _) = reference(stopping, CheckInterval::EverySweep);
+            assert_sa_bound(&views, &got, &per_sweep, &label);
             greca_run = Some((got, stretch));
         }
     }
     greca_run.expect("the Greca rule ran")
+}
+
+/// The module docs' bound on the `Greca` rule against Algorithm 1's
+/// per-sweep check: no earlier, and `SA ≤ SA₁ + I + w`, where `I` is the
+/// distinct items read before the kernel's last sweep and `w` the
+/// entries one sweep reads (at most one per list).
+fn assert_sa_bound(views: &GrecaInputs<'_>, got: &TopKResult, per_sweep: &TopKResult, label: &str) {
+    assert!(
+        per_sweep.sweeps <= got.sweeps,
+        "{label}: the kernel stopped after {} sweeps, the per-sweep check after {}",
+        got.sweeps,
+        per_sweep.sweeps
+    );
+    let before_last = got.sweeps.saturating_sub(1) as usize;
+    let mut read: Vec<u32> = views
+        .pref_lists
+        .iter()
+        .flat_map(|list| (0..before_last.min(list.len())).map(|pos| list.entry(pos).0))
+        .collect();
+    read.sort_unstable();
+    read.dedup();
+    let one_sweep = views.all_lists().count() as u64;
+    assert!(
+        got.stats.sa <= per_sweep.stats.sa + read.len() as u64 + one_sweep,
+        "{label}: {} reads against the per-sweep check's {}, with {} items read",
+        got.stats.sa,
+        per_sweep.stats.sa,
+        read.len()
+    );
 }
 
 #[derive(Debug, Clone)]
@@ -715,15 +762,11 @@ impl Stream {
     }
 }
 
-/// Itemsets large enough that the cadence stretches past one sweep
-/// (about 4 sweeps at m = 600, about 11 at m = 1,500), which the random
-/// instances (m ≤ 16) never reach. Each case must actually stretch, and
-/// the `Greca` rule must stop no earlier and at most 31 sweeps later
-/// than Algorithm 1's per-sweep check. On these instances, at k = 10
-/// the buffer has shrunk below 256 live items by the time GRECA stops,
-/// so it stops on the per-sweep check's sweep; at k = m / 2 it has not,
-/// so most cases stop a few sweeps late and the cadence itself shows in
-/// the result.
+/// Itemsets large enough that the cadence stretches past one sweep,
+/// which the random instances (m ≤ 16) seldom reach. Each case must
+/// actually stretch, and the `Greca` rule must stop no earlier than
+/// Algorithm 1's per-sweep check and within the module docs' bound,
+/// `SA ≤ SA₁ + I + w` (checked by [`assert_identical`]).
 #[test]
 fn large_itemsets_stretch_the_cadence_and_stay_bit_identical() {
     // (n, m, mode_sel, consensus_sel)
@@ -757,24 +800,10 @@ fn large_itemsets_stretch_the_cadence_and_stay_bit_identical() {
                 "n={n} m={m} mode={mode_sel} consensus={} k={k}",
                 consensus.label()
             );
-            let (got, stretch) = assert_identical(&w, consensus, true, k, &mut scratch);
+            let (_, stretch) = assert_identical(&w, consensus, true, k, &mut scratch);
             assert!(
                 stretch > 1,
                 "{label}: the Greca rule never stretched the cadence past one sweep"
-            );
-            let (per_sweep, _) = reference::greca_topk(
-                &w.inputs.views(),
-                &w.affinity,
-                consensus,
-                true,
-                GrecaConfig::top(k),
-                CheckInterval::EverySweep,
-            );
-            assert!(
-                per_sweep.sweeps <= got.sweeps && got.sweeps <= per_sweep.sweeps + 31,
-                "{label}: the kernel stopped after {} sweeps, the per-sweep check after {}",
-                got.sweeps,
-                per_sweep.sweeps
             );
         }
     }
@@ -959,8 +988,8 @@ mod default_runs {
         for stopping in ALL_STOPPING {
             let config = GrecaConfig::top(k).stopping(stopping);
             let oracle = |inputs: &GrecaInputs<'_>| {
-                let adaptive = CheckInterval::Adaptive;
-                reference::greca_topk(inputs, affinity, consensus, normalize, config, adaptive).0
+                let amortized = CheckInterval::Amortized;
+                reference::greca_topk(inputs, affinity, consensus, normalize, config, amortized).0
             };
             let want = oracle(explicit);
             let got = greca_topk_with(runs, affinity, consensus, normalize, config, scratch);

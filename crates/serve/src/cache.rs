@@ -536,6 +536,8 @@ mod tests {
                 total_entries: 0,
             },
             sweeps: 0,
+            checks: 0,
+            check_items: 0,
             stop_reason: StopReason::Exhausted,
         }
     }

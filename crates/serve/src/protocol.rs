@@ -793,6 +793,8 @@ mod tests {
                 total_entries: 0,
             },
             sweeps: 0,
+            checks: 0,
+            check_items: 0,
             stop_reason: StopReason::Exhausted,
         };
         let healthy = parse(&query_response(&result, 3, "miss", None, &None, None)).unwrap();
@@ -865,6 +867,8 @@ mod tests {
                 total_entries: 3,
             },
             sweeps: 4,
+            checks: 5,
+            check_items: 1,
             stop_reason: StopReason::Exhausted,
         };
         let frame = push_frame(9, &result, 12, &Some(Json::str("tag")), Some(41));
@@ -874,6 +878,8 @@ mod tests {
         assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(12));
         assert_eq!(v.get("id").and_then(Json::as_str), Some("tag"));
         assert!(v.get("ok").is_none(), "push frames are not responses");
+        // The kernel's check counters stay off the wire.
+        assert!(v.get("checks").is_none() && v.get("check_items").is_none());
         let sub = subscribe_response(9, &result, 12, "miss", &None, None);
         let v = parse(&sub).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
@@ -920,6 +926,8 @@ mod tests {
                 total_entries: 0,
             },
             sweeps: 0,
+            checks: 0,
+            check_items: 0,
             stop_reason: StopReason::Exhausted,
         };
         let line = query_response(&result, 1, "miss", None, &None, Some(12345));
