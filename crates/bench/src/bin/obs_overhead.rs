@@ -5,12 +5,14 @@
 //! sampling switch), so its cost has to be provably negligible and its
 //! presence provably inert. Three phases against one real server:
 //!
-//! 1. **Overhead** — a warm hot-group pool is queried in alternating
-//!    blocks with the recorder disabled (`obs::set_enabled(false)`)
-//!    and enabled, interleaved round-robin so machine drift hits both
-//!    modes equally. The headline is warm-query (cache-hit) p50 per
-//!    mode: the hit path is the cheapest request the server serves, so
-//!    it bounds tracing overhead from above — every span open, phase
+//! 1. **Overhead** — a warm hot-group pool is queried in request
+//!    pairs: each group once with the recorder disabled
+//!    (`obs::set_enabled(false)`) and once enabled, back to back, the
+//!    order alternating pair by pair, so machine drift and cache state
+//!    hit both modes equally. The headline is warm-query (cache-hit)
+//!    p50 per mode over 1,200 samples each (`--quick`; 3,200 in full):
+//!    the hit path is the cheapest request the server serves, so it
+//!    bounds tracing overhead from above — every span open, phase
 //!    stamp, and ring write lands on a request that does almost
 //!    nothing else.
 //! 2. **Identity** — fresh cold groups are queried over the wire with
@@ -46,33 +48,49 @@ fn member_ids(group: &Group) -> Vec<u32> {
     group.members().iter().map(|u| u.0).collect()
 }
 
-/// One measurement block: every hot group queried `rounds` times, all
-/// answers expected warm (cache hits at the pinned epoch). Returns the
-/// per-request latencies and how many were actually hits.
-fn warm_block(
+/// One warm query (expected a cache hit at the pinned epoch): its
+/// latency and whether it was a hit.
+fn warm_query(client: &mut Client, group: &[u32], k: usize) -> (Duration, bool) {
+    let t0 = Instant::now();
+    let response = client.query(group, None, Some(k)).expect("warm query");
+    let latency = t0.elapsed();
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "warm query must succeed: {response:?}"
+    );
+    (
+        latency,
+        response.get("cache").and_then(Json::as_str) == Some("hit"),
+    )
+}
+
+/// Every hot group queried `rounds` times in off/on pairs (the order
+/// alternating pair by pair). Returns the recorder-off and recorder-on
+/// latencies and how many of all the answers were hits.
+fn paired_samples(
     client: &mut Client,
     hot: &[Vec<u32>],
     k: usize,
     rounds: usize,
-) -> (Vec<Duration>, usize) {
-    let mut latencies = Vec::with_capacity(hot.len() * rounds);
+) -> (Vec<Duration>, Vec<Duration>, usize) {
+    let mut off = Vec::with_capacity(hot.len() * rounds);
+    let mut on = Vec::with_capacity(hot.len() * rounds);
     let mut hits = 0usize;
-    for _ in 0..rounds {
-        for group in hot {
-            let t0 = Instant::now();
-            let response = client.query(group, None, Some(k)).expect("warm query");
-            latencies.push(t0.elapsed());
-            assert_eq!(
-                response.get("ok").and_then(Json::as_bool),
-                Some(true),
-                "warm query must succeed: {response:?}"
-            );
-            if response.get("cache").and_then(Json::as_str) == Some("hit") {
-                hits += 1;
+    for round in 0..rounds {
+        for (g, group) in hot.iter().enumerate() {
+            let on_first = (round + g) % 2 == 1;
+            for enabled in [on_first, !on_first] {
+                obs::set_enabled(enabled);
+                let (latency, hit) = warm_query(client, group, k);
+                hits += usize::from(hit);
+                let samples = if enabled { &mut on } else { &mut off };
+                samples.push(latency);
             }
         }
     }
-    (latencies, hits)
+    obs::set_enabled(true);
+    (off, on, hits)
 }
 
 /// Compare one served payload against a direct engine run, bit for bit.
@@ -114,10 +132,8 @@ fn main() {
     } else {
         PerfSettings::default()
     };
-    // Alternating off/on blocks per round; total warm samples per mode
-    // is hot_pool × rounds_per_block × alternations.
-    let (hot_pool, rounds_per_block, alternations, cold_n) =
-        if quick { (6, 8, 4, 6) } else { (8, 24, 8, 16) };
+    // Warm samples per mode: hot_pool × rounds.
+    let (hot_pool, rounds, cold_n) = if quick { (6, 200, 6) } else { (8, 400, 16) };
     let (world, world_label) = if quick {
         (PerfWorld::build_small(), "study_scale")
     } else {
@@ -156,26 +172,13 @@ fn main() {
 
         // ── Phase 1: warm-query overhead, recorder off vs on ────────
         // Warm the pool with tracing on (its production state), then
-        // alternate measured blocks so drift cancels across modes.
+        // measure in off/on pairs so drift cancels across modes.
         obs::set_enabled(true);
-        let (_, _) = warm_block(&mut client, &hot, k, 1);
-        let mut off = Vec::new();
-        let mut on = Vec::new();
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for _ in 0..alternations {
-            obs::set_enabled(false);
-            let (lat, h) = warm_block(&mut client, &hot, k, rounds_per_block);
-            hits += h;
-            total += lat.len();
-            off.extend(lat);
-            obs::set_enabled(true);
-            let (lat, h) = warm_block(&mut client, &hot, k, rounds_per_block);
-            hits += h;
-            total += lat.len();
-            on.extend(lat);
+        for group in &hot {
+            warm_query(&mut client, group, k);
         }
-        let warm_hit_rate = hits as f64 / total as f64;
+        let (off, on, hits) = paired_samples(&mut client, &hot, k, rounds);
+        let warm_hit_rate = hits as f64 / (off.len() + on.len()) as f64;
 
         // ── Phase 2: traced kernel runs vs untraced direct runs ─────
         // Cold groups miss the cache: each served answer is a fresh

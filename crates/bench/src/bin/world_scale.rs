@@ -21,7 +21,15 @@
 //!   stream to be ingested *and published* by a [`LiveEngine`] (the
 //!   epoch-swap pipeline end to end;
 //! * **footprint** — the substrate's [`Substrate::memory_footprint`]
-//!   total after the identity sweep and the warm queries have read it.
+//!   total after the identity sweep and the warm queries have read it;
+//! * **default-itemset miss p50** — µs per query without an itemset
+//!   (`engine.query(g).top(10).run()`, a fresh member arena each) on the
+//!   live engine's pinned epoch after the ingest: the group's candidate
+//!   set is the catalog minus the members' rated items, so this is what
+//!   a served cache miss costs. At the study tier the substrate's
+//!   universe is the catalog and the columns come from its segments; at
+//!   the larger tiers (catalogs of 120,000 items or more over 3,900
+//!   serving items) each column is derived from the provider.
 //!
 //! Modes: `--quick` runs study + 10k (the CI smoke; < 60 s), the
 //! default adds 100k, `--full` adds the 1M tier (whose non-cohort users
@@ -31,6 +39,8 @@
 //!
 //! * the substrate's columns are **bit-identical** to the baseline's at
 //!   every tier (quantization is exact or leaves the column dense);
+//! * every default-itemset run is **bit-identical** to the same query
+//!   over `greca_cf::candidate_items` (`default_identical`);
 //! * substrate storage is **≥ 40 % smaller** per user than dense at
 //!   every tier;
 //! * the sharded (shipping-configuration) build is **≥ 2× faster** than
@@ -40,8 +50,8 @@
 //! Run with: `cargo run -p greca-bench --release --bin world_scale`
 
 use greca_bench::harness::{banner, percentile, sorted_ms, Report, Section, Stamp};
-use greca_cf::preference_list;
-use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, Substrate};
+use greca_cf::{candidate_items, preference_list};
+use greca_core::{BuildOptions, GrecaEngine, LiveEngine, LiveModel, Substrate, TopKResult};
 use greca_worldgen::{GenWorld, Tier, DEFAULT_SEED};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,6 +64,23 @@ const QUERY_GROUPS: usize = 20;
 /// tiers where a full sweep would dominate the run (study sweeps
 /// everything).
 const IDENTITY_SAMPLE: usize = 64;
+
+/// Timed passes over the groups for the default-itemset miss.
+const DEFAULT_PASSES: usize = 5;
+
+/// Bit identity of two results: items with their bound bits, access
+/// stats, sweeps and checks.
+fn identical(a: &TopKResult, b: &TopKResult) -> bool {
+    let bounds = |r: &TopKResult| -> Vec<(u32, u64, u64)> {
+        r.items
+            .iter()
+            .map(|t| (t.item.0, t.lb.to_bits(), t.ub.to_bits()))
+            .collect()
+    };
+    bounds(a) == bounds(b)
+        && (a.stats, a.sweeps, a.checks, a.check_items)
+            == (b.stats, b.sweeps, b.checks, b.check_items)
+}
 
 fn elapsed_ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
@@ -174,6 +201,26 @@ fn measure(tier: Tier, row: &mut Section) -> usize {
         .record("footprint_total_bytes", quant.memory_footprint().total());
     assert_eq!(live.epoch(), epoch_before + 1, "publish must swap an epoch");
 
+    // ── Default-itemset miss on the live engine's pinned epoch ──────
+    let pin = live.pin();
+    let engine = pin.engine();
+    let mut latencies = Vec::with_capacity(groups.len() * DEFAULT_PASSES);
+    let mut default_identical = true;
+    for _pass in 0..DEFAULT_PASSES {
+        for g in &groups {
+            let t = Instant::now();
+            let top = engine.query(g).top(10).run();
+            latencies.push(t.elapsed());
+            let candidates = candidate_items(pin.matrix(), g);
+            let explicit = engine.query(g).items(&candidates).top(10).run();
+            default_identical &= matches!((&top, &explicit), (Ok(a), Ok(b)) if identical(a, b));
+        }
+    }
+    let lat_ms = sorted_ms(latencies);
+    row.record("default_miss_p50_us", percentile(&lat_ms, 0.5) * 1e3)
+        .record("default_queries", lat_ms.len())
+        .record("default_identical", default_identical);
+
     // The gates (see the module docs).
     assert!(
         quant_saving_pct >= 40.0,
@@ -182,6 +229,10 @@ fn measure(tier: Tier, row: &mut Section) -> usize {
     assert!(
         quant_identical,
         "tier {tier}: stored columns must be bit-identical to the baseline's"
+    );
+    assert!(
+        default_identical,
+        "tier {tier}: default-itemset runs must be bit-identical to the explicit candidate set's"
     );
     if tier == Tier::Users100k {
         assert!(

@@ -37,8 +37,8 @@ pub mod user_cf;
 
 pub use delta::{DeltaBatch, DirtySet, InvalidationScope, RatingStore};
 pub use preference::{
-    candidate_items, group_preference_lists, preference_list, NonFiniteScore, PreferenceList,
-    PreferenceProvider, RawRatings,
+    candidate_items, group_preference_lists, preference_list, rated_items, NonFiniteScore,
+    PreferenceList, PreferenceProvider, RawRatings,
 };
 pub use similarity::{user_similarity, Similarity};
 pub use user_cf::{CfConfig, UserCfModel};

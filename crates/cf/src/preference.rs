@@ -71,13 +71,23 @@ pub trait PreferenceProvider {
         0.0
     }
 
-    /// The candidate itemset for `group` when the caller does not supply
-    /// one: every catalog item **no group member has already rated**
-    /// (§2.4 poses the problem over such a set). `None` when the provider
-    /// cannot enumerate an item catalog (e.g. a hand-built score table).
-    fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
-        let _ = group;
+    /// The size `n` of the provider's item catalog, whose ids are
+    /// `0..n`. A group's candidate itemset, when the caller does not
+    /// supply one, is every catalog item **no group member has already
+    /// rated** (§2.4 poses the problem over such a set): the catalog
+    /// minus [`rated_items`](PreferenceProvider::rated_items). `None`
+    /// when the provider cannot enumerate a catalog (e.g. a hand-built
+    /// score table).
+    fn catalog_size(&self) -> Option<usize> {
         None
+    }
+
+    /// The catalog items any member of `group` has rated, ascending and
+    /// distinct: what the group's candidate itemset leaves out of the
+    /// catalog. Empty for a provider without a catalog.
+    fn rated_items(&self, group: &Group) -> Vec<ItemId> {
+        let _ = group;
+        Vec::new()
     }
 }
 
@@ -99,8 +109,12 @@ impl PreferenceProvider for UserCfModel<'_> {
         self.scatter_support(u, items, out)
     }
 
-    fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
-        Some(candidate_items(self.matrix(), group))
+    fn catalog_size(&self) -> Option<usize> {
+        Some(self.matrix().num_items())
+    }
+
+    fn rated_items(&self, group: &Group) -> Vec<ItemId> {
+        rated_items(self.matrix(), group)
     }
 }
 
@@ -114,8 +128,12 @@ impl PreferenceProvider for RawRatings<'_> {
         self.0.get(u, i).map(|v| v as f64).unwrap_or(0.0)
     }
 
-    fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
-        Some(candidate_items(self.0, group))
+    fn catalog_size(&self) -> Option<usize> {
+        Some(self.0.num_items())
+    }
+
+    fn rated_items(&self, group: &Group) -> Vec<ItemId> {
+        rated_items(self.0, group)
     }
 
     /// The rated positions, from one pass over `u`'s rating row
@@ -186,19 +204,35 @@ impl PreferenceList {
     }
 }
 
+/// The items any member of `group` has rated, ascending and distinct:
+/// the union of the members' rating rows, `O(r log r)` in the `r`
+/// ratings they hold, nothing per catalog item.
+pub fn rated_items(matrix: &RatingMatrix, group: &Group) -> Vec<ItemId> {
+    let mut rated: Vec<ItemId> = group
+        .members()
+        .iter()
+        .flat_map(|&u| matrix.user_ratings(u).iter().map(|&(i, _)| i))
+        .collect();
+    rated.sort_unstable();
+    rated.dedup();
+    rated
+}
+
 /// The candidate item set for a group: all items **no group member has
 /// already rated** (the problem definition excludes items already known
 /// to members: "i is not individually recommended to u", §2.4), in
-/// ascending id. One pass marks the members' rating rows, one filters
-/// the catalog.
+/// ascending id. The ranges of ids between consecutive
+/// [`rated_items`] are copied out of the catalog `0..num_items`.
 pub fn candidate_items(matrix: &RatingMatrix, group: &Group) -> Vec<ItemId> {
-    let mut rated = vec![false; matrix.num_items()];
-    for &u in group.members() {
-        for &(i, _) in matrix.user_ratings(u) {
-            rated[i.idx()] = true;
-        }
+    let rated = rated_items(matrix, group);
+    let end = matrix.num_items() as u32;
+    let mut candidates = Vec::with_capacity(matrix.num_items() - rated.len());
+    let mut next = 0;
+    for ItemId(r) in rated.into_iter().chain([ItemId(end)]) {
+        candidates.extend((next..r).map(ItemId));
+        next = r + 1;
     }
-    matrix.items().filter(|i| !rated[i.idx()]).collect()
+    candidates
 }
 
 /// The sorted preference list `PL_u` over any itemset, rejecting
@@ -308,10 +342,11 @@ mod tests {
         let m = b.build();
         let g = Group::new(vec![UserId(0), UserId(1)]).unwrap();
         let raw = RawRatings(&m);
+        assert_eq!(raw.catalog_size(), Some(3));
         assert_eq!(
-            raw.candidate_items(&g),
-            Some(vec![ItemId(1), ItemId(2)]),
-            "raw ratings exclude member-rated items"
+            raw.rated_items(&g),
+            vec![ItemId(0)],
+            "the members' rated items, which the candidates leave out"
         );
         // A provider with no catalog (the trait default) opts out.
         struct Table;
@@ -320,7 +355,8 @@ mod tests {
                 1.0
             }
         }
-        assert_eq!(Table.candidate_items(&g), None);
+        assert_eq!(Table.catalog_size(), None);
+        assert!(Table.rated_items(&g).is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `candidate_items` equals its definition: every catalog item no group
 //! member has rated, in ascending id.
 //!
-//! The implementation marks the members' rating rows and filters the
-//! catalog once; the definition probes every item against every member.
+//! The implementation copies the ranges of ids between the members'
+//! sorted rated items; the definition probes every item against every
+//! member.
 //! Coverage: seeded random matrices (empty rows, fully rated rows,
 //! members who rate nothing) and groups of one member up to every user.
 

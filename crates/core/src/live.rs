@@ -26,9 +26,13 @@
 //!   a swap, while queries still pinned to it keep its arena.
 //!
 //! The item universe and the population-affinity index stay fixed for
-//! the engine's lifetime — ratings stream, the catalog and the social
+//! the engine's lifetime — ratings stream, the universe and the social
 //! index version at engine granularity (the paper's affinity index is
-//! itself append-only; see `PopulationAffinity::append_period`).
+//! itself append-only; see `PopulationAffinity::append_period`). The
+//! item catalog that default-itemset queries subtract the members'
+//! rated items from is built once at construction and shared by every
+//! epoch; a publish whose ratings name new item ids extends it by those
+//! ids.
 //!
 //! ```
 //! use greca_core::live::{LiveEngine, LiveModel};
@@ -69,12 +73,12 @@
 //! ```
 
 use crate::plan::SharedMemberState;
-use crate::query::{lock_unpoisoned, GrecaEngine, QueryError};
+use crate::query::{lock_unpoisoned, Catalog, GrecaEngine, QueryError};
 use crate::substrate::{BuildOptions, Substrate};
 use crate::wal::{RecoverySummary, Wal, WalOptions, WalRecord};
 use greca_affinity::PopulationAffinity;
 use greca_cf::{
-    candidate_items, CfConfig, DirtySet, InvalidationScope, NonFiniteScore, PreferenceProvider,
+    rated_items, CfConfig, DirtySet, InvalidationScope, NonFiniteScore, PreferenceProvider,
     RatingStore, RawRatings, UserCfModel,
 };
 use greca_dataset::{Group, ItemId, Rating, RatingMatrix, UserId};
@@ -132,7 +136,7 @@ impl LiveModel {
 /// Resident segments never call it; it serves lazy slots and cold
 /// columns (a group member without a segment, an itemset the substrate
 /// does not cover): raw ratings through their sparse rating row, user
-/// CF by fitting a per-user neighbourhood on demand. `candidate_items`
+/// CF by fitting a per-user neighbourhood on demand. `rated_items`
 /// reads the matrix directly. Batch work (substrate construction and
 /// rebuilds) uses a properly batch-fitted model instead.
 #[derive(Debug, Clone)]
@@ -161,26 +165,39 @@ impl PreferenceProvider for EpochProvider {
         }
     }
 
-    fn candidate_items(&self, group: &Group) -> Option<Vec<ItemId>> {
-        Some(candidate_items(&self.matrix, group))
+    fn catalog_size(&self) -> Option<usize> {
+        Some(self.matrix.num_items())
+    }
+
+    fn rated_items(&self, group: &Group) -> Vec<ItemId> {
+        rated_items(&self.matrix, group)
     }
 }
 
 /// One published epoch: the rating matrix after every batch up to (and
-/// including) this epoch, the substrate rebuilt from it, and the
-/// epoch-scoped member arena, which a swap retires with it.
+/// including) this epoch, the substrate rebuilt from it, the matrix's
+/// item catalog, and the epoch-scoped member arena, which a swap retires
+/// with it.
 #[derive(Debug)]
 struct EpochState {
     epoch: u64,
     matrix: Arc<RatingMatrix>,
     substrate: Arc<Substrate>,
+    /// Shared with the previous epoch unless the matrix's catalog grew.
+    catalog: Arc<Catalog>,
     members: SharedMemberState,
 }
 
 impl EpochState {
-    fn new(epoch: u64, matrix: Arc<RatingMatrix>, substrate: Substrate) -> Arc<EpochState> {
+    fn new(
+        epoch: u64,
+        matrix: Arc<RatingMatrix>,
+        substrate: Substrate,
+        catalog: Arc<Catalog>,
+    ) -> Arc<EpochState> {
         Arc::new(EpochState {
             epoch,
+            catalog: catalog.resized(matrix.num_items()),
             matrix,
             substrate: Arc::new(substrate),
             members: SharedMemberState::new(),
@@ -537,7 +554,7 @@ impl<'a> LiveEngine<'a> {
             population,
             model,
             store: Mutex::new(RatingStore::new()),
-            current: Mutex::new(EpochState::new(0, matrix, substrate)),
+            current: Mutex::new(EpochState::new(0, matrix, substrate, Catalog::new(0))),
             wal: None,
             seen_keys: Mutex::new(SeenKeys::default()),
             wal_stalled: AtomicBool::new(false),
@@ -1045,7 +1062,7 @@ impl<'a> LiveEngine<'a> {
             0
         };
         let swap_start = Instant::now();
-        let state = EpochState::new(epoch, post, substrate);
+        let state = EpochState::new(epoch, post, substrate, Arc::clone(&prev.catalog));
         *lock_unpoisoned(&self.current) = state;
         let swap_ns = elapsed_ns(swap_start);
         crate::obs::add_phase(crate::obs::Phase::Swap, swap_start.elapsed());
@@ -1174,6 +1191,7 @@ impl PinnedEpoch<'_> {
             self.population,
             Arc::clone(&self.state.substrate),
         )
+        .with_catalog(Arc::clone(&self.state.catalog))
     }
 
     /// The epoch's member arena, shared by every pin of this epoch and

@@ -156,8 +156,9 @@ impl Arena {
 /// so a wave of queries hitting the same broken member pays one
 /// provider round-trip, not one per query.
 ///
-/// It also holds each itemset scope's ids, which every column over that
-/// itemset shares: a resolved candidate set is moved in, not copied.
+/// It also holds each given itemset's ids, which every column over that
+/// itemset shares. A default itemset's columns share the engine's
+/// catalog instead, so the arena holds nothing catalog-sized for them.
 ///
 /// The arena flushes wholesale once it holds 8,192 entries or 64 MiB of
 /// columns and itemsets ([`SharedMemberState::memory_bytes`]).

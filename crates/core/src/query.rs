@@ -32,6 +32,17 @@
 //! the itemset all members share, so a cold column over a 100,000-item
 //! default itemset costs its support, not its itemset.
 //!
+//! ## The default itemset
+//!
+//! A query without an itemset runs over the provider's catalog minus
+//! the items any member rated (§2.4), and never builds that set: the
+//! engine keeps the catalog's ids and fingerprint (built once per
+//! catalog size), and each member's column is their column over the
+//! catalog — the resident segment when the substrate's universe is the
+//! catalog, derived once otherwise — with the rated ids left out of its
+//! support and skipped by its run. A miss costs what the group rated
+//! plus what the kernel reads, however large the catalog.
+//!
 //! A prepared query runs GRECA under any [`StoppingRule`] and exposes
 //! its inputs, so the §3.1/§4.2 comparison set (`greca_bench::baselines`)
 //! reads exactly the lists GRECA reads — what makes `%SA` comparisons
@@ -54,7 +65,7 @@ use greca_cf::{PreferenceList, PreferenceProvider};
 use greca_consensus::{ConsensusFunction, DisagreementKind, GroupPreferenceKind, GroupScorer};
 use greca_dataset::{Group, ItemId, UserId};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The paper's default result size (§4.2: "k = 10").
 pub const PAPER_DEFAULT_K: usize = 10;
@@ -201,20 +212,99 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Order-independent 128-bit fingerprint of an itemset: a wrapping sum
-/// and an id-salted xor of each id's SplitMix64 hash. Permutations of
-/// the same multiset produce the same fingerprint without sorting — the
-/// "canonical without a per-query sort" half of [`QueryKey`]'s
-/// contract. The empty itemset (resolved from the provider at prepare
-/// time) fingerprints to zero.
-fn itemset_fingerprint(items: &[ItemId]) -> u128 {
-    let (mut sum, mut xor) = (0u64, 0u64);
-    for &i in items {
+/// An itemset's running fingerprint: a wrapping sum and an id-salted
+/// xor of each id's SplitMix64 hash. Both halves are order-independent
+/// and each id's term can be taken out again (subtracted from the sum,
+/// xored out of the xor), so a set's fingerprint also follows from a
+/// superset's by removing the ids it lacks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Fingerprint {
+    sum: u64,
+    xor: u64,
+}
+
+impl Fingerprint {
+    /// Id `i`'s terms.
+    fn terms(i: ItemId) -> (u64, u64) {
         let h = splitmix64(u64::from(i.0).wrapping_add(1));
-        sum = sum.wrapping_add(h);
-        xor ^= h.rotate_left(i.0 % 61);
+        (h, h.rotate_left(i.0 % 61))
     }
-    (u128::from(sum) << 64) | u128::from(xor)
+
+    /// With `i` added.
+    fn with(self, i: ItemId) -> Fingerprint {
+        let (h, x) = Fingerprint::terms(i);
+        Fingerprint {
+            sum: self.sum.wrapping_add(h),
+            xor: self.xor ^ x,
+        }
+    }
+
+    /// With one copy of `i` taken out.
+    fn without(self, i: ItemId) -> Fingerprint {
+        let (h, x) = Fingerprint::terms(i);
+        Fingerprint {
+            sum: self.sum.wrapping_sub(h),
+            xor: self.xor ^ x,
+        }
+    }
+
+    fn value(self) -> u128 {
+        (u128::from(self.sum) << 64) | u128::from(self.xor)
+    }
+}
+
+/// Order-independent 128-bit fingerprint of an itemset (see
+/// [`Fingerprint`]). Permutations of the same multiset produce the same
+/// fingerprint without sorting — the "canonical without a per-query
+/// sort" half of [`QueryKey`]'s contract. The empty itemset (resolved
+/// from the provider at prepare time) fingerprints to zero.
+fn itemset_fingerprint(items: &[ItemId]) -> u128 {
+    items
+        .iter()
+        .fold(Fingerprint::default(), |fp, &i| fp.with(i))
+        .value()
+}
+
+/// A provider's item catalog `0..n` as one shared [`Itemset`], with its
+/// fingerprint: what a query without an itemset subtracts its members'
+/// rated items from. Built once per catalog size and shared by `Arc`
+/// (a live engine's epochs share one until a publish grows the
+/// catalog), so a default-itemset query never builds or hashes a
+/// catalog-sized set.
+#[derive(Debug)]
+pub(crate) struct Catalog {
+    items: Itemset,
+    fp: Fingerprint,
+}
+
+impl Catalog {
+    /// The catalog `0..n`.
+    pub(crate) fn new(n: usize) -> Arc<Catalog> {
+        let empty = Catalog {
+            items: Itemset::new(Vec::new()),
+            fp: Fingerprint::default(),
+        };
+        Arc::new(empty).resized(n)
+    }
+
+    /// This catalog grown to size `n` (a catalog never shrinks): itself
+    /// when `n` is its size, extended by the new ids only otherwise.
+    pub(crate) fn resized(self: &Arc<Catalog>, n: usize) -> Arc<Catalog> {
+        let len = self.items.len();
+        debug_assert!(n >= len, "a catalog never shrinks");
+        if n == len {
+            return Arc::clone(self);
+        }
+        Arc::new(Catalog {
+            items: self.items.grown(n),
+            fp: (len as u32..n as u32).fold(self.fp, |fp, i| fp.with(ItemId(i))),
+        })
+    }
+
+    /// Number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
 }
 
 /// Canonical, hashable identity of one [`GroupQuery`]'s full parameter
@@ -225,16 +315,16 @@ fn itemset_fingerprint(items: &[ItemId]) -> u128 {
 /// canonical — [`Group`] keeps them sorted), effective period, affinity
 /// mode, list layout, consensus function, rpref normalization, `k`, the
 /// stopping rule, and the candidate itemset all participate.
-/// The itemset enters as its length plus an order-independent 128-bit
-/// fingerprint, so permutations of one itemset share a key at `O(m)`
-/// hashing cost with no sort and no copy. (A fingerprint collision
-/// between two *different* itemsets is theoretically possible but needs
-/// on the order of 2⁶⁴ distinct itemsets under one key scope to become
-/// likely; an epoch-scoped serving cache is many orders of magnitude
-/// below that.) An omitted itemset keys as the empty fingerprint, which
-/// is sound because its resolution (the provider's candidate set) is a
-/// deterministic function of the group and the engine state the cache
-/// is scoped beside.
+/// A given itemset enters as its length plus an order-independent
+/// 128-bit fingerprint, so permutations of one itemset share a key at
+/// `O(m)` hashing cost with no sort and no copy. (A fingerprint
+/// collision between two *different* itemsets is theoretically possible
+/// but needs on the order of 2⁶⁴ distinct itemsets under one key scope
+/// to become likely; an epoch-scoped serving cache is many orders of
+/// magnitude below that.) An omitted itemset keys as the empty
+/// fingerprint at `O(1)`, which is sound because its resolution (the
+/// catalog minus the members' rated items) is a deterministic function
+/// of the group and the engine state the cache is scoped beside.
 ///
 /// The key deliberately excludes the engine and its data: a result
 /// cache must be scoped to one engine state — the serving layer scopes
@@ -342,6 +432,9 @@ pub struct GrecaEngine<'a> {
     provider: &'a (dyn PreferenceProvider + Sync + 'a),
     population: &'a PopulationAffinity,
     substrate: Option<Arc<Substrate>>,
+    /// The provider's catalog, built by the first default-itemset query
+    /// unless the engine was handed one (a live epoch holds it).
+    catalog: OnceLock<Option<Arc<Catalog>>>,
 }
 
 impl std::fmt::Debug for GrecaEngine<'_> {
@@ -366,6 +459,7 @@ impl<'a> GrecaEngine<'a> {
             provider,
             population,
             substrate: None,
+            catalog: OnceLock::new(),
         }
     }
 
@@ -418,7 +512,25 @@ impl<'a> GrecaEngine<'a> {
             provider,
             population,
             substrate: Some(substrate),
+            catalog: OnceLock::new(),
         }
+    }
+
+    /// This engine resolving default itemsets against `catalog`, which
+    /// must be the provider's, built beforehand.
+    pub(crate) fn with_catalog(self, catalog: Arc<Catalog>) -> Self {
+        debug_assert_eq!(self.provider.catalog_size(), Some(catalog.len()));
+        GrecaEngine {
+            catalog: OnceLock::from(Some(catalog)),
+            ..self
+        }
+    }
+
+    /// The provider's catalog, if it has one.
+    fn catalog(&self) -> Option<&Arc<Catalog>> {
+        self.catalog
+            .get_or_init(|| self.provider.catalog_size().map(Catalog::new))
+            .as_ref()
     }
 
     /// The shared precomputed storage, when the engine is warm.
@@ -463,8 +575,9 @@ impl<'a> GrecaEngine<'a> {
 /// Defaults (the paper's §4.2 settings): `k = 10`, AP consensus,
 /// discrete affinity mode, decomposed list layout, normalized relative
 /// preference, the current (latest) period, GRECA's buffer stopping rule.
-/// The itemset itself defaults to the provider's candidate set for the
-/// group (every catalog item no member has rated — §2.4); supply
+/// The itemset itself defaults to the group's candidate set (every
+/// catalog item no member has rated — §2.4), which is never built: see
+/// [`prepare_shared`](Self::prepare_shared). Supply
 /// [`items`](Self::items) to override it.
 #[derive(Clone, Copy)]
 pub struct GroupQuery<'q> {
@@ -498,10 +611,12 @@ impl std::fmt::Debug for GroupQuery<'_> {
 
 impl<'q> GroupQuery<'q> {
     /// The candidate itemset (§2.4 poses the problem over one shared
-    /// itemset `I`). Optional: when omitted, the provider's
-    /// [`candidate_items`](PreferenceProvider::candidate_items) for the
-    /// group is used; a provider without a catalog (e.g. a hand-built
-    /// score table) then yields [`QueryError::EmptyItemset`].
+    /// itemset `I`). Optional: when omitted, the query runs over the
+    /// provider's catalog ([`catalog_size`](PreferenceProvider::catalog_size))
+    /// minus the items any member rated
+    /// ([`rated_items`](PreferenceProvider::rated_items)); a provider
+    /// without a catalog (e.g. a hand-built score table), or a group
+    /// that rated every item, then yields [`QueryError::EmptyItemset`].
     pub fn items(mut self, items: &'q [ItemId]) -> Self {
         self.items = items;
         self
@@ -551,8 +666,8 @@ impl<'q> GroupQuery<'q> {
     }
 
     /// The query's canonical cache key — see [`QueryKey`]. `O(n + m)`
-    /// in group size and itemset length; no allocation beyond the
-    /// member copy, no sorting.
+    /// in group size and the given itemset's length (`O(n)` for an
+    /// omitted one); no allocation beyond the member copy, no sorting.
     pub fn cache_key(&self) -> QueryKey {
         self.key_with_fingerprint(itemset_fingerprint(self.items))
     }
@@ -638,6 +753,13 @@ impl<'q> GroupQuery<'q> {
     /// the `(member, itemset)` key, so the preparation — and any
     /// execution over it — is bit-identical to a fresh arena's.
     ///
+    /// A given itemset is fingerprinted in `O(m)`. An omitted one — the
+    /// catalog minus `E`, the items any member rated — is neither built
+    /// nor hashed: its fingerprint is the catalog's (built once per
+    /// catalog size) with `E`'s terms taken out, and each member's column
+    /// is their catalog column with `E` left out, so preparing it costs
+    /// what the group rated and what its columns hold, not the catalog.
+    ///
     /// **Scope contract:** `shared` must be used against exactly one
     /// engine state (the planner builds one arena per engine partition;
     /// a live epoch owns one,
@@ -646,93 +768,18 @@ impl<'q> GroupQuery<'q> {
     pub fn prepare_shared(&self, shared: &SharedMemberState) -> Result<PreparedQuery, QueryError> {
         let _prepare = crate::obs::phase(crate::obs::Phase::Prepare);
         self.validate()?;
-        let resolved = if self.items.is_empty() {
-            let candidates = self.engine.provider.candidate_items(self.group);
-            Some(candidates.ok_or(QueryError::EmptyItemset)?)
+        // Zero for an omitted itemset, which keys as the empty one.
+        let fp = itemset_fingerprint(self.items);
+        let (prefs, is_warm) = if self.items.is_empty() {
+            self.default_columns(shared)?
         } else {
-            None
+            self.explicit_columns(shared, fp)?
         };
-        let items = resolved.as_deref().unwrap_or(self.items);
-        if items.is_empty() {
-            return Err(QueryError::EmptyItemset);
-        }
-        // Itemset-scoped columns are keyed the way `QueryKey` identifies
-        // itemsets, over the *resolved* itemset, so a defaulted (empty)
-        // itemset keys by what it actually resolved to.
-        let fp = itemset_fingerprint(items);
-        let scope = MemberScope::Itemset {
-            len: items.len(),
-            fp,
-        };
-        // The key fingerprints the itemset as given; a given one was
-        // just fingerprinted.
-        let key = match resolved {
-            Some(_) => self.cache_key(),
-            None => self.key_with_fingerprint(fp),
-        };
-        let period = self.effective_period();
-        let affinity = Arc::new(
-            self.engine
-                .population
-                .group_view(self.group, period, self.mode),
-        );
-        let members = self.group.members();
-        // The substrate serves the query iff it covers every member and
-        // every item, each once; otherwise every column is derived cold.
-        let coverage = self.engine.substrate.as_deref().and_then(|substrate| {
-            let covered = members.iter().all(|&u| substrate.user_index(u).is_some());
-            covered
-                .then(|| substrate.item_coverage(items))
-                .flatten()
-                .map(|coverage| (substrate, coverage))
-        });
-        // The columns of one itemset share its ids: the arena's, or the
-        // resolved candidate set moved in.
-        let itemset = || {
-            shared.itemset(scope, || {
-                Itemset::new(resolved.unwrap_or_else(|| self.items.to_vec()))
-            })
-        };
-
-        let provider = self.engine.provider;
-        let is_warm = coverage.is_some();
-        let prefs: Vec<SegmentHandle> = match coverage {
-            Some((substrate, coverage)) => {
-                let universe: Vec<SegmentHandle> = members
-                    .iter()
-                    .map(|&u| {
-                        let i = substrate.user_index(u).expect("covered above");
-                        shared.resolve(u, MemberScope::Universe, || {
-                            substrate.segment_handle(provider, i)
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                match coverage {
-                    ItemCoverage::Full => universe,
-                    ItemCoverage::Subset(mask) => {
-                        let itemset = itemset();
-                        members
-                            .iter()
-                            .zip(&universe)
-                            .map(|(&u, h)| {
-                                shared.resolve(u, scope, || {
-                                    Ok(substrate.filtered_handle(h, &mask, &itemset))
-                                })
-                            })
-                            .collect::<Result<_, _>>()?
-                    }
-                }
-            }
-            None => {
-                let itemset = itemset();
-                members
-                    .iter()
-                    .map(|&u| {
-                        shared.resolve(u, scope, || SegmentHandle::derive(provider, u, &itemset))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-        };
+        let affinity = Arc::new(self.engine.population.group_view(
+            self.group,
+            self.effective_period(),
+            self.mode,
+        ));
         Ok(PreparedQuery {
             inputs: PreparedInputs::new(prefs, &affinity, self.layout)?,
             affinity,
@@ -741,8 +788,131 @@ impl<'q> GroupQuery<'q> {
             consensus: self.consensus,
             k: self.k,
             stopping: self.stopping,
-            key: Some(key),
+            key: Some(self.key_with_fingerprint(fp)),
         })
+    }
+
+    /// The members' columns over the given itemset (fingerprint `fp`),
+    /// and whether the substrate served them. The substrate serves the
+    /// query iff it covers every member and every item, each once;
+    /// otherwise every column is derived cold.
+    fn explicit_columns(
+        &self,
+        shared: &SharedMemberState,
+        fp: u128,
+    ) -> Result<(Vec<SegmentHandle>, bool), QueryError> {
+        // Itemset-scoped columns are keyed the way `QueryKey`
+        // identifies itemsets.
+        let scope = MemberScope::Itemset {
+            len: self.items.len(),
+            fp,
+        };
+        let provider = self.engine.provider;
+        let members = self.group.members();
+        let coverage = self.engine.substrate.as_deref().and_then(|substrate| {
+            let covered = members.iter().all(|&u| substrate.user_index(u).is_some());
+            covered
+                .then(|| substrate.item_coverage(self.items))
+                .flatten()
+                .map(|coverage| (substrate, coverage))
+        });
+        // The columns of one itemset share the arena's copy of its ids.
+        let itemset = || shared.itemset(scope, || Itemset::new(self.items.to_vec()));
+        let Some((substrate, coverage)) = coverage else {
+            let itemset = itemset();
+            let prefs = members
+                .iter()
+                .map(|&u| shared.resolve(u, scope, || SegmentHandle::derive(provider, u, &itemset)))
+                .collect::<Result<_, _>>()?;
+            return Ok((prefs, false));
+        };
+        let universe = self.universe_columns(shared, substrate)?;
+        let prefs = match coverage {
+            ItemCoverage::Full => universe,
+            ItemCoverage::Subset(mask) => {
+                let itemset = itemset();
+                members
+                    .iter()
+                    .zip(&universe)
+                    .map(|(&u, h)| {
+                        shared.resolve(u, scope, || {
+                            Ok(substrate.filtered_handle(h, &mask, &itemset))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+        };
+        Ok((prefs, true))
+    }
+
+    /// The members' columns over the default itemset — the catalog minus
+    /// `E`, the items any member rated — and whether the substrate
+    /// served them. Nothing here is catalog-sized: the scope's
+    /// fingerprint is the catalog's with `E`'s terms taken out, and each
+    /// column is the member's column over the catalog with `E` dropped
+    /// from its support and merged into its run's skip list. The catalog
+    /// column is the member's resident segment when the substrate's
+    /// universe is the catalog and covers every member, and is derived
+    /// cold otherwise.
+    fn default_columns(
+        &self,
+        shared: &SharedMemberState,
+    ) -> Result<(Vec<SegmentHandle>, bool), QueryError> {
+        let catalog = self.engine.catalog().ok_or(QueryError::EmptyItemset)?;
+        let provider = self.engine.provider;
+        let rated = provider.rated_items(self.group);
+        debug_assert!(rated.last().is_none_or(|i| i.idx() < catalog.len()));
+        if rated.len() >= catalog.len() {
+            return Err(QueryError::EmptyItemset);
+        }
+        let fp = rated.iter().fold(catalog.fp, |fp, &i| fp.without(i));
+        let scope = MemberScope::Itemset {
+            len: catalog.len() - rated.len(),
+            fp: fp.value(),
+        };
+        let itemset = catalog.items.without(rated.iter().map(|i| i.0).collect());
+        let members = self.group.members();
+        let warm = self.engine.substrate.as_deref().filter(|substrate| {
+            substrate.is_catalog(catalog.len())
+                && members.iter().all(|&u| substrate.user_index(u).is_some())
+        });
+        let prefs = match warm {
+            Some(substrate) => self
+                .universe_columns(shared, substrate)?
+                .into_iter()
+                .zip(members)
+                .map(|(h, &u)| shared.resolve(u, scope, || Ok(h.excluding(&itemset))))
+                .collect::<Result<_, _>>()?,
+            None => members
+                .iter()
+                .map(|&u| {
+                    shared.resolve(u, scope, || {
+                        Ok(SegmentHandle::derive(provider, u, &catalog.items)?.excluding(&itemset))
+                    })
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        Ok((prefs, warm.is_some()))
+    }
+
+    /// The members' resident (or lazy) columns over the substrate's
+    /// universe; every member must be covered.
+    fn universe_columns(
+        &self,
+        shared: &SharedMemberState,
+        substrate: &Substrate,
+    ) -> Result<Vec<SegmentHandle>, QueryError> {
+        let provider = self.engine.provider;
+        self.group
+            .members()
+            .iter()
+            .map(|&u| {
+                let i = substrate.user_index(u).expect("every member is covered");
+                shared.resolve(u, MemberScope::Universe, || {
+                    substrate.segment_handle(provider, i)
+                })
+            })
+            .collect()
     }
 
     /// Prepare and execute in one call on the calling thread's kernel
@@ -1283,7 +1453,7 @@ mod tests {
                 .unwrap()
                 .run_with_scratch(&mut GrecaScratch::new())
         );
-        let candidates = raw.candidate_items(&group).unwrap().len();
+        let candidates = greca_cf::candidate_items(&matrix, &group).len();
         assert!(candidates > 100_000, "{candidates} candidates");
         let workspace = crate::greca::thread_workspace_bytes().expect("workspace kept");
         assert!(workspace < 1 << 20, "thread workspace: {workspace} bytes");
@@ -1292,6 +1462,35 @@ mod tests {
             "arena: {} bytes",
             arena.memory_bytes()
         );
+    }
+
+    /// A catalog's fingerprint with the rated ids' terms taken out is
+    /// the fingerprint of the built complement, and a grown catalog is
+    /// the catalog built at its size.
+    #[test]
+    fn subtracted_fingerprints_equal_built_ones() {
+        let mut seed = 7u64;
+        let mut draw = |bound: u64| {
+            seed = splitmix64(seed);
+            seed % bound
+        };
+        for _ in 0..200 {
+            let n = draw(300) as usize;
+            let catalog = Catalog::new(n);
+            assert_eq!(catalog.len(), n);
+            let all: Vec<ItemId> = (0..n as u32).map(ItemId).collect();
+            assert_eq!(catalog.fp.value(), itemset_fingerprint(&all));
+            let grown = catalog.resized(n + draw(40) as usize);
+            let rebuilt = Catalog::new(grown.len());
+            assert_eq!(grown.fp, rebuilt.fp);
+            assert!(grown.items.same_as(&rebuilt.items));
+            // Rated sets from empty to the whole catalog.
+            let density = draw(11);
+            let rated: Vec<ItemId> = all.iter().copied().filter(|_| draw(10) < density).collect();
+            let rest: Vec<ItemId> = all.iter().copied().filter(|i| !rated.contains(i)).collect();
+            let fp = rated.iter().fold(catalog.fp, |fp, &i| fp.without(i));
+            assert_eq!(fp.value(), itemset_fingerprint(&rest));
+        }
     }
 
     #[test]

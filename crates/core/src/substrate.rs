@@ -226,12 +226,16 @@ fn quantize(scores: Vec<f64>) -> ScoreStore {
 }
 
 /// The item ids a preference column ranks, ascending, behind an `Arc`
-/// that every column over them shares: the substrate's universe, or one
-/// query's itemset. A default run is enumerated from it, and two columns
-/// rank the same itemset when they share it.
+/// that every column over them shares: the substrate's universe, one
+/// query's itemset, or a group's default itemset — the catalog minus the
+/// ids the members rated. A default run is enumerated from the ids, and
+/// two columns rank the same itemset when they share it.
 #[derive(Debug, Clone)]
 pub(crate) struct Itemset {
     ids: Arc<Vec<ItemId>>,
+    /// The ids of `ids` the set leaves out (none but for a default
+    /// itemset); every column over the set skips them.
+    excluded: Arc<Excluded>,
     /// Whether no id repeats (the segment builder's precondition).
     distinct: bool,
 }
@@ -247,25 +251,120 @@ impl Itemset {
         }
         Itemset {
             ids: Arc::new(ids),
+            excluded: Arc::default(),
             distinct,
         }
     }
 
-    /// The ids, ascending.
+    /// The catalog `0..n` from this prefix of it: its ids copied, the
+    /// new ones appended.
+    pub(crate) fn grown(&self, n: usize) -> Itemset {
+        let mut ids = Vec::with_capacity(n);
+        ids.extend_from_slice(&self.ids);
+        ids.extend((self.ids.len() as u32..n as u32).map(ItemId));
+        debug_assert!(strictly_ascending(&ids) && self.excluded.ids.is_empty());
+        Itemset {
+            ids: Arc::new(ids),
+            excluded: Arc::default(),
+            distinct: true,
+        }
+    }
+
+    /// This catalog `0..n` minus `excluded` (ascending ids it holds),
+    /// sharing its ids: nothing of them is copied.
+    pub(crate) fn without(&self, excluded: Vec<u32>) -> Itemset {
+        debug_assert!(self.excluded.ids.is_empty());
+        Itemset {
+            ids: Arc::clone(&self.ids),
+            excluded: Arc::new(Excluded::new(excluded, self.ids.len())),
+            distinct: self.distinct,
+        }
+    }
+
+    /// The ids a default run is enumerated from, ascending: the set's
+    /// items and the ids it excludes.
     pub(crate) fn ids(&self) -> &[ItemId] {
         &self.ids
     }
 
-    /// Whether both hold the same ids: one pointer compare when they
-    /// share their allocation, as the columns of one preparation do.
-    pub(crate) fn same_as(&self, other: &Itemset) -> bool {
-        Arc::ptr_eq(&self.ids, &other.ids) || self.ids == other.ids
+    /// Number of items in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len() - self.excluded.ids.len()
     }
 
-    /// Bytes of the id column.
+    /// The set's items, ascending.
+    fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
+        let mut excluded = self.excluded.ids.iter().peekable();
+        self.ids
+            .iter()
+            .copied()
+            .filter(move |i| excluded.next_if_eq(&&i.0).is_none())
+    }
+
+    /// Whether both hold the same items: `O(excluded)` when they share
+    /// their ids, as the columns of one preparation do.
+    pub(crate) fn same_as(&self, other: &Itemset) -> bool {
+        if Arc::ptr_eq(&self.ids, &other.ids) {
+            return self.excluded.ids == other.excluded.ids;
+        }
+        self.len() == other.len() && self.items().eq(other.items())
+    }
+
+    /// Bytes of the id columns.
     pub(crate) fn data_bytes(&self) -> usize {
         std::mem::size_of_val(self.ids.as_slice())
+            + std::mem::size_of_val(self.excluded.ids.as_slice())
     }
+}
+
+/// The ascending ids an itemset leaves out, with a bitmap over the
+/// itemset's id range when that has no more words than there are ids
+/// (so building it stays `O(ids)`): membership is then one bit test, and
+/// a binary search of the ids otherwise.
+#[derive(Debug, Default)]
+struct Excluded {
+    ids: Vec<u32>,
+    /// Empty, or bit `i` set iff id `i` is excluded.
+    bits: Vec<u64>,
+}
+
+impl Excluded {
+    /// `ids`, ascending, out of the ids `0..n`.
+    fn new(ids: Vec<u32>, n: usize) -> Excluded {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let words = n.div_ceil(64);
+        let mut bits = Vec::new();
+        if words <= ids.len() {
+            bits = vec![0; words];
+            for &id in &ids {
+                bits[id as usize / 64] |= 1 << (id % 64);
+            }
+        }
+        Excluded { ids, bits }
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        if self.bits.is_empty() {
+            self.ids.binary_search(&id).is_ok()
+        } else {
+            self.bits[id as usize / 64] >> (id % 64) & 1 == 1
+        }
+    }
+}
+
+/// The ascending union of two ascending id lists.
+fn merged(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Where a column's default run sits among its support entries.
@@ -504,6 +603,74 @@ impl SegmentHandle {
             self.seg.run.as_ref(),
             self.itemset.ids(),
         )
+    }
+
+    /// This column over `itemset`: the handle's own itemset with
+    /// `itemset`'s excluded ids left out. Support entries at those ids
+    /// are dropped and the ids join the run's skip list, so this costs
+    /// the support plus the excluded ids, not the itemset (a column
+    /// without a run drops them entry by entry).
+    pub(crate) fn excluding(&self, itemset: &Itemset) -> SegmentHandle {
+        debug_assert_eq!(self.itemset.ids.len(), itemset.ids.len());
+        let excluded = &itemset.excluded;
+        if excluded.ids.is_empty() {
+            return self.clone();
+        }
+        let column = self.kept_column(
+            |id| !excluded.contains(id),
+            self.seg.ids.len(),
+            |skip, kept| {
+                // Under raw ratings every skipped id was rated, so the
+                // skip list is the excluded ids themselves.
+                if kept == 0 {
+                    excluded.ids.clone()
+                } else {
+                    merged(skip, &excluded.ids)
+                }
+            },
+        );
+        SegmentHandle::derived(itemset, column)
+    }
+
+    /// The support entries `keep` admits, in list order, with room for
+    /// `capacity`, around the run (if the column has one) whose skip
+    /// list `skip` makes from the old one and the number of kept entries
+    /// it held.
+    fn kept_column(
+        &self,
+        keep: impl Fn(u32) -> bool,
+        capacity: usize,
+        skip: impl FnOnce(&[u32], usize) -> Vec<u32>,
+    ) -> Column {
+        let (ids, scores) = (&self.seg.ids, self.scores());
+        let mut column = Column {
+            ids: Vec::with_capacity(capacity),
+            scores: Vec::with_capacity(capacity),
+            run: None,
+        };
+        let mut filter = |range: std::ops::Range<usize>| {
+            for k in range {
+                if keep(ids[k]) {
+                    column.ids.push(ids[k]);
+                    column.scores.push(scores[k]);
+                }
+            }
+            column.ids.len()
+        };
+        let Some(run) = &self.seg.run else {
+            filter(0..ids.len());
+            return column;
+        };
+        let above = filter(0..run.above);
+        let below = filter(run.above..run.below);
+        let kept = filter(run.below..ids.len()) - (below - above);
+        column.run = Some(RunLayout {
+            above,
+            below,
+            skip: skip(&run.skip, kept),
+            default: run.default,
+        });
+        column
     }
 
     /// Whether both columns rank the same itemset — `O(1)` for the
@@ -858,6 +1025,12 @@ impl Substrate {
         }
     }
 
+    /// Whether the item universe is the catalog `0..n`: `O(1)`, as the
+    /// universe ascends without repeats.
+    pub(crate) fn is_catalog(&self, n: usize) -> bool {
+        self.layout.m == n && self.items().last().is_none_or(|i| i.0 as usize + 1 == n)
+    }
+
     /// Dense position of an item in the universe.
     #[inline]
     fn dense_of(&self, i: ItemId) -> Option<usize> {
@@ -911,39 +1084,9 @@ impl Substrate {
         // Column ids always belong to the universe; the dense lookup
         // cannot miss.
         let keep = |id: u32| mask[self.layout.item_dense[id as usize] as usize];
-        let (ids, scores) = (&handle.seg.ids, handle.scores());
-        let mut column = Column {
-            ids: Vec::with_capacity(ids.len().min(itemset.ids().len())),
-            scores: Vec::with_capacity(ids.len().min(itemset.ids().len())),
-            run: None,
-        };
-        let Some(run) = &handle.seg.run else {
-            for (&id, &s) in ids.iter().zip(scores) {
-                if keep(id) {
-                    column.ids.push(id);
-                    column.scores.push(s);
-                }
-            }
-            return SegmentHandle::derived(itemset, column);
-        };
-        let mut filter = |range: std::ops::Range<usize>| {
-            for k in range {
-                if keep(ids[k]) {
-                    column.ids.push(ids[k]);
-                    column.scores.push(scores[k]);
-                }
-            }
-            column.ids.len()
-        };
-        let above = filter(0..run.above);
-        let below = filter(run.above..run.below);
-        filter(run.below..ids.len());
-        let skip = run.skip.iter().copied().filter(|&id| keep(id)).collect();
-        column.run = Some(RunLayout {
-            above,
-            below,
-            skip,
-            default: run.default,
+        let capacity = handle.seg.ids.len().min(itemset.len());
+        let column = handle.kept_column(keep, capacity, |skip, _| {
+            skip.iter().copied().filter(|&id| keep(id)).collect()
         });
         SegmentHandle::derived(itemset, column.settled(itemset.ids()))
     }

@@ -860,7 +860,7 @@ fn scratch_reuse_is_observable_and_harmless() {
 /// SA, RA, sweeps and stop reason, under every stopping rule.
 mod default_runs {
     use super::*;
-    use greca_cf::{group_preference_lists, PreferenceProvider, RawRatings};
+    use greca_cf::{candidate_items, group_preference_lists, PreferenceProvider, RawRatings};
     use greca_core::{GrecaEngine, GrecaInputs, ListView, PreparedQuery, SharedMemberState};
     use greca_dataset::RatingMatrixBuilder;
 
@@ -1011,6 +1011,7 @@ mod default_runs {
         provider: &dyn PreferenceProvider,
         inst: &RunInstance,
         items: &[ItemId],
+        resolved: &[ItemId],
         scratch: &mut GrecaScratch,
     ) -> (usize, usize) {
         let group = Group::new((0..inst.n as u32).map(UserId).collect()).unwrap();
@@ -1028,12 +1029,7 @@ mod default_runs {
             .consensus(consensus_of(inst.consensus_sel))
             .prepare_shared(&arena)
             .expect("finite scores");
-        let resolved = if items.is_empty() {
-            provider.candidate_items(&group).expect("a catalog")
-        } else {
-            items.to_vec()
-        };
-        let lists = group_preference_lists(provider, &group, &resolved).expect("finite");
+        let lists = group_preference_lists(provider, &group, resolved).expect("finite");
         let explicit =
             MaterializedInputs::build(&lists, prepared.affinity(), layout).expect("finite");
         let entries =
@@ -1071,18 +1067,31 @@ mod default_runs {
         };
         let raw = RawRatings(&stars);
         let group = Group::new((0..inst.n as u32).map(UserId).collect()).unwrap();
-        if !raw.candidate_items(&group).unwrap().is_empty() {
+        let candidates = candidate_items(&stars, &group);
+        if !candidates.is_empty() {
             let cold = GrecaEngine::new(&raw, &pop);
-            let (m, bytes) = check(&cold, &raw, inst, &[], &mut scratch);
-            // The arena holds the itemset's ids and nothing per column.
-            assert_eq!(bytes, 4 * m, "every column is one default run");
+            let (m, bytes) = check(&cold, &raw, inst, &[], &candidates, &mut scratch);
+            // The arena holds no itemset; each column is one default run
+            // over the catalog, skipping the members' rated ids, unless
+            // the member rated most of the catalog: then their catalog
+            // column, and so the candidates', is written out.
+            let e = inst.catalog - m;
+            let column = |u: u32| {
+                if 2 * stars.user_ratings(UserId(u)).len() > inst.catalog {
+                    12 * m
+                } else {
+                    4 * e
+                }
+            };
+            let want: usize = (0..inst.n as u32).map(column).sum();
+            assert_eq!(bytes, want, "every column is one default run");
             let warm = GrecaEngine::warm(&raw, &pop, &catalog).expect("finite");
-            check(&warm, &raw, inst, &[], &mut scratch);
+            check(&warm, &raw, inst, &[], &candidates, &mut scratch);
         }
         // The same ratings over the whole catalog: rated entries above
         // the run, the run at the tail.
         let warm = GrecaEngine::warm(&raw, &pop, &catalog).expect("finite");
-        check(&warm, &raw, inst, &catalog, &mut scratch);
+        check(&warm, &raw, inst, &catalog, &catalog, &mut scratch);
 
         // A default at a drawn level, mid-order: most levels take it,
         // the rest score above or below it, `+0.0` and `-0.0` among them
@@ -1103,15 +1112,15 @@ mod default_runs {
             default: score(0),
         };
         let cold = GrecaEngine::new(&defaulted, &pop);
-        let (m, bytes) = check(&cold, &defaulted, inst, &catalog, &mut scratch);
+        let (m, bytes) = check(&cold, &defaulted, inst, &catalog, &catalog, &mut scratch);
         assert!(
             bytes <= 4 * m + 12 * m * inst.n,
             "a column never stores more than its explicit entries: {bytes} bytes"
         );
         let warm = GrecaEngine::warm(&defaulted, &pop, &catalog).expect("finite");
-        check(&warm, &defaulted, inst, &catalog, &mut scratch);
+        check(&warm, &defaulted, inst, &catalog, &catalog, &mut scratch);
         let odd: Vec<ItemId> = catalog.iter().copied().filter(|i| i.0 % 2 == 1).collect();
-        check(&warm, &defaulted, inst, &odd, &mut scratch);
+        check(&warm, &defaulted, inst, &odd, &odd, &mut scratch);
     }
 }
 

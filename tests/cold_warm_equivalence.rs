@@ -203,7 +203,7 @@ fn defaulted_itemset_matches_cold_default() {
     let warm = warm_engine.query(&group).top(5).prepare().unwrap();
     assert!(warm.is_warm());
     assert_identical(&cold, &warm, "defaulted itemset");
-    let candidates = cf.candidate_items(&group).expect("the model has a catalog");
+    let candidates = greca::cf::candidate_items(&w.ml.matrix, &group);
     assert_eq!(
         warm.run(),
         materialized_reference(&cf, &pop, &group, &candidates, 5),
