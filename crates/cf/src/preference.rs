@@ -82,9 +82,11 @@ pub trait PreferenceProvider {
         None
     }
 
-    /// The catalog items any member of `group` has rated, ascending and
-    /// distinct: what the group's candidate itemset leaves out of the
-    /// catalog. Empty for a provider without a catalog.
+    /// The catalog items any member of `group` has rated, ascending,
+    /// distinct and below [`catalog_size`](Self::catalog_size): what the
+    /// group's candidate itemset leaves out of the catalog. A default
+    /// query checks this and panics on a list that breaks it. Empty for
+    /// a provider without a catalog.
     fn rated_items(&self, group: &Group) -> Vec<ItemId> {
         let _ = group;
         Vec::new()

@@ -237,20 +237,9 @@ impl<'a> ListView<'a> {
         }
         // `skip[i]`'s itemset position minus `i` counts the run entries
         // before it, so the j-th run entry sits `j` plus the skips it
-        // passes into the itemset. A run's itemset has no repeats, so
-        // when it ends at id `len - 1` it is the catalog `0..len`, whose
-        // ids are their positions.
+        // passes into the itemset.
         let (items, skip) = (self.run.items, self.run.skip);
-        let catalog = items
-            .last()
-            .is_some_and(|i| i.0 as usize + 1 == items.len());
-        let position = |id: u32| {
-            if catalog {
-                id as usize
-            } else {
-                items.partition_point(|i| i.0 < id)
-            }
-        };
+        let position = |id: u32| items.partition_point(|i| i.0 < id);
         let (mut lo, mut hi) = (0, skip.len());
         while lo < hi {
             let mid = (lo + hi) / 2;

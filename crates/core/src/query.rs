@@ -861,8 +861,16 @@ impl<'q> GroupQuery<'q> {
         let catalog = self.engine.catalog().ok_or(QueryError::EmptyItemset)?;
         let provider = self.engine.provider;
         let rated = provider.rated_items(self.group);
-        debug_assert!(rated.last().is_none_or(|i| i.idx() < catalog.len()));
-        if rated.len() >= catalog.len() {
+        // The fingerprint subtraction and the columns' skip lists need
+        // ascending, distinct catalog ids; checking costs `O(|E|)`.
+        assert!(
+            rated.windows(2).all(|w| w[0] < w[1])
+                && rated.last().is_none_or(|i| i.idx() < catalog.len()),
+            "PreferenceProvider::rated_items must return ascending, distinct ids \
+             below catalog_size {}",
+            catalog.len()
+        );
+        if rated.len() == catalog.len() {
             return Err(QueryError::EmptyItemset);
         }
         let fp = rated.iter().fold(catalog.fp, |fp, &i| fp.without(i));

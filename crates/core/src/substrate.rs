@@ -233,9 +233,9 @@ fn quantize(scores: Vec<f64>) -> ScoreStore {
 #[derive(Debug, Clone)]
 pub(crate) struct Itemset {
     ids: Arc<Vec<ItemId>>,
-    /// The ids of `ids` the set leaves out (none but for a default
-    /// itemset); every column over the set skips them.
-    excluded: Arc<Excluded>,
+    /// The ids of `ids` the set leaves out, ascending (none but for a
+    /// default itemset); every column over the set skips them.
+    excluded: Arc<Vec<u32>>,
     /// Whether no id repeats (the segment builder's precondition).
     distinct: bool,
 }
@@ -262,7 +262,7 @@ impl Itemset {
         let mut ids = Vec::with_capacity(n);
         ids.extend_from_slice(&self.ids);
         ids.extend((self.ids.len() as u32..n as u32).map(ItemId));
-        debug_assert!(strictly_ascending(&ids) && self.excluded.ids.is_empty());
+        debug_assert!(strictly_ascending(&ids) && self.excluded.is_empty());
         Itemset {
             ids: Arc::new(ids),
             excluded: Arc::default(),
@@ -273,10 +273,10 @@ impl Itemset {
     /// This catalog `0..n` minus `excluded` (ascending ids it holds),
     /// sharing its ids: nothing of them is copied.
     pub(crate) fn without(&self, excluded: Vec<u32>) -> Itemset {
-        debug_assert!(self.excluded.ids.is_empty());
+        debug_assert!(self.excluded.is_empty());
         Itemset {
             ids: Arc::clone(&self.ids),
-            excluded: Arc::new(Excluded::new(excluded, self.ids.len())),
+            excluded: Arc::new(excluded),
             distinct: self.distinct,
         }
     }
@@ -289,12 +289,12 @@ impl Itemset {
 
     /// Number of items in the set.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len() - self.excluded.ids.len()
+        self.ids.len() - self.excluded.len()
     }
 
     /// The set's items, ascending.
     fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        let mut excluded = self.excluded.ids.iter().peekable();
+        let mut excluded = self.excluded.iter().peekable();
         self.ids
             .iter()
             .copied()
@@ -305,50 +305,14 @@ impl Itemset {
     /// their ids, as the columns of one preparation do.
     pub(crate) fn same_as(&self, other: &Itemset) -> bool {
         if Arc::ptr_eq(&self.ids, &other.ids) {
-            return self.excluded.ids == other.excluded.ids;
+            return self.excluded == other.excluded;
         }
         self.len() == other.len() && self.items().eq(other.items())
     }
 
     /// Bytes of the id columns.
     pub(crate) fn data_bytes(&self) -> usize {
-        std::mem::size_of_val(self.ids.as_slice())
-            + std::mem::size_of_val(self.excluded.ids.as_slice())
-    }
-}
-
-/// The ascending ids an itemset leaves out, with a bitmap over the
-/// itemset's id range when that has no more words than there are ids
-/// (so building it stays `O(ids)`): membership is then one bit test, and
-/// a binary search of the ids otherwise.
-#[derive(Debug, Default)]
-struct Excluded {
-    ids: Vec<u32>,
-    /// Empty, or bit `i` set iff id `i` is excluded.
-    bits: Vec<u64>,
-}
-
-impl Excluded {
-    /// `ids`, ascending, out of the ids `0..n`.
-    fn new(ids: Vec<u32>, n: usize) -> Excluded {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        let words = n.div_ceil(64);
-        let mut bits = Vec::new();
-        if words <= ids.len() {
-            bits = vec![0; words];
-            for &id in &ids {
-                bits[id as usize / 64] |= 1 << (id % 64);
-            }
-        }
-        Excluded { ids, bits }
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        if self.bits.is_empty() {
-            self.ids.binary_search(&id).is_ok()
-        } else {
-            self.bits[id as usize / 64] >> (id % 64) & 1 == 1
-        }
+        std::mem::size_of_val(self.ids.as_slice()) + std::mem::size_of_val(self.excluded.as_slice())
     }
 }
 
@@ -399,14 +363,15 @@ impl Column {
     }
 
     /// The column in its smaller stored form. A run costs its skipped
-    /// ids (4 B each) and saves one explicit entry per run item,
-    /// so a run shorter than its skip list is written out: the column
-    /// then holds every entry explicitly, as a column without a run
-    /// does. Either way a column never stores more than its explicit
-    /// form.
+    /// ids (4 B each) and saves one explicit entry per default item it
+    /// enumerates from `items` (the run minus its support entries equal
+    /// to the default), so a run with fewer of those than skipped ids is
+    /// written out: the column then holds every entry explicitly, as a
+    /// column without a run does. Either way a column never stores more
+    /// than its explicit form.
     fn settled(self, items: &[ItemId]) -> Column {
         match &self.run {
-            Some(run) if run.skip.len() > items.len() - self.ids.len() => {
+            Some(run) if 2 * run.skip.len() + (run.below - run.above) > items.len() => {
                 let (ids, scores) = self.view(items).iter().unzip();
                 Column {
                     ids,
@@ -609,38 +574,30 @@ impl SegmentHandle {
     /// `itemset`'s excluded ids left out. Support entries at those ids
     /// are dropped and the ids join the run's skip list, so this costs
     /// the support plus the excluded ids, not the itemset (a column
-    /// without a run drops them entry by entry).
+    /// without a run drops them entry by entry). The column is then
+    /// settled like any other.
     pub(crate) fn excluding(&self, itemset: &Itemset) -> SegmentHandle {
         debug_assert_eq!(self.itemset.ids.len(), itemset.ids.len());
         let excluded = &itemset.excluded;
-        if excluded.ids.is_empty() {
+        if excluded.is_empty() {
             return self.clone();
         }
         let column = self.kept_column(
-            |id| !excluded.contains(id),
+            |id| excluded.binary_search(&id).is_err(),
             self.seg.ids.len(),
-            |skip, kept| {
-                // Under raw ratings every skipped id was rated, so the
-                // skip list is the excluded ids themselves.
-                if kept == 0 {
-                    excluded.ids.clone()
-                } else {
-                    merged(skip, &excluded.ids)
-                }
-            },
+            |skip| merged(skip, excluded),
         );
-        SegmentHandle::derived(itemset, column)
+        SegmentHandle::derived(itemset, column.settled(itemset.ids()))
     }
 
     /// The support entries `keep` admits, in list order, with room for
     /// `capacity`, around the run (if the column has one) whose skip
-    /// list `skip` makes from the old one and the number of kept entries
-    /// it held.
+    /// list `skip` makes from the old one.
     fn kept_column(
         &self,
         keep: impl Fn(u32) -> bool,
         capacity: usize,
-        skip: impl FnOnce(&[u32], usize) -> Vec<u32>,
+        skip: impl FnOnce(&[u32]) -> Vec<u32>,
     ) -> Column {
         let (ids, scores) = (&self.seg.ids, self.scores());
         let mut column = Column {
@@ -663,11 +620,11 @@ impl SegmentHandle {
         };
         let above = filter(0..run.above);
         let below = filter(run.above..run.below);
-        let kept = filter(run.below..ids.len()) - (below - above);
+        filter(run.below..ids.len());
         column.run = Some(RunLayout {
             above,
             below,
-            skip: skip(&run.skip, kept),
+            skip: skip(&run.skip),
             default: run.default,
         });
         column
@@ -1085,7 +1042,7 @@ impl Substrate {
         // cannot miss.
         let keep = |id: u32| mask[self.layout.item_dense[id as usize] as usize];
         let capacity = handle.seg.ids.len().min(itemset.len());
-        let column = handle.kept_column(keep, capacity, |skip, _| {
+        let column = handle.kept_column(keep, capacity, |skip| {
             skip.iter().copied().filter(|&id| keep(id)).collect()
         });
         SegmentHandle::derived(itemset, column.settled(itemset.ids()))

@@ -19,6 +19,13 @@
 //!   whose universe is a strict subset of it, through a fresh arena per
 //!   run and through one arena shared with other groups' queries
 //!   (including columns of one scope resolved by both paths).
+//!   Catalogs run from one item to a few thousand, the large ones
+//!   rated sparsely.
+//! * **Bytes**: a group that rated most of the catalog leaves runs
+//!   shorter than their skip lists, and those columns are written out.
+//! * **Contract**: a provider whose `rated_items` is not ascending,
+//!   distinct and inside its catalog makes the query panic with the
+//!   contract's message, not read out of bounds.
 //! * **Live epochs**: after an ingest names a new item id, the next
 //!   epoch's default answer equals the explicit one over the grown
 //!   catalog, through `PinnedEpoch::engine` and the epoch's arena.
@@ -32,6 +39,7 @@ use greca_dataset::{
     Granularity, Group, ItemId, Rating, RatingMatrix, RatingMatrixBuilder, Timeline, UserId,
 };
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
 
 /// Users of every world here; all belong to the population universe.
 const USERS: u32 = 6;
@@ -71,9 +79,12 @@ fn population() -> PopulationAffinity {
 struct Instance {
     /// Items in the catalog `0..catalog`.
     catalog: usize,
-    /// Per user: rating density in tenths (0 = rated nothing, 10 =
-    /// rated everything) and a seed for which items and stars.
+    /// Per user: rating density in `1/per` steps (0 = rated nothing)
+    /// and a seed for which items and stars.
     rows: Vec<(u32, u64)>,
+    /// 10 for a small catalog (up to rated everything), 1,000 for a
+    /// large one, where the group rates at most 1% of it each.
+    per: u64,
     /// Group members (deduplicated, at least two).
     members: Vec<u32>,
     /// Items `0..cut` form the strict-subset universe (`cut < catalog`).
@@ -84,28 +95,32 @@ struct Instance {
 
 fn instance_strategy() -> impl Strategy<Value = Instance> {
     (
-        1usize..48,
+        (any::<bool>(), 1usize..48, 200usize..3000),
         proptest::collection::vec((0u32..=10, any::<u64>()), USERS as usize),
         proptest::collection::vec(0u32..USERS, 2usize..5),
         any::<u64>(),
         1usize..=6,
         0u8..3,
     )
-        .prop_map(|(catalog, rows, members, cut, k, stopping)| Instance {
-            catalog,
-            rows,
-            members: {
-                let mut m = members;
-                m.sort_unstable();
-                m.dedup();
-                if m.len() < 2 {
-                    m = vec![m[0], (m[0] + 1) % USERS];
-                }
-                m
-            },
-            cut: (cut % catalog as u64) as usize,
-            k,
-            stopping,
+        .prop_map(|((large, small, big), rows, members, cut, k, stopping)| {
+            let (catalog, per) = if large { (big, 1000) } else { (small, 10) };
+            Instance {
+                catalog,
+                rows,
+                per,
+                members: {
+                    let mut m = members;
+                    m.sort_unstable();
+                    m.dedup();
+                    if m.len() < 2 {
+                        m = vec![m[0], (m[0] + 1) % USERS];
+                    }
+                    m
+                },
+                cut: (cut % catalog as u64) as usize,
+                k,
+                stopping,
+            }
         })
 }
 
@@ -120,11 +135,11 @@ fn next(seed: &mut u64) -> u64 {
 
 fn matrix(inst: &Instance) -> RatingMatrix {
     let mut b = RatingMatrixBuilder::new(USERS as usize, inst.catalog);
-    for (u, &(tenths, seed)) in inst.rows.iter().enumerate() {
+    for (u, &(steps, seed)) in inst.rows.iter().enumerate() {
         let mut seed = seed;
         for i in 0..inst.catalog as u32 {
             let draw = next(&mut seed);
-            if draw % 10 < u64::from(tenths) {
+            if draw % inst.per < u64::from(steps) {
                 let stars = 1.0 + (draw >> 8) as f32 % 9.0 / 2.0;
                 b.rate(UserId(u as u32), ItemId(i), stars, i64::from(i));
             }
@@ -290,6 +305,72 @@ fn empty_and_full_rated_sets() {
     );
 }
 
+/// A group that rated 32 of 40 items leaves each member's column a run
+/// of 8 items skipping 32 ids: written out instead, 12 B per entry (id
+/// and score), as the explicit candidate set's columns are.
+#[test]
+fn default_columns_settle() {
+    let pop = population();
+    let mut b = RatingMatrixBuilder::new(USERS as usize, 40);
+    for i in 0..32 {
+        b.rate(UserId(2), ItemId(i), 3.0, 0);
+    }
+    let matrix = b.build();
+    let raw = RawRatings(&matrix);
+    let group = Group::new(vec![UserId(0), UserId(2)]).unwrap();
+    let candidates = candidate_items(&matrix, &group);
+    assert_eq!(candidates.len(), 8);
+    let engine = GrecaEngine::new(&raw, &pop);
+    let arena = SharedMemberState::new();
+    let default = engine.query(&group).run_shared(&arena).unwrap();
+    assert_eq!(arena.memory_bytes(), 2 * 8 * 12, "two written-out columns");
+    let explicit = engine.query(&group).items(&candidates).run().unwrap();
+    assert_eq!(bits(&default), bits(&explicit));
+}
+
+/// Raw ratings whose `rated_items` reports a fixed list, whatever it is.
+struct Misrated<'a> {
+    raw: RawRatings<'a>,
+    rated: Vec<ItemId>,
+}
+
+impl PreferenceProvider for Misrated<'_> {
+    fn apref(&self, u: UserId, i: ItemId) -> f64 {
+        self.raw.apref(u, i)
+    }
+
+    fn catalog_size(&self) -> Option<usize> {
+        self.raw.catalog_size()
+    }
+
+    fn rated_items(&self, _: &Group) -> Vec<ItemId> {
+        self.rated.clone()
+    }
+}
+
+/// Unsorted, repeated and out-of-catalog rated ids are refused with the
+/// contract's message before anything reads them.
+#[test]
+fn misreported_rated_items_panic_clearly() {
+    let pop = population();
+    let matrix = RatingMatrixBuilder::new(USERS as usize, 8).build();
+    let group = Group::new(vec![UserId(0), UserId(1)]).unwrap();
+    for rated in [[3, 1], [2, 2], [1, 8]] {
+        let provider = Misrated {
+            raw: RawRatings(&matrix),
+            rated: rated.map(ItemId).to_vec(),
+        };
+        let engine = GrecaEngine::new(&provider, &pop);
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| engine.query(&group).run()))
+            .expect_err("a misreported rated set panics");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.contains("rated_items must return ascending, distinct ids below"),
+            "{rated:?}: {message}"
+        );
+    }
+}
+
 /// Ingests naming new item ids grow the next epoch's catalog; its
 /// default answers equal the explicit ones over the built candidate
 /// set, which reads no engine state, for both live models.
@@ -299,6 +380,7 @@ fn live_epochs_default_to_their_own_catalog() {
     let inst = Instance {
         catalog: 30,
         rows: (0..USERS).map(|u| (u % 4 + 1, u64::from(u) * 77)).collect(),
+        per: 10,
         members: vec![0, 1, 3],
         cut: 0,
         k: 5,

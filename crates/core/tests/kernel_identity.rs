@@ -1073,18 +1073,11 @@ mod default_runs {
             let (m, bytes) = check(&cold, &raw, inst, &[], &candidates, &mut scratch);
             // The arena holds no itemset; each column is one default run
             // over the catalog, skipping the members' rated ids, unless
-            // the member rated most of the catalog: then their catalog
-            // column, and so the candidates', is written out.
+            // the group rated most of the catalog: then the run is
+            // shorter than its skip list and the column is written out.
             let e = inst.catalog - m;
-            let column = |u: u32| {
-                if 2 * stars.user_ratings(UserId(u)).len() > inst.catalog {
-                    12 * m
-                } else {
-                    4 * e
-                }
-            };
-            let want: usize = (0..inst.n as u32).map(column).sum();
-            assert_eq!(bytes, want, "every column is one default run");
+            let column = if 2 * e > inst.catalog { 12 * m } else { 4 * e };
+            assert_eq!(bytes, inst.n * column, "every column is one default run");
             let warm = GrecaEngine::warm(&raw, &pop, &catalog).expect("finite");
             check(&warm, &raw, inst, &[], &candidates, &mut scratch);
         }
